@@ -2,7 +2,8 @@
 // kernels the reproduction pipeline leans on: prefix-trie lookups, mode 6/7
 // wire (de)serialization, monitor-table updates, checksum, the event queue,
 // the GORCOLv3 artifact codec (varint kernel, delta transform, block
-// codec), and a full single-amplifier probe round trip.
+// codec), a full single-amplifier probe round trip, and the weekly layers
+// (monlist pass, version pass, monitor seeding at --jobs 4).
 #include <benchmark/benchmark.h>
 
 #include "net/packet.h"
@@ -15,11 +16,14 @@
 #include "scan/prober.h"
 #include "sim/attack.h"
 #include "sim/event_queue.h"
+#include "sim/scanner.h"
+#include "sim/sharded_executor.h"
 #include "sim/world.h"
 #include "util/block_codec.h"
 #include "util/bytes.h"
 #include "util/columnar.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace gorilla {
 namespace {
@@ -358,6 +362,58 @@ void BM_WeeklyMonlistSample(benchmark::State& state) {
                               world.amplifier_indices().size()));
 }
 BENCHMARK(BM_WeeklyMonlistSample)->Unit(benchmark::kMillisecond);
+
+void BM_WeeklyVersionSample(benchmark::State& state) {
+  // The serial mode 6 pass: per responder, one READVAR round trip through
+  // the server (render, fragment, serialize) and the prober's reassembly
+  // and three-variable read.
+  sim::WorldConfig cfg;
+  cfg.scale = 400;
+  cfg.registry.num_ases = 2000;
+  sim::World world(cfg);
+  scan::Prober prober(world, net::Ipv4Address(198, 51, 100, 7));
+  std::uint64_t responders = 0;
+  for (auto _ : state) {
+    responders =
+        prober.run_version_sample(0, [](const scan::VersionObservation&) {})
+            .responders_detailed;
+    benchmark::DoNotOptimize(responders);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(responders));
+}
+BENCHMARK(BM_WeeklyVersionSample)->Unit(benchmark::kMillisecond);
+
+void BM_SeedMonitorTables(benchmark::State& state) {
+  // One week's monitor seeding at --jobs N (plan on the calling thread,
+  // apply fanned out over the shared world arena); the 1-job run is the
+  // inline path, so the pair reads as the fan-out's scaling. Tables are
+  // emptied between iterations, as the probe-time restart expiry mostly
+  // does, so every iteration regrows them from the arena.
+  sim::WorldConfig cfg;
+  cfg.scale = 100;
+  cfg.registry.num_ases = 2000;
+  sim::World world(cfg);
+  sim::ScanTraffic scans(world, sim::ScanTrafficConfig{});
+  util::ThreadPool pool(static_cast<int>(state.range(0)));
+  sim::ShardedExecutor executor(&pool);
+  for (auto _ : state) {
+    scans.seed_monitor_tables(8, &executor);
+    state.PauseTiming();
+    for (const auto ai : world.amplifier_indices()) {
+      if (auto* server = world.detailed(ai)) server->monitor().clear();
+    }
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(
+                              world.amplifier_indices().size()));
+}
+BENCHMARK(BM_SeedMonitorTables)
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace
 }  // namespace gorilla

@@ -62,49 +62,35 @@ ControlPacket make_version_request(std::uint16_t sequence) {
 }
 
 std::string SystemVariables::render() const {
-  char num[64];
+  // Fixed text plus the two formatted number runs (each at most 63 bytes).
+  std::size_t bytes = 35 + 2 * 63 + version.size() + processor.size() +
+                      system.size();
+  for (const auto& [key, value] : extras) {
+    bytes += 3 + key.size() + value.size();
+  }
   std::string out;
-  out += "version=\"" + version + "\"";
-  out += ", processor=\"" + processor + "\"";
-  out += ", system=\"" + system + "\"";
+  out.reserve(bytes);
+  char num[64];
+  out.append("version=\"").append(version);
+  out.append("\", processor=\"").append(processor);
+  out.append("\", system=\"").append(system).append("\"");
   std::snprintf(num, sizeof num, ", leap=%d, stratum=%d", leap, stratum);
-  out += num;
+  out.append(num);
   std::snprintf(num, sizeof num, ", rootdelay=%.3f, rootdisp=%.3f",
                 rootdelay_ms, rootdisp_ms);
-  out += num;
+  out.append(num);
   for (const auto& [key, value] : extras) {
-    out += ", " + key + "=" + value;
+    out.append(", ").append(key).append("=").append(value);
   }
   return out;
 }
 
-std::map<std::string, std::string> parse_variable_list(const std::string& text) {
+std::map<std::string, std::string> parse_variable_list(std::string_view text) {
   std::map<std::string, std::string> vars;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    // Skip separators.
-    while (pos < text.size() && (text[pos] == ',' || text[pos] == ' ' ||
-                                 text[pos] == '\r' || text[pos] == '\n')) {
-      ++pos;
-    }
-    const std::size_t eq = text.find('=', pos);
-    if (eq == std::string::npos) break;
-    std::string key = text.substr(pos, eq - pos);
-    pos = eq + 1;
-    std::string value;
-    if (pos < text.size() && text[pos] == '"') {
-      const std::size_t close = text.find('"', pos + 1);
-      if (close == std::string::npos) break;
-      value = text.substr(pos + 1, close - pos - 1);
-      pos = close + 1;
-    } else {
-      const std::size_t comma = text.find(',', pos);
-      value = text.substr(pos, comma == std::string::npos ? std::string::npos
-                                                          : comma - pos);
-      pos = comma == std::string::npos ? text.size() : comma;
-    }
-    if (!key.empty()) vars.emplace(std::move(key), std::move(value));
-  }
+  for_each_variable(text, [&vars](std::string_view key, std::string_view value) {
+    vars.emplace(key, value);
+    return true;
+  });
   return vars;
 }
 
@@ -134,12 +120,23 @@ std::optional<std::string> reassemble_readvar(
     std::span<const ControlPacket> fragments) {
   // Loop-faulted responders (§3.4 megas) resend the whole fragment chain;
   // deduplicate by offset, keeping the last copy, then require contiguity.
-  std::map<std::uint16_t, const ControlPacket*> by_offset;
-  for (const auto& f : fragments) by_offset[f.offset] = &f;
+  // The stable sort keeps arrival order among equal offsets, so the last
+  // fragment of each equal-offset run is the last copy.
+  std::vector<const ControlPacket*> by_offset;
+  by_offset.reserve(fragments.size());
+  for (const auto& f : fragments) by_offset.push_back(&f);
+  std::stable_sort(by_offset.begin(), by_offset.end(),
+                   [](const ControlPacket* a, const ControlPacket* b) {
+                     return a->offset < b->offset;
+                   });
   std::string out;
   const ControlPacket* last = nullptr;
-  for (const auto& [offset, f] : by_offset) {
-    if (offset != out.size()) return std::nullopt;  // gap or overlap
+  for (std::size_t i = 0; i < by_offset.size(); ++i) {
+    const ControlPacket* f = by_offset[i];
+    if (i + 1 < by_offset.size() && by_offset[i + 1]->offset == f->offset) {
+      continue;  // superseded by a later copy
+    }
+    if (f->offset != out.size()) return std::nullopt;  // gap or overlap
     out.append(f->data.begin(), f->data.end());
     last = f;
   }

@@ -13,6 +13,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ntp/ntp_packet.h"
@@ -76,12 +77,47 @@ struct SystemVariables {
   [[nodiscard]] std::string render() const;
 };
 
-/// Parses a rendered variable list back into key/value pairs (tolerant of
-/// quoting and whitespace, as ntpq is).
-// Text-level splitter over an already-validated payload: garbage yields an
-// empty map, there is no failure to signal.
+/// Walks a rendered variable list in wire order, calling
+/// `visit(key, value)` (both std::string_view into `text`) for every pair
+/// with a non-empty key; the walk stops early when `visit` returns false.
+/// Tolerant of quoting and whitespace, as ntpq is: separators (", \r\n")
+/// are skipped, a quoted value runs to the next quote, a bare value to the
+/// next comma, and an unterminated quote ends the walk without that pair.
+/// Keys may repeat; map semantics keep the first occurrence.
+// Text-level splitter over an already-validated payload: garbage yields no
+// pairs, there is no failure to signal.
+template <typename Visit>
+void for_each_variable(std::string_view text, Visit&& visit) {
+  constexpr auto npos = std::string_view::npos;
+  std::size_t pos = 0;
+  while (pos < text.size()) {
+    while (pos < text.size() && (text[pos] == ',' || text[pos] == ' ' ||
+                                 text[pos] == '\r' || text[pos] == '\n')) {
+      ++pos;
+    }
+    const std::size_t eq = text.find('=', pos);
+    if (eq == npos) return;
+    const std::string_view key = text.substr(pos, eq - pos);
+    pos = eq + 1;
+    std::string_view value;
+    if (pos < text.size() && text[pos] == '"') {
+      const std::size_t close = text.find('"', pos + 1);
+      if (close == npos) return;
+      value = text.substr(pos + 1, close - pos - 1);
+      pos = close + 1;
+    } else {
+      const std::size_t comma = text.find(',', pos);
+      value = text.substr(pos, comma == npos ? npos : comma - pos);
+      pos = comma == npos ? text.size() : comma;
+    }
+    if (!key.empty() && !visit(key, value)) return;
+  }
+}
+
+/// Parses a rendered variable list back into key/value pairs: every pair
+/// for_each_variable() yields, the first occurrence of a key winning.
 [[nodiscard]] std::map<std::string, std::string> parse_variable_list(
-    const std::string& text);
+    std::string_view text);
 
 /// Splits a rendered variable list into response fragments (M bit/offset
 /// chaining). Every response echoes the request sequence number.

@@ -21,6 +21,23 @@ void account(ResponseSummary& summary, const net::UdpPacket& pkt,
   summary.total_on_wire_bytes += copies * pkt.on_wire_bytes();
 }
 
+/// Materializes `copies` back-to-back runs of `one_run` into
+/// summary.packets and sets `truncated`. The common single-run reply moves
+/// the run in instead of copying it.
+void emit_copies(ResponseSummary& summary,
+                 std::vector<net::UdpPacket>&& one_run, std::uint64_t copies) {
+  if (copies == 1) {
+    summary.packets = std::move(one_run);
+  } else {
+    summary.packets.reserve(copies * one_run.size());
+    for (std::uint64_t c = 0; c < copies; ++c) {
+      summary.packets.insert(summary.packets.end(), one_run.begin(),
+                             one_run.end());
+    }
+  }
+  summary.truncated = summary.packets.size() < summary.total_packets;
+}
+
 }  // namespace
 
 net::UdpPacket NtpServer::make_reply(const net::UdpPacket& request,
@@ -164,11 +181,7 @@ ResponseSummary NtpServer::respond_monlist(const net::UdpPacket& request,
           : std::min<std::uint64_t>(dumps,
                                     std::max<std::uint64_t>(
                                         1, materialize_cap / one_dump.size()));
-  for (std::uint64_t d = 0; d < dumps_to_emit; ++d) {
-    summary.packets.insert(summary.packets.end(), one_dump.begin(),
-                           one_dump.end());
-  }
-  summary.truncated = summary.packets.size() < summary.total_packets;
+  emit_copies(summary, std::move(one_dump), dumps_to_emit);
   return summary;
 }
 
@@ -210,6 +223,7 @@ ResponseSummary NtpServer::respond_readvar(const net::UdpPacket& request,
   const auto fragments =
       make_readvar_response(config_.sysvars, parsed.sequence);
   std::vector<net::UdpPacket> one_send;
+  one_send.reserve(fragments.size());
   std::uint64_t send_udp = 0, send_wire = 0;
   for (const auto& frag : fragments) {
     one_send.push_back(make_reply(request, serialize(frag), now));
@@ -226,11 +240,7 @@ ResponseSummary NtpServer::respond_readvar(const net::UdpPacket& request,
           : std::min<std::uint64_t>(sends,
                                     std::max<std::uint64_t>(
                                         1, materialize_cap / one_send.size()));
-  for (std::uint64_t s = 0; s < sends_to_emit; ++s) {
-    summary.packets.insert(summary.packets.end(), one_send.begin(),
-                           one_send.end());
-  }
-  summary.truncated = summary.packets.size() < summary.total_packets;
+  emit_copies(summary, std::move(one_send), sends_to_emit);
   return summary;
 }
 

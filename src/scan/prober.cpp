@@ -1,6 +1,9 @@
 #include "scan/prober.h"
 
 #include <cstdlib>
+#include <optional>
+#include <string>
+#include <string_view>
 
 #include "net/packet.h"
 #include "ntp/mode6.h"
@@ -19,8 +22,9 @@ constexpr std::uint16_t kProbeSourcePort = 57915;  // the port in Table 3a
 /// turn "stratum=3" into arbitrary bytes, which std::stoi would reject hard.
 /// Failure is signaled through the caller-chosen fallback, so the function
 /// is total by design rather than optional-returning.
-int parse_int_or(const std::string& text, int fallback) noexcept {  // NOLINT(parse-optional)
-  if (text.empty()) return fallback;
+int parse_int_or(std::string_view value, int fallback) {  // NOLINT(parse-optional)
+  if (value.empty()) return fallback;
+  const std::string text(value);  // strtol wants a terminated string
   char* end = nullptr;
   const long v = std::strtol(text.c_str(), &end, 10);
   if (end == text.c_str()) return fallback;
@@ -107,9 +111,18 @@ MonlistSampleSummary Prober::probe_targets(
   return probe_indices(server_indices, week, now, visit);
 }
 
+net::UdpPacket Prober::make_probe(std::vector<std::uint8_t> request_wire) const {
+  net::UdpPacket probe;
+  probe.src = source_;
+  probe.src_port = kProbeSourcePort;
+  probe.dst_port = net::kNtpPort;
+  probe.payload = std::move(request_wire);
+  return probe;
+}
+
 bool Prober::probe_one(std::uint32_t server_index, int week, util::SimTime now,
-                       const std::vector<std::uint8_t>& request_wire,
-                       int max_attempts, MonlistSampleSummary& summary,
+                       net::UdpPacket& probe, int max_attempts,
+                       MonlistSampleSummary& summary,
                        AmplifierObservation& obs) {
   const auto ai = server_index;
   ++summary.probes_sent;
@@ -124,12 +137,7 @@ bool Prober::probe_one(std::uint32_t server_index, int week, util::SimTime now,
   // remembers clients since the restart (§4.2's observation window).
   server->monitor().expire_before(world_.last_restart_before(ai, week, now));
 
-  net::UdpPacket probe;
-  probe.src = source_;
   probe.dst = world_.address_at(ai, week);
-  probe.src_port = kProbeSourcePort;
-  probe.dst_port = net::kNtpPort;
-  probe.payload = request_wire;
 
   bool observed = false;
   bool was_rate_limited = false;
@@ -146,7 +154,7 @@ bool Prober::probe_one(std::uint32_t server_index, int week, util::SimTime now,
       continue;
     }
 
-    const auto response = server->handle(probe, when);
+    auto response = server->handle(probe, when);
     if (response.total_packets == 0) {
       impairment_blocked = false;
       break;  // genuine restriction: deterministic, retrying is pointless
@@ -168,18 +176,19 @@ bool Prober::probe_one(std::uint32_t server_index, int week, util::SimTime now,
     std::uint64_t delivered_packets = response.total_packets;
     std::uint64_t delivered_udp = response.total_udp_payload_bytes;
     std::uint64_t delivered_wire = response.total_on_wire_bytes;
-    std::vector<net::UdpPacket> packets = response.packets;
     if (impairment_.enabled()) {
-      damage = impairment_.degrade_response(ai, week, attempt, packets);
-      // The materialized prefix was damaged exactly; the unmaterialized
+      // The materialized prefix is damaged exactly; the unmaterialized
       // remainder of a mega reply is thinned in aggregate so totals stay
-      // deterministic without ever existing in memory.
+      // deterministic without ever existing in memory. The prefix's
+      // pristine size is taken before damage mutates it in place.
       std::uint64_t mat_udp = 0, mat_wire = 0;
       for (const auto& pkt : response.packets) {
         mat_udp += pkt.payload.size();
         mat_wire += pkt.on_wire_bytes();
       }
       const std::uint64_t mat = response.packets.size();
+      damage = impairment_.degrade_response(ai, week, attempt,
+                                            response.packets);
       const std::uint64_t rem = response.total_packets - mat;
       const std::uint64_t rem_kept =
           impairment_.delivered_responses(ai, week, rem);
@@ -207,8 +216,8 @@ bool Prober::probe_one(std::uint32_t server_index, int week, util::SimTime now,
 
     // Reassemble the final table run from the surviving packets.
     std::vector<ntp::Mode7Packet> parsed;
-    parsed.reserve(packets.size());
-    for (const auto& pkt : packets) {
+    parsed.reserve(response.packets.size());
+    for (const auto& pkt : response.packets) {
       if (auto p = ntp::parse_mode7_packet(pkt.payload)) {
         parsed.push_back(std::move(*p));
       }
@@ -255,8 +264,10 @@ MonlistSampleSummary Prober::probe_indices(
   summary.week = week;
   summary.date = util::date_from_sim_time(now);
 
-  const auto request_wire = ntp::serialize(ntp::make_monlist_request(
-      probe_impl_, /*authenticated=*/false));
+  // One datagram per pass: each target only restamps its destination and
+  // send time.
+  net::UdpPacket probe = make_probe(ntp::serialize(ntp::make_monlist_request(
+      probe_impl_, /*authenticated=*/false)));
 
   // In a clean network every target gets exactly one packet (the original
   // ONP methodology); retries exist only to ride out impairment.
@@ -279,12 +290,13 @@ MonlistSampleSummary Prober::probe_indices(
     constexpr std::size_t kProbeChunk = 512;
     executor_->run_ordered(
         server_indices.size(), kProbeChunk,
-        [this, &server_indices, week, now, &request_wire, max_attempts](
+        [this, &server_indices, week, now, &probe, max_attempts](
             std::size_t begin, std::size_t end) {
           ChunkResult r;
           AmplifierObservation obs;
+          net::UdpPacket chunk_probe = probe;  // one copy per chunk
           for (std::size_t i = begin; i < end; ++i) {
-            if (probe_one(server_indices[i], week, now, request_wire,
+            if (probe_one(server_indices[i], week, now, chunk_probe,
                           max_attempts, r.partial, obs)) {
               r.observations.push_back(std::move(obs));
             }
@@ -306,7 +318,7 @@ MonlistSampleSummary Prober::probe_indices(
 
   AmplifierObservation obs;  // reused across visits
   for (const auto ai : server_indices) {
-    if (probe_one(ai, week, now, request_wire, max_attempts, summary, obs)) {
+    if (probe_one(ai, week, now, probe, max_attempts, summary, obs)) {
       visit(obs);
     }
   }
@@ -323,13 +335,14 @@ VersionSampleSummary Prober::run_version_sample(int vweek,
   summary.date = util::date_from_sim_time(sample_time(week));
   const util::SimTime now = sample_time(week);
 
-  const auto request_wire =
-      ntp::serialize(ntp::make_version_request(/*sequence=*/1));
+  net::UdpPacket probe =
+      make_probe(ntp::serialize(ntp::make_version_request(/*sequence=*/1)));
 
   const int max_attempts =
       impairment_.enabled() ? policy_.max_retries + 1 : 1;
 
   VersionObservation obs;
+  std::vector<ntp::ControlPacket> fragments;  // reused across responders
   const auto& traits = world_.servers();
   for (std::uint32_t i = 0; i < traits.size(); ++i) {
     ++summary.probes_sent;
@@ -339,12 +352,7 @@ VersionSampleSummary Prober::run_version_sample(int vweek,
     auto* server = world_.detailed(i);
     if (server == nullptr) continue;  // population-tier: counted only
 
-    net::UdpPacket probe;
-    probe.src = source_;
     probe.dst = world_.address_at(i, week);
-    probe.src_port = kProbeSourcePort;
-    probe.dst_port = net::kNtpPort;
-    probe.payload = request_wire;
 
     bool was_rate_limited = false;
     bool impairment_blocked = false;
@@ -361,7 +369,7 @@ VersionSampleSummary Prober::run_version_sample(int vweek,
         continue;
       }
 
-      const auto response = server->handle(probe, when);
+      auto response = server->handle(probe, when);
       if (response.total_packets == 0) {
         --summary.responders_total;  // restricted after all
         impairment_blocked = false;
@@ -379,18 +387,17 @@ VersionSampleSummary Prober::run_version_sample(int vweek,
       }
 
       sim::ImpairmentLayer::Damage damage;
-      std::vector<net::UdpPacket> packets = response.packets;
       if (impairment_.enabled()) {
-        damage =
-            impairment_.degrade_response(i, week, attempt + 0x100, packets);
-        if (packets.empty()) {
+        damage = impairment_.degrade_response(i, week, attempt + 0x100,
+                                              response.packets);
+        if (response.packets.empty()) {
           impairment_blocked = true;
           continue;
         }
       }
 
-      std::vector<ntp::ControlPacket> fragments;
-      for (const auto& pkt : packets) {
+      fragments.clear();
+      for (const auto& pkt : response.packets) {
         if (auto p = ntp::parse_control_packet(pkt.payload)) {
           fragments.push_back(std::move(*p));
         }
@@ -404,17 +411,28 @@ VersionSampleSummary Prober::run_version_sample(int vweek,
         impairment_blocked = false;
         break;
       }
-      const auto vars = ntp::parse_variable_list(*text);
+
+      // The three variables the study reads, first occurrence winning
+      // (parse_variable_list's map semantics) without building the map.
+      std::optional<std::string_view> system, version, stratum;
+      ntp::for_each_variable(
+          *text, [&](std::string_view key, std::string_view value) {
+            auto* slot = key == "system"    ? &system
+                         : key == "version" ? &version
+                         : key == "stratum" ? &stratum
+                                            : nullptr;
+            if (slot != nullptr && !*slot) *slot = value;
+            return !(system && version && stratum);
+          });
 
       obs.server_index = i;
       obs.address = probe.dst;
       obs.response_packets = response.total_packets - damage.packets_dropped;
       obs.response_wire_bytes =
           response.total_on_wire_bytes - damage.wire_bytes_lost;
-      obs.system = vars.count("system") ? vars.at("system") : "";
-      obs.version = vars.count("version") ? vars.at("version") : "";
-      obs.stratum =
-          vars.count("stratum") ? parse_int_or(vars.at("stratum"), 0) : 0;
+      obs.system.assign(system.value_or(""));
+      obs.version.assign(version.value_or(""));
+      obs.stratum = stratum ? parse_int_or(*stratum, 0) : 0;
       obs.probe_time = when;
       if (damage.degraded()) ++summary.truncated_tables;
       ++summary.responders_detailed;

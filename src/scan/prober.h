@@ -15,6 +15,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "net/packet.h"
 #include "ntp/mode7.h"
 #include "sim/impairment.h"
 #include "sim/sharded_executor.h"
@@ -183,10 +184,15 @@ class Prober {
   /// a table. Counter side effects land in `summary`; server-state side
   /// effects touch only this target's server, which is what makes chunked
   /// parallel probing safe.
+  /// `probe` is the pass's request datagram; probe_one() restamps its
+  /// destination and send time for this target.
   bool probe_one(std::uint32_t server_index, int week, util::SimTime now,
-                 const std::vector<std::uint8_t>& request_wire,
-                 int max_attempts, MonlistSampleSummary& summary,
-                 AmplifierObservation& obs);
+                 net::UdpPacket& probe, int max_attempts,
+                 MonlistSampleSummary& summary, AmplifierObservation& obs);
+  /// The pass's probe datagram carrying `request_wire`, from this prober's
+  /// source address and port to the NTP port; destination and time unset.
+  [[nodiscard]] net::UdpPacket make_probe(
+      std::vector<std::uint8_t> request_wire) const;
   /// Resets the rate-limit window when the pass moves to a new week.
   void roll_window(int week);
   /// True when the server's response budget for this window is spent;

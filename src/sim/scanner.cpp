@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "net/ethernet.h"
 #include "ntp/mode7.h"
@@ -179,15 +180,22 @@ void ScanTraffic::plan_seed_observations(int week, util::Rng& rng,
     }
     return r;
   }();
+  // This week's active research scanners, in actor order, each with its
+  // 1-based position in actors_ (the impairment salt): hoisted out of the
+  // per-server loop, which otherwise rescans the whole malicious swarm.
+  std::vector<std::pair<int, const ScanActor*>> research;
+  for (std::size_t i = 0; i < actors_.size(); ++i) {
+    const auto& a = actors_[i];
+    if (!a.benign || day < a.first_day || day > a.last_day) continue;
+    research.emplace_back(static_cast<int>(i) + 1, &a);
+  }
 
   for (const auto ai : world_.amplifier_indices()) {
     begin_server();
     auto* server = world_.detailed(ai);
     if (server == nullptr) continue;
-    int actor_index = 0;
-    for (const auto& a : actors_) {
-      ++actor_index;
-      if (!a.benign || day < a.first_day || day > a.last_day) continue;
+    for (const auto& [actor_index, actor] : research) {
+      const ScanActor& a = *actor;
       const bool mode6 = rng.chance(a.mode6_share);
       // Fates are hash draws, not RNG stream draws: checking them cannot
       // shift the clean stream, and the burned draws below keep an enabled
@@ -258,6 +266,7 @@ void ScanTraffic::seed_monitor_tables(int week, ShardedExecutor* executor) {
     util::SimTime when = 0;
   };
   std::vector<Planned> plan;
+  plan.reserve(last_plan_size_);  // weekly plans change size slowly
   std::vector<std::size_t> offsets;
   offsets.reserve(world_.amplifier_indices().size() + 1);
   plan_seed_observations(
@@ -267,6 +276,7 @@ void ScanTraffic::seed_monitor_tables(int week, ShardedExecutor* executor) {
         plan.push_back(Planned{server, address, port, mode, when});
       });
   offsets.push_back(plan.size());
+  last_plan_size_ = plan.size();
 
   executor->parallel_for(
       offsets.size() - 1, /*chunk_size=*/256,

@@ -114,6 +114,7 @@ class ScanTraffic {
   ImpairmentLayer impairment_;
   util::Rng rng_;                  ///< construction-time draws only
   std::vector<ScanActor> actors_;  ///< research first, then malicious
+  std::size_t last_plan_size_ = 0; ///< previous week's seeding plan length
 };
 
 /// TTL of scan packets at a ~10-hop vantage: Linux initial 64 -> mode 54

@@ -15,10 +15,23 @@
 // cross-table reuse malloc gave the node-based tables — while keeping
 // bump-pointer locality for the steady state.
 //
-// Thread-safe by a mutex around allocate()/recycle(): callers hold
-// slab-granular storage, so arena calls are rare (one per slab resize, not
-// one per entry), and the §3d parallel seeding path (disjoint servers,
-// shared world arena) stays race-free.
+// Thread-safe by striping: the arena holds kStripes independent stripes
+// (each its own mutex, free lists and bump block), and a thread always
+// uses the stripe its process-wide thread ordinal selects. Arena calls are
+// not rare — a monitor table regrows from empty every week (chunk, index
+// and directory steps, ~14 calls per table per week) and shrinks back in
+// the probe-time expiry — so one shared mutex serialized the §3d parallel
+// seeding and probe fan-outs. With stripes, workers never share a lock
+// unless two of them map to the same stripe. recycle() files storage on
+// the *calling* thread's stripe, whichever stripe carved it: blocks are
+// owned by the arena as a whole and all die with it, so storage migrating
+// between stripes is harmless. The study frees on one thread what it
+// allocated on another (attack-day merges grow tables on the calling
+// thread, the parallel probe's expiry shrinks them on workers), so a
+// stripe whose bump block runs out first adopts the other stripes' idle
+// free lists, and only then carves a new block. Which stripe serves a
+// request never changes what a caller observes beyond the address it gets
+// back.
 //
 // Accounting: each block charges one MemStats::Counter::add per block (a
 // relaxed atomic), so per-subsystem live/peak bytes are exact at block
@@ -27,6 +40,8 @@
 // planning needs.
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -59,66 +74,63 @@ class Arena {
   Arena& operator=(const Arena&) = delete;
 
   ~Arena() {
-    if (stats_ != nullptr) stats_->sub(allocated_bytes_);
-    if (request_stats_ != nullptr) request_stats_->sub(outstanding_bytes_);
+    if (stats_ != nullptr) stats_->sub(allocated_bytes());
+    if (request_stats_ != nullptr) {
+      request_stats_->sub(outstanding_bytes_.load(std::memory_order_relaxed));
+    }
   }
 
   static constexpr std::size_t kDefaultBlockBytes = std::size_t{256} * 1024;
   /// Every allocation is rounded up to this granule: recycled storage must
   /// hold a free-list link, and canonical sizes keep the class count small.
   static constexpr std::size_t kGranule = 16;
+  /// Stripes per arena. A fixed constant, not a knob: more stripes than
+  /// concurrently allocating threads only costs idle bump-block slack.
+  static constexpr std::size_t kStripes = 8;
 
   /// Bytes of raw storage, 16-byte aligned (`align` must not exceed
-  /// kGranule). Never returns nullptr. Reuse order: an exact-size
-  /// recycled block, else the smallest larger recycled block (best fit,
-  /// remainder split back onto its own free list — during a synchronized
-  /// growth wave every table frees rung N while demanding rung N+1, and
-  /// splitting keeps that storage in play instead of stranding it), else
-  /// the bump pointer advances.
+  /// kGranule). Never returns nullptr. Reuse order, within the calling
+  /// thread's stripe: an exact-size recycled block, else the smallest
+  /// larger recycled block (best fit, remainder split back onto its own
+  /// free list — during a synchronized growth wave every table frees rung
+  /// N while demanding rung N+1, and splitting keeps that storage in play
+  /// instead of stranding it), else the bump pointer advances; a spent
+  /// bump block first adopts other stripes' free lists, then refills.
   [[nodiscard]] void* allocate(std::size_t bytes, std::size_t align) {
     (void)align;
     const std::size_t size = canonical(bytes);
-    const std::lock_guard<std::mutex> lock(mutex_);
     if (request_stats_ != nullptr) {
       request_stats_->add(size);
-      outstanding_bytes_ += size;
+      outstanding_bytes_.fetch_add(size, std::memory_order_relaxed);
     }
-    FreeList* best = nullptr;
-    for (auto& fl : free_lists_) {
-      if (fl.head == nullptr || fl.size < size) continue;
-      if (fl.size == size) {
-        best = &fl;
-        break;
-      }
-      if (best == nullptr || fl.size < best->size) best = &fl;
+    Stripe& s = own_stripe();
+    const std::lock_guard<std::mutex> lock(s.mutex);
+    if (void* out = take_free(s, size)) return out;
+    std::size_t offset = (s.cursor + kGranule - 1) & ~(kGranule - 1);
+    if (s.current == nullptr || offset + size > s.current_size) {
+      // The bump block is spent. Storage recycled on other threads sits on
+      // their stripes; adopt it before carving a new block, so the arena
+      // grows only when no idle stripe holds a fit.
+      adopt_free_lists(s);
+      if (void* out = take_free(s, size)) return out;
+      refill(s, size + kGranule);
+      offset = 0;
     }
-    if (best != nullptr) {
-      void* out = best->head;
-      best->head = *static_cast<void**>(out);
-      if (best->size > size) {
-        push_free(static_cast<std::byte*>(out) + size, best->size - size);
-      }
-      return out;
-    }
-    std::size_t offset = (cursor_ + kGranule - 1) & ~(kGranule - 1);
-    if (current_ == nullptr || offset + size > current_size_) {
-      refill(size + kGranule);
-      offset = (cursor_ + kGranule - 1) & ~(kGranule - 1);
-    }
-    cursor_ = offset + size;
-    return current_ + offset;
+    s.cursor = offset + size;
+    return s.current + offset;
   }
 
   /// Returns an allocation of `bytes` (the size passed to allocate()) to
-  /// the matching size-class free list for reuse.
+  /// the calling thread's stripe, on the matching size-class free list.
   void recycle(void* ptr, std::size_t bytes) noexcept {
     const std::size_t size = canonical(bytes);
-    const std::lock_guard<std::mutex> lock(mutex_);
     if (request_stats_ != nullptr) {
       request_stats_->sub(size);
-      outstanding_bytes_ -= size;
+      outstanding_bytes_.fetch_sub(size, std::memory_order_relaxed);
     }
-    push_free(ptr, size);
+    Stripe& s = own_stripe();
+    const std::lock_guard<std::mutex> lock(s.mutex);
+    push_free(s, ptr, size);
   }
 
   /// `count` default-initialized objects of trivially-destructible T (the
@@ -140,16 +152,35 @@ class Arena {
     recycle(static_cast<void*>(ptr), sizeof(T) * count);
   }
 
-  /// Total block bytes currently owned (what MemStats sees as live).
+  /// Total block bytes currently owned, over all stripes (what MemStats
+  /// sees as live).
   [[nodiscard]] std::size_t allocated_bytes() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return allocated_bytes_;
+    std::size_t total = 0;
+    for (const auto& s : stripes_) {
+      const std::lock_guard<std::mutex> lock(s.mutex);
+      total += s.allocated_bytes;
+    }
+    return total;
   }
 
-  /// Blocks owned (diagnostic; one malloc each over the arena's lifetime).
+  /// Blocks owned, over all stripes (diagnostic; one malloc each over the
+  /// arena's lifetime).
   [[nodiscard]] std::size_t block_count() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return blocks_.size();
+    std::size_t total = 0;
+    for (const auto& s : stripes_) {
+      const std::lock_guard<std::mutex> lock(s.mutex);
+      total += s.blocks.size();
+    }
+    return total;
+  }
+
+  /// Process-wide ordinal of the calling thread: 0 for the first thread to
+  /// ask, then 1, 2, ... Stable for the thread's lifetime.
+  [[nodiscard]] static std::size_t thread_ordinal() noexcept {
+    static std::atomic<std::size_t> next{0};
+    thread_local const std::size_t ordinal =
+        next.fetch_add(1, std::memory_order_relaxed);
+    return ordinal;
   }
 
  private:
@@ -158,16 +189,81 @@ class Arena {
     void* head;
   };
 
+  /// One independent sub-arena; cache-line aligned so neighbouring
+  /// stripes' mutexes never share a line.
+  struct alignas(64) Stripe {
+    mutable std::mutex mutex;
+    std::vector<std::unique_ptr<std::byte[]>> blocks;
+    std::vector<FreeList> free_lists;
+    std::byte* current = nullptr;
+    std::size_t current_size = 0;
+    std::size_t cursor = 0;
+    std::size_t allocated_bytes = 0;
+  };
+
   [[nodiscard]] static constexpr std::size_t canonical(
       std::size_t bytes) noexcept {
     const std::size_t up = (bytes + kGranule - 1) & ~(kGranule - 1);
     return up == 0 ? kGranule : up;
   }
 
-  /// Links `ptr` (a canonical-size block) onto its size class. Called
-  /// under mutex_.
-  void push_free(void* ptr, std::size_t size) {
-    for (auto& fl : free_lists_) {
+  [[nodiscard]] Stripe& own_stripe() noexcept {
+    return stripes_[thread_ordinal() % kStripes];
+  }
+
+  /// Pops a recycled block of `size` bytes from `s`: an exact-size one,
+  /// else the best-fit larger one, split. nullptr when `s` holds no fit.
+  /// Called under s.mutex.
+  static void* take_free(Stripe& s, std::size_t size) {
+    FreeList* best = nullptr;
+    for (auto& fl : s.free_lists) {
+      if (fl.head == nullptr || fl.size < size) continue;
+      if (fl.size == size) {
+        best = &fl;
+        break;
+      }
+      if (best == nullptr || fl.size < best->size) best = &fl;
+    }
+    if (best == nullptr) return nullptr;
+    void* out = best->head;
+    best->head = *static_cast<void**>(out);
+    if (best->size > size) {
+      push_free(s, static_cast<std::byte*>(out) + size, best->size - size);
+    }
+    return out;
+  }
+
+  /// Moves into `s` every free list another stripe holds for a size class
+  /// `s` has none of (whole lists, O(1) each). Stripes whose lock is busy
+  /// are skipped: their owner is active, and try_lock keeps two adopting
+  /// stripes from deadlocking on each other. Called under s.mutex.
+  void adopt_free_lists(Stripe& s) {
+    for (auto& other : stripes_) {
+      if (&other == &s) continue;
+      const std::unique_lock<std::mutex> lock(other.mutex, std::try_to_lock);
+      if (!lock.owns_lock()) continue;
+      for (auto& theirs : other.free_lists) {
+        if (theirs.head == nullptr) continue;
+        FreeList* mine = nullptr;
+        for (auto& fl : s.free_lists) {
+          if (fl.size == theirs.size) mine = &fl;
+        }
+        if (mine == nullptr) {
+          s.free_lists.push_back(FreeList{theirs.size, theirs.head});
+        } else if (mine->head == nullptr) {
+          mine->head = theirs.head;
+        } else {
+          continue;
+        }
+        theirs.head = nullptr;
+      }
+    }
+  }
+
+  /// Links `ptr` (a canonical-size block) onto its size class in `s`.
+  /// Called under s.mutex.
+  static void push_free(Stripe& s, void* ptr, std::size_t size) {
+    for (auto& fl : s.free_lists) {
       if (fl.size == size) {
         *static_cast<void**>(ptr) = fl.head;
         fl.head = ptr;
@@ -175,33 +271,27 @@ class Arena {
       }
     }
     *static_cast<void**>(ptr) = nullptr;
-    free_lists_.push_back(FreeList{size, ptr});
+    s.free_lists.push_back(FreeList{size, ptr});
   }
 
-  /// Starts a fresh block of at least `min_bytes` (oversize requests get a
-  /// dedicated block). Called under mutex_.
-  void refill(std::size_t min_bytes) {
+  /// Starts a fresh block of at least `min_bytes` in `s` (oversize
+  /// requests get a dedicated block). Called under s.mutex.
+  void refill(Stripe& s, std::size_t min_bytes) {
     const std::size_t size = min_bytes > block_bytes_ ? min_bytes
                                                       : block_bytes_;
-    blocks_.push_back(std::make_unique<std::byte[]>(size));
-    current_ = blocks_.back().get();
-    current_size_ = size;
-    cursor_ = 0;
-    allocated_bytes_ += size;
+    s.blocks.push_back(std::make_unique<std::byte[]>(size));
+    s.current = s.blocks.back().get();
+    s.current_size = size;
+    s.cursor = 0;
+    s.allocated_bytes += size;
     if (stats_ != nullptr) stats_->add(size);
   }
 
   MemStats::Counter* stats_;
   MemStats::Counter* request_stats_;
   std::size_t block_bytes_;
-  mutable std::mutex mutex_;
-  std::vector<std::unique_ptr<std::byte[]>> blocks_;
-  std::vector<FreeList> free_lists_;
-  std::byte* current_ = nullptr;
-  std::size_t current_size_ = 0;
-  std::size_t cursor_ = 0;
-  std::size_t allocated_bytes_ = 0;
-  std::size_t outstanding_bytes_ = 0;
+  std::array<Stripe, kStripes> stripes_;
+  std::atomic<std::size_t> outstanding_bytes_{0};
 };
 
 }  // namespace gorilla::util

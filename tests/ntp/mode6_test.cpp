@@ -1,5 +1,12 @@
 #include "ntp/mode6.h"
 
+#include <cstdint>
+#include <map>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace gorilla::ntp {
@@ -103,6 +110,102 @@ TEST(VariableListTest, RenderParseRoundTrip) {
 TEST(VariableListTest, ToleratesEmptyAndGarbage) {
   EXPECT_TRUE(parse_variable_list("").empty());
   EXPECT_TRUE(parse_variable_list("no equals here").empty());
+}
+
+/// Every (key, value) pair for_each_variable yields, in wire order.
+std::vector<std::pair<std::string, std::string>> walk(std::string_view text) {
+  std::vector<std::pair<std::string, std::string>> pairs;
+  for_each_variable(text, [&pairs](std::string_view key, std::string_view value) {
+    pairs.emplace_back(key, value);
+    return true;
+  });
+  return pairs;
+}
+
+/// The tokenizer walk and the map parser agree on `text`: the map holds
+/// exactly the walk's keys, each bound to its first occurrence's value
+/// (what the prober's three-key reader takes).
+void expect_parsers_agree(std::string_view text) {
+  const auto pairs = walk(text);
+  const auto vars = parse_variable_list(text);
+  std::map<std::string, std::string> first;
+  for (const auto& [key, value] : pairs) {
+    EXPECT_FALSE(key.empty());
+    first.emplace(key, value);
+  }
+  EXPECT_EQ(vars, first) << "input: " << std::string(text);
+}
+
+TEST(VariableListTest, DuplicateKeysFirstOccurrenceWins) {
+  const std::string text =
+      "system=\"A\", stratum=2, system=\"B\", stratum=9, version=\"v1\"";
+  expect_parsers_agree(text);
+  const auto vars = parse_variable_list(text);
+  EXPECT_EQ(vars.at("system"), "A");
+  EXPECT_EQ(vars.at("stratum"), "2");
+  EXPECT_EQ(walk(text).size(), 5u);  // the walk itself keeps repeats
+}
+
+TEST(VariableListTest, UnterminatedQuoteEndsTheWalk) {
+  const std::string text = "stratum=3, version=\"ntpd 4.2, system=\"x\"";
+  expect_parsers_agree(text);
+  // The quote opened at version runs to system's opening quote; the rest
+  // (x") has no '=' and yields nothing.
+  const auto vars = parse_variable_list(text);
+  EXPECT_EQ(vars.at("stratum"), "3");
+  EXPECT_EQ(vars.at("version"), "ntpd 4.2, system=");
+  EXPECT_EQ(vars.size(), 2u);
+  const std::string open = "leap=0, system=\"Linux";
+  expect_parsers_agree(open);
+  EXPECT_EQ(parse_variable_list(open).size(), 1u);  // system dropped
+}
+
+TEST(VariableListTest, EmptyKeysAreSkipped) {
+  const std::string text = "=orphan, , =, system=\"x\", =\"q\", leap=1";
+  expect_parsers_agree(text);
+  const auto vars = parse_variable_list(text);
+  EXPECT_EQ(vars.size(), 2u);
+  EXPECT_EQ(vars.at("system"), "x");
+  EXPECT_EQ(vars.at("leap"), "1");
+}
+
+TEST(VariableListTest, TrailingCommasAndSeparators) {
+  const std::string text = "leap=0, stratum=2,,, \r\n";
+  expect_parsers_agree(text);
+  const auto vars = parse_variable_list(text);
+  EXPECT_EQ(vars.size(), 2u);
+  EXPECT_EQ(vars.at("stratum"), "2");
+  expect_parsers_agree("stratum=,");  // an empty bare value is a value
+  EXPECT_EQ(parse_variable_list("stratum=,").at("stratum"), "");
+}
+
+TEST(VariableListTest, GarbageBytesParseIdentically) {
+  const std::string text("\xff\x00system=\"Li\x00nux\", \x7f=1, \x01\x02", 26);
+  expect_parsers_agree(text);
+  const auto vars = parse_variable_list(text);
+  EXPECT_EQ(vars.count("system"), 0u);  // the key carries the junk prefix
+  EXPECT_EQ(vars.at(std::string("\xff\x00system", 8)), std::string("Li\x00nux", 6));
+  EXPECT_EQ(vars.at("\x7f"), "1");
+  // Deterministic pseudo-random byte soup, biased toward the separators.
+  std::uint32_t x = 12345;
+  for (int trial = 0; trial < 200; ++trial) {
+    std::string soup;
+    for (int i = 0; i < 64; ++i) {
+      x = x * 1103515245u + 12345u;
+      constexpr char kAlphabet[] = "ab=\", \r\n\x00\xff";
+      soup.push_back(kAlphabet[(x >> 16) % (sizeof kAlphabet)]);
+    }
+    expect_parsers_agree(soup);
+  }
+}
+
+TEST(VariableListTest, VisitorCanStopTheWalkEarly) {
+  int calls = 0;
+  for_each_variable("a=1, b=2, c=3", [&calls](std::string_view, std::string_view) {
+    ++calls;
+    return calls < 2;
+  });
+  EXPECT_EQ(calls, 2);
 }
 
 TEST(ReadvarResponseTest, SingleFragmentForShortText) {

@@ -1,7 +1,11 @@
 #include "util/arena.h"
 
+#include <algorithm>
+#include <atomic>
+#include <barrier>
 #include <cstdint>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -130,6 +134,117 @@ TEST(ArenaTest, ConcurrentAllocationsDoNotOverlap) {
     ASSERT_NE(ptrs[i], nullptr);
     EXPECT_EQ(ptrs[i][0], static_cast<std::uint32_t>(i));
   }
+}
+
+TEST(ArenaTest, ThreadOrdinalsAreDistinctAndStable) {
+  const std::size_t mine = Arena::thread_ordinal();
+  EXPECT_EQ(Arena::thread_ordinal(), mine);
+  std::size_t other = mine;
+  std::thread([&other] { other = Arena::thread_ordinal(); }).join();
+  EXPECT_NE(other, mine);
+}
+
+TEST(ArenaTest, StorageRecycledOnAnotherThreadServesThatThread) {
+  Arena arena(nullptr, 4096);
+  void* a = arena.allocate(96, 8);
+  (void)arena.allocate(96, 8);  // keeps `a` off the bump frontier
+  void* reused = nullptr;
+  std::thread([&] {
+    arena.recycle(a, 96);
+    reused = arena.allocate(96, 8);
+  }).join();
+  EXPECT_EQ(reused, a);  // the recycling thread's stripe holds it now
+}
+
+TEST(ArenaTest, SpentStripeAdoptsOtherStripesFreeStorage) {
+  Arena arena(nullptr, 256);
+  void* a = arena.allocate(96, 8);
+  (void)arena.allocate(96, 8);  // 192 of 256 bytes carved
+  std::thread([&] { arena.recycle(a, 96); }).join();
+  // The bump block cannot fit another 96 bytes: instead of a new block,
+  // the storage the other thread recycled is adopted and reused.
+  EXPECT_EQ(arena.allocate(96, 8), a);
+  EXPECT_EQ(arena.block_count(), 1u);
+}
+
+TEST(ArenaTest, CrossThreadRecycleKeepsAccountingExact) {
+  // Four threads allocate a round of mixed-size arrays, then each recycles
+  // the round its neighbour allocated, so storage constantly migrates
+  // between stripes. Every round, all live allocations must be disjoint;
+  // at the end the request counter must be back at exactly zero and the
+  // block accounting must agree three ways.
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 25;
+  constexpr int kPerRound = 64;
+  constexpr std::size_t kBlock = 4096;
+  constexpr std::size_t kCounts[] = {4, 8, 16, 24};  // 16..96 bytes
+  struct Live {
+    std::uint32_t* ptr;
+    std::size_t count;
+    std::uint32_t tag;
+  };
+  MemStats::Counter blocks;
+  MemStats::Counter requests;
+  {
+    Arena arena(&blocks, kBlock, &requests);
+    std::vector<std::vector<Live>> mailbox(kThreads);
+    std::atomic<int> overlaps{0};
+    std::atomic<int> clobbered{0};
+    // Runs once per round, after every thread allocated and before any
+    // recycles: checks all live ranges pairwise via a sort.
+    auto check_disjoint = [&]() noexcept {
+      std::vector<std::pair<std::uintptr_t, std::uintptr_t>> ranges;
+      for (const auto& box : mailbox) {
+        for (const auto& l : box) {
+          const auto begin = reinterpret_cast<std::uintptr_t>(l.ptr);
+          ranges.emplace_back(begin, begin + l.count * sizeof(std::uint32_t));
+        }
+      }
+      std::sort(ranges.begin(), ranges.end());
+      for (std::size_t i = 1; i < ranges.size(); ++i) {
+        if (ranges[i].first < ranges[i - 1].second) ++overlaps;
+      }
+    };
+    std::barrier allocated(kThreads, check_disjoint);
+    std::barrier recycled(kThreads);
+    std::vector<std::thread> workers;
+    workers.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&, t] {
+        for (int round = 0; round < kRounds; ++round) {
+          auto& mine = mailbox[static_cast<std::size_t>(t)];
+          mine.clear();
+          for (int i = 0; i < kPerRound; ++i) {
+            const std::size_t count = kCounts[(t + round + i) % 4];
+            const auto tag =
+                static_cast<std::uint32_t>((t * kRounds + round) * kPerRound + i);
+            std::uint32_t* p = arena.allocate_array<std::uint32_t>(count);
+            for (std::size_t k = 0; k < count; ++k) p[k] = tag;
+            mine.push_back(Live{p, count, tag});
+          }
+          allocated.arrive_and_wait();
+          // Recycle the neighbour's round on this (a different) thread.
+          for (const auto& l :
+               mailbox[static_cast<std::size_t>((t + 1) % kThreads)]) {
+            for (std::size_t k = 0; k < l.count; ++k) {
+              if (l.ptr[k] != l.tag) ++clobbered;
+            }
+            arena.recycle_array(l.ptr, l.count);
+          }
+          recycled.arrive_and_wait();
+        }
+      });
+    }
+    for (auto& w : workers) w.join();
+    EXPECT_EQ(overlaps.load(), 0);
+    EXPECT_EQ(clobbered.load(), 0);
+    EXPECT_EQ(requests.live(), 0u);
+    EXPECT_GT(requests.peak(), 0u);
+    EXPECT_EQ(arena.allocated_bytes(), arena.block_count() * kBlock);
+    EXPECT_EQ(blocks.live(), arena.allocated_bytes());
+  }
+  EXPECT_EQ(blocks.live(), 0u);
+  EXPECT_EQ(requests.live(), 0u);
 }
 
 }  // namespace
