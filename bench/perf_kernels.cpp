@@ -13,6 +13,7 @@
 #include "ntp/mode7.h"
 #include "ntp/monlist.h"
 #include "ntp/server.h"
+#include "ntp/sysinfo.h"
 #include "scan/prober.h"
 #include "sim/attack.h"
 #include "sim/event_queue.h"
@@ -132,15 +133,29 @@ void BM_MonlistDump(benchmark::State& state) {
 BENCHMARK(BM_MonlistDump)->Arg(6)->Arg(60)->Arg(600);
 
 void BM_ReadvarRoundTrip(benchmark::State& state) {
-  ntp::SystemVariables vars;
-  vars.version = "ntpd 4.2.6p5@1.2349-o Tue May 10 2011";
-  vars.system = "Linux/2.6.32";
-  vars.processor = "x86_64";
+  // A server holding a world-drawn identity (a full ntpd install, two
+  // fragments): the version probe's reply is cut from the stored text,
+  // then parsed and reassembled as the prober does.
+  util::Rng rng(3);
+  ntp::NtpServerConfig cfg;
+  cfg.address = net::Ipv4Address(10, 0, 0, 1);
+  do {
+    cfg.identity = ntp::make_system_variables("linux", 2012, 2, rng);
+  } while (cfg.identity.readvar.size() <= ntp::kControlMaxDataBytes);
+  ntp::NtpServer server(cfg);
+  net::UdpPacket probe;
+  probe.src = net::Ipv4Address(198, 51, 100, 7);
+  probe.dst = cfg.address;
+  probe.src_port = 57915;
+  probe.dst_port = net::kNtpPort;
+  probe.payload = ntp::serialize(ntp::make_version_request());
+  std::vector<ntp::ControlPacket> parsed;
+  util::SimTime now = 1000000;
   for (auto _ : state) {
-    const auto frags = ntp::make_readvar_response(vars, 1);
-    std::vector<ntp::ControlPacket> parsed;
-    for (const auto& f : frags) {
-      parsed.push_back(*ntp::parse_control_packet(ntp::serialize(f)));
+    const auto response = server.handle(probe, ++now);
+    parsed.clear();
+    for (const auto& pkt : response.packets) {
+      parsed.push_back(*ntp::parse_control_packet(pkt.payload));
     }
     benchmark::DoNotOptimize(ntp::reassemble_readvar(parsed));
   }
@@ -293,7 +308,6 @@ BENCHMARK(BM_ColumnarCodecBlockDecompress)->Arg(300000);
 void BM_ServerProbeRoundTrip(benchmark::State& state) {
   ntp::NtpServerConfig cfg;
   cfg.address = net::Ipv4Address(10, 0, 0, 1);
-  cfg.sysvars.system = "linux";
   ntp::NtpServer server(cfg);
   for (std::uint32_t i = 0; i < static_cast<std::uint32_t>(state.range(0));
        ++i) {
@@ -365,8 +379,8 @@ BENCHMARK(BM_WeeklyMonlistSample)->Unit(benchmark::kMillisecond);
 
 void BM_WeeklyVersionSample(benchmark::State& state) {
   // The serial mode 6 pass: per responder, one READVAR round trip through
-  // the server (render, fragment, serialize) and the prober's reassembly
-  // and three-variable read.
+  // the server (fragments cut from its stored identity text) and the
+  // prober's reassembly and three-variable read.
   sim::WorldConfig cfg;
   cfg.scale = 400;
   cfg.registry.num_ases = 2000;

@@ -19,8 +19,10 @@ constexpr util::SimTime kProbeTime = 70 * util::kSecondsPerDay;
 ntp::NtpServer make_server(std::uint32_t addr) {
   ntp::NtpServerConfig cfg;
   cfg.address = net::Ipv4Address{addr};
-  cfg.sysvars.system = "Linux/2.6.32";
-  cfg.sysvars.stratum = 2;
+  ntp::SystemVariables vars;
+  vars.system = "Linux/2.6.32";
+  vars.stratum = 2;
+  cfg.identity = vars.identity();
   return ntp::NtpServer(cfg);
 }
 

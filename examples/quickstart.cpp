@@ -22,9 +22,11 @@ int main() {
   //    of pre-4.2.7 ntpd).
   ntp::NtpServerConfig config;
   config.address = net::Ipv4Address(10, 1, 2, 3);
-  config.sysvars.system = "Linux/2.6.32";
-  config.sysvars.version = "ntpd 4.2.4p8@1.1612 Sat Feb 20 2010";
-  config.sysvars.stratum = 3;
+  ntp::SystemVariables identity;
+  identity.system = "Linux/2.6.32";
+  identity.version = "ntpd 4.2.4p8@1.1612 Sat Feb 20 2010";
+  identity.stratum = 3;
+  config.identity = identity.identity();
   ntp::NtpServer server(config);
 
   const util::SimTime now = 3 * util::kSecondsPerDay;

@@ -1,17 +1,18 @@
 #include "ntp/mode6.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 
 #include "util/bytes.h"
+#include "util/format.h"
 
 namespace gorilla::ntp {
 
-std::vector<std::uint8_t> serialize(const ControlPacket& p) {
-  std::vector<std::uint8_t> out;
-  out.reserve(p.total_bytes());
-  util::ByteWriter w(out);
+namespace {
+
+/// Writes the 12-byte control header announcing `count` data bytes.
+void write_header(util::ByteWriter& w, const ControlPacket& p,
+                  std::size_t count) {
   w.u8(make_li_vn_mode(0, p.version, Mode::kControl));
   std::uint8_t rem = static_cast<std::uint8_t>(p.opcode) & 0x1f;
   if (p.response) rem |= 0x80;
@@ -22,7 +23,36 @@ std::vector<std::uint8_t> serialize(const ControlPacket& p) {
   w.u16be(p.status);
   w.u16be(p.association_id);
   w.u16be(p.offset);
-  w.u16be(static_cast<std::uint16_t>(p.data.size()));
+  w.u16be(static_cast<std::uint16_t>(count));
+}
+
+/// Header of READVAR response fragment `index` of a `text_bytes` list, and
+/// the [offset, offset + count) slice of the list it carries.
+struct FragmentSlice {
+  ControlPacket header;
+  std::size_t count = 0;
+};
+
+FragmentSlice readvar_fragment(std::size_t text_bytes, std::size_t index,
+                               std::uint16_t request_sequence) {
+  FragmentSlice f;
+  const std::size_t offset = index * kControlMaxDataBytes;
+  f.count = std::min(kControlMaxDataBytes, text_bytes - offset);
+  f.header.response = true;
+  f.header.opcode = ControlOp::kReadVariables;
+  f.header.sequence = request_sequence;
+  f.header.offset = static_cast<std::uint16_t>(offset);
+  f.header.more = offset + f.count < text_bytes;
+  return f;
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> serialize(const ControlPacket& p) {
+  std::vector<std::uint8_t> out;
+  out.reserve(p.total_bytes());
+  util::ByteWriter w(out);
+  write_header(w, p, p.data.size());
   w.bytes(p.data);
   w.pad_to(4);
   return out;
@@ -61,24 +91,34 @@ ControlPacket make_version_request(std::uint16_t sequence) {
   return p;
 }
 
+void append_core_variables(std::string& out, std::string_view version,
+                           std::string_view processor, std::string_view system,
+                           int leap, int stratum, double rootdelay_ms,
+                           double rootdisp_ms) {
+  out.append("version=\"").append(version);
+  out.append("\", processor=\"").append(processor);
+  out.append("\", system=\"").append(system).append("\"");
+  out.append(", leap=");
+  util::append_decimal(out, leap);
+  out.append(", stratum=");
+  util::append_decimal(out, stratum);
+  out.append(", rootdelay=");
+  util::append_fixed(out, rootdelay_ms, 3);
+  out.append(", rootdisp=");
+  util::append_fixed(out, rootdisp_ms, 3);
+}
+
 std::string SystemVariables::render() const {
-  // Fixed text plus the two formatted number runs (each at most 63 bytes).
-  std::size_t bytes = 35 + 2 * 63 + version.size() + processor.size() +
+  // Fixed text plus room for the four formatted numbers (a hint only).
+  std::size_t bytes = 75 + 4 * 63 + version.size() + processor.size() +
                       system.size();
   for (const auto& [key, value] : extras) {
     bytes += 3 + key.size() + value.size();
   }
   std::string out;
   out.reserve(bytes);
-  char num[64];
-  out.append("version=\"").append(version);
-  out.append("\", processor=\"").append(processor);
-  out.append("\", system=\"").append(system).append("\"");
-  std::snprintf(num, sizeof num, ", leap=%d, stratum=%d", leap, stratum);
-  out.append(num);
-  std::snprintf(num, sizeof num, ", rootdelay=%.3f, rootdisp=%.3f",
-                rootdelay_ms, rootdisp_ms);
-  out.append(num);
+  append_core_variables(out, version, processor, system, leap, stratum,
+                        rootdelay_ms, rootdisp_ms);
   for (const auto& [key, value] : extras) {
     out.append(", ").append(key).append("=").append(value);
   }
@@ -95,25 +135,31 @@ std::map<std::string, std::string> parse_variable_list(std::string_view text) {
 }
 
 std::vector<ControlPacket> make_readvar_response(
-    const SystemVariables& vars, std::uint16_t request_sequence) {
-  const std::string text = vars.render();
+    std::string_view text, std::uint16_t request_sequence) {
+  const std::size_t n = readvar_fragment_count(text.size());
   std::vector<ControlPacket> fragments;
-  std::size_t offset = 0;
-  do {
-    const std::size_t chunk =
-        std::min(kControlMaxDataBytes, text.size() - offset);
-    ControlPacket p;
-    p.response = true;
-    p.opcode = ControlOp::kReadVariables;
-    p.sequence = request_sequence;
-    p.offset = static_cast<std::uint16_t>(offset);
-    p.data.assign(text.begin() + static_cast<std::ptrdiff_t>(offset),
-                  text.begin() + static_cast<std::ptrdiff_t>(offset + chunk));
-    offset += chunk;
-    p.more = offset < text.size();
+  fragments.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    auto [p, count] = readvar_fragment(text.size(), i, request_sequence);
+    const auto data = text.substr(p.offset, count);
+    p.data.assign(data.begin(), data.end());
     fragments.push_back(std::move(p));
-  } while (offset < text.size());
+  }
   return fragments;
+}
+
+std::vector<std::uint8_t> serialize_readvar_fragment(
+    std::string_view text, std::size_t index,
+    std::uint16_t request_sequence) {
+  const auto [header, count] =
+      readvar_fragment(text.size(), index, request_sequence);
+  std::vector<std::uint8_t> out;
+  out.reserve(kControlHeaderBytes + (count + 3) / 4 * 4);
+  util::ByteWriter w(out);
+  write_header(w, header, count);
+  w.chars(text.substr(header.offset, count));
+  w.pad_to(4);
+  return out;
 }
 
 std::optional<std::string> reassemble_readvar(

@@ -58,7 +58,19 @@ struct ControlPacket {
 /// byte-for-byte what the ONP scans send.
 [[nodiscard]] ControlPacket make_version_request(std::uint16_t sequence = 1);
 
-/// The system variable list an ntpd reports to READVAR.
+/// A server's mode 6 identity as it goes on the wire: its READVAR variable
+/// list rendered once, when the server is configured, plus the stratum its
+/// mode 4 time replies carry. Responders cut reply fragments straight from
+/// `readvar`, so no per-probe rendering happens.
+struct ServerIdentity {
+  std::string readvar;
+  int stratum = 2;
+};
+
+/// The system variable list an ntpd reports to READVAR, field by field —
+/// the builder for hand-written identities (tests, examples, Table 3's
+/// worked servers). Population-scale identities are written straight to
+/// text by ntp::make_system_variables().
 struct SystemVariables {
   std::string version;  ///< e.g. "ntpd 4.2.6p5@1.2349-o Tue May 10 2011"
   std::string system;   ///< e.g. "Linux/2.6.32", "cisco", "JUNOS"
@@ -75,7 +87,19 @@ struct SystemVariables {
 
   /// Renders "key=value, key=value, ..." exactly as carried on the wire.
   [[nodiscard]] std::string render() const;
+
+  /// The rendered identity a server stores.
+  [[nodiscard]] ServerIdentity identity() const { return {render(), stratum}; }
 };
+
+/// Appends the core READVAR variables, version through rootdisp, in wire
+/// order: the text every identity starts with, whether rendered field by
+/// field (SystemVariables::render) or written once at population scale
+/// (ntp::make_system_variables).
+void append_core_variables(std::string& out, std::string_view version,
+                           std::string_view processor, std::string_view system,
+                           int leap, int stratum, double rootdelay_ms,
+                           double rootdisp_ms);
 
 /// Walks a rendered variable list in wire order, calling
 /// `visit(key, value)` (both std::string_view into `text`) for every pair
@@ -122,7 +146,22 @@ void for_each_variable(std::string_view text, Visit&& visit) {
 /// Splits a rendered variable list into response fragments (M bit/offset
 /// chaining). Every response echoes the request sequence number.
 [[nodiscard]] std::vector<ControlPacket> make_readvar_response(
-    const SystemVariables& vars, std::uint16_t request_sequence);
+    std::string_view text, std::uint16_t request_sequence);
+
+/// Fragments a `text_bytes`-long variable list splits into (at least one:
+/// an empty list still gets an empty reply).
+[[nodiscard]] constexpr std::size_t readvar_fragment_count(
+    std::size_t text_bytes) noexcept {
+  return text_bytes == 0
+             ? 1
+             : (text_bytes + kControlMaxDataBytes - 1) / kControlMaxDataBytes;
+}
+
+/// Wire bytes of READVAR response fragment `index` of `text` —
+/// serialize(make_readvar_response(text, seq)[index]), written straight
+/// from the text without materializing a ControlPacket.
+[[nodiscard]] std::vector<std::uint8_t> serialize_readvar_fragment(
+    std::string_view text, std::size_t index, std::uint16_t request_sequence);
 
 /// Reassembles READVAR response fragments into the full text; fragments may
 /// arrive out of order. Returns nullopt if a gap remains.

@@ -77,19 +77,11 @@ void MonitorTable::swap_remove(std::uint32_t at) noexcept {
   --size_;
 }
 
-void MonitorTable::shrink_to_fit() {
-  if (size_ == 0) {
-    release_all_storage();
-    return;
-  }
+void MonitorTable::release_tail_chunks() noexcept {
   while (chunk_count_ > chunks_for(size_)) {
     --chunk_count_;
     release_array(chunks_[chunk_count_], chunk_slots(chunk_count_));
     chunks_[chunk_count_] = nullptr;
-  }
-  const std::uint32_t want_index = index_entries_for(size_);
-  if (index_ != nullptr && want_index * 2 <= index_mask_ + 1) {
-    rebuild_index(want_index);
   }
 }
 
@@ -193,10 +185,15 @@ void MonitorTable::index_remove(std::uint32_t key) noexcept {
 }
 
 void MonitorTable::rebuild_index(std::uint32_t entries) {
-  std::uint32_t* old = index_;
   const std::uint32_t old_entries = index_mask_ == 0 ? 0 : index_mask_ + 1;
-  index_ = allocate_array<std::uint32_t>(entries);
-  index_mask_ = entries - 1;
+  std::uint32_t* old = nullptr;
+  if (entries == old_entries) {
+    std::fill_n(index_, entries, 0u);  // same size: refill in place
+  } else {
+    old = index_;
+    index_ = allocate_array<std::uint32_t>(entries);
+    index_mask_ = entries - 1;
+  }
   for (std::uint32_t i = 0; i < size_; ++i) {
     std::uint32_t at = hash_key(node(i).address) & index_mask_;
     while (index_[at] != 0) at = (at + 1) & index_mask_;
@@ -307,16 +304,28 @@ std::vector<MonitorEntry> MonitorTable::dump(util::SimTime now,
 }
 
 void MonitorTable::expire_before(util::SimTime cutoff) {
-  std::uint32_t at = 0;
-  while (at < size_) {
-    if (static_cast<util::SimTime>(node(at).last) < cutoff) {
-      index_remove(node(at).address);
-      swap_remove(at);  // the swapped-in slot is examined next, same `at`
-    } else {
-      ++at;
-    }
+  // One sweep: survivors slide down over the expired slots. Slab order is
+  // not observable — dump() sorts, and eviction takes the unique minimum
+  // (last_seen, stamp) — so compacting in place of per-slot swap-removes
+  // changes nothing but the cost.
+  std::uint32_t kept = 0;
+  for (std::uint32_t at = 0; at < size_; ++at) {
+    if (static_cast<util::SimTime>(node(at).last) < cutoff) continue;
+    if (kept != at) node(kept) = node(at);
+    ++kept;
   }
-  shrink_to_fit();
+  if (kept == size_) return;
+  size_ = kept;
+  if (size_ == 0) {
+    release_all_storage();
+    return;
+  }
+  release_tail_chunks();
+  // Survivors moved, so the index is rebuilt once: into a smaller array
+  // when it is now oversized, otherwise in place.
+  const std::uint32_t entries = index_mask_ + 1;
+  const std::uint32_t want = index_entries_for(size_);
+  rebuild_index(want * 2 <= entries ? want : entries);
 }
 
 std::optional<MonitorSlot> MonitorTable::find(net::Ipv4Address address) const {

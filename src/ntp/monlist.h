@@ -17,9 +17,10 @@
 // classes, so one table's post-restart shrink feeds any other table's
 // attack-day growth byte for byte — the population's footprint tracks the
 // *live* entry count, not the sum of per-table high-water marks, and a
-// non-moving allocator has nothing to fragment. The slab stays dense by
-// swap-remove, releases chunks when an expiry sweep empties them, and
-// growth appends a chunk without ever copying slots.
+// non-moving allocator has nothing to fragment. The slab stays dense
+// (eviction swap-removes; an expiry sweep compacts the survivors in one
+// pass and rebuilds the index once), releases chunks when an expiry sweep
+// empties them, and growth appends a chunk without ever copying slots.
 //
 // There is no recency list: dump() (weekly, per probed server) sorts its
 // output, eviction (only when a table actually fills) scans for the
@@ -206,9 +207,8 @@ class MonitorTable {  // LINT-COMPACT
   /// Removes the slot at slab position `at` (index entry already gone):
   /// the last slot swaps into the hole and its index entry is rewritten.
   void swap_remove(std::uint32_t at) noexcept;
-  /// Releases now-empty tail chunks and over-sized index after an expiry
-  /// sweep; releases everything when the table emptied.
-  void shrink_to_fit();
+  /// Releases chunks beyond those the live slots need.
+  void release_tail_chunks() noexcept;
 
   /// Index lookup: slab position for `key`, or kNil.
   [[nodiscard]] std::uint32_t lookup(std::uint32_t key) const noexcept;
@@ -220,7 +220,8 @@ class MonitorTable {  // LINT-COMPACT
   /// Removes `key` with backward-shift deletion (no tombstones).
   void index_remove(std::uint32_t key) noexcept;
   /// Replaces the index with one of `entries` slots, reinserting all live
-  /// keys. Recycles the old array.
+  /// keys. Recycles the old array, or refills it in place when `entries`
+  /// is its current size.
   void rebuild_index(std::uint32_t entries);
 
   /// Array storage from the arena, or private heap when arena_ is null.
@@ -244,6 +245,10 @@ class MonitorTable {  // LINT-COMPACT
   /// Grows the chunk directory to hold at least `want` chunk pointers.
   void reserve_directory(std::uint32_t want);
   void release_all_storage() noexcept;
+
+  /// White-box access for the differential tests, which keep the
+  /// superseded per-slot expiry loop as a reference.
+  friend struct MonitorTableTestAccess;
 
   util::Arena* arena_ = nullptr;
   std::uint32_t capacity_ = 0;

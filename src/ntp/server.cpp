@@ -1,6 +1,7 @@
 #include "ntp/server.h"
 
 #include <algorithm>
+#include <string_view>
 
 namespace gorilla::ntp {
 
@@ -91,8 +92,8 @@ ResponseSummary NtpServer::respond_time(const net::UdpPacket& request,
   TimePacket reply;
   reply.mode = Mode::kServer;
   reply.version = query ? query->version : 4;
-  reply.stratum = static_cast<std::uint8_t>(config_.sysvars.stratum);
-  reply.leap = config_.sysvars.stratum == kStratumUnsynchronized ? 3 : 0;
+  reply.stratum = static_cast<std::uint8_t>(config_.identity.stratum);
+  reply.leap = config_.identity.stratum == kStratumUnsynchronized ? 3 : 0;
   reply.origin_ts = query ? query->transmit_ts : 0;
   reply.receive_ts = ntp_timestamp(now);
   reply.transmit_ts = ntp_timestamp(now);
@@ -220,13 +221,15 @@ ResponseSummary NtpServer::respond_readvar(const net::UdpPacket& request,
   if (!config_.mode6_enabled) return {};
   if (parsed.opcode != ControlOp::kReadVariables) return {};
 
-  const auto fragments =
-      make_readvar_response(config_.sysvars, parsed.sequence);
+  // Fragments are cut from the stored text straight onto the wire.
+  const std::string_view text = config_.identity.readvar;
+  const std::size_t fragments = readvar_fragment_count(text.size());
   std::vector<net::UdpPacket> one_send;
-  one_send.reserve(fragments.size());
+  one_send.reserve(fragments);
   std::uint64_t send_udp = 0, send_wire = 0;
-  for (const auto& frag : fragments) {
-    one_send.push_back(make_reply(request, serialize(frag), now));
+  for (std::size_t i = 0; i < fragments; ++i) {
+    one_send.push_back(make_reply(
+        request, serialize_readvar_fragment(text, i, parsed.sequence), now));
     send_udp += one_send.back().payload.size();
     send_wire += one_send.back().on_wire_bytes();
   }

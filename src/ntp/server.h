@@ -1,10 +1,11 @@
 // A simulated ntpd instance.
 //
-// Each server owns a monitor (MRU) table, an identity (system variables),
-// and a restriction configuration. It answers:
+// Each server owns a monitor (MRU) table, an identity (its READVAR reply
+// text, rendered once, and its stratum), and a restriction configuration.
+// It answers:
 //   - mode 3 client queries with a mode 4 time packet,
 //   - mode 7 MON_GETLIST_1 with its monitor table (unless `noquery`),
-//   - mode 6 READVAR with its system variable list.
+//   - mode 6 READVAR with fragments cut from its identity text.
 // Two fault knobs model the paper's §3.4 mega amplifiers: a response-loop
 // repeat count (routing/switching-loop analogue that re-triggers the whole
 // dump) applied to mode 7 and mode 6 responses.
@@ -25,7 +26,9 @@
 
 namespace gorilla::ntp {
 
-struct NtpServerConfig {
+// One per detailed server (hundreds of thousands at --scale 40): flat
+// members only (DESIGN.md §3g).
+struct NtpServerConfig {  // LINT-COMPACT
   net::Ipv4Address address;
   /// Implementation number this ntpd answers mode 7 queries for; requests
   /// carrying the other number get a tiny IMPL error — the scan blind spot
@@ -35,7 +38,10 @@ struct NtpServerConfig {
   bool monlist_enabled = true;
   /// False when mode 6 is also restricted.
   bool mode6_enabled = true;
-  SystemVariables sysvars;
+  /// READVAR reply text and stratum. Hand-built servers write it with
+  /// SystemVariables{...}.identity(); sim::World draws it with
+  /// ntp::make_system_variables().
+  ServerIdentity identity;
   /// Extra times the full response sequence repeats (0 = healthy). A value
   /// of n means the dump is sent n+1 times — the §3.4 loop fault.
   std::uint32_t loop_repeat = 0;
@@ -68,7 +74,7 @@ struct ResponseSummary {
   bool truncated = false;
 };
 
-class NtpServer {
+class NtpServer {  // LINT-COMPACT
  public:
   /// `monitor_arena` (optional) backs the monitor table's slab storage;
   /// sim::World passes one shared arena for the whole detailed population

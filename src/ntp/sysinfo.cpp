@@ -4,7 +4,17 @@
 #include <cctype>
 #include <cstdio>
 
+#include "util/format.h"
+
 namespace gorilla::ntp {
+
+namespace {
+
+/// Longest identity make_system_variables() writes is ~530 bytes (a full
+/// ntpd install with every statistic at its widest).
+constexpr std::size_t kIdentityReserveBytes = 576;
+
+}  // namespace
 
 const std::vector<std::pair<std::string, double>>& system_string_distribution(
     SystemPool pool) {
@@ -76,10 +86,17 @@ int sample_stratum(util::Rng& rng) {
   return static_cast<int>(rng.uniform_int(5, 6));
 }
 
-SystemVariables make_system_variables(const std::string& system,
-                                      int compile_year, int stratum,
-                                      util::Rng& rng) {
-  SystemVariables v;
+ServerIdentity make_system_variables(const std::string& system,
+                                     int compile_year, int stratum,
+                                     util::Rng& rng) {
+  // The text is written in wire order, which is also the draw order, so
+  // every value lands exactly where SystemVariables::render() put it. The
+  // snprintf argument lists are kept verbatim: their evaluation order is
+  // unspecified, and moving a draw out of one would reorder the stream.
+  ServerIdentity id;
+  id.stratum = stratum;
+  std::string& out = id.readvar;
+  out.reserve(kIdentityReserveBytes);
   const int maj = 4;
   const int min = compile_year >= 2010 ? 2 : 1;
   const int patch = static_cast<int>(rng.uniform_int(0, 8));
@@ -92,22 +109,22 @@ SystemVariables make_system_variables(const std::string& system,
                 static_cast<int>(rng.uniform_int(1500, 2600)),
                 kMonths[rng.uniform(12)],
                 static_cast<int>(rng.uniform_int(1, 28)), compile_year);
-  v.version = buf;
-  v.system = system;
-  v.processor = system == "cisco" || system == "junos" ? "" : "x86_64";
-  v.stratum = stratum;
-  v.leap = stratum == kStratumUnsynchronized ? 3 : 0;
-  v.rootdelay_ms = rng.uniform_real(0.1, 60.0);
-  v.rootdisp_ms = rng.uniform_real(0.5, 120.0);
+  const double rootdelay_ms = rng.uniform_real(0.1, 60.0);
+  const double rootdisp_ms = rng.uniform_real(0.5, 120.0);
+  append_core_variables(
+      out, buf, system == "cisco" || system == "junos" ? "" : "x86_64",
+      system, stratum == kStratumUnsynchronized ? 3 : 0, stratum,
+      rootdelay_ms, rootdisp_ms);
 
   // Daemon variables beyond the core set. Network devices (cisco, junos)
   // report a short list; full ntpd installs return a dozen statistics —
   // the source of the version-response size spread behind Figure 4c's
   // 3.5/4.6/6.9 on-wire BAF quartiles.
-  auto num = [&](double lo, double hi, int prec) {
-    char b[48];
-    std::snprintf(b, sizeof b, "%.*f", prec, rng.uniform_real(lo, hi));
-    return std::string(b);
+  auto var = [&out](std::string_view key) -> std::string& {
+    return out.append(", ").append(key).append("=");
+  };
+  auto num = [&](std::string_view key, double lo, double hi) {
+    util::append_fixed(var(key), rng.uniform_real(lo, hi), 3);
   };
   char refid[32];
   std::snprintf(refid, sizeof refid, "%d.%d.%d.%d",
@@ -130,40 +147,31 @@ SystemVariables make_system_variables(const std::string& system,
   // ntpd installs report the moderate set; the rest dump everything.
   const bool terse = system == "cisco" || system == "junos" ||
                      system == "vmkernel" || system == "qnx";
-  v.extras.emplace_back("refid", refid);
-  v.extras.emplace_back("reftime", stamp);
+  var("refid").append(refid);
+  var("reftime").append(stamp);
   if (!terse) {
-    v.extras.emplace_back("clock", stamp);
-    v.extras.emplace_back("offset", num(-80.0, 80.0, 3));
-    v.extras.emplace_back("sys_jitter", num(0.0, 12.0, 3));
+    var("clock").append(stamp);
+    num("offset", -80.0, 80.0);
+    num("sys_jitter", 0.0, 12.0);
     if (rng.chance(0.5)) {
-      v.extras.emplace_back("peer",
-                            std::to_string(rng.uniform_int(1000, 65000)));
-      v.extras.emplace_back("tc", std::to_string(rng.uniform_int(6, 10)));
-      v.extras.emplace_back("mintc", "3");
-      v.extras.emplace_back("frequency", num(-120.0, 120.0, 3));
-      v.extras.emplace_back("clk_jitter", num(0.0, 8.0, 3));
-      v.extras.emplace_back("clk_wander", num(0.0, 1.0, 3));
+      util::append_decimal(var("peer"), rng.uniform_int(1000, 65000));
+      util::append_decimal(var("tc"), rng.uniform_int(6, 10));
+      var("mintc").append("3");
+      num("frequency", -120.0, 120.0);
+      num("clk_jitter", 0.0, 8.0);
+      num("clk_wander", 0.0, 1.0);
       // Full installs also dump daemon statistics to READVAR.
-      {
-        v.extras.emplace_back("ss_uptime",
-                              std::to_string(rng.uniform(9000000)));
-        v.extras.emplace_back("ss_reset",
-                              std::to_string(rng.uniform(900000)));
-        v.extras.emplace_back("ss_received",
-                              std::to_string(rng.uniform(50000000)));
-        v.extras.emplace_back("ss_badformat",
-                              std::to_string(rng.uniform(999)));
-        v.extras.emplace_back("ss_declined",
-                              std::to_string(rng.uniform(9999)));
-        v.extras.emplace_back("ss_limited",
-                              std::to_string(rng.uniform(999999)));
-        v.extras.emplace_back("ss_kodsent",
-                              std::to_string(rng.uniform(99999)));
-      }
+      util::append_decimal(var("ss_uptime"), rng.uniform(9000000));
+      util::append_decimal(var("ss_reset"), rng.uniform(900000));
+      util::append_decimal(var("ss_received"), rng.uniform(50000000));
+      util::append_decimal(var("ss_badformat"), rng.uniform(999));
+      util::append_decimal(var("ss_declined"), rng.uniform(9999));
+      util::append_decimal(var("ss_limited"), rng.uniform(999999));
+      util::append_decimal(var("ss_kodsent"), rng.uniform(99999));
     }
   }
-  return v;
+  out.shrink_to_fit();
+  return id;
 }
 
 int extract_compile_year(const std::string& version_string) {

@@ -44,11 +44,13 @@ system_string_distribution(SystemPool pool);
 /// bulk at 2-3.
 [[nodiscard]] int sample_stratum(util::Rng& rng);
 
-/// Assembles the full READVAR variable set for a server identity.
-[[nodiscard]] SystemVariables make_system_variables(const std::string& system,
-                                                    int compile_year,
-                                                    int stratum,
-                                                    util::Rng& rng);
+/// Draws a server's full READVAR variable set and writes it straight into
+/// its rendered identity text — the same bytes SystemVariables::render()
+/// would give for the same draws, with no per-field strings.
+[[nodiscard]] ServerIdentity make_system_variables(const std::string& system,
+                                                   int compile_year,
+                                                   int stratum,
+                                                   util::Rng& rng);
 
 /// Extracts the four-digit compile year from a version string, or 0.
 [[nodiscard]] int extract_compile_year(const std::string& version_string);

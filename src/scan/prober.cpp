@@ -402,6 +402,13 @@ VersionSampleSummary Prober::run_version_sample(int vweek,
           fragments.push_back(std::move(*p));
         }
       }
+      if (fragments.empty() && damage.degraded()) {
+        // Nothing survived to parse: reassembling an empty set would
+        // record a responder with no identity. Like the monlist pass,
+        // treat it as lost in transit and retry.
+        impairment_blocked = true;
+        continue;
+      }
       const auto text = ntp::reassemble_readvar(fragments);
       if (!text) {
         if (damage.degraded()) {

@@ -289,7 +289,7 @@ void World::assign_detail_tier(util::Rng& rng) {
                      : t.ever_amplifier ? ntp::SystemPool::kAllAmplifiers
                                         : ntp::SystemPool::kNonAmplifier;
     const std::string system = ntp::sample_system_string(pool, detail_rng);
-    cfg.sysvars = ntp::make_system_variables(
+    cfg.identity = ntp::make_system_variables(
         system, ntp::sample_compile_year(detail_rng),
         ntp::sample_stratum(detail_rng), detail_rng);
     cfg.initial_ttl = initial_ttl_for_system(system);

@@ -15,6 +15,7 @@
 #include <optional>
 #include <ostream>
 #include <span>
+#include <string_view>
 #include <vector>
 
 namespace gorilla::util {
@@ -257,6 +258,13 @@ class ByteWriter {
     // memmove and fails the strict build (-Werror=stringop-overflow).
     out_.reserve(out_.size() + data.size());
     for (const std::uint8_t b : data) out_.push_back(b);
+  }
+
+  /// Appends text byte for byte (ASCII wire fields such as mode 6
+  /// variable lists).
+  void chars(std::string_view text) {
+    out_.reserve(out_.size() + text.size());
+    for (const char c : text) out_.push_back(static_cast<std::uint8_t>(c));
   }
 
   void fill(std::size_t n, std::uint8_t value = 0) {

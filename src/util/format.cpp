@@ -73,6 +73,14 @@ std::string bytes_str(double v) {
   return buf;
 }
 
+void append_fixed(std::string& out, double v, int precision) {
+  // DBL_MAX has 309 integer digits: room for any double at precision <= 80.
+  char buf[400];
+  const auto res = std::to_chars(buf, buf + sizeof buf, v,
+                                 std::chars_format::fixed, precision);
+  out.append(buf, res.ptr);
+}
+
 std::string fixed(double v, int precision) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.*f", precision, v);

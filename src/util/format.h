@@ -6,6 +6,7 @@
 // visible directly in terminal output.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <initializer_list>
 #include <string>
@@ -39,6 +40,19 @@ class TextTable {
 
 /// Fixed-precision double without trailing-zero noise ("4.31", "0.001").
 [[nodiscard]] std::string fixed(double v, int precision);
+
+/// Appends `v` exactly as printf("%.*f", precision, v) renders it, via
+/// std::to_chars: the same correctly rounded digits (ties to even, "-0.000"
+/// for small negatives) without parsing a format string per call.
+void append_fixed(std::string& out, double v, int precision);
+
+/// Appends the decimal digits of an integer (printf "%d" / "%llu" text).
+template <typename Int>
+void append_decimal(std::string& out, Int v) {
+  char buf[24];
+  const auto res = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, res.ptr);
+}
 
 /// Scientific-ish compact number for wide-dynamic-range figure columns.
 [[nodiscard]] std::string compact(double v);

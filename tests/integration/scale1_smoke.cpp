@@ -37,9 +37,9 @@ std::uint64_t available_bytes() {
 }  // namespace
 
 int main() {
-  // Empirical peak RSS of this test is ~10 GB (dominated by the detailed
-  // tier; the monitor arena itself is a fraction of that); require a
-  // margin over that so the run can't push the host into swap.
+  // Empirical peak RSS of this test is ~6.3 GB (the detailed tier, of
+  // which the monitor arena is 2.9 GB); require a margin over that so the
+  // run can't push the host into swap.
   constexpr std::uint64_t kRequiredBytes = std::uint64_t{12} << 30;
   const std::uint64_t avail = available_bytes();
   if (avail != 0 && avail < kRequiredBytes) {

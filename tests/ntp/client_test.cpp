@@ -14,8 +14,7 @@ constexpr net::Ipv4Address kClientAddr{0x14000002};
 NtpServer make_server(int stratum = 2) {
   NtpServerConfig cfg;
   cfg.address = kServerAddr;
-  cfg.sysvars.system = "linux";
-  cfg.sysvars.stratum = stratum;
+  cfg.identity.stratum = stratum;
   return NtpServer(cfg);
 }
 

@@ -12,7 +12,6 @@ namespace {
 NtpServerConfig kod_config() {
   NtpServerConfig cfg;
   cfg.address = net::Ipv4Address(10, 0, 0, 1);
-  cfg.sysvars.system = "linux";
   cfg.mode7_responses_per_minute = 1;
   cfg.kod_on_rate_limit = true;
   return cfg;

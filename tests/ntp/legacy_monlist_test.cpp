@@ -78,7 +78,6 @@ TEST(LegacyMonlistTest, LowerAmplificationThanModern) {
 TEST(LegacyMonlistTest, ServerAnswersLegacyRequestCode) {
   NtpServerConfig cfg;
   cfg.address = net::Ipv4Address(10, 0, 0, 1);
-  cfg.sysvars.system = "linux";
   NtpServer server(cfg);
   for (std::uint32_t i = 0; i < 20; ++i) {
     server.monitor().observe(net::Ipv4Address{0x20000000u + i}, 123, 3, 4,

@@ -209,7 +209,7 @@ TEST(VariableListTest, VisitorCanStopTheWalkEarly) {
 }
 
 TEST(ReadvarResponseTest, SingleFragmentForShortText) {
-  const auto frags = make_readvar_response(sample_vars(), 9);
+  const auto frags = make_readvar_response(sample_vars().render(), 9);
   ASSERT_EQ(frags.size(), 1u);
   EXPECT_TRUE(frags[0].response);
   EXPECT_FALSE(frags[0].more);
@@ -220,7 +220,7 @@ TEST(ReadvarResponseTest, SingleFragmentForShortText) {
 TEST(ReadvarResponseTest, FragmentsLongText) {
   SystemVariables v = sample_vars();
   v.version.assign(600, 'x');  // force > 468 bytes of rendered text
-  const auto frags = make_readvar_response(v, 1);
+  const auto frags = make_readvar_response(v.render(), 1);
   ASSERT_GE(frags.size(), 2u);
   EXPECT_TRUE(frags.front().more);
   EXPECT_FALSE(frags.back().more);
@@ -232,7 +232,7 @@ TEST(ReadvarResponseTest, FragmentsLongText) {
 TEST(ReadvarResponseTest, ReassemblyRoundTrip) {
   SystemVariables v = sample_vars();
   v.version.assign(1200, 'y');
-  const auto frags = make_readvar_response(v, 1);
+  const auto frags = make_readvar_response(v.render(), 1);
   const auto text = reassemble_readvar(frags);
   ASSERT_TRUE(text);
   EXPECT_EQ(*text, v.render());
@@ -241,7 +241,7 @@ TEST(ReadvarResponseTest, ReassemblyRoundTrip) {
 TEST(ReadvarResponseTest, ReassemblyHandlesOutOfOrder) {
   SystemVariables v = sample_vars();
   v.version.assign(1200, 'z');
-  auto frags = make_readvar_response(v, 1);
+  auto frags = make_readvar_response(v.render(), 1);
   ASSERT_GE(frags.size(), 3u);
   std::swap(frags[0], frags[2]);
   const auto text = reassemble_readvar(frags);
@@ -252,7 +252,7 @@ TEST(ReadvarResponseTest, ReassemblyHandlesOutOfOrder) {
 TEST(ReadvarResponseTest, ReassemblyDetectsGaps) {
   SystemVariables v = sample_vars();
   v.version.assign(1200, 'w');
-  auto frags = make_readvar_response(v, 1);
+  auto frags = make_readvar_response(v.render(), 1);
   ASSERT_GE(frags.size(), 3u);
   frags.erase(frags.begin() + 1);
   EXPECT_FALSE(reassemble_readvar(frags));
@@ -261,13 +261,13 @@ TEST(ReadvarResponseTest, ReassemblyDetectsGaps) {
 TEST(ReadvarResponseTest, ReassemblyDetectsMissingTail) {
   SystemVariables v = sample_vars();
   v.version.assign(1200, 'q');
-  auto frags = make_readvar_response(v, 1);
+  auto frags = make_readvar_response(v.render(), 1);
   frags.pop_back();
   EXPECT_FALSE(reassemble_readvar(frags));
 }
 
 TEST(ReadvarResponseTest, WireRoundTripThroughSerialization) {
-  const auto frags = make_readvar_response(sample_vars(), 3);
+  const auto frags = make_readvar_response(sample_vars().render(), 3);
   std::vector<ControlPacket> reparsed;
   for (const auto& f : frags) {
     const auto p = parse_control_packet(serialize(f));
@@ -278,6 +278,25 @@ TEST(ReadvarResponseTest, WireRoundTripThroughSerialization) {
   ASSERT_TRUE(text);
   const auto vars = parse_variable_list(*text);
   EXPECT_EQ(vars.at("system"), "Linux/2.6.32");
+}
+
+TEST(ReadvarResponseTest, FragmentsCutFromTextMatchPacketPath) {
+  // The responder writes each fragment straight from the stored text; it
+  // must be byte-identical to serializing the ControlPacket fragment, at
+  // every fragment-boundary length (including the empty list).
+  for (const std::size_t len :
+       {0u, 1u, 3u, 4u, 467u, 468u, 469u, 935u, 936u, 937u, 1500u}) {
+    std::string text(len, 'a');
+    for (std::size_t i = 0; i < len; ++i) {
+      text[i] = static_cast<char>('a' + i % 26);
+    }
+    const auto frags = make_readvar_response(text, 77);
+    ASSERT_EQ(frags.size(), readvar_fragment_count(len)) << len;
+    for (std::size_t i = 0; i < frags.size(); ++i) {
+      EXPECT_EQ(serialize_readvar_fragment(text, i, 77), serialize(frags[i]))
+          << "length " << len << " fragment " << i;
+    }
+  }
 }
 
 }  // namespace

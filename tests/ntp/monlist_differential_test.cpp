@@ -21,6 +21,34 @@
 #include "util/rng.h"
 
 namespace gorilla::ntp {
+
+/// The per-slot expiry loop (backward-shift index delete plus swap-remove
+/// for every expired slot, then a tail-chunk and oversized-index shrink)
+/// that MonitorTable::expire_before's single compaction sweep replaced,
+/// kept verbatim as the reference the sweep must agree with.
+struct MonitorTableTestAccess {
+  static void legacy_expire_before(MonitorTable& t, util::SimTime cutoff) {
+    std::uint32_t at = 0;
+    while (at < t.size_) {
+      if (static_cast<util::SimTime>(t.node(at).last) < cutoff) {
+        t.index_remove(t.node(at).address);
+        t.swap_remove(at);  // the swapped-in slot is examined next
+      } else {
+        ++at;
+      }
+    }
+    if (t.size_ == 0) {
+      t.release_all_storage();
+      return;
+    }
+    t.release_tail_chunks();
+    const std::uint32_t want = MonitorTable::index_entries_for(t.size_);
+    if (t.index_ != nullptr && want * 2 <= t.index_mask_ + 1) {
+      t.rebuild_index(want);
+    }
+  }
+};
+
 namespace {
 
 struct RefSlot {
@@ -220,6 +248,106 @@ TEST(MonlistDifferentialTest, SurvivesClearAndReuse) {
   EXPECT_EQ(table.size(), 0u);
   EXPECT_FALSE(table.find(net::Ipv4Address{0x0a000000u}).has_value());
   run_differential(table, 0xd1ff004ull);
+}
+
+/// Full agreement between two tables: size, footprint, dump() and find()
+/// on every address of the pool.
+void expect_same_tables(const MonitorTable& got, const MonitorTable& want,
+                        std::uint32_t pool, util::SimTime now,
+                        std::size_t step) {
+  ASSERT_EQ(got.size(), want.size()) << "step " << step;
+  ASSERT_EQ(got.footprint_bytes(), want.footprint_bytes()) << "step " << step;
+  const net::Ipv4Address local(10, 0, 0, 1);
+  const auto a = got.dump(now, local);
+  const auto b = want.dump(now, local);
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a[i].address, b[i].address) << "step " << step << " row " << i;
+    ASSERT_EQ(a[i].count, b[i].count);
+    ASSERT_EQ(a[i].avg_interval, b[i].avg_interval);
+    ASSERT_EQ(a[i].last_seen, b[i].last_seen);
+    ASSERT_EQ(a[i].port, b[i].port);
+    ASSERT_EQ(a[i].mode, b[i].mode);
+    ASSERT_EQ(a[i].version, b[i].version);
+  }
+  for (std::uint32_t k = 0; k < pool; ++k) {
+    const net::Ipv4Address addr{0x0a000000u + k};
+    const auto x = got.find(addr);
+    const auto y = want.find(addr);
+    ASSERT_EQ(x.has_value(), y.has_value()) << "step " << step << " addr " << k;
+    if (!x) continue;
+    ASSERT_EQ(x->count, y->count);
+    ASSERT_EQ(x->first_seen, y->first_seen);
+    ASSERT_EQ(x->last_seen, y->last_seen);
+    ASSERT_EQ(x->port, y->port);
+  }
+}
+
+/// Drives the single-sweep expire_before() and the legacy per-slot loop
+/// through the same random history, then fills both tables past capacity
+/// and requires the same eviction victim at every insert.
+void run_expiry_differential(MonitorTable& fast, MonitorTable& legacy,
+                             std::uint32_t pool, std::uint64_t seed) {
+  util::Rng rng(seed);
+  util::SimTime now = 5000;
+  for (std::size_t step = 0; step < 6000; ++step) {
+    now += static_cast<util::SimTime>(rng.uniform_int(0, 3));
+    if (rng.uniform_int(0, 39) == 0) {
+      // Restart-style sweep; a wide range of cutoffs empties anything
+      // from nothing to the whole table.
+      const util::SimTime cutoff =
+          now - static_cast<util::SimTime>(rng.uniform_int(-5, 400));
+      fast.expire_before(cutoff);
+      MonitorTableTestAccess::legacy_expire_before(legacy, cutoff);
+      expect_same_tables(fast, legacy, pool, now + 10, step);
+      continue;
+    }
+    const net::Ipv4Address addr{
+        0x0a000000u +
+        static_cast<std::uint32_t>(rng.uniform_int(0, pool - 1))};
+    const auto port = static_cast<std::uint16_t>(rng.uniform_int(1024, 65535));
+    const auto count = static_cast<std::uint64_t>(rng.uniform_int(1, 50));
+    const auto span = static_cast<util::SimTime>(rng.uniform_int(0, 60));
+    fast.observe_many(addr, port, 3, 4, count, now - span, now);
+    legacy.observe_many(addr, port, 3, 4, count, now - span, now);
+  }
+  expect_same_tables(fast, legacy, pool, now + 10, 6000);
+
+  // Fill past capacity with fresh addresses, some sharing a last_seen so
+  // the recency stamp decides: each insert must evict the same slot.
+  const std::uint32_t fresh_base = 0x0b000000u;
+  for (std::uint32_t k = 0; k < fast.capacity() + 40; ++k) {
+    if (k % 3 == 0) ++now;
+    const net::Ipv4Address addr{fresh_base + k};
+    const auto before = fast.dump(now, net::Ipv4Address{});
+    fast.observe(addr, 123, 3, 4, now);
+    legacy.observe(addr, 123, 3, 4, now);
+    ASSERT_EQ(fast.size(), legacy.size());
+    for (const auto& e : before) {
+      ASSERT_EQ(fast.find(e.address).has_value(),
+                legacy.find(e.address).has_value())
+          << "fill " << k << " victim mismatch";
+    }
+  }
+  expect_same_tables(fast, legacy, pool, now + 10, 7000);
+}
+
+TEST(MonlistDifferentialTest, SingleSweepExpiryMatchesPerSlotLoop) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    MonitorTable fast(48);
+    MonitorTable legacy(48);
+    run_expiry_differential(fast, legacy, 96, 0xe5e0 + seed);
+  }
+}
+
+TEST(MonlistDifferentialTest, SingleSweepExpiryMatchesPerSlotLoopInArena) {
+  // Full ntpd capacity: chunk releases and index halvings at every size.
+  util::Arena arena;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    MonitorTable fast(kMonlistMaxEntries, &arena);
+    MonitorTable legacy(kMonlistMaxEntries, &arena);
+    run_expiry_differential(fast, legacy, 900, 0xe5f0 + seed);
+  }
 }
 
 TEST(MonlistDifferentialTest, MoveTransfersStateExactly) {

@@ -29,7 +29,7 @@ std::vector<std::uint8_t> sample_mode6_wire() {
   SystemVariables vars;
   vars.version = "ntpd 4.2.6p5@1.2349-o Tue May 10 2011";
   vars.system = "Linux/2.6.32";
-  return serialize(make_readvar_response(vars, 1)[0]);
+  return serialize(make_readvar_response(vars.render(), 1)[0]);
 }
 
 TEST(ParserFuzzTest, Mode7SurvivesAllTruncations) {

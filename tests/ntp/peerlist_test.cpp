@@ -70,7 +70,6 @@ class ServerPeerListTest : public ::testing::Test {
   NtpServer make_server(std::vector<PeerListEntry> peers) {
     NtpServerConfig cfg;
     cfg.address = net::Ipv4Address(10, 0, 0, 1);
-    cfg.sysvars.system = "linux";
     cfg.peers = std::move(peers);
     return NtpServer(cfg);
   }
@@ -114,7 +113,6 @@ TEST_F(ServerPeerListTest, NoQuerySilencesShowpeersToo) {
 TEST(ServerRateLimitTest, LimitsMode7ResponsesPerMinute) {
   NtpServerConfig cfg;
   cfg.address = net::Ipv4Address(10, 0, 0, 1);
-  cfg.sysvars.system = "linux";
   cfg.mode7_responses_per_minute = 3;
   NtpServer server(cfg);
   net::UdpPacket probe;
@@ -138,7 +136,6 @@ TEST(ServerRateLimitTest, LimitsMode7ResponsesPerMinute) {
 TEST(ServerRateLimitTest, ZeroMeansUnlimited) {
   NtpServerConfig cfg;
   cfg.address = net::Ipv4Address(10, 0, 0, 1);
-  cfg.sysvars.system = "linux";
   NtpServer server(cfg);
   net::UdpPacket probe;
   probe.src = net::Ipv4Address(20, 0, 0, 2);
@@ -156,7 +153,6 @@ TEST(ServerRateLimitTest, RateLimitCutsAttackVolume) {
   // amplification without fully disabling the service.
   NtpServerConfig cfg;
   cfg.address = net::Ipv4Address(10, 0, 0, 1);
-  cfg.sysvars.system = "linux";
   NtpServer open_server(cfg);
   cfg.mode7_responses_per_minute = 10;
   NtpServer limited_server(cfg);

@@ -13,9 +13,11 @@ constexpr net::Ipv4Address kClientAddr{0x14000002};
 NtpServerConfig base_config() {
   NtpServerConfig cfg;
   cfg.address = kServerAddr;
-  cfg.sysvars.version = "ntpd 4.2.6p5@1.2349-o Tue May 10 2011";
-  cfg.sysvars.system = "Linux/2.6.32";
-  cfg.sysvars.stratum = 2;
+  SystemVariables vars;
+  vars.version = "ntpd 4.2.6p5@1.2349-o Tue May 10 2011";
+  vars.system = "Linux/2.6.32";
+  vars.stratum = 2;
+  cfg.identity = vars.identity();
   return cfg;
 }
 
@@ -64,7 +66,7 @@ TEST(NtpServerTest, AnswersTimeQueryWithMode4) {
 
 TEST(NtpServerTest, UnsynchronizedServerReportsLeapAndStratum16) {
   auto cfg = base_config();
-  cfg.sysvars.stratum = kStratumUnsynchronized;
+  cfg.identity.stratum = kStratumUnsynchronized;
   NtpServer server(cfg);
   const auto resp = server.handle(time_query(), 1000);
   const auto reply = parse_time_packet(resp.packets[0].payload);

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
+#include <string>
 
 namespace gorilla::ntp {
 namespace {
@@ -73,14 +75,132 @@ TEST(StratumTest, NineteenPercentUnsynchronized) {
   EXPECT_NEAR(stratum16 / double(n), 0.19, 0.01);
 }
 
+/// The field-by-field identity builder make_system_variables() replaced,
+/// kept verbatim (snprintf argument lists and all) as the reference its
+/// text must reproduce byte for byte, draw for draw.
+SystemVariables reference_system_variables(const std::string& system,
+                                           int compile_year, int stratum,
+                                           util::Rng& rng) {
+  SystemVariables v;
+  const int maj = 4;
+  const int min = compile_year >= 2010 ? 2 : 1;
+  const int patch = static_cast<int>(rng.uniform_int(0, 8));
+  char buf[128];
+  static constexpr const char* kMonths[] = {"Jan", "Feb", "Mar", "Apr",
+                                            "May", "Jun", "Jul", "Aug",
+                                            "Sep", "Oct", "Nov", "Dec"};
+  std::snprintf(buf, sizeof buf, "ntpd %d.%d.%dp%d@1.%04d-o %s %2d %d",
+                maj, min, static_cast<int>(rng.uniform_int(0, 8)), patch,
+                static_cast<int>(rng.uniform_int(1500, 2600)),
+                kMonths[rng.uniform(12)],
+                static_cast<int>(rng.uniform_int(1, 28)), compile_year);
+  v.version = buf;
+  v.system = system;
+  v.processor = system == "cisco" || system == "junos" ? "" : "x86_64";
+  v.stratum = stratum;
+  v.leap = stratum == kStratumUnsynchronized ? 3 : 0;
+  v.rootdelay_ms = rng.uniform_real(0.1, 60.0);
+  v.rootdisp_ms = rng.uniform_real(0.5, 120.0);
+  auto num = [&](double lo, double hi, int prec) {
+    char b[48];
+    std::snprintf(b, sizeof b, "%.*f", prec, rng.uniform_real(lo, hi));
+    return std::string(b);
+  };
+  char refid[32];
+  std::snprintf(refid, sizeof refid, "%d.%d.%d.%d",
+                static_cast<int>(rng.uniform_int(1, 223)),
+                static_cast<int>(rng.uniform_int(0, 255)),
+                static_cast<int>(rng.uniform_int(0, 255)),
+                static_cast<int>(rng.uniform_int(1, 254)));
+  char stamp[64];
+  std::snprintf(stamp, sizeof stamp,
+                "0x%08x.%08x  Fri, %s %2d 2014 %2d:%02d:%02d.%03d",
+                static_cast<unsigned>(rng.next() >> 36) | 0xd6000000u,
+                static_cast<unsigned>(rng.next() >> 32),
+                kMonths[rng.uniform(4)],
+                static_cast<int>(rng.uniform_int(1, 28)),
+                static_cast<int>(rng.uniform_int(0, 23)),
+                static_cast<int>(rng.uniform_int(0, 59)),
+                static_cast<int>(rng.uniform_int(0, 59)),
+                static_cast<int>(rng.uniform_int(0, 999)));
+  const bool terse = system == "cisco" || system == "junos" ||
+                     system == "vmkernel" || system == "qnx";
+  v.extras.emplace_back("refid", refid);
+  v.extras.emplace_back("reftime", stamp);
+  if (!terse) {
+    v.extras.emplace_back("clock", stamp);
+    v.extras.emplace_back("offset", num(-80.0, 80.0, 3));
+    v.extras.emplace_back("sys_jitter", num(0.0, 12.0, 3));
+    if (rng.chance(0.5)) {
+      v.extras.emplace_back("peer",
+                            std::to_string(rng.uniform_int(1000, 65000)));
+      v.extras.emplace_back("tc", std::to_string(rng.uniform_int(6, 10)));
+      v.extras.emplace_back("mintc", "3");
+      v.extras.emplace_back("frequency", num(-120.0, 120.0, 3));
+      v.extras.emplace_back("clk_jitter", num(0.0, 8.0, 3));
+      v.extras.emplace_back("clk_wander", num(0.0, 1.0, 3));
+      v.extras.emplace_back("ss_uptime", std::to_string(rng.uniform(9000000)));
+      v.extras.emplace_back("ss_reset", std::to_string(rng.uniform(900000)));
+      v.extras.emplace_back("ss_received",
+                            std::to_string(rng.uniform(50000000)));
+      v.extras.emplace_back("ss_badformat", std::to_string(rng.uniform(999)));
+      v.extras.emplace_back("ss_declined", std::to_string(rng.uniform(9999)));
+      v.extras.emplace_back("ss_limited",
+                            std::to_string(rng.uniform(999999)));
+      v.extras.emplace_back("ss_kodsent", std::to_string(rng.uniform(99999)));
+    }
+  }
+  return v;
+}
+
+/// The reference's text as the original render() produced it (snprintf
+/// for the numbers).
+std::string reference_render(const SystemVariables& v) {
+  std::string out = "version=\"" + v.version + "\", processor=\"" +
+                    v.processor + "\", system=\"" + v.system + "\"";
+  char num[64];
+  std::snprintf(num, sizeof num, ", leap=%d, stratum=%d", v.leap, v.stratum);
+  out += num;
+  std::snprintf(num, sizeof num, ", rootdelay=%.3f, rootdisp=%.3f",
+                v.rootdelay_ms, v.rootdisp_ms);
+  out += num;
+  for (const auto& [key, value] : v.extras) out += ", " + key + "=" + value;
+  return out;
+}
+
 TEST(MakeSystemVariablesTest, EmbedsIdentity) {
   util::Rng rng(5);
-  const auto vars = make_system_variables("junos", 2009, 16, rng);
-  EXPECT_EQ(vars.system, "junos");
-  EXPECT_EQ(vars.stratum, 16);
-  EXPECT_EQ(vars.leap, 3);
-  EXPECT_NE(vars.version.find("2009"), std::string::npos);
-  EXPECT_NE(vars.version.find("ntpd "), std::string::npos);
+  const auto id = make_system_variables("junos", 2009, 16, rng);
+  EXPECT_EQ(id.stratum, 16);
+  const auto vars = parse_variable_list(id.readvar);
+  EXPECT_EQ(vars.at("system"), "junos");
+  EXPECT_EQ(vars.at("stratum"), "16");
+  EXPECT_EQ(vars.at("leap"), "3");
+  EXPECT_NE(vars.at("version").find("2009"), std::string::npos);
+  EXPECT_NE(vars.at("version").find("ntpd "), std::string::npos);
+}
+
+TEST(MakeSystemVariablesTest, TextMatchesFieldByFieldReference) {
+  // Every system string, both leap states and every response tier, over
+  // enough draws to cover both halves of each chance() and wide numeric
+  // ranges; the two generators must also leave the stream in step.
+  util::Rng rng(41);
+  util::Rng ref_rng(41);
+  static const char* kSystems[] = {"linux", "cisco",  "junos", "bsd",
+                                   "vmkernel", "qnx", "unix",  "windows"};
+  for (int i = 0; i < 4000; ++i) {
+    const std::string system = kSystems[i % 8];
+    const int year = 1998 + i % 17;
+    const int stratum = i % 5 == 0 ? 16 : 1 + i % 6;
+    const auto id = make_system_variables(system, year, stratum, rng);
+    const auto ref =
+        reference_system_variables(system, year, stratum, ref_rng);
+    ASSERT_EQ(id.readvar, reference_render(ref)) << "draw " << i;
+    ASSERT_EQ(id.readvar, ref.render()) << "draw " << i;
+    ASSERT_EQ(id.stratum, ref.stratum);
+    ASSERT_EQ(id.readvar.capacity() - id.readvar.size(), 0u);
+    ASSERT_EQ(rng.next(), ref_rng.next());
+  }
 }
 
 TEST(ExtractCompileYearTest, FindsTrailingYear) {
@@ -101,8 +221,9 @@ TEST(ExtractCompileYearTest, RoundTripsWithGenerator) {
   util::Rng rng(6);
   for (int i = 0; i < 500; ++i) {
     const int year = sample_compile_year(rng);
-    const auto vars = make_system_variables("linux", year, 2, rng);
-    EXPECT_EQ(extract_compile_year(vars.version), year) << vars.version;
+    const auto id = make_system_variables("linux", year, 2, rng);
+    const auto version = parse_variable_list(id.readvar).at("version");
+    EXPECT_EQ(extract_compile_year(version), year) << version;
   }
 }
 

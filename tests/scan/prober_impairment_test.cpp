@@ -273,5 +273,29 @@ TEST(ProberImpairmentTest, VersionPassCountersReproduceAndCount) {
   EXPECT_EQ(s1.responders_detailed, k1.size());
 }
 
+TEST(ProberImpairmentTest, VersionPassRetriesRepliesDestroyedInTransit) {
+  // Every reply datagram truncated: no fragment parses, so nothing may be
+  // recorded as a responder with an empty identity — the reply was lost in
+  // transit and is retried, exactly as the monlist pass does.
+  sim::ImpairmentConfig cfg;
+  cfg.seed = 99;
+  cfg.response_truncate_rate = 1.0;
+  sim::World world(tiny_config());
+  Prober prober(world, kProbeSource, ntp::Implementation::kXntpd, cfg);
+  std::size_t observed = 0, empty_identity = 0;
+  const auto summary =
+      prober.run_version_sample(0, [&](const VersionObservation& obs) {
+        ++observed;
+        if (obs.system.empty() && obs.version.empty() && obs.stratum == 0) {
+          ++empty_identity;
+        }
+      });
+  EXPECT_EQ(empty_identity, 0u);
+  EXPECT_EQ(summary.responders_detailed, observed);
+  // The destroyed replies are retried, then counted as lost.
+  EXPECT_GT(summary.probes_lost, 10000u);
+  EXPECT_GE(summary.retries, summary.probes_lost);
+}
+
 }  // namespace
 }  // namespace gorilla::scan

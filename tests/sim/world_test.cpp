@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <string>
 
 #include "sim/remediation.h"
 
@@ -226,6 +228,62 @@ TEST_F(WorldTest, EndHostShareOfLivePoolGrows) {
                 : 0.0;
   };
   EXPECT_GT(share_at(14), share_at(0) * 1.4);
+}
+
+struct IdentityDigest {
+  std::uint64_t fnv1a = 0;
+  std::size_t servers = 0;
+  std::size_t text_bytes = 0;
+};
+
+/// FNV-1a-64 over every detailed server's READVAR text in server-index
+/// order, each text followed by '\n'.
+IdentityDigest identity_digest(std::uint64_t seed) {
+  WorldConfig cfg;
+  cfg.scale = 400;
+  cfg.seed = seed;
+  const World world(cfg);
+  IdentityDigest d;
+  d.fnv1a = 0xcbf29ce484222325ULL;
+  auto mix = [&d](unsigned char c) {
+    d.fnv1a ^= c;
+    d.fnv1a *= 0x100000001b3ULL;
+  };
+  for (std::uint32_t i = 0; i < world.servers().size(); ++i) {
+    const ntp::NtpServer* server = world.detailed(i);
+    if (server == nullptr) continue;
+    const std::string& text = server->config().identity.readvar;
+    for (const char c : text) mix(static_cast<unsigned char>(c));
+    mix('\n');
+    ++d.servers;
+    d.text_bytes += text.size();
+  }
+  return d;
+}
+
+TEST(WorldIdentityTest, ReadvarTextIsPinned) {
+  // The §3.3 identities are drawn once per world; these pins hold the bytes
+  // the field-by-field builder rendered, so any change to the draw order or
+  // the number formatting shows up here before it reaches Table 2.
+  const IdentityDigest one = identity_digest(1);
+  EXPECT_EQ(one.servers, 15288u);
+  EXPECT_EQ(one.text_bytes, 5134731u);
+  EXPECT_EQ(one.fnv1a, 0xa33bddb8d2e119d5ULL);
+  EXPECT_EQ(identity_digest(7).fnv1a, 0x63ee5de6fdfd9b67ULL);
+}
+
+TEST(WorldIdentityTest, StoredStratumMatchesText) {
+  const World world(tiny_config());
+  std::size_t checked = 0;
+  for (std::uint32_t i = 0; i < world.servers().size(); ++i) {
+    const ntp::NtpServer* server = world.detailed(i);
+    if (server == nullptr) continue;
+    const auto& id = server->config().identity;
+    ASSERT_EQ(ntp::parse_variable_list(id.readvar).at("stratum"),
+              std::to_string(id.stratum));
+    ++checked;
+  }
+  EXPECT_GT(checked, 1000u);
 }
 
 }  // namespace

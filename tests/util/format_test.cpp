@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <limits>
+#include <string>
+
+#include "util/rng.h"
+
 namespace gorilla::util {
 namespace {
 
@@ -53,6 +60,69 @@ TEST(BytesStrTest, ScalesUnits) {
 TEST(FixedTest, Precision) {
   EXPECT_EQ(fixed(4.309, 2), "4.31");
   EXPECT_EQ(fixed(0.001, 3), "0.001");
+}
+
+std::string printf_fixed(double v, int precision) {
+  char buf[400];
+  std::snprintf(buf, sizeof buf, "%.*f", precision, v);
+  return buf;
+}
+
+std::string appended_fixed(double v, int precision) {
+  std::string out = "x";
+  append_fixed(out, v, precision);
+  return out.substr(1);
+}
+
+TEST(AppendFixedTest, MatchesPrintfOnEdgeCases) {
+  // Negative values that round to zero keep their sign, as printf does.
+  EXPECT_EQ(appended_fixed(-0.0004, 3), "-0.000");
+  EXPECT_EQ(appended_fixed(-0.0, 3), "-0.000");
+  EXPECT_EQ(appended_fixed(0.0, 3), "0.000");
+  // Exact binary ties (odd multiples of 1/16) round half to even.
+  EXPECT_EQ(appended_fixed(0.0625, 3), "0.062");
+  EXPECT_EQ(appended_fixed(0.1875, 3), "0.188");
+  EXPECT_EQ(appended_fixed(-2.4375, 3), "-2.438");
+  for (int j = -4001; j <= 4001; j += 2) {
+    const double tie = j / 16.0;
+    ASSERT_EQ(appended_fixed(tie, 3), printf_fixed(tie, 3)) << j;
+  }
+  // Decimal ".0005" values are not exact in binary: each rounds by which
+  // side of the tie its double lies on.
+  for (int k = -1200; k <= 1200; ++k) {
+    const double near_tie = k / 1000.0 + (k < 0 ? -0.0005 : 0.0005);
+    ASSERT_EQ(appended_fixed(near_tie, 3), printf_fixed(near_tie, 3)) << k;
+  }
+  for (const double v : {1e-300, 123456789.0125, -80.0, 119.9995, 1e22}) {
+    for (int precision = 0; precision <= 8; ++precision) {
+      EXPECT_EQ(appended_fixed(v, precision), printf_fixed(v, precision));
+    }
+  }
+}
+
+TEST(AppendFixedTest, MatchesPrintfOnRandomDraws) {
+  // The ranges ntp::make_system_variables() draws from, plus wide ones.
+  Rng rng(2024);
+  const double ranges[][2] = {{-80.0, 80.0},   {0.0, 12.0},  {-120.0, 120.0},
+                              {0.0, 1.0},      {0.1, 60.0},  {0.5, 120.0},
+                              {-1e9, 1e9},     {-1e-3, 1e-3}};
+  for (int i = 0; i < 200000; ++i) {
+    const auto& r = ranges[i % 8];
+    const double v = rng.uniform_real(r[0], r[1]);
+    ASSERT_EQ(appended_fixed(v, 3), printf_fixed(v, 3)) << v;
+  }
+}
+
+TEST(AppendDecimalTest, MatchesPrintf) {
+  std::string out;
+  append_decimal(out, std::numeric_limits<std::int64_t>::min());
+  out += ' ';
+  append_decimal(out, std::numeric_limits<std::uint64_t>::max());
+  out += ' ';
+  append_decimal(out, 0);
+  out += ' ';
+  append_decimal(out, -16);
+  EXPECT_EQ(out, "-9223372036854775808 18446744073709551615 0 -16");
 }
 
 TEST(CompactTest, WideRange) {
