@@ -72,21 +72,8 @@ Options parse_options(int argc, char** argv, std::uint32_t default_scale) {
                                                  1l << 16));
     } else if (arg == "--record") {
       opt.record = value("--record");
-    } else if (arg == "--artifact-version") {
-      opt.artifact_version = static_cast<int>(parse_positive(
-          value("--artifact-version"), "--artifact-version", 3));
-      if (opt.artifact_version < 2) {
-        std::fprintf(stderr, "--artifact-version must be 2 or 3 (writers "
-                             "emit GORCOLv2 or GORCOLv3; v1 is read-only)\n");
-        std::exit(2);
-      }
     } else if (arg == "--replay") {
       opt.replay = value("--replay");
-    } else if (arg == "--checkpoint") {
-      opt.checkpoint_weeks = static_cast<int>(
-          parse_positive(value("--checkpoint"), "--checkpoint", 1l << 16));
-    } else if (arg == "--resume") {
-      opt.resume = true;
     } else if (arg == "--mem-report") {
       opt.mem_report = true;
       // atexit so every bench reports after its last deallocation-free
@@ -107,20 +94,10 @@ Options parse_options(int argc, char** argv, std::uint32_t default_scale) {
       std::printf(
           "usage: %s [--scale N] [--seed N] [--quick] [--jobs N]\n"
           "          [--record PATH] [--replay PATH] [--csv DIR]\n"
-          "          [--artifact-version 2|3] [--checkpoint WEEKS]\n"
-          "          [--resume] [--faults SPEC] [--mem-report]\n",
+          "          [--faults SPEC] [--mem-report]\n",
           argv[0]);
       std::exit(0);
     }
-  }
-  if (opt.resume && opt.record.empty()) {
-    std::fprintf(stderr, "--resume requires --record PATH (the artifact to "
-                         "resume from and keep extending)\n");
-    std::exit(2);
-  }
-  if (opt.resume && !opt.replay.empty()) {
-    std::fprintf(stderr, "--resume and --replay are mutually exclusive\n");
-    std::exit(2);
   }
   return opt;
 }
@@ -240,54 +217,10 @@ void StudyPipeline::run() {
               seconds_between(t0, run_done_));
 }
 
-int StudyPipeline::resume_prefix_weeks(study::EventBus& bus,
-                                       int horizon_weeks) {
-  study::Replayer replayer;
-  replayer.set_decode_jobs(opt_.jobs);
-  study::ReplayReport report;
-  if (!replayer.load_prefix(opt_.record, report)) {
-    std::fprintf(stderr,
-                 "[engine] resume: no usable recording at %s; starting "
-                 "fresh\n",
-                 opt_.record.c_str());
-    return 0;
-  }
-  if (!(replayer.header() == make_header())) {
-    std::fprintf(stderr,
-                 "recording %s was made by a different harness shape "
-                 "(kind/scale/seed/horizon mismatch); refusing to resume\n",
-                 opt_.record.c_str());
-    std::exit(2);
-  }
-  const int usable = std::min(replayer.complete_weeks(), horizon_weeks);
-  if (usable <= 0) {
-    std::fprintf(stderr,
-                 "[engine] resume: %s holds no complete week; starting "
-                 "fresh\n",
-                 opt_.record.c_str());
-    return 0;
-  }
-  // The bus carries the live consumers AND the fresh Recorder, so this one
-  // dispatch both rebuilds the sinks' state and re-encodes the prefix —
-  // the final artifact comes out byte-identical to an uninterrupted run.
-  if (!replayer.replay_prefix(bus, usable, report)) {
-    std::fprintf(stderr, "recording %s failed prefix validation\n",
-                 opt_.record.c_str());
-    std::exit(2);
-  }
-  std::fprintf(stderr,
-               "[engine] resume: replayed %d complete week(s) "
-               "(%llu events) from %s\n",
-               report.weeks_complete,
-               static_cast<unsigned long long>(report.events),
-               opt_.record.c_str());
-  return report.weeks_complete;
-}
-
 void StudyPipeline::run_simulated(
     study::EventBus& bus,
     const std::vector<telemetry::FlowCollector*>& vantages) {
-  study::Recorder recorder(make_header(), opt_.artifact_version);
+  study::Recorder recorder(make_header());
   const bool recording = !opt_.record.empty();
   if (recording) bus.subscribe(&recorder);
 
@@ -312,56 +245,14 @@ void StudyPipeline::run_simulated(
       (with_darknet_ || with_vantages_) ? &scans : nullptr;
   const int horizon_weeks = opt_.quick ? 8 : 15;
 
-  const int start_week =
-      opt_.resume ? resume_prefix_weeks(bus, horizon_weeks) : 0;
-
   int day = 0;
-  if (start_week > 0) {
-    // Fast-forward the world through the already-replayed weeks. The
-    // replay above rebuilt the CONSUMER state; the world's monitor tables
-    // and the prober's remediation/window state are producer-side and must
-    // be recomputed by re-running those weeks against a discard bus. The
-    // discard sink elects every capability, so producers burn exactly the
-    // RNG draws the original run did; scans and prober are the same
-    // objects the live loop continues with, keeping their cross-week state
-    // continuous. (Correctness over speed: resume re-simulates, it just
-    // never re-emits.)
-    study::EventBus ff_bus;
-    study::ConsumeAllSink discard;
-    ff_bus.subscribe(&discard);
-    sim::AttackEngine ff_attacks(*world, attack_cfg, ff_bus);
-    for (int week = 0; week < start_week; ++week) {
-      const int sample_day = 70 + week * 7;
-      ff_attacks.run_days(day, sample_day + 1, executor_.get(), day_scans,
-                          darknet.get(), &vantages);
-      day = sample_day + 1;
-      scans.seed_monitor_tables(week, executor_.get());
-      (void)prober.run_monlist_sample(week, ff_bus);
-    }
-  }
-
-  for (int week = start_week; week < horizon_weeks; ++week) {
+  for (int week = 0; week < horizon_weeks; ++week) {
     const int sample_day = 70 + week * 7;
     attacks.run_days(day, sample_day + 1, executor_.get(), day_scans,
                      darknet.get(), &vantages);
     day = sample_day + 1;
     scans.seed_monitor_tables(week, executor_.get());
     (void)prober.run_monlist_sample(week, bus);  // AnalysisSink keeps summary
-    if (recording && opt_.checkpoint_weeks > 0 && week + 1 < horizon_weeks &&
-        (week + 1) % opt_.checkpoint_weeks == 0) {
-      // Durable mid-run snapshot (atomic rename over the --record path).
-      // Failure is a warning, not an abort: losing a checkpoint only costs
-      // resume granularity, never the run.
-      if (recorder.checkpoint(opt_.record)) {
-        std::fprintf(stderr, "[engine] checkpoint: %d week(s) durable at %s\n",
-                     week + 1, opt_.record.c_str());
-      } else {
-        std::fprintf(stderr,
-                     "[engine] warning: checkpoint at week %d failed "
-                     "(continuing)\n",
-                     week);
-      }
-    }
   }
 
   if (recording) {
@@ -429,17 +320,6 @@ RegionalRun::~RegionalRun() {
 }
 
 void RegionalRun::run(int from_day, int to_day) {
-  if (opt_.resume) {
-    // The regional window runs as ONE run_days() fan-out whose per-day
-    // monitor-size snapshots are taken at window start; splitting the
-    // window would change those snapshots and the output bytes. Refuse
-    // rather than resume into a subtly different world.
-    std::fprintf(stderr,
-                 "--resume is not supported for regional runs (the day "
-                 "window is a single shard fan-out); re-run without "
-                 "--resume\n");
-    std::exit(2);
-  }
   const auto t0 = EngineClock::now();
   study::CollectorSink collectors;
   collectors.global = global.get();
@@ -481,7 +361,7 @@ void RegionalRun::run(int from_day, int to_day) {
       std::exit(2);
     }
   } else {
-    study::Recorder recorder(header, opt_.artifact_version);
+    study::Recorder recorder(header);
     const bool recording = !opt_.record.empty();
     if (recording) bus.subscribe(&recorder);
 

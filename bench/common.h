@@ -46,20 +46,6 @@ struct Options {
   int jobs = 1;
   std::string record;  ///< --record PATH: save the study's event stream
   std::string replay;  ///< --replay PATH: skip simulation, replay a stream
-  /// --artifact-version 2|3: container format for --record. 3 (default,
-  /// GORCOLv3) is delta-transformed and block-compressed; 2 keeps the
-  /// legacy uncompressed GORCOLv2 layout for size comparisons. Replay
-  /// reads any version regardless of this flag.
-  int artifact_version = 3;
-  /// --checkpoint N: while recording, flush a durable snapshot of the
-  /// stream every N complete sample weeks (atomic rename over the --record
-  /// path). 0 = only the final save.
-  int checkpoint_weeks = 0;
-  /// --resume: before simulating, consume the longest valid prefix of the
-  /// --record artifact (complete weeks only), fast-forward the world
-  /// through those weeks, and continue live — stdout is byte-identical to
-  /// an uninterrupted run.
-  bool resume = false;
   /// --mem-report: at exit, print the util::MemStats registry (per-
   /// subsystem live/peak bytes + process peak RSS) to stderr. Stderr so
   /// stdout stays byte-comparable across flag combinations.
@@ -134,12 +120,6 @@ struct StudyPipeline {
   void run_simulated(study::EventBus& bus,
                      const std::vector<telemetry::FlowCollector*>& vantages);
   void run_replayed(study::EventBus& bus);
-  /// Under --resume: loads the durable prefix of the --record artifact,
-  /// replays its complete weeks into `bus`, and returns that week count (0
-  /// = start fresh). Exits on a header mismatch — resuming someone else's
-  /// world would silently corrupt the output.
-  [[nodiscard]] int resume_prefix_weeks(study::EventBus& bus,
-                                        int horizon_weeks);
   [[nodiscard]] study::StudyHeader make_header() const;
 
   Options opt_;

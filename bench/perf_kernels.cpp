@@ -1,9 +1,9 @@
 // Micro/meso performance benchmarks (google-benchmark) over the hot
 // kernels the reproduction pipeline leans on: prefix-trie lookups, mode 6/7
-// wire (de)serialization, monitor-table updates, checksum, the event queue,
-// the GORCOLv3 artifact codec (varint kernel, delta transform, block
-// codec), a full single-amplifier probe round trip, and the weekly layers
-// (monlist pass, version pass, monitor seeding at --jobs 4).
+// wire (de)serialization, monitor-table updates, checksum, the GORCOLv3
+// artifact codec (varint kernel, delta transform, block codec), a full
+// single-amplifier probe round trip, and the weekly layers (monlist pass,
+// version pass, monitor seeding at --jobs 4).
 #include <benchmark/benchmark.h>
 
 #include "net/packet.h"
@@ -16,7 +16,6 @@
 #include "ntp/sysinfo.h"
 #include "scan/prober.h"
 #include "sim/attack.h"
-#include "sim/event_queue.h"
 #include "sim/scanner.h"
 #include "sim/sharded_executor.h"
 #include "sim/world.h"
@@ -173,46 +172,6 @@ void BM_InternetChecksum(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_InternetChecksum)->Arg(64)->Arg(1500);
-
-void BM_EventQueueChurn(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::EventQueue q;
-    int fired = 0;
-    for (int i = 0; i < state.range(0); ++i) {
-      q.schedule_at((i * 7919) % 100000, [&fired] { ++fired; });
-    }
-    q.run();
-    benchmark::DoNotOptimize(fired);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_EventQueueChurn)->Arg(1000)->Arg(100000);
-
-void BM_EventQueueDrain(benchmark::State& state) {
-  // Drain cost with fat actions: each event owns a payload big enough that
-  // copying it out of the heap (what priority_queue::top() used to force on
-  // every pop) dwarfs the heap bookkeeping. The queue moves events out of
-  // the heap on pop, so this measures the intended drain path.
-  const auto n = state.range(0);
-  for (auto _ : state) {
-    state.PauseTiming();
-    sim::EventQueue q;
-    std::uint64_t sum = 0;
-    for (int i = 0; i < n; ++i) {
-      std::vector<std::uint64_t> payload(64,
-                                         static_cast<std::uint64_t>(i));
-      q.schedule_at((i * 7919) % 100000,
-                    [&sum, payload = std::move(payload)] {
-                      sum += payload.front();
-                    });
-    }
-    state.ResumeTiming();
-    q.run();
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_EventQueueDrain)->Arg(1000)->Arg(100000);
 
 // --- GORCOLv3 artifact codec kernels (BM_ColumnarCodec family): the
 // varint decode kernel, the delta transform, and the block codec that

@@ -166,39 +166,31 @@ if [[ -x "$replay_bin" && -f "$work/fig03_amplifier_counts.study" ]]; then
       \"pcap_bytes\": $pcap_bytes }"
 fi
 
-# GORCOLv3 compaction: the fig03 artifact recorded in the bench loop above
-# is v3 (the default); record the same study as uncompressed GORCOLv2 and
-# report both sizes plus the v3 replay wall time, so the compaction shows
-# up in the perf trajectory next to the replay column it accelerates.
+# GORCOLv3 artifact: the fig03 recording from the bench loop above, its
+# size and its replay wall time, so the artifact shows up in the perf
+# trajectory next to the replay column it serves.
 gorcolv3_json="null"
-fig03_bin="$bench_dir/fig03_amplifier_counts"
-if [[ -x "$fig03_bin" && -f "$work/fig03_amplifier_counts.study" ]]; then
+fig03_artifact="$work/fig03_amplifier_counts.study"
+if [[ -f "$fig03_artifact" ]]; then
   echo "== gorcolv3 =="
-  v3_artifact="$work/fig03_amplifier_counts.study"
-  time_to "$work/fig03.v2rec.txt" "$fig03_bin" --jobs 1 \
-    --artifact-version 2 --record "$work/fig03.v2.study" >/dev/null
-  v3_bytes=$(wc -c <"$v3_artifact")
-  v2_bytes=$(wc -c <"$work/fig03.v2.study")
-  v3_replay_s=$(time_to "$work/fig03.v3rep.txt" "$fig03_bin" \
-    --replay "$v3_artifact")
-  if ! cmp -s "$work/fig03.v2rec.txt" "$work/fig03.v3rep.txt"; then
-    echo "bench.sh: FAIL — fig03 v3 replay output differs from the v2" \
-         "record run" >&2
+  v3_bytes=$(wc -c <"$fig03_artifact")
+  v3_replay_s=$(time_to "$work/fig03.v3rep.txt" \
+    "$bench_dir/fig03_amplifier_counts" --replay "$fig03_artifact")
+  if ! cmp -s "$work/fig03_amplifier_counts.jobs1.txt" \
+              "$work/fig03.v3rep.txt"; then
+    echo "bench.sh: FAIL — fig03 v3 replay output differs from the" \
+         "--jobs 1 run" >&2
     exit 1
   fi
-  bytes_ratio=$(awk -v a="$v3_bytes" -v b="$v2_bytes" \
-    'BEGIN { if (b > 0) printf "%.3f", a / b; else printf "0.000" }')
-  echo "   v3 $v3_bytes B vs v2 $v2_bytes B (ratio $bytes_ratio);" \
-       "v3 replay ${v3_replay_s}s"
+  echo "   v3 $v3_bytes B; replay ${v3_replay_s}s"
   gorcolv3_json="{ \"artifact\": \"fig03_amplifier_counts\",
-      \"artifact_bytes\": $v3_bytes, \"v2_artifact_bytes\": $v2_bytes,
-      \"bytes_ratio\": $bytes_ratio, \"replay_s\": $v3_replay_s }"
+      \"artifact_bytes\": $v3_bytes, \"replay_s\": $v3_replay_s }"
 fi
 
 # One labeled run per invocation (BENCH_LABEL=... names it); previous runs
 # are preserved so the file carries the perf trajectory across changes —
-# e.g. the GORCOLv2 CRC/atomic-write run is directly comparable to the
-# original engine run, same benches, same modes.
+# e.g. the CRC/atomic-write run is directly comparable to the original
+# engine run, same benches, same modes.
 label="${BENCH_LABEL:-unlabeled}"
 cat >"$work/run.json" <<EOF
 { "label": "$label",

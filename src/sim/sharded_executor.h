@@ -73,8 +73,8 @@ class ShardedExecutor {
 
   /// Shards that exhausted every attempt since the last clear_quarantine().
   /// Such a shard still aborts its run (skipping it would change the output
-  /// stream); the list exists so the failure is attributable and a resumed
-  /// run can be steered around or re-provisioned.
+  /// stream); the list exists so the failure is attributable and a re-run
+  /// can be steered around or re-provisioned.
   [[nodiscard]] std::vector<ShardFailure> quarantined() const;
   void clear_quarantine();
 

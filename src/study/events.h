@@ -69,16 +69,4 @@ class EventSink {
   virtual void on_sample_end(int /*week*/) {}
 };
 
-/// Elects every capability and discards every event. Subscribing this to a
-/// bus reproduces a full consumer's event-construction demand (producers
-/// see wants_flows()/wants_labels() true and build the same stream) while
-/// keeping nothing — the sink behind resume fast-forward, where weeks that
-/// were already replayed from the artifact must still burn identical work
-/// on the producer side without double-delivering to the real consumers.
-class ConsumeAllSink final : public EventSink {
- public:
-  [[nodiscard]] bool wants_flows() const override { return true; }
-  [[nodiscard]] bool wants_labels() const override { return true; }
-};
-
 }  // namespace gorilla::study

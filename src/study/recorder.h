@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 
 #include "study/events.h"
@@ -43,18 +42,12 @@ struct StudyHeader {
 /// An EventSink that captures the full stream. Subscribe it to the bus
 /// alongside the live consumers, run the study, then save().
 ///
-/// `artifact_version` picks the container the archive serializes as.
-/// 3 (default, GORCOLv3) applies per-column transforms before varint —
-/// delta-encoded addresses and monotone timestamps, frame-of-reference
-/// week ids — and block-compresses sections at save time. 2 reproduces
-/// the legacy GORCOLv2 encoding byte-for-byte (kept so tooling can
-/// compare artifact sizes across versions).
+/// Columns are transformed before varint — delta-encoded addresses and
+/// monotone timestamps, frame-of-reference week ids — and the archive
+/// block-compresses them at save time (GORCOLv3).
 class Recorder final : public EventSink {
  public:
-  explicit Recorder(const StudyHeader& header, int artifact_version = 3)
-      : header_(header),
-        artifact_version_(artifact_version == 2 ? 2 : 3),
-        transform_(artifact_version != 2) {}
+  explicit Recorder(const StudyHeader& header) : header_(header) {}
 
   // The recorder consumes everything: with it on the bus, producers build
   // flow/label events even when no live collector wants them. Those events
@@ -77,33 +70,21 @@ class Recorder final : public EventSink {
   /// Finalizes the stream into an archive (the recorder is spent after).
   [[nodiscard]] util::ColumnArchive to_archive();
 
-  /// to_archive() + write to `path`; false on I/O failure.
+  /// to_archive() + atomic write to `path`; false on I/O failure.
   [[nodiscard]] bool save(const std::string& path);
-
-  /// Non-destructive copy of everything recorded so far (the pending RLE
-  /// run is materialized into the copy; recording continues unaffected).
-  [[nodiscard]] util::ColumnArchive snapshot_archive() const;
-
-  /// snapshot_archive() + atomic save_file: a durable mid-run checkpoint.
-  /// Call at week boundaries and an interrupted run can resume from the
-  /// last complete week instead of starting over. False on I/O failure
-  /// (the previous checkpoint, if any, is left intact).
-  [[nodiscard]] bool checkpoint(const std::string& path) const;
 
  private:
   void tag(std::uint8_t t);
   void flush_run();
   /// Total encoded bytes across every column (the recorder's footprint).
   [[nodiscard]] std::size_t column_bytes() const noexcept;
-  /// v3 column transforms (no-ops under v2): delta against the previous
-  /// value of the same column, and frame-of-reference week ids (first week
-  /// on the tape is the base; later ones store the difference).
+  /// Column transforms: delta against the previous value of the same
+  /// column, and frame-of-reference week ids (first week on the tape is
+  /// the base; later ones store the difference).
   void put_delta(util::ColumnWriter& col, std::int64_t& prev, std::int64_t v);
   void put_week(util::ColumnWriter& col, int week);
 
   StudyHeader header_;
-  int artifact_version_ = 3;
-  bool transform_ = true;
   util::ColumnWriter tape_, global_, label_, flow_, dark_, begin_, obs_,
       sum_, end_;
   // Monitor-table entry columns (one per MonitorEntry field).
@@ -120,83 +101,51 @@ class Recorder final : public EventSink {
   bool week_base_set_ = false;
 };
 
-/// What a prefix-tolerant load + replay recovered from a damaged (or
-/// intact) artifact. Container-level damage first — `sections_ok` archive
-/// sections survived, reading stopped at `truncated_at` (stream offset) or
-/// after `crc_failures` checksum mismatches — then stream-level totals:
-/// how many events the longest valid prefix holds and how many COMPLETE
-/// sample weeks (terminated by on_sample_end) they span. `clean` means the
-/// artifact was whole: every section present and consistent. For a v3
-/// artifact damaged inside a compressed section, the longest run of intact
-/// blocks was also kept (`partial_section`) and the first bad block is
-/// identified by section name, index, and absolute file offset.
+/// What Replayer::load_prefix() saw: `clean` means the artifact loaded,
+/// exactly as load() would have.
 struct ReplayReport {
-  std::size_t sections_ok = 0;
-  std::size_t crc_failures = 0;
-  std::optional<std::uint64_t> truncated_at;
-  bool partial_section = false;
-  std::string damaged_section;
-  std::optional<std::size_t> bad_block;
-  std::optional<std::uint64_t> bad_block_offset;
-  std::uint64_t events = 0;
-  int weeks_complete = 0;
   bool clean = false;
 };
 
-/// Loads a recorded study and dispatches it into a sink.
+/// Loads a recorded study and dispatches it into a sink. Loading is
+/// strict: a damaged, truncated, incomplete or pre-v3 artifact is refused
+/// whole (describe_load_failure says why) and must be regenerated.
 class Replayer {
  public:
-  /// False on missing file, bad magic, or malformed header.
+  /// False on a missing file, a foreign or pre-v3 container, any checksum
+  /// failure or truncation, a malformed study header or a missing section.
   [[nodiscard]] bool load(const std::string& path);
   [[nodiscard]] bool load_archive(util::ColumnArchive archive);
 
-  /// Prefix-tolerant load: accepts a truncated or partially corrupt
-  /// artifact, keeping the longest valid section prefix (missing trailing
-  /// sections read as empty columns). False only when not even the magic +
-  /// study header survive. `report` describes what was recovered;
-  /// replay_prefix() later fills in its stream-level fields.
+  /// load() that also fills `report`. Kept only for perfbench/driver.cpp,
+  /// whose reload check calls it.
   [[nodiscard]] bool load_prefix(const std::string& path, ReplayReport& report);
 
-  /// One-line diagnosis of why load()/load_prefix() refused `path`:
-  /// missing file, foreign or wrong-version container magic, container
-  /// damage before the study header, or an unsupported StudyHeader
-  /// version. For CLI error messages — never asserts, best-effort re-read.
+  /// One-line diagnosis of why load() refused `path`: missing file, foreign
+  /// or pre-v3 container magic, the section and byte offset of a checksum
+  /// failure or truncation, an unsupported StudyHeader version, or a
+  /// missing section. For CLI error messages — never asserts, best-effort
+  /// re-read.
   [[nodiscard]] static std::string describe_load_failure(
       const std::string& path);
 
   [[nodiscard]] const StudyHeader& header() const noexcept { return header_; }
 
-  /// Container version of the loaded artifact (1/2/3).
-  [[nodiscard]] int artifact_version() const noexcept {
-    return archive_.version;
-  }
-
   /// Opt-in parallel per-section decompress: with jobs > 1, the next
   /// successful load inflates every compressed section across `jobs`
   /// worker threads instead of streaming block-by-block during replay.
   /// Purely a speed/memory trade — replay output is byte-identical for
-  /// any value. Call before load()/load_prefix().
+  /// any value. Call before load().
   void set_decode_jobs(int jobs) noexcept {
     decode_jobs_ = jobs < 1 ? 1 : jobs;
   }
 
-  /// Dispatches the entire stream into `sink` in recorded order.
-  /// False when the artifact is truncated or internally inconsistent
-  /// (the sink may have received a prefix of the stream by then).
-  [[nodiscard]] bool replay(EventSink& sink) const;
-
-  /// Complete weeks (on_sample_end markers) in the longest valid event
-  /// prefix — what a resumed run can skip re-simulating.
-  [[nodiscard]] int complete_weeks() const;
-
-  /// Dispatches the longest valid prefix, cut at a week boundary: at most
-  /// `max_weeks` complete weeks (-1 = all of them), never a partial week.
-  /// A validation pass runs first, so `sink` only ever sees events that
-  /// are known-good — unlike replay(), damage cannot leak a torn week.
-  /// Fills report.events / report.weeks_complete. False when the two
-  /// passes disagree (a torn artifact mutating underneath us).
-  [[nodiscard]] bool replay_prefix(EventSink& sink, int max_weeks,
-                                   ReplayReport& report) const;
+  /// Dispatches the stream into `sink` in recorded order, in one pass:
+  /// all of it, or when `max_weeks` >= 0 only the events up to the
+  /// `max_weeks`-th on_sample_end. False when the stream turns out
+  /// internally inconsistent (the sink may have received a prefix of it
+  /// by then).
+  [[nodiscard]] bool replay(EventSink& sink, int max_weeks = -1) const;
 
  private:
   void apply_decode_policy();

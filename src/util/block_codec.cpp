@@ -238,27 +238,17 @@ bool block_decompress(std::span<const std::uint8_t> stored,
   return cursor.exhausted();
 }
 
-BlockScan scan_blocks(std::span<const std::uint8_t> stored) noexcept {
-  // Framing-level validation only: headers consistent, bodies present,
-  // CRCs good. A malformed LZ body with a valid CRC (a buggy writer, not
-  // disk damage) is still caught later by the bounds-checked decoder.
-  BlockScan scan;
+std::optional<std::uint64_t> block_raw_size(
+    std::span<const std::uint8_t> stored) noexcept {
+  std::uint64_t raw = 0;
   std::size_t off = 0;
   while (off < stored.size()) {
     const auto frame = parse_frame(stored, off);
-    if (!frame) return scan;
-    const auto body = stored.subspan(off + kBlockHeaderSize, frame->body_len);
-    if (crc32(body) != frame->crc) {
-      scan.crc_failed = true;
-      return scan;
-    }
+    if (!frame) return std::nullopt;
+    raw += frame->raw_len;
     off += kBlockHeaderSize + frame->body_len;
-    ++scan.blocks;
-    scan.raw_prefix += frame->raw_len;
-    scan.stored_prefix = off;
   }
-  scan.complete = true;
-  return scan;
+  return raw;
 }
 
 }  // namespace gorilla::util

@@ -2,12 +2,9 @@
 //
 // An LZ4-style greedy match/literal scheme (token + literals + 16-bit
 // back-reference), applied independently per fixed-size block. Each block
-// carries its own uncompressed length and a CRC-32 over the stored bytes,
-// so a torn or corrupt file degrades at BLOCK granularity: the loader keeps
-// the longest run of intact blocks instead of discarding a whole section.
+// carries its own uncompressed length and a CRC-32 over the stored bytes.
 // Matches never cross a block boundary — every block decodes on its own,
-// which is what makes both the prefix recovery and the streaming cursor
-// possible.
+// which is what makes the streaming cursor possible.
 //
 // The codec is deterministic (fixed hash table, greedy parse, no
 // heuristics keyed on timing or addresses): the same input always yields
@@ -16,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -37,24 +35,14 @@ inline constexpr std::size_t kBlockHeaderSize = 13;
 
 /// Decodes an entire block stream, appending to `out`. False when the
 /// stream is torn, CRC-damaged, or malformed — `out` then holds the bytes
-/// of every intact leading block (the same prefix scan_blocks reports).
+/// of every intact leading block.
 [[nodiscard]] bool block_decompress(std::span<const std::uint8_t> stored,
                                     std::vector<std::uint8_t>& out);
 
-/// What a validation walk over a block stream saw. The stream's longest
-/// usable prefix is `stored_prefix` stored bytes = `blocks` whole blocks =
-/// `raw_prefix` decodable bytes.
-struct BlockScan {
-  std::size_t blocks = 0;          ///< intact leading blocks
-  std::uint64_t raw_prefix = 0;    ///< uncompressed bytes they decode to
-  std::size_t stored_prefix = 0;   ///< stored bytes they occupy
-  bool complete = false;           ///< every byte accounted for, all CRCs good
-  bool crc_failed = false;         ///< stopped on a checksum mismatch
-                                   ///< (false + !complete = torn frame)
-};
-
-/// Validates framing + CRCs without decompressing (no allocation).
-[[nodiscard]] BlockScan scan_blocks(
+/// Uncompressed size a block stream declares: the sum of its frames' raw
+/// lengths, read from the frame headers alone (no CRC, no decode). nullopt
+/// when the frames do not tile `stored` exactly.
+[[nodiscard]] std::optional<std::uint64_t> block_raw_size(
     std::span<const std::uint8_t> stored) noexcept;
 
 /// Forward-only one-block-at-a-time decoder over a borrowed stored stream.

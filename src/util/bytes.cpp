@@ -21,12 +21,6 @@ bool read_exact(std::istream& in, std::span<std::uint8_t> buf) {
   return in.gcount() == static_cast<std::streamsize>(buf.size());
 }
 
-std::size_t read_some(std::istream& in, std::span<std::uint8_t> buf) {
-  in.read(reinterpret_cast<char*>(buf.data()),
-          static_cast<std::streamsize>(buf.size()));
-  return static_cast<std::size_t>(in.gcount());
-}
-
 bool write_all(std::ostream& out, std::span<const std::uint8_t> buf) {
   if (FaultPlan::active() != nullptr) {
     const SinkAction action = FaultPlan::next_sink_action(buf.size());

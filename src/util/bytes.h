@@ -300,12 +300,6 @@ class ByteWriter {
 /// stream I/O elsewhere stays free of it.
 [[nodiscard]] bool read_exact(std::istream& in, std::span<std::uint8_t> buf);
 
-/// Reads up to `buf.size()` bytes, returning how many arrived. The partial
-/// variant the prefix loaders need: a torn final section is recovered from
-/// whatever bytes exist instead of being discarded wholesale.
-[[nodiscard]] std::size_t read_some(std::istream& in,
-                                    std::span<std::uint8_t> buf);
-
 /// Writes all of `buf` to `out`; false when the stream is failed afterwards
 /// (short device writes, closed pipes — and injected faults: this is the
 /// seam util::FaultPlan's short-write/corrupt directives act through).

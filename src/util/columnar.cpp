@@ -1,5 +1,6 @@
 #include "util/columnar.h"
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstdio>
 #include <fstream>
@@ -17,13 +18,11 @@ namespace gorilla::util {
 
 namespace {
 
-constexpr std::uint8_t kMagicV1[8] = {'G', 'O', 'R', 'C', 'O', 'L', 'v', '1'};
-constexpr std::uint8_t kMagicV2[8] = {'G', 'O', 'R', 'C', 'O', 'L', 'v', '2'};
-constexpr std::uint8_t kMagicV3[8] = {'G', 'O', 'R', 'C', 'O', 'L', 'v', '3'};
+constexpr std::uint8_t kMagic[8] = {'G', 'O', 'R', 'C', 'O', 'L', 'v', '3'};
 constexpr std::size_t kMaxSections = 4096;
 constexpr std::uint64_t kMaxPayload = 1ull << 40;
 /// Below this size the block header + section framing overhead outweighs
-/// any win; tiny sections are stored raw even in v3.
+/// any win; tiny sections are stored raw.
 constexpr std::size_t kCompressMin = 64;
 
 /// Flushes a closed file's (or directory's) pages to stable storage. The
@@ -50,188 +49,98 @@ void fsync_parent_dir(const std::string& path) {
   (void)fsync_path(dir.c_str());
 }
 
-/// Keeps the longest intact block prefix of a damaged v3 section payload
-/// and pinpoints the first bad block in the report. `payload_offset` is
-/// the absolute stream offset of the section's stored bytes.
-void recover_block_prefix(std::vector<std::uint8_t>&& payload,
-                          std::string name, std::uint64_t payload_offset,
-                          ColumnArchive& archive, ArchiveReadReport& report) {
-  const BlockScan scan = scan_blocks(payload);
-  if (scan.crc_failed) ++report.crc_failures;
-  report.damaged_section = name;
-  report.bad_block = scan.blocks;
-  report.bad_block_offset = payload_offset + scan.stored_prefix;
-  if (scan.blocks == 0) return;
-  payload.resize(scan.stored_prefix);
-  ColumnArchive::Section section;
-  section.name = std::move(name);
-  section.bytes = std::move(payload);
-  section.storage = ColumnArchive::SectionStorage::kBlocks;
-  section.raw_len = scan.raw_prefix;
-  archive.sections.push_back(std::move(section));
-  report.partial_section = true;
+/// Bytes left to read in `in` when it is seekable (files, string streams),
+/// else kMaxPayload. Bounds every payload allocation by what the stream
+/// can actually deliver, so a corrupt length field cannot ask for more.
+std::uint64_t bytes_left(std::istream& in) {
+  const std::istream::pos_type here = in.tellg();
+  if (here < 0) return kMaxPayload;
+  in.seekg(0, std::ios::end);
+  const std::istream::pos_type end = in.tellg();
+  in.seekg(here);
+  return end < here ? 0 : static_cast<std::uint64_t>(end - here);
 }
 
-/// Shared loader. Strict mode reproduces load()'s all-or-nothing contract;
-/// prefix mode keeps every section up to the first truncated or CRC-failed
-/// one — and, for a v3 block-compressed section, every intact block of the
-/// damaged one — and reports what it saw.
-std::optional<ColumnArchive> load_impl(std::istream& in, bool strict,
+/// The strict loader behind load()/load_file(): all or nothing, with
+/// `report` recording where and why it stopped.
+std::optional<ColumnArchive> load_impl(std::istream& in,
                                        ArchiveReadReport& report) {
   report = ArchiveReadReport{};
-  std::uint64_t offset = 0;
+  const std::uint64_t size = bytes_left(in);
+  // Reads exactly dst.size() bytes; report.offset only moves past fields
+  // that arrived whole, so a short read leaves it at the torn field.
+  const auto read = [&](std::span<std::uint8_t> dst) {
+    if (!dst.empty() && !read_exact(in, dst)) return false;
+    report.offset += dst.size();
+    return true;
+  };
 
   std::uint8_t fixed[12];
-  if (!read_exact(in, fixed)) {
-    report.truncated_at = offset;
-    return std::nullopt;
-  }
+  if (!read(fixed)) return std::nullopt;
   ByteReader fr(fixed);
-  int version = 0;
-  for (std::size_t i = 0; i < 8; ++i) {
-    const std::uint8_t m = fr.u8();
-    if (i < 7) {
-      if (m != kMagicV1[i]) return std::nullopt;
-    } else if (m == kMagicV1[7]) {
-      version = 1;
-    } else if (m == kMagicV2[7]) {
-      version = 2;
-    } else if (m == kMagicV3[7]) {
-      version = 3;
-    } else {
-      return std::nullopt;
-    }
+  for (const std::uint8_t m : kMagic) {
+    if (fr.u8() != m) return std::nullopt;
   }
   const std::uint32_t header_len = fr.u32le();
-  if (!fr.ok() || header_len > (1u << 20)) return std::nullopt;
-  offset += sizeof(fixed);
+  if (header_len > (1u << 20)) return std::nullopt;
 
   ColumnArchive archive;
-  archive.version = version;
   archive.header.resize(header_len);
-  if (header_len > 0 && !read_exact(in, archive.header)) {
-    report.truncated_at = offset;
+  std::uint8_t crc_raw[4];
+  if (!read(archive.header) || !read(crc_raw)) return std::nullopt;
+  if (ByteReader(crc_raw).u32le() != crc32(archive.header)) {
+    report.crc_failed = true;
+    report.offset -= sizeof(crc_raw);
     return std::nullopt;
   }
-  offset += header_len;
-
-  if (version >= 2) {
-    std::uint8_t crc_raw[4];
-    if (!read_exact(in, crc_raw)) {
-      report.truncated_at = offset;
-      return std::nullopt;
-    }
-    ByteReader hr(crc_raw);
-    if (hr.u32le() != crc32(archive.header)) {
-      // A corrupt header poisons everything downstream — fatal even for
-      // the prefix loader.
-      ++report.crc_failures;
-      return std::nullopt;
-    }
-    offset += sizeof(crc_raw);
-  }
-  // The header survived (and, for v2+, checked out). From here on the prefix
-  // loader always has something to return: a file torn at the section count
-  // — e.g. a recording killed before week 0 was flushed — yields a valid
-  // header-only archive, not a load failure.
   report.header_ok = true;
 
   std::uint8_t count_raw[4];
-  if (!read_exact(in, count_raw)) {
-    report.truncated_at = offset;
-    if (strict) return std::nullopt;
-    return archive;
-  }
-  ByteReader cr(count_raw);
-  const std::uint32_t count = cr.u32le();
-  if (count > kMaxSections) {
-    if (strict) return std::nullopt;
-    report.truncated_at = offset;
-    return archive;
-  }
-  offset += sizeof(count_raw);
+  if (!read(count_raw)) return std::nullopt;
+  const std::uint32_t count = ByteReader(count_raw).u32le();
+  if (count > kMaxSections) return std::nullopt;
 
   for (std::uint32_t s = 0; s < count; ++s) {
-    std::uint8_t name_len_raw[1];
-    if (!read_exact(in, name_len_raw)) {
-      report.truncated_at = offset;
-      if (strict) return std::nullopt;
-      return archive;
-    }
-    const std::size_t name_len = name_len_raw[0];
-    offset += 1;
-    std::vector<std::uint8_t> name_bytes(name_len);
-    if (name_len > 0 && !read_exact(in, name_bytes)) {
-      report.truncated_at = offset;
-      if (strict) return std::nullopt;
-      return archive;
-    }
-    offset += name_len;
-    std::string name(name_bytes.begin(), name_bytes.end());
+    report.section.clear();
+    std::uint8_t name_len[1];
+    if (!read(name_len)) return std::nullopt;
+    std::vector<std::uint8_t> name(name_len[0]);
+    if (!read(name)) return std::nullopt;
+    report.section.assign(name.begin(), name.end());
 
-    // Section frame: v1 = u64be length; v2 = + u32le CRC; v3 = u8 storage,
-    // u64be stored length, u64be uncompressed length, u32le CRC.
-    const std::size_t frame_len = version == 3 ? 21 : (version == 2 ? 12 : 8);
-    std::uint8_t frame_raw[21];
-    if (!read_exact(in, std::span<std::uint8_t>(frame_raw, frame_len))) {
-      report.truncated_at = offset;
-      if (strict) return std::nullopt;
-      return archive;
-    }
-    ByteReader sr(std::span<const std::uint8_t>(frame_raw, frame_len));
-    const std::uint8_t storage = version == 3 ? sr.u8() : 0;
-    const std::uint64_t payload_len = sr.u64be();
-    const std::uint64_t raw_len = version == 3 ? sr.u64be() : payload_len;
-    const std::uint32_t payload_crc = version >= 2 ? sr.u32le() : 0;
-    // A recorded study is bounded by memory anyway; refuse absurd sizes
-    // rather than let a corrupt length drive a giant allocation. The rest
-    // of the frame must be self-consistent too.
-    const bool frame_bad =
-        payload_len > kMaxPayload || raw_len > kMaxPayload || storage > 1 ||
-        (storage == 0 && raw_len != payload_len);
-    if (frame_bad) {
-      if (strict) return std::nullopt;
-      report.truncated_at = offset;
-      return archive;
-    }
-    offset += frame_len;
+    // Section frame: u8 storage, u64be stored length, u64be uncompressed
+    // length, u32le CRC of the stored bytes.
+    std::uint8_t frame[21];
+    if (!read(frame)) return std::nullopt;
+    ByteReader sr(frame);
+    const std::uint8_t storage = sr.u8();
+    const std::uint64_t stored_len = sr.u64be();
+    const std::uint64_t raw_len = sr.u64be();
+    const std::uint32_t crc = sr.u32le();
     const bool blocks =
         storage == static_cast<std::uint8_t>(
                        ColumnArchive::SectionStorage::kBlocks);
+    if (stored_len > size - std::min(size, report.offset)) {
+      return std::nullopt;  // the stream ends inside the payload
+    }
+    if (storage > 1 || (!blocks && raw_len != stored_len)) {
+      report.offset -= sizeof(frame);
+      return std::nullopt;
+    }
 
-    std::vector<std::uint8_t> payload(static_cast<std::size_t>(payload_len));
-    const std::size_t got = payload_len > 0 ? read_some(in, payload) : 0;
-    if (got < payload_len) {
-      report.truncated_at = offset;
-      if (strict) return std::nullopt;
-      if (blocks) {
-        // Torn mid-section: keep the intact leading blocks.
-        payload.resize(got);
-        recover_block_prefix(std::move(payload), std::move(name), offset,
-                             archive, report);
-      }
-      return archive;
+    const std::uint64_t payload_at = report.offset;
+    std::vector<std::uint8_t> payload(static_cast<std::size_t>(stored_len));
+    if (!read(payload)) return std::nullopt;
+    // The CRC does not cover the frame's uncompressed length; hold it to
+    // what the block frames declare before anything sizes a buffer by it.
+    const bool crc_ok = crc32(payload) == crc;
+    if (!crc_ok || (blocks && block_raw_size(payload) != raw_len)) {
+      report.crc_failed = !crc_ok;
+      report.offset = payload_at;
+      return std::nullopt;
     }
-    if (version >= 2 && crc32(payload) != payload_crc) {
-      if (strict) {
-        ++report.crc_failures;
-        return std::nullopt;
-      }
-      // Framing was intact but the bytes are damaged: the durable prefix
-      // ends inside this section — at the previous section for raw
-      // payloads, at the first damaged block for compressed ones.
-      if (blocks) {
-        recover_block_prefix(std::move(payload), std::move(name), offset,
-                             archive, report);
-      }
-      // At least one checksum failed by construction; recover_block_prefix
-      // already counted the block-level one when the scan pinned it down.
-      if (report.crc_failures == 0) ++report.crc_failures;
-      return archive;
-    }
-    offset += payload_len;
     ColumnArchive::Section section;
-    section.name = std::move(name);
+    section.name = std::move(report.section);
     section.bytes = std::move(payload);
     section.storage = blocks ? ColumnArchive::SectionStorage::kBlocks
                              : ColumnArchive::SectionStorage::kRaw;
@@ -239,6 +148,7 @@ std::optional<ColumnArchive> load_impl(std::istream& in, bool strict,
     archive.sections.push_back(std::move(section));
     ++report.sections_ok;
   }
+  report.section.clear();
   report.complete = true;
   return archive;
 }
@@ -274,8 +184,8 @@ void ColumnArchive::inflate(ThreadPool* pool) {
     if (s.storage != SectionStorage::kBlocks) return;
     std::vector<std::uint8_t> raw;
     raw.reserve(static_cast<std::size_t>(s.raw_len));
-    // A damaged tail (possible only on a prefix-recovered partial section)
-    // simply ends early — exactly where the streaming reader would stop.
+    // load() verified the stored bytes; a malformed block body behind a
+    // valid CRC ends early, exactly where the streaming reader would stop.
     (void)block_decompress(s.bytes, raw);
     s.bytes = std::move(raw);
     s.storage = SectionStorage::kRaw;
@@ -306,10 +216,9 @@ void ColumnArchive::inflate(ThreadPool* pool) {
 }
 
 bool ColumnArchive::save(std::ostream& out) const {
-  const bool v3 = version != 2;
   std::vector<std::uint8_t> scratch;
   ByteWriter w(scratch);
-  w.bytes(v3 ? kMagicV3 : kMagicV2);
+  w.bytes(kMagic);
   w.u32le(static_cast<std::uint32_t>(header.size()));
   w.bytes(header);
   w.u32le(crc32(header));
@@ -323,20 +232,12 @@ bool ColumnArchive::save(std::ostream& out) const {
     auto storage = section.storage;
     std::uint64_t raw_len = section.raw_len;
     stored.clear();
-    if (v3) {
-      if (storage == SectionStorage::kRaw &&
-          section.bytes.size() >= kCompressMin) {
-        stored = block_compress(section.bytes);
-        payload = &stored;
-        storage = SectionStorage::kBlocks;
-        raw_len = section.bytes.size();
-      }
-    } else if (storage == SectionStorage::kBlocks) {
-      // Legacy target but compressed in memory (a re-saved v3 load):
-      // inflate this section into the v2 frame.
-      if (!block_decompress(section.bytes, stored)) return false;
+    if (storage == SectionStorage::kRaw &&
+        section.bytes.size() >= kCompressMin) {
+      stored = block_compress(section.bytes);
       payload = &stored;
-      storage = SectionStorage::kRaw;
+      storage = SectionStorage::kBlocks;
+      raw_len = section.bytes.size();
     }
     // Raw payloads carry their own length; never trust a stale raw_len
     // from a caller that mutated `bytes` after construction.
@@ -344,30 +245,20 @@ bool ColumnArchive::save(std::ostream& out) const {
     scratch.clear();
     ByteWriter sw(scratch);
     write_section_frame(sw, section.name);
-    if (v3) {
-      sw.u8(static_cast<std::uint8_t>(storage));
-      sw.u64be(payload->size());
-      sw.u64be(raw_len);
-      sw.u32le(crc32(*payload));
-    } else {
-      sw.u64be(payload->size());
-      sw.u32le(crc32(*payload));
-    }
+    sw.u8(static_cast<std::uint8_t>(storage));
+    sw.u64be(payload->size());
+    sw.u64be(raw_len);
+    sw.u32le(crc32(*payload));
     if (!write_all(out, scratch)) return false;
     if (!write_all(out, *payload)) return false;
   }
   return true;
 }
 
-std::optional<ColumnArchive> ColumnArchive::load(std::istream& in) {
-  ArchiveReadReport report;
-  return load_impl(in, /*strict=*/true, report);
-}
-
-std::optional<ColumnArchive> ColumnArchive::load_prefix(
-    std::istream& in, ArchiveReadReport* report) {
+std::optional<ColumnArchive> ColumnArchive::load(std::istream& in,
+                                                 ArchiveReadReport* report) {
   ArchiveReadReport local;
-  return load_impl(in, /*strict=*/false, report != nullptr ? *report : local);
+  return load_impl(in, report != nullptr ? *report : local);
 }
 
 bool ColumnArchive::save_file(const std::string& path) const {
@@ -394,20 +285,14 @@ bool ColumnArchive::save_file(const std::string& path) const {
   return true;
 }
 
-std::optional<ColumnArchive> ColumnArchive::load_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  return load(in);
-}
-
-std::optional<ColumnArchive> ColumnArchive::load_file_prefix(
+std::optional<ColumnArchive> ColumnArchive::load_file(
     const std::string& path, ArchiveReadReport* report) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     if (report != nullptr) *report = ArchiveReadReport{};
     return std::nullopt;
   }
-  return load_prefix(in, report);
+  return load(in, report);
 }
 
 }  // namespace gorilla::util

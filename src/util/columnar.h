@@ -86,9 +86,9 @@ class ColumnWriter {
 /// short, overlong, or block-damaged read, ok() stays false and every
 /// further get returns 0.
 ///
-/// Two sources: a flat borrowed span (v1/v2 payloads, inflated sections),
-/// or a GORCOLv3 block stream decoded one block at a time into an internal
-/// scratch window — the streaming path borrows the stored bytes and never
+/// Two sources: a flat borrowed span (raw or inflated sections), or a
+/// block stream decoded one block at a time into an internal scratch
+/// window — the streaming path borrows the stored bytes and never
 /// materializes the whole section. Values split across a block boundary
 /// are handled by carrying the unread tail (at most a few bytes) into the
 /// next window.
@@ -203,26 +203,19 @@ class ColumnReader {
   bool bad_ = false;
 };
 
-/// What a prefix-tolerant archive read saw. `sections_ok` sections were
-/// recovered intact; reading stopped at the first CRC failure
-/// (`crc_failures` = 1) or short read (`truncated_at` = stream offset of
-/// the first field that could not be fully read). `complete` means every
-/// declared section was present and valid — the file is whole.
-///
-/// For GORCOLv3 block-compressed sections, damage degrades at block
-/// granularity: the longest run of intact blocks is kept as a PARTIAL
-/// trailing section (`partial_section`, name in `damaged_section`) and the
-/// first bad block is pinpointed by index and absolute file offset.
+/// Where a strict archive load stopped. A whole, valid file sets
+/// `complete`. Otherwise reading stopped at stream offset `offset`, on a
+/// checksum mismatch (`crc_failed`) or else on a short read or a malformed
+/// frame. Inside the section table, `section` names the section being read
+/// (empty while its name is unread) and `sections_ok` counts the intact
+/// sections before it.
 struct ArchiveReadReport {
-  std::size_t sections_ok = 0;
-  std::size_t crc_failures = 0;
-  std::optional<std::uint64_t> truncated_at;
-  bool header_ok = false;
+  bool header_ok = false;  ///< magic, header bytes and header CRC checked out
   bool complete = false;
-  bool partial_section = false;
-  std::string damaged_section;
-  std::optional<std::size_t> bad_block;
-  std::optional<std::uint64_t> bad_block_offset;
+  bool crc_failed = false;
+  std::uint64_t offset = 0;
+  std::size_t sections_ok = 0;
+  std::string section;
 };
 
 /// A named-section container: opaque header + ordered named columns.
@@ -232,10 +225,10 @@ struct ArchiveReadReport {
 /// name length, the name, a u8 storage kind (0 = raw, 1 = block stream),
 /// a u64be stored length, a u64be uncompressed length, a u32le CRC-32 of
 /// the stored bytes, and the stored bytes. Block streams are framed by
-/// util/block_codec.h (64 KiB blocks, per-block length + CRC), so a torn
-/// tail degrades per BLOCK, not per section. v2 (raw sections + CRCs) and
-/// v1 (no CRCs) are still readable; writers emit v3 unless `version` is
-/// set to 2 (kept for size-comparison tooling).
+/// util/block_codec.h (64 KiB blocks, per-block length + CRC). This is the
+/// only version read or written: artifacts are caches, so a file in the
+/// retired v1/v2 formats is refused like any other foreign one and must be
+/// regenerated.
 struct ColumnArchive {
   enum class SectionStorage : std::uint8_t { kRaw = 0, kBlocks = 1 };
 
@@ -255,9 +248,6 @@ struct ColumnArchive {
 
   std::vector<std::uint8_t> header;
   std::vector<Section> sections;
-  /// Container version this archive serializes as (after a load: the
-  /// version it was read from). Decoders key transform handling off this.
-  int version = 3;
 
   /// Section by name; nullptr when absent.
   [[nodiscard]] const Section* find(std::string_view name) const noexcept;
@@ -272,21 +262,14 @@ struct ColumnArchive {
   /// reads are byte-identical before and after.
   void inflate(ThreadPool* pool = nullptr);
 
-  /// Serializes as GORCOLv3 (or legacy v2 when version == 2); false when
-  /// the sink fails mid-write (the stream then holds an undefined partial
-  /// prefix — discard it).
+  /// Serializes as GORCOLv3; false when the sink fails mid-write (the
+  /// stream then holds an undefined partial prefix — discard it).
   [[nodiscard]] bool save(std::ostream& out) const;
 
-  /// Strict load (v1/v2/v3): nullopt on bad magic, truncation, any CRC
-  /// mismatch, or a malformed section table.
-  [[nodiscard]] static std::optional<ColumnArchive> load(std::istream& in);
-
-  /// Prefix-tolerant load (v1/v2/v3): requires a valid magic/header, then
-  /// consumes the longest run of intact sections — plus, for a v3
-  /// compressed section torn or corrupted mid-stream, the longest run of
-  /// intact blocks within it. nullopt only when not even the header
-  /// survives. Details of what was recovered land in *report (optional).
-  [[nodiscard]] static std::optional<ColumnArchive> load_prefix(
+  /// Strict load: nullopt on bad magic (including the retired v1/v2),
+  /// truncation, any CRC mismatch, or a malformed section table. Where it
+  /// stopped lands in *report (optional).
+  [[nodiscard]] static std::optional<ColumnArchive> load(
       std::istream& in, ArchiveReadReport* report = nullptr);
 
   /// Atomic file write: serializes to `path + ".tmp"`, flushes + fsyncs,
@@ -294,8 +277,6 @@ struct ColumnArchive {
   /// the previous contents of `path` are untouched. False on failure.
   [[nodiscard]] bool save_file(const std::string& path) const;
   [[nodiscard]] static std::optional<ColumnArchive> load_file(
-      const std::string& path);
-  [[nodiscard]] static std::optional<ColumnArchive> load_file_prefix(
       const std::string& path, ArchiveReadReport* report = nullptr);
 };
 

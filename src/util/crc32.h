@@ -1,7 +1,7 @@
 // CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) for artifact
 // integrity framing.
 //
-// GORCOLv2 sections carry a CRC over their payload so a torn write, a
+// GORCOL sections carry a CRC over their payload so a torn write, a
 // flipped bit on disk, or a truncated copy is detected at load time instead
 // of silently replaying garbage into an analysis. The implementation is the
 // classic byte-at-a-time table walk — fast enough that checksumming is

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -236,9 +237,46 @@ TEST(ReplayerTest, MissingSectionRejectedAtLoad) {
   Recorder recorder(test_header());
   emit_synthetic_stream(recorder);
   util::ColumnArchive archive = recorder.to_archive();
-  archive.sections.erase(archive.sections.begin());  // drop the tape
+  util::ColumnArchive tapeless = archive;
+  tapeless.sections.erase(tapeless.sections.begin());  // drop the tape
   Replayer replayer;
-  EXPECT_FALSE(replayer.load_archive(std::move(archive)));
+  EXPECT_FALSE(replayer.load_archive(std::move(tapeless)));
+
+  // The same refusal from a file, and the diagnosis names the section.
+  archive.sections.pop_back();  // drop tbl.ver
+  const std::string path = testing::TempDir() + "recorder_no_tbl_ver.study";
+  ASSERT_TRUE(archive.save_file(path));
+  EXPECT_FALSE(replayer.load(path));
+  const std::string diagnosis = Replayer::describe_load_failure(path);
+  EXPECT_NE(diagnosis.find("missing section 'tbl.ver'"), std::string::npos)
+      << diagnosis;
+  std::remove(path.c_str());
+}
+
+TEST(ReplayerTest, ReplayHonorsWeekCap) {
+  // One pass that stops right after the N-th on_sample_end, never inside
+  // a week: gorilla_replay --weeks N.
+  Recorder recorder(test_header());
+  for (int i = 0; i < 3; ++i) emit_synthetic_stream(recorder);
+  Replayer replayer;
+  ASSERT_TRUE(replayer.load_archive(recorder.to_archive()));
+
+  JournalSink one_week;
+  emit_synthetic_stream(one_week);
+  one_week.lines.pop_back();  // the global-bytes event after the week ends
+  JournalSink capped;
+  ASSERT_TRUE(replayer.replay(capped, 1));
+  EXPECT_EQ(capped.lines, one_week.lines);
+
+  JournalSink none;
+  ASSERT_TRUE(replayer.replay(none, 0));
+  EXPECT_TRUE(none.lines.empty());
+
+  JournalSink all;
+  for (int i = 0; i < 3; ++i) emit_synthetic_stream(all);
+  JournalSink uncapped;
+  ASSERT_TRUE(replayer.replay(uncapped, 5));
+  EXPECT_EQ(uncapped.lines, all.lines);
 }
 
 TEST(ReplayerTest, TruncatedPayloadColumnFailsReplay) {
@@ -286,35 +324,7 @@ TEST(ReplayerTest, TruncatedFileRejected) {
   EXPECT_FALSE(replayer.load(path));
 }
 
-// ---- GORCOLv3: version matrix, parallel decode, block diagnostics ----
-
-TEST(RecorderTest, V2AndV3ArtifactsReplayIdentically) {
-  // The same stream recorded under each container version must replay to
-  // the same journal; each file must carry its version's magic.
-  JournalSink direct;
-  emit_synthetic_stream(direct);
-  for (const int version : {2, 3}) {
-    Recorder recorder(test_header(), version);
-    emit_synthetic_stream(recorder);
-    const std::string path = testing::TempDir() + "recorder_cross_v" +
-                             std::to_string(version) + ".study";
-    ASSERT_TRUE(recorder.save(path));
-
-    std::ifstream in(path, std::ios::binary);
-    char magic[8] = {};
-    in.read(magic, sizeof(magic));
-    EXPECT_EQ(std::string(magic, 8),
-              "GORCOLv" + std::to_string(version));
-    in.close();
-
-    Replayer replayer;
-    ASSERT_TRUE(replayer.load(path));
-    EXPECT_EQ(replayer.artifact_version(), version);
-    JournalSink replayed;
-    ASSERT_TRUE(replayer.replay(replayed));
-    EXPECT_EQ(replayed.lines, direct.lines) << "version " << version;
-  }
-}
+// ---- GORCOLv3: parallel decode, load diagnostics ----
 
 TEST(RecorderTest, ParallelDecodeIsByteIdenticalToStreaming) {
   // Big enough that the monitor-table columns block-compress, so --jobs
@@ -340,14 +350,13 @@ TEST(RecorderTest, ParallelDecodeIsByteIdenticalToStreaming) {
     Replayer replayer;
     replayer.set_decode_jobs(jobs);
     ASSERT_TRUE(replayer.load(path));
-    EXPECT_EQ(replayer.artifact_version(), 3);
     JournalSink replayed;
     ASSERT_TRUE(replayer.replay(replayed));
     EXPECT_EQ(replayed.lines, direct.lines) << "jobs " << jobs;
   }
 }
 
-TEST(ReplayerTest, DescribeLoadFailurePinpointsTheDamagedBlock) {
+TEST(ReplayerTest, DescribeLoadFailurePinpointsTheDamagedSection) {
   const std::string path = testing::TempDir() + "recorder_bad_block.study";
   Recorder recorder(test_header());
   for (int i = 0; i < 300; ++i) emit_synthetic_stream(recorder);
@@ -382,14 +391,12 @@ TEST(ReplayerTest, DescribeLoadFailurePinpointsTheDamagedBlock) {
   Replayer replayer;
   EXPECT_FALSE(replayer.load(path));
   const std::string diagnosis = Replayer::describe_load_failure(path);
-  EXPECT_NE(diagnosis.find("'" + victim->name + "'"), std::string::npos)
+  EXPECT_NE(diagnosis.find("section '" + victim->name +
+                           "' failed its checksum at offset " +
+                           std::to_string(payload_off)),
+            std::string::npos)
       << diagnosis;
-  EXPECT_NE(diagnosis.find("compressed block 0"), std::string::npos)
-      << diagnosis;
-  EXPECT_NE(diagnosis.find("failed its checksum"), std::string::npos)
-      << diagnosis;
-  EXPECT_NE(diagnosis.find(std::to_string(payload_off)), std::string::npos)
-      << diagnosis;
+  EXPECT_NE(diagnosis.find("regenerate"), std::string::npos) << diagnosis;
   std::remove(path.c_str());
 }
 

@@ -1,7 +1,8 @@
 // Block codec contract: compress→decompress is the identity for every
 // input shape we can think of (randomized differential + adversarial
 // patterns), the stream is deterministic, damage is detected instead of
-// decoded, and the scan/cursor views agree with the one-shot decoder.
+// decoded, and the frame-header scan and the streaming cursor agree with
+// the one-shot decoder.
 #include "util/block_codec.h"
 
 #include <gtest/gtest.h>
@@ -34,9 +35,7 @@ TEST(BlockCodecTest, EmptyInputYieldsEmptyStream) {
   std::vector<std::uint8_t> out;
   EXPECT_TRUE(block_decompress({}, out));
   EXPECT_TRUE(out.empty());
-  const BlockScan scan = scan_blocks({});
-  EXPECT_TRUE(scan.complete);
-  EXPECT_EQ(scan.blocks, 0u);
+  EXPECT_EQ(block_raw_size({}), std::uint64_t{0});
 }
 
 TEST(BlockCodecTest, AdversarialPatternsRoundTrip) {
@@ -135,11 +134,7 @@ TEST(BlockCodecTest, ScanAndCursorAgreeWithDecompress) {
     raw[i] = static_cast<std::uint8_t>((i * 31) % 101);
   }
   const auto stored = block_compress(raw);
-  const BlockScan scan = scan_blocks(stored);
-  EXPECT_TRUE(scan.complete);
-  EXPECT_EQ(scan.blocks, 3u);
-  EXPECT_EQ(scan.raw_prefix, raw.size());
-  EXPECT_EQ(scan.stored_prefix, stored.size());
+  EXPECT_EQ(block_raw_size(stored), std::uint64_t{raw.size()});
 
   BlockCursor cursor{std::span<const std::uint8_t>(stored)};
   std::vector<std::uint8_t> streamed;
@@ -157,26 +152,31 @@ TEST(BlockCodecTest, DamageIsDetectedAtTheDamagedBlock) {
     raw[i] = static_cast<std::uint8_t>((i / 5) % 19);
   }
   auto stored = block_compress(raw);
-  // Flip one byte in the LAST block's body; block 0 must survive.
+  // Flip one byte in the LAST block's body; block 0 must survive. The
+  // frame headers are untouched, so the declared size still adds up.
   stored[stored.size() - 7] ^= 0x10;
-  const BlockScan scan = scan_blocks(stored);
-  EXPECT_FALSE(scan.complete);
-  EXPECT_TRUE(scan.crc_failed);
-  EXPECT_EQ(scan.blocks, 1u);
-  EXPECT_EQ(scan.raw_prefix, kBlockRawSize);
+  EXPECT_EQ(block_raw_size(stored), std::uint64_t{raw.size()});
+  BlockCursor cursor{std::span<const std::uint8_t>(stored)};
+  std::vector<std::uint8_t> streamed;
+  EXPECT_TRUE(cursor.next(streamed));
+  EXPECT_FALSE(cursor.next(streamed));
+  EXPECT_TRUE(cursor.damaged());
 
   std::vector<std::uint8_t> out;
   EXPECT_FALSE(block_decompress(stored, out));
   ASSERT_EQ(out.size(), kBlockRawSize);
   EXPECT_TRUE(std::equal(out.begin(), out.end(), raw.begin()));
+  EXPECT_EQ(streamed, out);
 
-  // Torn frames (no CRC involved) are reported as torn, not corrupt.
+  // A torn frame no longer tiles the stream.
   const std::span<const std::uint8_t> torn(stored.data(),
                                            stored.size() - 30);
-  const BlockScan torn_scan = scan_blocks(torn);
-  EXPECT_FALSE(torn_scan.complete);
-  EXPECT_FALSE(torn_scan.crc_failed);
-  EXPECT_EQ(torn_scan.blocks, 1u);
+  EXPECT_FALSE(block_raw_size(torn).has_value());
+  BlockCursor torn_cursor{torn};
+  std::vector<std::uint8_t> torn_out;
+  EXPECT_TRUE(torn_cursor.next(torn_out));
+  EXPECT_FALSE(torn_cursor.next(torn_out));
+  EXPECT_TRUE(torn_cursor.damaged());
 }
 
 TEST(BlockCodecTest, MalformedFramesAreRejectedNotDecoded) {

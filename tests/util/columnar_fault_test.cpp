@@ -1,10 +1,10 @@
-// GORCOL integrity contract: the CRC framing detects corruption the v1
-// format silently swallowed, the prefix loader recovers the longest run of
-// intact sections from a torn file — and, for v3 block-compressed
-// sections, the longest run of intact 64 KiB blocks within the damaged
-// one — legacy v1/v2 artifacts still load, and save_file is atomic under
-// injected short writes: the destination either keeps its previous
-// contents or becomes the complete new artifact.
+// GORCOL integrity contract: artifacts are caches, so loading is strict.
+// The CRC framing detects corruption anywhere (including inside a
+// block-compressed section body), every truncation and any pre-v3
+// container is refused whole, the report and describe_load_failure
+// pinpoint the section and byte offset where reading stopped, and
+// save_file is atomic under injected short writes: the destination either
+// keeps its previous contents or becomes the complete new artifact.
 #include "util/columnar.h"
 
 #include <gtest/gtest.h>
@@ -12,11 +12,15 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "study/recorder.h"
 #include "util/bytes.h"
+#include "util/crc32.h"
 #include "util/fault.h"
 
 namespace gorilla::util {
@@ -49,22 +53,31 @@ std::string serialize(const ColumnArchive& archive) {
   return out.str();
 }
 
-std::optional<ColumnArchive> parse_prefix(const std::string& bytes,
-                                          ArchiveReadReport& report) {
+std::optional<ColumnArchive> parse(const std::string& bytes,
+                                   ArchiveReadReport& report) {
   std::istringstream in(bytes);
-  return ColumnArchive::load_prefix(in, &report);
+  return ColumnArchive::load(in, &report);
+}
+
+void write_file(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+std::string diagnose(const std::string& path) {
+  return study::Replayer::describe_load_failure(path);
 }
 
 TEST(ColumnarV2Test, IntactArchiveLoadsCompleteWithCleanReport) {
   const std::string bytes = serialize(make_archive());
   ArchiveReadReport report;
-  const auto loaded = parse_prefix(bytes, report);
+  const auto loaded = parse(bytes, report);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_TRUE(report.header_ok);
   EXPECT_TRUE(report.complete);
   EXPECT_EQ(report.sections_ok, 3u);
-  EXPECT_EQ(report.crc_failures, 0u);
-  EXPECT_FALSE(report.truncated_at.has_value());
+  EXPECT_FALSE(report.crc_failed);
+  EXPECT_EQ(report.offset, bytes.size());
   EXPECT_EQ(loaded->sections, make_archive().sections);
 }
 
@@ -72,108 +85,119 @@ TEST(ColumnarV2Test, PayloadCorruptionFailsStrictAndEndsThePrefix) {
   std::string bytes = serialize(make_archive());
   // The beta payload is the final 5 bytes of the stream; damage one.
   bytes[bytes.size() - 3] = static_cast<char>(bytes[bytes.size() - 3] ^ 0x40);
-
-  std::istringstream strict_in(bytes);
-  EXPECT_FALSE(ColumnArchive::load(strict_in).has_value());
-
   ArchiveReadReport report;
-  const auto loaded = parse_prefix(bytes, report);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(report.sections_ok, 2u);  // alpha + empty survive
-  EXPECT_EQ(report.crc_failures, 1u);
+  EXPECT_FALSE(parse(bytes, report).has_value());
+  EXPECT_TRUE(report.header_ok);
   EXPECT_FALSE(report.complete);
-  ASSERT_EQ(loaded->sections.size(), 2u);
-  EXPECT_EQ(loaded->sections[0].name, "alpha");
-  EXPECT_EQ(loaded->sections[1].name, "empty");
+  EXPECT_TRUE(report.crc_failed);
+  EXPECT_EQ(report.section, "beta");
+  EXPECT_EQ(report.sections_ok, 2u);  // the intact prefix ends at beta
+  EXPECT_EQ(report.offset, bytes.size() - 5);
 }
 
-TEST(ColumnarV2Test, HeaderCorruptionIsFatalEvenForThePrefixLoader) {
+TEST(ColumnarV2Test, HeaderCorruptionIsRefused) {
   std::string bytes = serialize(make_archive());
   bytes[13] = static_cast<char>(bytes[13] ^ 0xff);  // inside the 3-byte header
   ArchiveReadReport report;
-  EXPECT_FALSE(parse_prefix(bytes, report).has_value());
-  EXPECT_EQ(report.crc_failures, 1u);
+  EXPECT_FALSE(parse(bytes, report).has_value());
+  EXPECT_TRUE(report.crc_failed);
   EXPECT_FALSE(report.header_ok);
+  EXPECT_EQ(report.offset, 15u);  // the header CRC field
+
+  const std::string path = testing::TempDir() + "columnar_bad_header.gorcol";
+  write_file(path, bytes);
+  const std::string diagnosis = diagnose(path);
+  EXPECT_NE(diagnosis.find("study header failed its checksum"),
+            std::string::npos)
+      << diagnosis;
+  std::remove(path.c_str());
 }
 
-TEST(ColumnarV2Test, EveryTruncationYieldsAValidSectionPrefixOrNothing) {
-  const std::string full = serialize(make_archive());
-  const auto original = make_archive();
+TEST(ColumnarV2Test, EveryTruncationIsRefusedWithItsOffset) {
+  // Field starts of serialize(make_archive()), each with the section a cut
+  // inside that field is attributed to (empty until a section's name has
+  // been read): magic + header length, header, header CRC, section count,
+  // then per section its name length, name, frame, and payload.
+  const ColumnArchive original = make_archive();
+  std::vector<std::pair<std::size_t, std::string>> fields = {
+      {0, ""}, {12, ""}, {12 + original.header.size(), ""}};
+  std::size_t at = fields.back().first + 4;
+  fields.emplace_back(at, "");
+  at += 4;
+  for (const auto& section : original.sections) {
+    fields.emplace_back(at, "");
+    fields.emplace_back(at + 1, "");
+    at += 1 + section.name.size();
+    fields.emplace_back(at, section.name);
+    fields.emplace_back(at + 21, section.name);
+    at += 21 + section.bytes.size();
+  }
+  const std::string full = serialize(original);
+  ASSERT_EQ(at, full.size());
+
+  const std::string path = testing::TempDir() + "columnar_truncated.gorcol";
   for (std::size_t len = 0; len < full.size(); ++len) {
-    // Strict load must reject every proper prefix...
-    std::istringstream strict_in(full.substr(0, len));
-    EXPECT_FALSE(ColumnArchive::load(strict_in).has_value()) << "len " << len;
-    // ...while the prefix loader recovers whatever whole sections remain.
+    const std::string cut = full.substr(0, len);
     ArchiveReadReport report;
-    const auto loaded = parse_prefix(full.substr(0, len), report);
-    if (!loaded.has_value()) continue;  // cut inside the magic/header zone
+    EXPECT_FALSE(parse(cut, report).has_value()) << "len " << len;
     EXPECT_FALSE(report.complete) << "len " << len;
-    EXPECT_TRUE(report.truncated_at.has_value()) << "len " << len;
-    ASSERT_LE(loaded->sections.size(), original.sections.size());
-    for (std::size_t s = 0; s < loaded->sections.size(); ++s) {
-      EXPECT_EQ(loaded->sections[s], original.sections[s])
-          << "len " << len << " section " << s;
+    EXPECT_FALSE(report.crc_failed) << "len " << len;
+    // The last field starting at or before the cut is the torn one.
+    std::pair<std::size_t, std::string> torn;
+    for (const auto& field : fields) {
+      if (field.first <= len) torn = field;
+    }
+    EXPECT_EQ(report.offset, torn.first) << "len " << len;
+    EXPECT_EQ(report.section, torn.second) << "len " << len;
+    if (len < 8) continue;  // not even the magic: no offset to report
+
+    write_file(path, cut);
+    const std::string diagnosis = diagnose(path);
+    EXPECT_NE(diagnosis.find("offset " + std::to_string(torn.first)),
+              std::string::npos)
+        << "len " << len << ": " << diagnosis;
+    if (!torn.second.empty()) {
+      EXPECT_NE(diagnosis.find("section '" + torn.second + "'"),
+                std::string::npos)
+          << "len " << len << ": " << diagnosis;
     }
   }
+  std::remove(path.c_str());
 }
 
-TEST(ColumnarV2Test, TruncationAtSectionCountYieldsHeaderOnlyArchive) {
-  // A file torn right after the (verified) header — e.g. a recording killed
-  // before its first section flushed — is a valid header-only archive for
-  // the prefix loader, not a load failure. Bytes [19, 23) are the section
-  // count for make_archive()'s 3-byte header.
-  const std::string full = serialize(make_archive());
-  const std::size_t header_zone = 8 + 4 + make_archive().header.size() + 4;
-  for (std::size_t len = header_zone; len <= header_zone + 4; ++len) {
-    ArchiveReadReport report;
-    const auto loaded = parse_prefix(full.substr(0, len), report);
-    ASSERT_TRUE(loaded.has_value()) << "len " << len;
-    EXPECT_TRUE(report.header_ok) << "len " << len;
-    EXPECT_FALSE(report.complete) << "len " << len;
-    EXPECT_TRUE(loaded->sections.empty()) << "len " << len;
-    EXPECT_EQ(loaded->header, make_archive().header) << "len " << len;
-  }
-  // Strict load still rejects all of them.
-  for (std::size_t len = header_zone; len < header_zone + 4; ++len) {
-    std::istringstream strict_in(full.substr(0, len));
-    EXPECT_FALSE(ColumnArchive::load(strict_in).has_value()) << "len " << len;
-  }
-}
-
-TEST(ColumnarV1Test, LegacyArchiveStillLoads) {
-  // Hand-built GORCOLv1: magic, u32le header length, header, u32le section
-  // count, then per section u8 name length, name, u64be payload length,
-  // payload — no CRCs anywhere.
+TEST(ColumnarV2Test, GorcolV2FileIsRefusedWithARegenerateDiagnosis) {
+  // Hand-built version-2 container: magic, u32le header length, header,
+  // u32le header CRC, u32le section count, then per section u8 name
+  // length, name, u64be payload length, u32le payload CRC, payload.
+  const std::string magic = "GORCOLv" + std::to_string(2);
   std::vector<std::uint8_t> bytes;
   ByteWriter w(bytes);
-  for (const char c : std::string("GORCOLv1")) {
-    w.u8(static_cast<std::uint8_t>(c));
-  }
+  for (const char c : magic) w.u8(static_cast<std::uint8_t>(c));
   const std::vector<std::uint8_t> header = {0xde, 0xad, 0x01};
   w.u32le(static_cast<std::uint32_t>(header.size()));
   w.bytes(header);
-  w.u32le(1);  // one section
+  w.u32le(crc32(header));
+  w.u32le(1);
   const std::string name = "alpha";
   w.u8(static_cast<std::uint8_t>(name.size()));
   for (const char c : name) w.u8(static_cast<std::uint8_t>(c));
   const std::vector<std::uint8_t> payload = {1, 2, 3, 4};
   w.u64be(payload.size());
+  w.u32le(crc32(payload));
   w.bytes(payload);
+  const std::string file(bytes.begin(), bytes.end());
 
-  std::istringstream in(std::string(bytes.begin(), bytes.end()));
-  const auto loaded = ColumnArchive::load(in);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->header, header);
-  ASSERT_EQ(loaded->sections.size(), 1u);
-  EXPECT_EQ(loaded->sections[0].name, "alpha");
-  EXPECT_EQ(loaded->sections[0].bytes, payload);
-}
+  ArchiveReadReport report;
+  EXPECT_FALSE(parse(file, report).has_value());
+  EXPECT_FALSE(report.header_ok);
 
-TEST(ColumnarV2Test, WriterStillEmitsV2MagicWhenAsked) {
-  ColumnArchive archive = make_archive();
-  archive.version = 2;
-  const std::string bytes = serialize(archive);
-  EXPECT_EQ(bytes.substr(0, 8), "GORCOLv2");
+  const std::string path = testing::TempDir() + "columnar_v2.gorcol";
+  write_file(path, file);
+  const std::string diagnosis = diagnose(path);
+  EXPECT_NE(diagnosis.find(magic), std::string::npos) << diagnosis;
+  EXPECT_NE(diagnosis.find("GORCOLv3 only"), std::string::npos) << diagnosis;
+  EXPECT_NE(diagnosis.find("regenerate"), std::string::npos) << diagnosis;
+  std::remove(path.c_str());
 }
 
 TEST(ColumnarV2Test, SaveFileIsAtomicUnderAnInjectedShortWrite) {
@@ -209,28 +233,24 @@ TEST(ColumnarV2Test, InjectedPayloadCorruptionIsCaughtByTheCrc) {
   const ColumnArchive archive = make_archive();
   {
     FaultPlan plan;
-    // The v3 alpha payload spans sink offsets [50, 82) for a 3-byte
-    // header; flip a byte inside it. The write itself "succeeds" — only
-    // the CRC can tell.
+    // The alpha payload spans sink offsets [50, 82) for a 3-byte header;
+    // flip a byte inside it. The write itself "succeeds" — only the CRC
+    // can tell.
     plan.corrupt_at = 55;
     const ScopedPlan guard(plan);
     ASSERT_TRUE(archive.save_file(path));
   }
-  EXPECT_FALSE(ColumnArchive::load_file(path).has_value());
   ArchiveReadReport report;
-  const auto recovered = ColumnArchive::load_file_prefix(path, &report);
-  ASSERT_TRUE(recovered.has_value());
-  EXPECT_EQ(report.crc_failures, 1u);
-  EXPECT_LT(recovered->sections.size(), archive.sections.size());
+  EXPECT_FALSE(ColumnArchive::load_file(path, &report).has_value());
+  EXPECT_TRUE(report.crc_failed);
+  EXPECT_EQ(report.section, "alpha");
+  EXPECT_EQ(report.offset, 50u);
   std::remove(path.c_str());
 }
 
-// ---- GORCOLv3: damage inside a block-compressed section degrades at
-// block granularity, not section granularity ----
-
-/// A tiny leading section plus a "bulk" one that compresses into several
-/// 64 KiB blocks (runs of repeated bytes, so every block shrinks).
-ColumnArchive make_blocky_archive() {
+TEST(ColumnarV3FaultTest, InjectedCorruptionInsideACompressedBlockBody) {
+  // A tiny leading section plus a "bulk" one that compresses into several
+  // 64 KiB blocks (runs of repeated bytes, so every block shrinks).
   ColumnArchive archive;
   archive.header = {0x33, 0x44};
   archive.sections.emplace_back("lead", std::vector<std::uint8_t>{1, 2, 3});
@@ -239,123 +259,43 @@ ColumnArchive make_blocky_archive() {
     bulk[i] = static_cast<std::uint8_t>((i / 7) % 251);
   }
   archive.sections.emplace_back("bulk", bulk);
-  return archive;
-}
 
-/// Where the bulk section's stored (compressed) bytes sit in the v3 file,
-/// plus the stored size of its first block frame.
-struct BulkLayout {
-  std::string file;
-  std::size_t payload_off = 0;
-  std::size_t frame0 = 0;  ///< header + body bytes of block 0
-  std::vector<std::uint8_t> raw;  ///< the original uncompressed payload
-};
-
-BulkLayout bulk_layout() {
-  BulkLayout out;
-  const ColumnArchive archive = make_blocky_archive();
-  out.raw = archive.sections[1].bytes;
-  out.file = serialize(archive);
-  std::istringstream in(out.file);
-  const auto loaded = ColumnArchive::load(in);
-  EXPECT_TRUE(loaded.has_value());
-  const auto* bulk = loaded->find("bulk");
-  EXPECT_NE(bulk, nullptr);
-  EXPECT_EQ(bulk->storage, ColumnArchive::SectionStorage::kBlocks);
-  const std::string stored(bulk->bytes.begin(), bulk->bytes.end());
-  out.payload_off = out.file.find(stored);
-  EXPECT_NE(out.payload_off, std::string::npos);
+  // Locate the bulk section's stored (compressed) bytes in the file.
+  const std::string file = serialize(archive);
+  std::istringstream in(file);
+  const auto clean = ColumnArchive::load(in);
+  ASSERT_TRUE(clean.has_value());
+  const auto* stored = clean->find("bulk");
+  ASSERT_NE(stored, nullptr);
+  ASSERT_EQ(stored->storage, ColumnArchive::SectionStorage::kBlocks);
+  const std::size_t payload_off =
+      file.find(std::string(stored->bytes.begin(), stored->bytes.end()));
+  ASSERT_NE(payload_off, std::string::npos);
   // Block frame: u32le raw_len, u32le body_len, u32le CRC, u8 method.
-  out.frame0 = kBlockHeaderSize + *load_u32le(bulk->bytes, 4);
-  EXPECT_GT(scan_blocks(bulk->bytes).blocks, 2u);
-  return out;
-}
+  const std::size_t frame0 =
+      kBlockHeaderSize + *load_u32le(stored->bytes, 4);
+  ASSERT_LT(frame0 + kBlockHeaderSize + 10, stored->bytes.size());
 
-/// The recovered partial section must replay exactly the first
-/// `expect_raw` bytes of the original payload, then hit sticky failure
-/// territory (at_end for the streaming reader).
-void expect_prefix_reads(const ColumnArchive& archive,
-                         const std::vector<std::uint8_t>& raw,
-                         std::size_t expect_raw) {
-  ColumnReader r = archive.column("bulk");
-  for (std::size_t i = 0; i < expect_raw; ++i) {
-    ASSERT_EQ(r.get_u8(), raw[i]) << i;
-  }
-  ASSERT_TRUE(r.ok());
-  EXPECT_TRUE(r.at_end());
-}
-
-TEST(ColumnarV3FaultTest, TornAtABlockBoundaryKeepsTheWholeBlocks) {
-  const BulkLayout layout = bulk_layout();
-  ArchiveReadReport report;
-  const auto loaded = parse_prefix(
-      layout.file.substr(0, layout.payload_off + layout.frame0), report);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(report.sections_ok, 1u);  // "lead"
-  EXPECT_TRUE(report.partial_section);
-  EXPECT_EQ(report.damaged_section, "bulk");
-  ASSERT_TRUE(report.bad_block.has_value());
-  EXPECT_EQ(*report.bad_block, 1u);
-  ASSERT_TRUE(report.bad_block_offset.has_value());
-  EXPECT_EQ(*report.bad_block_offset, layout.payload_off + layout.frame0);
-  EXPECT_EQ(report.crc_failures, 0u);  // torn, not corrupt
-  ASSERT_EQ(loaded->sections.size(), 2u);
-  EXPECT_EQ(loaded->sections[1].raw_len, 64u * 1024u);
-  expect_prefix_reads(*loaded, layout.raw, 64 * 1024);
-}
-
-TEST(ColumnarV3FaultTest, TornMidBlockKeepsTheIntactLeadingBlocks) {
-  const BulkLayout layout = bulk_layout();
-  // Cut 20 bytes into block 1's frame: block 0 survives, block 1 is gone.
-  ArchiveReadReport report;
-  const auto loaded = parse_prefix(
-      layout.file.substr(0, layout.payload_off + layout.frame0 + 20), report);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_TRUE(report.partial_section);
-  EXPECT_EQ(report.damaged_section, "bulk");
-  EXPECT_EQ(report.bad_block.value_or(99), 1u);
-  EXPECT_EQ(report.bad_block_offset.value_or(0),
-            layout.payload_off + layout.frame0);
-  expect_prefix_reads(*loaded, layout.raw, 64 * 1024);
-
-  // Torn inside block 0: nothing of the section survives, but the report
-  // still pinpoints the damage.
-  ArchiveReadReport none;
-  const auto bare =
-      parse_prefix(layout.file.substr(0, layout.payload_off + 5), none);
-  ASSERT_TRUE(bare.has_value());
-  EXPECT_FALSE(none.partial_section);
-  EXPECT_EQ(none.damaged_section, "bulk");
-  EXPECT_EQ(none.bad_block.value_or(99), 0u);
-  EXPECT_EQ(none.bad_block_offset.value_or(1), layout.payload_off);
-  ASSERT_EQ(bare->sections.size(), 1u);
-  EXPECT_EQ(bare->sections[0].name, "lead");
-}
-
-TEST(ColumnarV3FaultTest, InjectedCorruptionInsideACompressedBlockBody) {
-  // The corrupt@OFF fault now lands INSIDE a compressed block body: the
-  // section CRC refuses the strict load, and the prefix loader narrows the
-  // damage to block 1, keeping block 0's 64 KiB of payload.
-  const BulkLayout layout = bulk_layout();
+  // The corrupt@OFF fault lands inside block 1's compressed body: the
+  // section CRC refuses the load, and the diagnosis names the section.
   const std::string path = testing::TempDir() + "columnar_blocky.gorcol";
   {
     FaultPlan plan;
-    plan.corrupt_at =
-        layout.payload_off + layout.frame0 + kBlockHeaderSize + 10;
+    plan.corrupt_at = payload_off + frame0 + kBlockHeaderSize + 10;
     const ScopedPlan guard(plan);
-    ASSERT_TRUE(make_blocky_archive().save_file(path));
+    ASSERT_TRUE(archive.save_file(path));
   }
-  EXPECT_FALSE(ColumnArchive::load_file(path).has_value());
   ArchiveReadReport report;
-  const auto recovered = ColumnArchive::load_file_prefix(path, &report);
-  ASSERT_TRUE(recovered.has_value());
-  EXPECT_GE(report.crc_failures, 1u);
-  EXPECT_TRUE(report.partial_section);
-  EXPECT_EQ(report.damaged_section, "bulk");
-  EXPECT_EQ(report.bad_block.value_or(99), 1u);
-  EXPECT_EQ(report.bad_block_offset.value_or(0),
-            layout.payload_off + layout.frame0);
-  expect_prefix_reads(*recovered, layout.raw, 64 * 1024);
+  EXPECT_FALSE(ColumnArchive::load_file(path, &report).has_value());
+  EXPECT_TRUE(report.crc_failed);
+  EXPECT_EQ(report.section, "bulk");
+  EXPECT_EQ(report.sections_ok, 1u);
+  EXPECT_EQ(report.offset, payload_off);
+  const std::string diagnosis = diagnose(path);
+  EXPECT_NE(diagnosis.find("section 'bulk' failed its checksum at offset " +
+                           std::to_string(payload_off)),
+            std::string::npos)
+      << diagnosis;
   std::remove(path.c_str());
 }
 

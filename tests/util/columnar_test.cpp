@@ -199,32 +199,21 @@ ColumnArchive make_big_archive() {
   return archive;
 }
 
-TEST(ColumnArchiveV3Test, WriterEmitsV3ByDefaultAndV2OnRequest) {
+TEST(ColumnArchiveV3Test, WriterEmitsV3Magic) {
   std::stringstream v3;
   ASSERT_TRUE(make_archive().save(v3));
   EXPECT_EQ(v3.str().substr(0, 8), "GORCOLv3");
-
-  ColumnArchive legacy = make_archive();
-  legacy.version = 2;
-  std::stringstream v2;
-  ASSERT_TRUE(legacy.save(v2));
-  EXPECT_EQ(v2.str().substr(0, 8), "GORCOLv2");
 }
 
 TEST(ColumnArchiveV3Test, CompressedSectionRoundTripsAndShrinks) {
   const ColumnArchive archive = make_big_archive();
   std::stringstream v3;
   ASSERT_TRUE(archive.save(v3));
-  ColumnArchive legacy = make_big_archive();
-  legacy.version = 2;
-  std::stringstream v2;
-  ASSERT_TRUE(legacy.save(v2));
   // The repetitive payload must compress — that is the point of v3.
-  EXPECT_LT(v3.str().size(), v2.str().size());
+  EXPECT_LT(v3.str().size(), archive.sections[0].bytes.size());
 
   const auto loaded = ColumnArchive::load(v3);
   ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->version, 3);
   const auto* big = loaded->find("big");
   ASSERT_NE(big, nullptr);
   EXPECT_EQ(big->storage, ColumnArchive::SectionStorage::kBlocks);
@@ -243,41 +232,6 @@ TEST(ColumnArchiveV3Test, CompressedSectionRoundTripsAndShrinks) {
   }
   EXPECT_TRUE(r.ok());
   EXPECT_TRUE(r.at_end());
-}
-
-TEST(ColumnArchiveV3Test, CrossVersionRoundTripMatrix) {
-  // The same logical archive written as v2 and v3 must read back the same
-  // values; reloading a v2 file and re-saving as v3 (and vice versa) must
-  // preserve everything. v1 load coverage lives in columnar_fault_test.
-  const ColumnArchive original = make_big_archive();
-  for (const int source_version : {2, 3}) {
-    ColumnArchive out = make_big_archive();
-    out.version = source_version;
-    std::stringstream first_stream;
-    ASSERT_TRUE(out.save(first_stream));
-    auto loaded = ColumnArchive::load(first_stream);
-    ASSERT_TRUE(loaded.has_value());
-    EXPECT_EQ(loaded->version, source_version);
-    for (const int target_version : {2, 3}) {
-      ColumnArchive copy = *loaded;
-      copy.version = target_version;
-      std::stringstream second_stream;
-      ASSERT_TRUE(copy.save(second_stream)) << source_version << "->"
-                                            << target_version;
-      const auto reloaded = ColumnArchive::load(second_stream);
-      ASSERT_TRUE(reloaded.has_value());
-      for (const auto& want : original.sections) {
-        const auto* got = reloaded->find(want.name);
-        ASSERT_NE(got, nullptr) << want.name;
-        ColumnReader r = reloaded->column(want.name);
-        for (const std::uint8_t byte : want.bytes) {
-          ASSERT_EQ(r.get_u8(), byte);
-        }
-        EXPECT_TRUE(r.ok());
-        EXPECT_TRUE(r.at_end());
-      }
-    }
-  }
 }
 
 TEST(ColumnArchiveV3Test, InflateIsByteIdenticalToStreaming) {

@@ -159,7 +159,7 @@ TEST(RngTest, SubstreamIsPureInSeedAndTag) {
   // Unlike fork(), substream() must not depend on any ambient state: the
   // same (seed, tag) yields the same stream no matter how many other
   // substreams were drawn in between — the property day/week shards rely
-  // on for resume and retry bit-identity.
+  // on for retry bit-identity.
   Rng first = Rng::substream(0x800'1b, 42);
   for (std::uint64_t noise = 0; noise < 10; ++noise) {
     (void)Rng::substream(0x800'1b, noise).next();

@@ -1,9 +1,9 @@
 // gorilla_replay — multi-backend replay driver (ROADMAP "Multi-backend
 // replay", DESIGN.md §3h).
 //
-// Loads a recorded study artifact (GORCOLv1 through v3, torn-prefix
-// tolerant) and
-// fans the typed event stream out to any combination of replay backends:
+// Loads a recorded GORCOLv3 study artifact (strictly: a damaged or
+// outdated one is refused with a diagnosis, to be regenerated) and fans
+// the typed event stream out to any combination of replay backends:
 //
 //   detector  study::DetectorSink   — streaming anomaly detection + quality
 //                                     vs recorded truth → OUT/detector.txt
@@ -12,9 +12,9 @@
 //   csv       study::CsvExportSink  — streaming CSV projections
 //                                     → OUT/{global,labels,summaries}.csv
 //
-// Each selected sink gets its own full ordered pass over the stream (the
-// passes share the immutable loaded archive); --jobs K runs up to K passes
-// concurrently. Per-sink output is a pure function of the artifact, so it
+// Each selected sink gets its own single ordered pass over the stream (the
+// passes share the immutable loaded archive; --weeks N caps each pass);
+// --jobs K runs up to K passes concurrently. Per-sink output is a pure function of the artifact, so it
 // is byte-identical for every K — and identical to a LIVE run of the same
 // study with the sink riding the bus (--live re-simulates from the
 // artifact's own header and proves exactly that; scripts/check.sh diffs
@@ -48,7 +48,7 @@ void usage(std::FILE* out, const char* argv0) {
       "usage: %s --artifact PATH [--sinks detector,pcap,csv] [--weeks N]\n"
       "       [--jobs K] [--out DIR] [--live] [--mem-report]\n"
       "\n"
-      "  --artifact PATH  recorded study (GORCOLv1-v3; torn prefixes OK)\n"
+      "  --artifact PATH  recorded study (GORCOLv3)\n"
       "  --sinks LIST     comma-separated backends (default: detector)\n"
       "  --weeks N        replay at most N complete weeks (N >= 0;\n"
       "                   StudyPipeline recordings only)\n"
@@ -82,7 +82,7 @@ long int_arg(const char* text, const char* flag, long min_value,
 struct Args {
   std::string artifact;
   std::vector<std::string> sinks = {"detector"};
-  int weeks = -1;  ///< -1 = every complete week
+  int weeks = -1;  ///< -1 = every recorded week
   int jobs = 1;
   std::string out_dir = ".";
   bool live = false;
@@ -253,8 +253,7 @@ int main(int argc, char** argv) {
 
   study::Replayer replayer;
   replayer.set_decode_jobs(args.jobs);
-  study::ReplayReport load_report;
-  if (!replayer.load_prefix(args.artifact, load_report)) {
+  if (!replayer.load(args.artifact)) {
     die(study::Replayer::describe_load_failure(args.artifact));
   }
   const study::StudyHeader header = replayer.header();
@@ -275,29 +274,20 @@ int main(int argc, char** argv) {
     die("--live always runs the full recorded horizon; drop --weeks");
   }
 
-  const int complete = is_study ? replayer.complete_weeks() : 0;
+  // A study recording holds every week of its horizon (param_a).
+  const int horizon = is_study ? header.param_a : 0;
   std::fprintf(stderr,
-               "[replay] loaded %s: kind=%s scale=%u seed=%llu "
-               "complete_weeks=%d%s\n",
+               "[replay] loaded %s: kind=%s scale=%u seed=%llu weeks=%d\n",
                args.artifact.c_str(), is_study ? "study" : "regional",
                header.scale, static_cast<unsigned long long>(header.seed),
-               complete, load_report.clean ? "" : " (torn prefix)");
-  if (!load_report.clean && load_report.truncated_at.has_value()) {
-    std::fprintf(stderr,
-                 "[replay] container damage at offset %llu "
-                 "(%zu section(s) intact, %zu checksum failure(s))\n",
-                 static_cast<unsigned long long>(*load_report.truncated_at),
-                 load_report.sections_ok, load_report.crc_failures);
-  }
+               horizon);
 
   // The detector window is a pure function of the header (and the week
   // cap), so a live run and a replay of the same artifact configure the
   // identical sink. Study sample weeks probe at day 70 + week*7; the window
   // covers every attack day up to the last replayed sample.
-  const int horizon = is_study ? header.param_a : 0;
   const int weeks_used =
-      args.live ? horizon
-                : (args.weeks >= 0 ? std::min(args.weeks, complete) : complete);
+      args.weeks >= 0 ? std::min(args.weeks, horizon) : horizon;
   study::DetectorSinkConfig det_cfg;
   if (is_study) {
     det_cfg.window_start = 0;
@@ -356,23 +346,12 @@ int main(int argc, char** argv) {
                                .count();
     for (auto& backend : backends) backend->seconds = elapsed;
   } else {
-    // One full ordered pass per backend over the shared immutable archive;
-    // up to --jobs passes in flight at once. Per-sink results cannot
-    // depend on K: every pass is independent and read-only.
+    // One ordered pass per backend over the shared immutable archive; up
+    // to --jobs passes in flight at once. Per-sink results cannot depend
+    // on K: every pass is independent and read-only.
     auto run_pass = [&](Backend& backend) {
       const auto t0 = Clock::now();
-      bool ok = true;
-      if (is_study) {
-        study::ReplayReport pass_report;
-        ok = replayer.replay_prefix(backend.sink(),
-                                    args.weeks >= 0 ? args.weeks : -1,
-                                    pass_report);
-      } else {
-        // Regional recordings have no week markers; a torn one still
-        // yields its longest decodable prefix (replay() reports it).
-        ok = replayer.replay(backend.sink());
-        if (!ok && !load_report.clean) ok = true;  // expected for torn input
-      }
+      const bool ok = replayer.replay(backend.sink(), args.weeks);
       backend.seconds =
           std::chrono::duration<double>(Clock::now() - t0).count();
       return ok;
@@ -403,8 +382,11 @@ int main(int argc, char** argv) {
     io_ok = io_ok && ok;
   }
   if (!stream_ok) {
-    std::fprintf(stderr, "gorilla_replay: stream validation failed (torn "
-                         "artifact changed underneath the passes?)\n");
+    std::fprintf(stderr,
+                 "gorilla_replay: '%s' is internally inconsistent (a column "
+                 "ended early or holds an unknown event tag); regenerate it "
+                 "with --record\n",
+                 args.artifact.c_str());
     return 1;
   }
   if (!io_ok) {
