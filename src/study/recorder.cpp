@@ -321,9 +321,12 @@ std::string Replayer::describe_load_failure(const std::string& path) {
   const auto archive = util::ColumnArchive::load_file(path, &container);
   if (!archive) {
     const std::string at = " at offset " + std::to_string(container.offset);
-    const std::string damage =
-        container.crc_failed ? " failed its checksum" : " is truncated or malformed";
-    if (!container.header_ok) return quoted + ": study header" + damage + at + regenerate;
+    const std::string damage = container.crc_failed
+                                   ? " failed its checksum"
+                                   : " is truncated or malformed";
+    if (!container.header_ok) {
+      return quoted + ": study header" + damage + at + regenerate;
+    }
     const std::string where = container.section.empty()
                                   ? "section table"
                                   : "section '" + container.section + "'";
@@ -339,7 +342,7 @@ std::string Replayer::describe_load_failure(const std::string& path) {
       return quoted + ": study header version " + std::to_string(version) +
              " unsupported (this build reads 1)";
     }
-    return quoted + ": malformed study header";
+    return quoted + ": malformed study header" + regenerate;
   }
   if (const char* name = missing_section(*archive)) {
     return quoted + ": missing section '" + name + "'" + regenerate;

@@ -149,7 +149,6 @@ std::optional<ColumnArchive> load_impl(std::istream& in,
     ++report.sections_ok;
   }
   report.section.clear();
-  report.complete = true;
   return archive;
 }
 

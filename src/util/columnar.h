@@ -203,15 +203,13 @@ class ColumnReader {
   bool bad_ = false;
 };
 
-/// Where a strict archive load stopped. A whole, valid file sets
-/// `complete`. Otherwise reading stopped at stream offset `offset`, on a
-/// checksum mismatch (`crc_failed`) or else on a short read or a malformed
-/// frame. Inside the section table, `section` names the section being read
-/// (empty while its name is unread) and `sections_ok` counts the intact
-/// sections before it.
+/// Where a strict archive load stopped: at stream offset `offset` (the end,
+/// for a whole file), on a checksum mismatch (`crc_failed`) or else on a
+/// short read or a malformed frame. Inside the section table, `section`
+/// names the section being read (empty while its name is unread) and
+/// `sections_ok` counts the intact sections before it.
 struct ArchiveReadReport {
   bool header_ok = false;  ///< magic, header bytes and header CRC checked out
-  bool complete = false;
   bool crc_failed = false;
   std::uint64_t offset = 0;
   std::size_t sections_ok = 0;

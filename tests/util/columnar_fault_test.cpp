@@ -74,7 +74,6 @@ TEST(ColumnarV2Test, IntactArchiveLoadsCompleteWithCleanReport) {
   const auto loaded = parse(bytes, report);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_TRUE(report.header_ok);
-  EXPECT_TRUE(report.complete);
   EXPECT_EQ(report.sections_ok, 3u);
   EXPECT_FALSE(report.crc_failed);
   EXPECT_EQ(report.offset, bytes.size());
@@ -88,7 +87,6 @@ TEST(ColumnarV2Test, PayloadCorruptionFailsStrictAndEndsThePrefix) {
   ArchiveReadReport report;
   EXPECT_FALSE(parse(bytes, report).has_value());
   EXPECT_TRUE(report.header_ok);
-  EXPECT_FALSE(report.complete);
   EXPECT_TRUE(report.crc_failed);
   EXPECT_EQ(report.section, "beta");
   EXPECT_EQ(report.sections_ok, 2u);  // the intact prefix ends at beta
@@ -140,7 +138,6 @@ TEST(ColumnarV2Test, EveryTruncationIsRefusedWithItsOffset) {
     const std::string cut = full.substr(0, len);
     ArchiveReadReport report;
     EXPECT_FALSE(parse(cut, report).has_value()) << "len " << len;
-    EXPECT_FALSE(report.complete) << "len " << len;
     EXPECT_FALSE(report.crc_failed) << "len " << len;
     // The last field starting at or before the cut is the torn one.
     std::pair<std::size_t, std::string> torn;
@@ -248,9 +245,9 @@ TEST(ColumnarV2Test, InjectedPayloadCorruptionIsCaughtByTheCrc) {
   std::remove(path.c_str());
 }
 
-TEST(ColumnarV3FaultTest, InjectedCorruptionInsideACompressedBlockBody) {
-  // A tiny leading section plus a "bulk" one that compresses into several
-  // 64 KiB blocks (runs of repeated bytes, so every block shrinks).
+/// A tiny leading section plus a "bulk" one that compresses into several
+/// 64 KiB blocks (runs of repeated bytes, so every block shrinks).
+ColumnArchive make_blocky_archive() {
   ColumnArchive archive;
   archive.header = {0x33, 0x44};
   archive.sections.emplace_back("lead", std::vector<std::uint8_t>{1, 2, 3});
@@ -259,22 +256,35 @@ TEST(ColumnarV3FaultTest, InjectedCorruptionInsideACompressedBlockBody) {
     bulk[i] = static_cast<std::uint8_t>((i / 7) % 251);
   }
   archive.sections.emplace_back("bulk", bulk);
+  return archive;
+}
 
-  // Locate the bulk section's stored (compressed) bytes in the file.
-  const std::string file = serialize(archive);
+/// Where the bulk section's stored (compressed) bytes sit in `file`, and
+/// the stored size of their first block frame.
+struct BulkLayout {
+  std::size_t payload_off = 0;
+  std::size_t frame0 = 0;
+};
+
+BulkLayout bulk_layout(const std::string& file) {
   std::istringstream in(file);
   const auto clean = ColumnArchive::load(in);
-  ASSERT_TRUE(clean.has_value());
+  EXPECT_TRUE(clean.has_value());
   const auto* stored = clean->find("bulk");
-  ASSERT_NE(stored, nullptr);
-  ASSERT_EQ(stored->storage, ColumnArchive::SectionStorage::kBlocks);
-  const std::size_t payload_off =
+  EXPECT_EQ(stored->storage, ColumnArchive::SectionStorage::kBlocks);
+  BulkLayout out;
+  out.payload_off =
       file.find(std::string(stored->bytes.begin(), stored->bytes.end()));
-  ASSERT_NE(payload_off, std::string::npos);
+  EXPECT_NE(out.payload_off, std::string::npos);
   // Block frame: u32le raw_len, u32le body_len, u32le CRC, u8 method.
-  const std::size_t frame0 =
-      kBlockHeaderSize + *load_u32le(stored->bytes, 4);
-  ASSERT_LT(frame0 + kBlockHeaderSize + 10, stored->bytes.size());
+  out.frame0 = kBlockHeaderSize + *load_u32le(stored->bytes, 4);
+  EXPECT_LT(out.frame0 + kBlockHeaderSize + 10, stored->bytes.size());
+  return out;
+}
+
+TEST(ColumnarV3FaultTest, InjectedCorruptionInsideACompressedBlockBody) {
+  const ColumnArchive archive = make_blocky_archive();
+  const auto [payload_off, frame0] = bulk_layout(serialize(archive));
 
   // The corrupt@OFF fault lands inside block 1's compressed body: the
   // section CRC refuses the load, and the diagnosis names the section.
@@ -297,6 +307,30 @@ TEST(ColumnarV3FaultTest, InjectedCorruptionInsideACompressedBlockBody) {
             std::string::npos)
       << diagnosis;
   std::remove(path.c_str());
+}
+
+TEST(ColumnarV3FaultTest, CorruptFrameLengthsAreRefused) {
+  // The section CRC covers the stored bytes, not the frame in front of
+  // them, yet buffers are sized by these lengths: a damaged stored or
+  // uncompressed length must still be refused. Frame: u8 storage, u64be
+  // stored length, u64be uncompressed length, u32le CRC.
+  const std::string file = serialize(make_blocky_archive());
+  const std::size_t payload_off = bulk_layout(file).payload_off;
+  const std::size_t stored_len_at = payload_off - 20;
+  const std::size_t raw_len_at = payload_off - 12;
+  const std::pair<std::size_t, std::uint8_t> flips[] = {
+      {stored_len_at + 4, 0x40},  // stored length + 1 GiB: past the file end
+      {raw_len_at + 6, 0x01},     // uncompressed length + 256
+  };
+  for (const auto& [at, bit] : flips) {
+    std::string bad = file;
+    bad[at] = static_cast<char>(bad[at] ^ bit);
+    ArchiveReadReport report;
+    EXPECT_FALSE(parse(bad, report).has_value()) << "byte " << at;
+    EXPECT_FALSE(report.crc_failed) << "byte " << at;
+    EXPECT_EQ(report.section, "bulk") << "byte " << at;
+    EXPECT_EQ(report.offset, payload_off) << "byte " << at;
+  }
 }
 
 }  // namespace

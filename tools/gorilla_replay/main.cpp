@@ -14,11 +14,12 @@
 //
 // Each selected sink gets its own single ordered pass over the stream (the
 // passes share the immutable loaded archive; --weeks N caps each pass);
-// --jobs K runs up to K passes concurrently. Per-sink output is a pure function of the artifact, so it
-// is byte-identical for every K — and identical to a LIVE run of the same
-// study with the sink riding the bus (--live re-simulates from the
-// artifact's own header and proves exactly that; scripts/check.sh diffs
-// the two). Diagnostics go to stderr; stdout stays empty.
+// --jobs K runs up to K passes concurrently. Per-sink output is a pure
+// function of the artifact, so it is byte-identical for every K — and
+// identical to a LIVE run of the same study with the sink riding the bus
+// (--live re-simulates from the artifact's own header and proves exactly
+// that; scripts/check.sh diffs the two). Diagnostics go to stderr; stdout
+// stays empty.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
