@@ -1,5 +1,6 @@
 #include "common.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -7,6 +8,7 @@
 
 #include "util/fault.h"
 #include "util/mem_stats.h"
+#include "util/time.h"
 
 namespace gorilla::bench {
 
@@ -42,6 +44,47 @@ long parse_positive(const char* text, const char* flag, long max_value) {
     std::exit(2);
   }
   return v;
+}
+
+constexpr std::uint8_t kStudyKind = 0;
+constexpr std::uint8_t kRegionalKind = 1;
+constexpr int kHorizonDays = 181;  // 2013-11-01 .. 2014-05-01
+
+study::StudyHeader study_shape(const Options& opt, bool with_vantages,
+                               bool with_darknet) {
+  study::StudyHeader shape;
+  shape.kind = kStudyKind;
+  shape.scale = opt.scale;
+  shape.seed = opt.seed;
+  shape.quick = opt.quick;
+  shape.with_vantages = with_vantages;
+  shape.with_darknet = with_darknet;
+  shape.param_a = opt.quick ? 8 : 15;  // horizon weeks
+  return shape;
+}
+
+study::StudyHeader regional_shape(const Options& opt, DayWindow window,
+                                  bool with_darknet) {
+  study::StudyHeader shape;
+  shape.kind = kRegionalKind;
+  shape.scale = opt.scale;
+  shape.seed = opt.seed;
+  shape.with_vantages = true;
+  shape.with_darknet = with_darknet;
+  shape.param_a = window.from;
+  shape.param_b = window.to;
+  return shape;
+}
+
+/// The options a live rerun of a recording runs with: its own world knobs,
+/// no --record or --replay.
+Options live_options(const study::StudyHeader& shape, int jobs) {
+  Options opt;
+  opt.scale = shape.scale;
+  opt.seed = shape.seed;
+  opt.quick = shape.quick;
+  opt.jobs = jobs;
+  return opt;
 }
 
 }  // namespace
@@ -122,10 +165,47 @@ void print_header(const std::string& figure, const Options& opt) {
       static_cast<unsigned long long>(opt.seed));
 }
 
+const char* shape_name(const study::StudyHeader& shape) {
+  const Options opt = live_options(shape, 1);
+  if (shape == study_shape(opt, shape.with_vantages, shape.with_darknet)) {
+    return "study";
+  }
+  const DayWindow window{shape.param_a, shape.param_b};
+  if (shape == regional_shape(opt, window, shape.with_darknet) &&
+      0 <= window.from && window.from <= window.to &&
+      window.to <= kHorizonDays) {
+    return "regional";
+  }
+  return nullptr;
+}
+
+int sample_weeks(const study::StudyHeader& shape) {
+  return shape.kind == kStudyKind ? shape.param_a : 0;
+}
+
+DayWindow attack_days(const study::StudyHeader& shape, int weeks) {
+  if (shape.kind == kRegionalKind) return {shape.param_a, shape.param_b};
+  const int horizon = sample_weeks(shape);
+  const int used = weeks >= 0 ? std::min(weeks, horizon) : horizon;
+  return {0, used > 0 ? util::onp_sample_day(used - 1) + 1 : 0};
+}
+
 StudyPipeline::StudyPipeline(const Options& opt, bool with_vantages,
                              bool with_darknet)
-    : opt_(opt), with_vantages_(with_vantages), with_darknet_(with_darknet) {
+    : StudyPipeline(study_shape(opt, with_vantages, with_darknet), opt) {}
+
+StudyPipeline::StudyPipeline(const Options& opt, DayWindow window,
+                             bool with_darknet)
+    : StudyPipeline(regional_shape(opt, window, with_darknet), opt) {}
+
+StudyPipeline::StudyPipeline(const study::StudyHeader& shape, int jobs)
+    : StudyPipeline(shape, live_options(shape, jobs)) {}
+
+StudyPipeline::StudyPipeline(const study::StudyHeader& shape,
+                             const Options& opt)
+    : shape_(shape), opt_(opt) {
   const auto t0 = EngineClock::now();
+  sim::WorldConfig world_config;
   world_config.scale = opt.scale;
   world_config.seed = opt.seed;
   world = std::make_unique<sim::World>(world_config);
@@ -136,10 +216,10 @@ StudyPipeline::StudyPipeline(const Options& opt, bool with_vantages,
   // Global collector covers the full horizon; the measured universe is
   // the paper's 71.5 Tbps average divided by the world scale.
   global = std::make_unique<telemetry::GlobalTrafficCollector>(
-      181, 71.5e12 / static_cast<double>(opt.scale));
+      kHorizonDays, 71.5e12 / static_cast<double>(opt.scale));
   labels = std::make_unique<telemetry::AttackLabelStore>();
-  if (with_vantages) {
-    const auto& named = world->registry().named();
+  const auto& named = world->registry().named();
+  if (shape.with_vantages) {
     merit = std::make_unique<telemetry::FlowCollector>(
         "Merit", std::vector<net::Prefix>{named.merit_space});
     frgp = std::make_unique<telemetry::FlowCollector>(
@@ -147,9 +227,9 @@ StudyPipeline::StudyPipeline(const Options& opt, bool with_vantages,
     csu = std::make_unique<telemetry::FlowCollector>(
         "CSU", std::vector<net::Prefix>{named.csu_space});
   }
-  if (with_darknet) {
+  if (shape.with_darknet) {
     telemetry::DarknetConfig cfg;
-    cfg.telescope = world->registry().named().darknet;
+    cfg.telescope = named.darknet;
     darknet = std::make_unique<telemetry::DarknetTelescope>(cfg);
   }
   if (opt.jobs > 1) {
@@ -166,18 +246,6 @@ StudyPipeline::~StudyPipeline() {
                                                    EngineClock::now()));
 }
 
-study::StudyHeader StudyPipeline::make_header() const {
-  study::StudyHeader header;
-  header.kind = 0;
-  header.scale = opt_.scale;
-  header.seed = opt_.seed;
-  header.quick = opt_.quick;
-  header.with_vantages = with_vantages_;
-  header.with_darknet = with_darknet_;
-  header.param_a = opt_.quick ? 8 : 15;  // horizon weeks
-  return header;
-}
-
 void StudyPipeline::run() {
   const auto t0 = EngineClock::now();
   study::CollectorSink collectors;
@@ -185,7 +253,7 @@ void StudyPipeline::run() {
   collectors.labels = labels.get();
   collectors.darknet = darknet.get();
   std::vector<telemetry::FlowCollector*> vantages;
-  if (with_vantages_) {
+  if (merit) {
     vantages = {merit.get(), frgp.get(), csu.get()};
     collectors.vantages = vantages;
   }
@@ -207,9 +275,9 @@ void StudyPipeline::run() {
   }
 
   if (!opt_.replay.empty()) {
-    run_replayed(bus);
+    replay(bus);
   } else {
-    run_simulated(bus, vantages);
+    simulate(bus, vantages);
   }
   run_done_ = EngineClock::now();
   ran_ = true;
@@ -217,10 +285,10 @@ void StudyPipeline::run() {
               seconds_between(t0, run_done_));
 }
 
-void StudyPipeline::run_simulated(
+void StudyPipeline::simulate(
     study::EventBus& bus,
     const std::vector<telemetry::FlowCollector*>& vantages) {
-  study::Recorder recorder(make_header());
+  study::Recorder recorder(shape_);
   const bool recording = !opt_.record.empty();
   if (recording) bus.subscribe(&recorder);
 
@@ -238,22 +306,23 @@ void StudyPipeline::run_simulated(
   prober.set_executor(executor_.get());
 
   // Attack + scan days fan out as day shards on the executor (buffered
-  // events merged in day order — bit-identical for any --jobs value);
-  // monitor seeding and the weekly probe sample follow on the same path
-  // they always used.
+  // events merged in day order — bit-identical for any --jobs value): a
+  // study runs the days up to each sample, then seeds and probes; a
+  // regional window has no samples and is one fan-out.
   sim::ScanTraffic* day_scans =
-      (with_darknet_ || with_vantages_) ? &scans : nullptr;
-  const int horizon_weeks = opt_.quick ? 8 : 15;
-
-  int day = 0;
-  for (int week = 0; week < horizon_weeks; ++week) {
-    const int sample_day = 70 + week * 7;
+      (darknet || !vantages.empty()) ? &scans : nullptr;
+  const DayWindow days = attack_days(shape_);
+  int day = days.from;
+  for (int week = 0; week < sample_weeks(shape_); ++week) {
+    const int sample_day = util::onp_sample_day(week);
     attacks.run_days(day, sample_day + 1, executor_.get(), day_scans,
                      darknet.get(), &vantages);
     day = sample_day + 1;
     scans.seed_monitor_tables(week, executor_.get());
     (void)prober.run_monlist_sample(week, bus);  // AnalysisSink keeps summary
   }
+  attacks.run_days(day, days.to, executor_.get(), day_scans, darknet.get(),
+                   &vantages);
 
   if (recording) {
     const bool ok = recorder.save(opt_.record);
@@ -263,7 +332,7 @@ void StudyPipeline::run_simulated(
   }
 }
 
-void StudyPipeline::run_replayed(study::EventBus& bus) {
+void StudyPipeline::replay(study::EventBus& bus) {
   study::Replayer replayer;
   replayer.set_decode_jobs(opt_.jobs);
   if (!replayer.load(opt_.replay)) {
@@ -271,10 +340,11 @@ void StudyPipeline::run_replayed(study::EventBus& bus) {
                  study::Replayer::describe_load_failure(opt_.replay).c_str());
     std::exit(2);
   }
-  if (!(replayer.header() == make_header())) {
+  if (!(replayer.header() == shape_)) {
     std::fprintf(stderr,
                  "study recording %s was made by a different harness shape "
-                 "(kind/scale/seed/horizon mismatch); refusing to replay\n",
+                 "(kind/scale/seed/horizon/window mismatch); refusing to "
+                 "replay\n",
                  opt_.replay.c_str());
     std::exit(2);
   }
@@ -283,109 +353,6 @@ void StudyPipeline::run_replayed(study::EventBus& bus) {
                  opt_.replay.c_str());
     std::exit(2);
   }
-}
-
-RegionalRun::RegionalRun(const Options& opt, bool with_darknet)
-    : opt_(opt), with_darknet_(with_darknet) {
-  const auto t0 = EngineClock::now();
-  sim::WorldConfig cfg;
-  cfg.scale = opt.scale;
-  cfg.seed = opt.seed;
-  world = std::make_unique<sim::World>(cfg);
-  const auto& named = world->registry().named();
-  merit = std::make_unique<telemetry::FlowCollector>(
-      "Merit", std::vector<net::Prefix>{named.merit_space});
-  frgp = std::make_unique<telemetry::FlowCollector>(
-      "FRGP", std::vector<net::Prefix>{named.frgp_space});
-  csu = std::make_unique<telemetry::FlowCollector>(
-      "CSU", std::vector<net::Prefix>{named.csu_space});
-  global = std::make_unique<telemetry::GlobalTrafficCollector>(
-      181, 71.5e12 / static_cast<double>(opt.scale));
-  labels = std::make_unique<telemetry::AttackLabelStore>();
-  if (with_darknet) {
-    telemetry::DarknetConfig dcfg;
-    dcfg.telescope = named.darknet;
-    darknet = std::make_unique<telemetry::DarknetTelescope>(dcfg);
-  }
-  if (opt.jobs > 1) {
-    pool_ = std::make_unique<util::ThreadPool>(opt.jobs);
-    executor_ = std::make_unique<sim::ShardedExecutor>(pool_.get());
-  }
-  print_phase("build-world", seconds_between(t0, EngineClock::now()));
-}
-
-RegionalRun::~RegionalRun() {
-  if (ran_) print_phase("analyze", seconds_between(run_done_,
-                                                   EngineClock::now()));
-}
-
-void RegionalRun::run(int from_day, int to_day) {
-  const auto t0 = EngineClock::now();
-  study::CollectorSink collectors;
-  collectors.global = global.get();
-  collectors.labels = labels.get();
-  collectors.darknet = darknet.get();
-  const std::vector<telemetry::FlowCollector*> vantages = {
-      merit.get(), frgp.get(), csu.get()};
-  collectors.vantages = vantages;
-  study::EventBus bus;
-  bus.subscribe(&collectors);
-
-  study::StudyHeader header;
-  header.kind = 1;
-  header.scale = opt_.scale;
-  header.seed = opt_.seed;
-  header.with_vantages = true;
-  header.with_darknet = with_darknet_;
-  header.param_a = from_day;
-  header.param_b = to_day;
-
-  if (!opt_.replay.empty()) {
-    study::Replayer replayer;
-    replayer.set_decode_jobs(opt_.jobs);
-    if (!replayer.load(opt_.replay)) {
-      std::fprintf(stderr, "failed to load study recording: %s\n",
-                   study::Replayer::describe_load_failure(opt_.replay).c_str());
-      std::exit(2);
-    }
-    if (!(replayer.header() == header)) {
-      std::fprintf(stderr,
-                   "study recording %s was made by a different harness shape "
-                   "(kind/scale/seed/window mismatch); refusing to replay\n",
-                   opt_.replay.c_str());
-      std::exit(2);
-    }
-    if (!replayer.replay(bus)) {
-      std::fprintf(stderr, "study recording %s is truncated or corrupt\n",
-                   opt_.replay.c_str());
-      std::exit(2);
-    }
-  } else {
-    study::Recorder recorder(header);
-    const bool recording = !opt_.record.empty();
-    if (recording) bus.subscribe(&recorder);
-
-    sim::AttackEngineConfig attack_cfg;
-    attack_cfg.seed = opt_.seed ^ 0xa77acdULL;
-    sim::AttackEngine attacks(*world, attack_cfg, bus);
-    sim::ScanTrafficConfig scan_cfg;
-    scan_cfg.seed = opt_.seed ^ 0x5ca7ULL;
-    sim::ScanTraffic scans(*world, scan_cfg);
-    // The whole window is one day-shard fan-out (the §7 benches are
-    // attack-dominated, so this is where --jobs N pays off).
-    attacks.run_days(from_day, to_day, executor_.get(), &scans, darknet.get(),
-                     &vantages);
-    if (recording) {
-      const bool ok = recorder.save(opt_.record);
-      std::fprintf(stderr, "[engine] %s study recording: %s\n",
-                   ok ? "wrote" : "FAILED to write", opt_.record.c_str());
-      if (!ok) std::exit(2);
-    }
-  }
-  run_done_ = EngineClock::now();
-  ran_ = true;
-  print_phase(opt_.replay.empty() ? "run-study" : "replay-study",
-              seconds_between(t0, run_done_));
 }
 
 void print_volume_series(const std::string& label,

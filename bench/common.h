@@ -65,20 +65,41 @@ bool maybe_write_csv(const Options& opt, const std::string& name,
 /// Prints the standard provenance header every bench emits.
 void print_header(const std::string& figure, const Options& opt);
 
-/// The full measurement pipeline most §3/§4/§6 benches share: a world that
-/// lives through the study — attacks, scanning, fifteen weekly ONP monlist
-/// probes — with the census and victim analyses attached.
+/// Attack days [from, to); day 0 = 2013-11-01.
+struct DayWindow {
+  int from = 0;
+  int to = 0;
+};
+
+/// The one harness every §3-§7 bench runs: a world that lives through the
+/// study's attack timeline, seen through the collectors its shape asks for.
+/// The shape is the study::StudyHeader it records under --record and checks
+/// under --replay:
+///  - a *study* shape (kind 0) runs attack and scan days up to each weekly
+///    ONP sample day, then seeds the monitor tables and probes, for 8
+///    (--quick) or 15 weeks, with the census and victim analyses attached;
+///  - a *regional* shape (kind 1) runs one attack and scan day window
+///    [from, to) with the Merit/FRGP/CSU vantages and no prober.
 ///
 /// All producers emit through a study::EventBus; run() subscribes the
 /// collector and analysis sinks (plus a Recorder under --record). Under
 /// --replay the simulation is skipped entirely and the recorded stream is
 /// replayed into the same sinks — byte-identical output, since the artifact
-/// preserves the event stream's total order. Under --jobs N the monitor
-/// seeding and probe loops run on the sharded executor, also
-/// byte-identically.
+/// preserves the event stream's total order. Under --jobs N attack days run
+/// as parallel day shards and the monitor seeding and probe loops on the
+/// sharded executor, also byte-identically.
 struct StudyPipeline {
+  /// Study shape, optionally with the regional vantages and the darknet.
   explicit StudyPipeline(const Options& opt, bool with_vantages = false,
                          bool with_darknet = false);
+  /// Regional shape over `window` (Figures 11-15 plot roughly [30, 121)),
+  /// optionally with the darknet.
+  StudyPipeline(const Options& opt, DayWindow window,
+                bool with_darknet = false);
+  /// The harness a recording's header describes, run live with `jobs`
+  /// workers (gorilla_replay --live). `shape` must name a harness shape
+  /// (shape_name() is not null).
+  StudyPipeline(const study::StudyHeader& shape, int jobs);
   ~StudyPipeline();
 
   /// Network-impairment settings threaded through the whole study (attack
@@ -90,16 +111,15 @@ struct StudyPipeline {
   /// impairment layer is enabled).
   scan::ProbePolicy probe_policy;
 
-  sim::WorldConfig world_config;
   std::unique_ptr<sim::World> world;
   std::unique_ptr<core::AmplifierCensus> census;
   std::unique_ptr<core::VictimAnalysis> victims;
   std::unique_ptr<telemetry::GlobalTrafficCollector> global;
   std::unique_ptr<telemetry::AttackLabelStore> labels;
-  std::unique_ptr<telemetry::FlowCollector> merit;
+  std::unique_ptr<telemetry::FlowCollector> merit;  ///< with vantages only
   std::unique_ptr<telemetry::FlowCollector> frgp;
   std::unique_ptr<telemetry::FlowCollector> csu;
-  std::unique_ptr<telemetry::DarknetTelescope> darknet;
+  std::unique_ptr<telemetry::DarknetTelescope> darknet;  ///< with darknet only
   std::vector<scan::MonlistSampleSummary> summaries;
 
   /// Optional extra per-observation hook (e.g. named-subset counting).
@@ -112,55 +132,45 @@ struct StudyPipeline {
   /// outlive run(); set before calling run().
   std::vector<study::EventSink*> extra_sinks;
 
-  /// Runs attacks+scans day-by-day and probes weekly (15 samples) — or
-  /// replays a recorded stream when the options carry --replay.
+  /// Runs the shape's days (and weekly probes) — or replays a recorded
+  /// stream when the options carry --replay.
   void run();
 
- private:
-  void run_simulated(study::EventBus& bus,
-                     const std::vector<telemetry::FlowCollector*>& vantages);
-  void run_replayed(study::EventBus& bus);
-  [[nodiscard]] study::StudyHeader make_header() const;
+  /// The header this harness records and accepts on replay.
+  [[nodiscard]] const study::StudyHeader& shape() const noexcept {
+    return shape_;
+  }
 
+ private:
+  StudyPipeline(const study::StudyHeader& shape, const Options& opt);
+  void simulate(study::EventBus& bus,
+                const std::vector<telemetry::FlowCollector*>& vantages);
+  void replay(study::EventBus& bus);
+
+  study::StudyHeader shape_;
   Options opt_;
-  bool with_vantages_;
-  bool with_darknet_;
   std::unique_ptr<util::ThreadPool> pool_;
   std::unique_ptr<sim::ShardedExecutor> executor_;
   std::chrono::steady_clock::time_point run_done_{};
   bool ran_ = false;
 };
 
-/// Lighter harness for the §7 regional benches: attacks and scanning with
-/// the Merit/FRGP/CSU vantage collectors (and optionally the darknet), no
-/// prober. Days default to Dec 1 - Mar 1 (the window Figures 11-15 plot).
-/// Under --jobs N the whole window runs as parallel day shards,
-/// byte-identically to --jobs 1.
-struct RegionalRun {
-  explicit RegionalRun(const Options& opt, bool with_darknet = false);
-  ~RegionalRun();
+// Reading a recorded study::StudyHeader. These and StudyPipeline are the
+// only code that interprets its kind and shape parameters.
 
-  /// Runs [from_day, to_day); day 0 = 2013-11-01, Figure 11's window is
-  /// roughly [30, 121). Honors --record/--replay like StudyPipeline (the
-  /// recorded day window must match on replay).
-  void run(int from_day = 30, int to_day = 121);
+/// "study" or "regional"; null when no harness records `shape` (an
+/// unknown kind, or parameters no bench produces).
+[[nodiscard]] const char* shape_name(const study::StudyHeader& shape);
 
-  std::unique_ptr<sim::World> world;
-  std::unique_ptr<telemetry::FlowCollector> merit;
-  std::unique_ptr<telemetry::FlowCollector> frgp;
-  std::unique_ptr<telemetry::FlowCollector> csu;
-  std::unique_ptr<telemetry::DarknetTelescope> darknet;
-  std::unique_ptr<telemetry::GlobalTrafficCollector> global;
-  std::unique_ptr<telemetry::AttackLabelStore> labels;
+/// Weekly samples a recording of `shape` holds; 0 for a regional window,
+/// which has no week markers.
+[[nodiscard]] int sample_weeks(const study::StudyHeader& shape);
 
- private:
-  Options opt_;
-  bool with_darknet_;
-  std::unique_ptr<util::ThreadPool> pool_;
-  std::unique_ptr<sim::ShardedExecutor> executor_;
-  std::chrono::steady_clock::time_point run_done_{};
-  bool ran_ = false;
-};
+/// Attack days a recording of `shape` covers: a regional window as
+/// recorded; for a study, every day up to its last sample — or up to
+/// sample `weeks` - 1 when 0 <= weeks < sample_weeks(shape).
+[[nodiscard]] DayWindow attack_days(const study::StudyHeader& shape,
+                                    int weeks = -1);
 
 /// Renders a per-day byte-volume series as date rows + log sparkline.
 void print_volume_series(const std::string& label,

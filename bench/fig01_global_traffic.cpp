@@ -24,7 +24,7 @@ int run(const bench::Options& opt) {
   telemetry::GlobalTrafficCollector global(
       horizon, 71.5e12 / static_cast<double>(opt.scale));
   telemetry::AttackLabelStore labels;
-  sim::AttackSinks sinks;
+  study::CollectorSink sinks;
   sinks.global = &global;
   sinks.labels = &labels;
   sim::AttackEngineConfig acfg;

@@ -22,7 +22,7 @@ int run(const bench::Options& opt) {
   sim::World world(wcfg);
 
   telemetry::AttackLabelStore labels;
-  sim::AttackSinks sinks;
+  study::CollectorSink sinks;
   sinks.labels = &labels;
   sim::AttackEngineConfig acfg;
   acfg.seed = opt.seed ^ 0xa77acdULL;

@@ -15,8 +15,10 @@ namespace {
 int run(const bench::Options& opt) {
   bench::print_header("Figure 9: darknet scanners vs Merit NTP egress", opt);
 
-  bench::RegionalRun regional(opt, /*with_darknet=*/true);
-  regional.run(20, opt.quick ? 80 : 95);  // late Nov 2013 - early Feb 2014
+  // Late Nov 2013 - early Feb 2014.
+  bench::StudyPipeline regional(opt, {20, opt.quick ? 80 : 95},
+                                /*with_darknet=*/true);
+  regional.run();
 
   const util::SimTime start = 20 * util::kSecondsPerDay;
   const util::SimTime end =

@@ -16,8 +16,8 @@ namespace {
 int run(const bench::Options& opt) {
   bench::print_header("Figure 11: Merit NTP traffic (3 months)", opt);
 
-  bench::RegionalRun regional(opt);
-  regional.run(30, opt.quick ? 90 : 121);
+  bench::StudyPipeline regional(opt, {30, opt.quick ? 90 : 121});
+  regional.run();
 
   const util::SimTime start = 30 * util::kSecondsPerDay;
   const util::SimTime end =

@@ -17,9 +17,9 @@ namespace {
 int run(const bench::Options& opt) {
   bench::print_header("Figure 12: CSU/FRGP NTP traffic (3 months)", opt);
 
-  bench::RegionalRun regional(opt);
   const int to_day = opt.quick ? 95 : 121;
-  regional.run(30, to_day);
+  bench::StudyPipeline regional(opt, {30, to_day});
+  regional.run();
 
   const util::SimTime start = 30 * util::kSecondsPerDay;
   const util::SimTime end = to_day * util::kSecondsPerDay;

@@ -16,8 +16,9 @@ namespace {
 int run(const bench::Options& opt) {
   bench::print_header("Figure 13: top-5 victims of Merit amplifiers", opt);
 
-  bench::RegionalRun regional(opt);
-  regional.run(80, opt.quick ? 100 : 110);  // Jan 20 - Feb 19
+  // Jan 20 - Feb 19.
+  bench::StudyPipeline regional(opt, {80, opt.quick ? 100 : 110});
+  regional.run();
 
   core::LocalForensics merit_view(*regional.merit,
                                   regional.world->registry());

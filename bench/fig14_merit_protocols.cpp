@@ -16,9 +16,9 @@ namespace {
 int run(const bench::Options& opt) {
   bench::print_header("Figure 14: Merit traffic by protocol + billing", opt);
 
-  bench::RegionalRun regional(opt);
   const int from = 80, to = opt.quick ? 96 : 106;
-  regional.run(from, to);
+  bench::StudyPipeline regional(opt, {from, to});
+  regional.run();
 
   const util::SimTime start = from * util::kSecondsPerDay;
   const util::SimTime end = to * util::kSecondsPerDay;

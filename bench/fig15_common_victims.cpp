@@ -15,9 +15,9 @@ namespace {
 int run(const bench::Options& opt) {
   bench::print_header("Figure 15: common Merit/FRGP victims", opt);
 
-  bench::RegionalRun regional(opt);
   const int from = 80, to = opt.quick ? 100 : 115;
-  regional.run(from, to);
+  bench::StudyPipeline regional(opt, {from, to});
+  regional.run();
 
   core::LocalForensics merit_view(*regional.merit,
                                   regional.world->registry());

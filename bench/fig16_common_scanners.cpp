@@ -18,8 +18,8 @@ int run(const bench::Options& opt) {
   bench::print_header("Figure 16: common Merit/CSU scanners + TTL profile",
                       opt);
 
-  bench::RegionalRun regional(opt);
-  regional.run(30, opt.quick ? 80 : 95);
+  bench::StudyPipeline regional(opt, {30, opt.quick ? 80 : 95});
+  regional.run();
 
   core::LocalForensics merit_view(*regional.merit,
                                   regional.world->registry());

@@ -19,6 +19,7 @@
 #include "sim/scanner.h"
 #include "sim/sharded_executor.h"
 #include "sim/world.h"
+#include "study/bus.h"
 #include "util/block_codec.h"
 #include "util/bytes.h"
 #include "util/columnar.h"
@@ -306,7 +307,8 @@ void BM_AttackDay(benchmark::State& state) {
   cfg.scale = 200;
   cfg.registry.num_ases = 2000;
   sim::World world(cfg);
-  sim::AttackEngine attacks(world, sim::AttackEngineConfig{}, {});
+  study::EventBus no_sinks;
+  sim::AttackEngine attacks(world, sim::AttackEngineConfig{}, no_sinks);
   int day = 95;
   for (auto _ : state) {
     benchmark::DoNotOptimize(attacks.run_day(day).size());

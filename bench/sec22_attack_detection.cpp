@@ -23,7 +23,7 @@ int run(const bench::Options& opt) {
   sim::World world(wcfg);
   const auto& named = world.registry().named();
   telemetry::FlowCollector merit("Merit", {named.merit_space});
-  sim::AttackSinks sinks;
+  study::CollectorSink sinks;
   sinks.vantages = {&merit};
   sim::AttackEngineConfig acfg;
   acfg.seed = opt.seed ^ 0xa77acdULL;

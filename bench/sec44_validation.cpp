@@ -28,7 +28,8 @@ int run(const bench::Options& opt) {
   core::VictimAnalysis victims(world.registry(), world.pbl());
   sim::AttackEngineConfig acfg;
   acfg.seed = opt.seed ^ 0xa77acdULL;
-  sim::AttackEngine attacks(world, acfg, {});
+  study::EventBus no_sinks;
+  sim::AttackEngine attacks(world, acfg, no_sinks);
   sim::ScanTrafficConfig scfg;
   scfg.seed = opt.seed ^ 0x5ca7ULL;
   sim::ScanTraffic scans(world, scfg);
@@ -37,7 +38,7 @@ int run(const bench::Options& opt) {
   const int weeks = opt.quick ? 8 : 15;
   int day = 40;
   for (int week = 0; week < weeks; ++week) {
-    const int sample_day = 70 + week * 7;
+    const int sample_day = util::onp_sample_day(week);
     for (; day <= sample_day; ++day) attacks.run_day(day);
     scans.seed_monitor_tables(week);
     const auto date = util::onp_sample_dates()[static_cast<std::size_t>(week)];

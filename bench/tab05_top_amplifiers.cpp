@@ -33,10 +33,10 @@ void print_site(const char* site, const core::LocalForensics& view,
 int run(const bench::Options& opt) {
   bench::print_header("Table 5: top-5 amplifiers at Merit and CSU", opt);
 
-  bench::RegionalRun regional(opt);
   // Merit's forensic window: 12 days from Jan 25; CSU/FRGP: 19 days from
   // Jan 18. We run the union and analyze per-site.
-  regional.run(78, opt.quick ? 92 : 98);
+  bench::StudyPipeline regional(opt, {78, opt.quick ? 92 : 98});
+  regional.run();
 
   core::LocalForensics merit_view(*regional.merit,
                                   regional.world->registry());

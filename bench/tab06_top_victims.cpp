@@ -38,8 +38,8 @@ void print_site(const char* site, const core::LocalForensics& view,
 int run(const bench::Options& opt) {
   bench::print_header("Table 6: top-5 victims at Merit and CSU", opt);
 
-  bench::RegionalRun regional(opt);
-  regional.run(78, opt.quick ? 92 : 98);
+  bench::StudyPipeline regional(opt, {78, opt.quick ? 92 : 98});
+  regional.run();
 
   core::LocalForensics merit_view(*regional.merit,
                                   regional.world->registry());

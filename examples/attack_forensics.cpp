@@ -12,6 +12,7 @@
 #include "core/victims.h"
 #include "scan/prober.h"
 #include "sim/attack.h"
+#include "study/bus.h"
 #include "util/format.h"
 
 using namespace gorilla;
@@ -35,7 +36,8 @@ int main(int argc, char** argv) {
   // One week of peak-season attacks (Feb 5 - Feb 12, days 96..103).
   sim::AttackEngineConfig acfg;
   acfg.seed = wcfg.seed ^ 0xa77acdULL;
-  sim::AttackEngine attacks(world, acfg, {});
+  study::EventBus no_sinks;
+  sim::AttackEngine attacks(world, acfg, no_sinks);
   for (int day = 96; day <= 103; ++day) attacks.run_day(day);
   std::printf("attack engine ground truth: %llu attacks, %llu unique "
               "victims, %s sent\n\n",

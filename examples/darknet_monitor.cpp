@@ -11,6 +11,7 @@
 #include "sim/attack.h"
 #include "sim/scanner.h"
 #include "sim/world.h"
+#include "study/collector_sink.h"
 #include "telemetry/darknet.h"
 #include "telemetry/flow.h"
 #include "util/format.h"
@@ -36,7 +37,7 @@ int main(int argc, char** argv) {
 
   telemetry::FlowCollector merit(
       "Merit", {world.registry().named().merit_space});
-  sim::AttackSinks sinks;
+  study::CollectorSink sinks;
   sinks.vantages = {&merit};
   sim::AttackEngine attacks(world, sim::AttackEngineConfig{}, sinks);
   sim::ScanTraffic scans(world, sim::ScanTrafficConfig{});

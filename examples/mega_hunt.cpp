@@ -14,6 +14,7 @@
 #include "ntp/ntpdc.h"
 #include "scan/prober.h"
 #include "sim/attack.h"
+#include "study/bus.h"
 #include "util/format.h"
 
 using namespace gorilla;
@@ -31,7 +32,8 @@ int main(int argc, char** argv) {
   sim::World world(wcfg);
 
   // Some attack history so tables are interesting.
-  sim::AttackEngine attacks(world, sim::AttackEngineConfig{}, {});
+  study::EventBus no_sinks;
+  sim::AttackEngine attacks(world, sim::AttackEngineConfig{}, no_sinks);
   for (int day = 95; day < 99; ++day) attacks.run_day(day);
 
   // Sweep the amplifier pool once and rank by response bytes.

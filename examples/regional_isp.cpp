@@ -20,6 +20,7 @@
 #include "core/local_view.h"
 #include "sim/attack.h"
 #include "sim/scanner.h"
+#include "study/collector_sink.h"
 #include "telemetry/billing.h"
 #include "util/format.h"
 
@@ -37,7 +38,7 @@ int main(int argc, char** argv) {
   const auto& named = world.registry().named();
   telemetry::FlowCollector border("Merit", {named.merit_space});
 
-  sim::AttackSinks sinks;
+  study::CollectorSink sinks;
   sinks.vantages = {&border};
   sim::AttackEngine attacks(world, sim::AttackEngineConfig{}, sinks);
   sim::ScanTraffic scans(world, sim::ScanTrafficConfig{});
@@ -106,7 +107,7 @@ int main(int argc, char** argv) {
   // attack engine consults fix weeks, so emulate the ticket by advancing
   // past Merit's fix window.)
   telemetry::FlowCollector after("Merit-after", {named.merit_space});
-  sim::AttackSinks after_sinks;
+  study::CollectorSink after_sinks;
   after_sinks.vantages = {&after};
   sim::AttackEngine late_attacks(world, sim::AttackEngineConfig{},
                                  after_sinks);

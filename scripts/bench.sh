@@ -31,9 +31,10 @@ fi
 
 cores="$(nproc 2>/dev/null || echo 1)"
 jobs="${JOBS:-$cores}"
-# fig07 (StudyPipeline) and fig13 (RegionalRun) now push their attack days
-# through the parallel day-shard path, so the jobs column tracks
-# attack-phase speedup; fig03/tab05 cover the probe-dominated pipeline.
+# fig07 (study shape) and fig13 (regional shape) of the one harness,
+# bench::StudyPipeline, push their attack days through the parallel
+# day-shard path, so the jobs column tracks attack-phase speedup; fig03 and
+# tab05 cover the probe-dominated and the regional forensic runs.
 benches=(fig03_amplifier_counts fig07_attack_timeseries fig13_top_victims
          tab05_top_amplifiers)
 

@@ -21,6 +21,7 @@
 #      through the detector+pcap sinks with gorilla_replay, re-run the same
 #      study live (--live) and diff the two detector reports byte-for-byte
 #      — the multi-backend replay determinism contract (DESIGN.md §3h).
+#      A regional leg does the same for a fig13 --scale 40 window.
 #   8. Compaction gate: the fig03 --quick --scale 4 artifact must fit an
 #      absolute byte budget, with replay stdout byte-identical to the live
 #      run at --jobs 1 and 3 (DESIGN.md §3i).
@@ -100,34 +101,51 @@ PY
   fi
 }
 
-# Replay-backend gate (runs in --fast mode too — it is one small record +
-# two replays): a recorded fig03 study replayed through the detector and
-# pcap sinks must render the detector report byte-identically to the same
-# sink riding the live bus, and the exported capture must be non-empty.
+# Replay-backend gate (runs in --fast mode too — it is two small records,
+# each replayed and rerun live): a recorded fig03 study and a recorded fig13
+# regional window, replayed through the detector sink (fig03 also through
+# pcap), must render the detector report byte-identically to the same sink
+# riding the live bus, with at least one episode so the comparison is not
+# vacuous; fig03's exported capture must be non-empty.
 replay_gate() {
-  echo "== [replay] fig03 --scale 4 record -> detector+pcap replay gate =="
+  echo "== [replay] fig03 --scale 4 + fig13 --scale 40 record -> replay gate =="
   local work
   work="$(mktemp -d)"
-  ./build/release/bench/fig03_amplifier_counts --quick --scale 4 \
-    --record "$work/study.bin" >/dev/null
-  ./build/release/tools/gorilla_replay/gorilla_replay \
-    --artifact "$work/study.bin" \
-    --sinks detector,pcap --out "$work/replayed" 2>"$work/replay.log"
-  ./build/release/tools/gorilla_replay/gorilla_replay \
-    --artifact "$work/study.bin" \
-    --live --sinks detector --out "$work/live" 2>>"$work/replay.log"
-  if ! cmp -s "$work/live/detector.txt" "$work/replayed/detector.txt"; then
-    echo "check.sh: FAIL — replayed detector report differs from the live" \
-         "bus (see $work)" >&2
-    exit 1
-  fi
-  if [[ ! -s "$work/replayed/attacks.pcap" ]]; then
+  replay_leg "$work/fig03" fig03_amplifier_counts 4 detector,pcap
+  if [[ ! -s "$work/fig03/replayed/attacks.pcap" ]]; then
     echo "check.sh: FAIL — replay produced no pcap capture" >&2
     exit 1
   fi
-  echo "   detector report byte-identical live vs replayed;" \
-       "pcap $(wc -c <"$work/replayed/attacks.pcap") bytes"
+  echo "   pcap $(wc -c <"$work/fig03/replayed/attacks.pcap") bytes"
+  replay_leg "$work/fig13" fig13_top_victims 40 detector
   rm -rf "$work"
+}
+
+# replay_leg DIR BENCH SCALE SINKS: records BENCH --quick --scale SCALE,
+# replays the artifact through SINKS and reruns it --live through the
+# detector, then compares the two detector reports.
+replay_leg() {
+  local dir="$1" bench="$2" scale="$3" sinks="$4" episodes
+  local replay=./build/release/tools/gorilla_replay/gorilla_replay
+  mkdir -p "$dir"
+  "./build/release/bench/$bench" --quick --scale "$scale" \
+    --record "$dir/study.bin" >/dev/null
+  "$replay" --artifact "$dir/study.bin" --sinks "$sinks" \
+    --out "$dir/replayed" 2>"$dir/replay.log"
+  "$replay" --artifact "$dir/study.bin" --live --sinks detector \
+    --out "$dir/live" 2>>"$dir/replay.log"
+  if ! cmp -s "$dir/live/detector.txt" "$dir/replayed/detector.txt"; then
+    echo "check.sh: FAIL — $bench replayed detector report differs from" \
+         "the live bus (see $dir)" >&2
+    exit 1
+  fi
+  episodes=$(grep -c '^attack ' "$dir/replayed/detector.txt" || true)
+  if [[ "$episodes" -eq 0 ]]; then
+    echo "check.sh: FAIL — $bench detector report has no episodes" >&2
+    exit 1
+  fi
+  echo "   $bench: detector report byte-identical live vs replayed," \
+       "$episodes episode(s)"
 }
 
 # Compaction gate (runs in --fast mode too): the fig03 --quick --scale 4

@@ -63,8 +63,9 @@ bool Prober::consume_rate_budget(std::uint32_t server_index) {
 }
 
 util::SimTime Prober::sample_time(int week) noexcept {
-  // Week 0 anchors at 2014-01-10 (sim day 70), probes land at noon UTC.
-  return (70 + static_cast<util::SimTime>(week) * 7) * util::kSecondsPerDay +
+  // Probes land at noon UTC on the week's sample day.
+  return static_cast<util::SimTime>(util::onp_sample_day(week)) *
+             util::kSecondsPerDay +
          12 * util::kSecondsPerHour;
 }
 

@@ -89,19 +89,9 @@ const std::vector<std::pair<std::uint16_t, double>>& attacked_port_mix() {
 
 AttackEngine::AttackEngine(World& world, const AttackEngineConfig& config,
                            study::EventSink& sink)
-    : AttackEngine(world, config, &sink, SinkPtr{}) {}
-
-AttackEngine::AttackEngine(World& world, const AttackEngineConfig& config,
-                           AttackSinks sinks)
-    : AttackEngine(world, config, nullptr, SinkPtr{}) {
-  legacy_sinks_ = std::move(sinks);
-}
-
-AttackEngine::AttackEngine(World& world, const AttackEngineConfig& config,
-                           study::EventSink* sink, SinkPtr)
     : world_(world),
       config_(config),
-      sink_(sink != nullptr ? sink : &legacy_sinks_),
+      sink_(&sink),
       impairment_(config.impairment),
       rng_(config.seed),
       booter_zipf_(1, 1.0),

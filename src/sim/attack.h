@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -27,11 +28,9 @@
 #include "sim/impairment.h"
 #include "sim/world.h"
 // Published downward interface (DESIGN.md §3f): the engine buffers typed
-// study events and its legacy AttackSinks alias *is* study::CollectorSink,
-// so these types cross the layer boundary by value, by design.
-#include "study/collector_sink.h"  // NOLINT(layer-break)
-#include "study/event_buffer.h"    // NOLINT(layer-break)
-#include "study/events.h"          // NOLINT(layer-break)
+// study events, so these types cross the layer boundary by value, by design.
+#include "study/event_buffer.h"  // NOLINT(layer-break)
+#include "study/events.h"        // NOLINT(layer-break)
 #include "util/rng.h"
 
 // Geometry collectors are only passed by pointer; attack.cpp includes the
@@ -64,11 +63,6 @@ struct AttackRecord {
   std::uint64_t response_bytes = 0;    ///< total on-wire bytes to the victim
   bool victim_end_host = false;
 };
-
-/// Where attack traffic is reported. Null members are simply skipped.
-/// Kept as an alias of the study-layer collector sink so existing call
-/// sites keep compiling; the engine itself now speaks study::EventSink.
-using AttackSinks = study::CollectorSink;
 
 struct AttackEngineConfig {
   std::uint64_t seed = util::Rng::kDefaultSeed ^ 0xa77acdULL;
@@ -169,16 +163,11 @@ struct BooterProfile {
 
 class AttackEngine {
  public:
-  /// Primary form: all attack evidence is emitted as typed events into
-  /// `sink` (which must outlive the engine).
+  /// All attack evidence is emitted as typed events into `sink` (which
+  /// must outlive the engine) — a study::CollectorSink to feed telemetry
+  /// collectors directly, or a bus with no subscribers to discard it.
   AttackEngine(World& world, const AttackEngineConfig& config,
                study::EventSink& sink);
-
-  /// Legacy form: wraps the collector pointers in an owned CollectorSink.
-  /// Event-for-event (and RNG-draw-for-draw) identical to passing the same
-  /// collectors through the primary constructor.
-  AttackEngine(World& world, const AttackEngineConfig& config,
-               AttackSinks sinks);
 
   /// Full-scale NTP attacks-per-day intensity curve (day 0 = 2013-11-01).
   [[nodiscard]] static double ntp_attacks_per_day(int day) noexcept;
@@ -231,13 +220,6 @@ class AttackEngine {
   }
 
  private:
-  /// Shared constructor body; `sink == nullptr` selects the owned
-  /// legacy_sinks_ member (filled in by the legacy public constructor).
-  /// The tag keeps `{}` at call sites resolving to the AttackSinks form.
-  struct SinkPtr {};
-  AttackEngine(World& world, const AttackEngineConfig& config,
-               study::EventSink* sink, SinkPtr);
-
   /// Everything one day shard produced on a worker thread: ground-truth
   /// records (scripted prefix first), buffered bus events, buffered
   /// monitor-table deltas (per amplifier, first-touch order), and the day's
@@ -290,8 +272,7 @@ class AttackEngine {
 
   World& world_;
   AttackEngineConfig config_;
-  AttackSinks legacy_sinks_;     ///< owned sink backing the legacy ctor
-  study::EventSink* sink_;       ///< never null after construction
+  study::EventSink* sink_;       ///< never null
   ImpairmentLayer impairment_;
   util::Rng rng_;                ///< construction-time draws only
   Totals totals_;

@@ -169,7 +169,7 @@ void ScanTraffic::plan_seed_observations(int week, util::Rng& rng,
   // monitor table gains (or refreshes) one probe entry per active scanner.
   // Malicious scanners cover random slices: approximated per server as a
   // Poisson number of distinct one-shot probes.
-  const int day = 70 + week * 7;  // sample weeks anchor at 2014-01-10
+  const int day = util::onp_sample_day(week);
   const util::SimTime when =
       static_cast<util::SimTime>(day) * util::kSecondsPerDay;
   const double malicious_rate_per_server = [&] {

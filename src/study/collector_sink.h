@@ -2,9 +2,9 @@
 // makes the event-stream engine produce the exact collector state the
 // pre-bus engine produced by calling collectors directly.
 //
-// Header-only on purpose: sim::AttackEngine's legacy sink struct is an
-// alias of this type, and sim cannot link the gorilla_study library.
-// Null members are simply skipped, mirroring the old AttackSinks contract.
+// Header-only on purpose: sim::ScanTraffic's collector-pointer run_day()
+// wraps its collectors in one, and sim cannot link the gorilla_study
+// library. Null members are simply skipped.
 #pragma once
 
 #include <cstddef>

@@ -25,7 +25,9 @@ namespace gorilla::study {
 /// replaying someone else's world.
 struct StudyHeader {
   std::uint32_t version = 1;
-  std::uint8_t kind = 0;  ///< 0 = StudyPipeline, 1 = RegionalRun
+  /// The bench::StudyPipeline shape: 0 = study (weekly samples), 1 =
+  /// regional (one attack-day window, no prober).
+  std::uint8_t kind = 0;
   std::uint32_t scale = 0;
   std::uint64_t seed = 0;
   bool quick = false;

@@ -28,9 +28,9 @@ std::optional<Date> parse_date(const std::string& s) {
 const std::array<Date, 15>& onp_sample_dates() noexcept {
   static const std::array<Date, 15> dates = [] {
     std::array<Date, 15> a{};
-    const std::int64_t first = days_from_civil(Date{2014, 1, 10});
     for (std::size_t i = 0; i < a.size(); ++i) {
-      a[i] = civil_from_days(first + static_cast<std::int64_t>(i) * 7);
+      a[i] = civil_from_days(days_from_civil(kSimEpochDate) +
+                             onp_sample_day(static_cast<int>(i)));
     }
     return a;
   }();

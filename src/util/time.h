@@ -86,7 +86,14 @@ inline constexpr std::int64_t kSecondsPerWeek = 7 * kSecondsPerDay;
 /// Parse "YYYY-MM-DD"; nullopt on malformed input.
 [[nodiscard]] std::optional<Date> parse_date(const std::string& s);
 
-/// The fifteen weekly ONP monlist sample dates, 2014-01-10 .. 2014-04-18.
+/// Day index of ONP sample week `week`: week 0 anchors at 2014-01-10
+/// (day 70) and samples follow every seven days.
+[[nodiscard]] constexpr int onp_sample_day(int week) noexcept {
+  return 70 + 7 * week;
+}
+
+/// The fifteen weekly ONP monlist sample dates, 2014-01-10 .. 2014-04-18
+/// (the dates of onp_sample_day(0..14)).
 [[nodiscard]] const std::array<Date, 15>& onp_sample_dates() noexcept;
 
 /// The nine weekly ONP version sample dates, 2014-02-21 .. 2014-04-18.

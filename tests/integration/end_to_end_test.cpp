@@ -11,6 +11,7 @@
 #include "sim/attack.h"
 #include "sim/scanner.h"
 #include "sim/world.h"
+#include "study/bus.h"
 
 namespace gorilla {
 namespace {
@@ -36,12 +37,13 @@ class EndToEndTest : public ::testing::Test {
         : world(world_config()),
           census(world.registry(), world.pbl()),
           victims(world.registry(), world.pbl()) {
-      sim::AttackEngine attacks(world, sim::AttackEngineConfig{}, {});
+      study::EventBus no_sinks;
+      sim::AttackEngine attacks(world, sim::AttackEngineConfig{}, no_sinks);
       sim::ScanTraffic scans(world, sim::ScanTrafficConfig{});
       scan::Prober prober(world, net::Ipv4Address(198, 51, 100, 7));
       int day = 40;
       for (int week = 0; week < 15; ++week) {
-        const int sample_day = 70 + week * 7;
+        const int sample_day = util::onp_sample_day(week);
         for (; day <= sample_day; ++day) {
           attacks.run_day(day);
           ++attack_days_run;

@@ -6,6 +6,7 @@
 
 #include "core/monlist_analysis.h"
 #include "sim/attack.h"
+#include "study/bus.h"
 
 namespace gorilla::scan {
 namespace {
@@ -178,7 +179,8 @@ TEST_F(ProberTest, VersionPoolShrinksSlowly) {
 }
 
 TEST_F(ProberTest, AttackEvidenceVisibleInTables) {
-  sim::AttackEngine engine(world_, sim::AttackEngineConfig{}, {});
+  study::EventBus no_sinks;
+  sim::AttackEngine engine(world_, sim::AttackEngineConfig{}, no_sinks);
   for (int day = 95; day < 98; ++day) engine.run_day(day);
   // Week 4 = day 98: probe right after the attacks.
   std::uint64_t victims_witnessed = 0;

@@ -4,6 +4,9 @@
 
 #include <cmath>
 
+#include "study/bus.h"
+#include "study/collector_sink.h"
+
 namespace gorilla::sim {
 namespace {
 
@@ -60,22 +63,23 @@ class AttackEngineTest : public ::testing::Test {
   }
 
   World world_;
+  study::EventBus no_sinks_;  ///< no subscribers: evidence goes nowhere
 };
 
 TEST_F(AttackEngineTest, QuietBeforeOnset) {
-  AttackEngine engine(world_, engine_config(), {});
+  AttackEngine engine(world_, engine_config(), no_sinks_);
   const auto records = engine.run_day(10);
   EXPECT_LT(records.size(), 3u);  // 20/day at scale 200
 }
 
 TEST_F(AttackEngineTest, BusyAtPeak) {
-  AttackEngine engine(world_, engine_config(), {});
+  AttackEngine engine(world_, engine_config(), no_sinks_);
   const auto records = engine.run_day(103);
   EXPECT_GT(records.size(), 50u);  // 28000/day at scale 200 -> ~140
 }
 
 TEST_F(AttackEngineTest, RecordsAreWellFormed) {
-  AttackEngine engine(world_, engine_config(), {});
+  AttackEngine engine(world_, engine_config(), no_sinks_);
   const auto records = engine.run_day(100);
   ASSERT_FALSE(records.empty());
   for (const auto& rec : records) {
@@ -91,7 +95,7 @@ TEST_F(AttackEngineTest, RecordsAreWellFormed) {
 }
 
 TEST_F(AttackEngineTest, AttacksLeaveMonitorTableEvidence) {
-  AttackEngine engine(world_, engine_config(), {});
+  AttackEngine engine(world_, engine_config(), no_sinks_);
   const auto records = engine.run_day(100);
   ASSERT_FALSE(records.empty());
   std::size_t witnessed = 0;
@@ -113,7 +117,7 @@ TEST_F(AttackEngineTest, AttacksLeaveMonitorTableEvidence) {
 }
 
 TEST_F(AttackEngineTest, OnlyLiveAmplifiersUsed) {
-  AttackEngine engine(world_, engine_config(), {});
+  AttackEngine engine(world_, engine_config(), no_sinks_);
   const int day = 150;  // late: much of the pool is remediated
   const int week = AttackEngine::week_of_day(day);
   const auto records = engine.run_day(day);
@@ -127,7 +131,7 @@ TEST_F(AttackEngineTest, OnlyLiveAmplifiersUsed) {
 
 TEST_F(AttackEngineTest, GlobalSinkAccumulatesNtpBytes) {
   telemetry::GlobalTrafficCollector global(181, 7.15e12);
-  AttackSinks sinks;
+  study::CollectorSink sinks;
   sinks.global = &global;
   AttackEngine engine(world_, engine_config(), sinks);
   engine.run_day(100);
@@ -137,7 +141,7 @@ TEST_F(AttackEngineTest, GlobalSinkAccumulatesNtpBytes) {
 
 TEST_F(AttackEngineTest, LabelsIncludeNtpAndBackground) {
   telemetry::AttackLabelStore labels;
-  AttackSinks sinks;
+  study::CollectorSink sinks;
   sinks.labels = &labels;
   AttackEngine engine(world_, engine_config(), sinks);
   engine.run_day(100);
@@ -153,7 +157,7 @@ TEST_F(AttackEngineTest, LabelsIncludeNtpAndBackground) {
 TEST_F(AttackEngineTest, VantageSeesRegionalAttackFlows) {
   const auto& named = world_.registry().named();
   telemetry::FlowCollector merit("merit", {named.merit_space});
-  AttackSinks sinks;
+  study::CollectorSink sinks;
   sinks.vantages = {&merit};
   AttackEngine engine(world_, engine_config(), sinks);
   // Run several peak days so regional reflection fires.
@@ -171,7 +175,7 @@ TEST_F(AttackEngineTest, VantageSeesRegionalAttackFlows) {
 }
 
 TEST_F(AttackEngineTest, TotalsAccumulate) {
-  AttackEngine engine(world_, engine_config(), {});
+  AttackEngine engine(world_, engine_config(), no_sinks_);
   engine.run_day(100);
   const auto after_one = engine.totals();
   engine.run_day(101);
@@ -184,8 +188,8 @@ TEST_F(AttackEngineTest, TotalsAccumulate) {
 
 TEST_F(AttackEngineTest, DeterministicGivenSeed) {
   World w1(tiny_config()), w2(tiny_config());
-  AttackEngine e1(w1, AttackEngineConfig{}, {});
-  AttackEngine e2(w2, AttackEngineConfig{}, {});
+  AttackEngine e1(w1, AttackEngineConfig{}, no_sinks_);
+  AttackEngine e2(w2, AttackEngineConfig{}, no_sinks_);
   const auto r1 = e1.run_day(100);
   const auto r2 = e2.run_day(100);
   ASSERT_EQ(r1.size(), r2.size());
@@ -206,8 +210,8 @@ TEST_F(AttackEngineTest, RunDaysMatchesPerDayLoop) {
   // own same-day additions (DESIGN.md §3d), and the per-day loop
   // re-snapshots daily.
   World w1(tiny_config()), w2(tiny_config());
-  AttackEngine e1(w1, AttackEngineConfig{}, {});
-  AttackEngine e2(w2, AttackEngineConfig{}, {});
+  AttackEngine e1(w1, AttackEngineConfig{}, no_sinks_);
+  AttackEngine e2(w2, AttackEngineConfig{}, no_sinks_);
   e1.run_days(95, 109);
   for (int day = 95; day < 109; ++day) (void)e2.run_day(day);
   EXPECT_EQ(e1.totals().ntp_attacks, e2.totals().ntp_attacks);
@@ -228,7 +232,7 @@ TEST_F(AttackEngineTest, OvhVictimsStayInsideTheAnalogueBlocks) {
   cfg.merit_victim_rate = 0.0;
   cfg.frgp_victim_rate = 0.0;
   cfg.scripted_ovh_event = false;
-  AttackEngine engine(world_, cfg, {});
+  AttackEngine engine(world_, cfg, no_sinks_);
   const auto& registry = world_.registry();
   const auto& info = registry.as_info(registry.named().ovh_analogue);
   std::size_t checked = 0;
@@ -250,7 +254,7 @@ TEST_F(AttackEngineTest, OvhVictimsStayInsideTheAnalogueBlocks) {
 }
 
 TEST_F(AttackEngineTest, PortEightyMostCommon) {
-  AttackEngine engine(world_, engine_config(), {});
+  AttackEngine engine(world_, engine_config(), no_sinks_);
   std::map<std::uint16_t, int> ports;
   for (int day = 98; day < 104; ++day) {
     for (const auto& rec : engine.run_day(day)) ++ports[rec.victim_port];
@@ -268,7 +272,7 @@ TEST_F(AttackEngineTest, PortEightyMostCommon) {
 
 TEST_F(AttackEngineTest, MegaCapBoundsPerAmplifierRate) {
   // No amplifier may contribute more than ~500 Mbps sustained.
-  AttackEngine engine(world_, engine_config(), {});
+  AttackEngine engine(world_, engine_config(), no_sinks_);
   for (int day = 100; day < 103; ++day) {
     for (const auto& rec : engine.run_day(day)) {
       const double duration =

@@ -8,6 +8,7 @@
 #include "sim/attack.h"
 #include "sim/remediation.h"
 #include "sim/world.h"
+#include "study/bus.h"
 
 namespace gorilla::sim {
 namespace {
@@ -19,9 +20,12 @@ WorldConfig tiny_config() {
   return cfg;
 }
 
+/// A sink with no subscribers: these tests read the engine's own records.
+study::EventBus no_sinks;
+
 TEST(BooterModelTest, PopulationScalesWithWorld) {
   World world(tiny_config());
-  AttackEngine engine(world, AttackEngineConfig{}, {});
+  AttackEngine engine(world, AttackEngineConfig{}, no_sinks);
   // 400 booters at full scale / 200 = 2, floored at 4.
   EXPECT_EQ(engine.booters().size(), 4u);
   EXPECT_EQ(engine.attacks_per_booter().size(), engine.booters().size());
@@ -29,7 +33,7 @@ TEST(BooterModelTest, PopulationScalesWithWorld) {
 
 TEST(BooterModelTest, AttacksCarryProvenance) {
   World world(tiny_config());
-  AttackEngine engine(world, AttackEngineConfig{}, {});
+  AttackEngine engine(world, AttackEngineConfig{}, no_sinks);
   for (int day = 98; day < 101; ++day) {
     for (const auto& rec : engine.run_day(day)) {
       EXPECT_LT(rec.booter_id, engine.booters().size());
@@ -45,7 +49,7 @@ TEST(BooterModelTest, MarketShareIsConcentrated) {
   WorldConfig wcfg = tiny_config();
   wcfg.scale = 40;  // more booters (10) for a meaningful ranking
   World world(wcfg);
-  AttackEngine engine(world, AttackEngineConfig{}, {});
+  AttackEngine engine(world, AttackEngineConfig{}, no_sinks);
   for (int day = 95; day < 103; ++day) engine.run_day(day);
   auto shares = engine.attacks_per_booter();
   std::sort(shares.begin(), shares.end(), std::greater<>());
@@ -56,7 +60,7 @@ TEST(BooterModelTest, MarketShareIsConcentrated) {
 
 TEST(BooterModelTest, OnlyPrimingBootersPrime) {
   World world(tiny_config());
-  AttackEngine engine(world, AttackEngineConfig{}, {});
+  AttackEngine engine(world, AttackEngineConfig{}, no_sinks);
   for (int day = 98; day < 103; ++day) {
     for (const auto& rec : engine.run_day(day)) {
       if (rec.primed) {
@@ -68,7 +72,7 @@ TEST(BooterModelTest, OnlyPrimingBootersPrime) {
 
 TEST(BooterModelTest, CustomerTargetsAreSticky) {
   World world(tiny_config());
-  AttackEngine engine(world, AttackEngineConfig{}, {});
+  AttackEngine engine(world, AttackEngineConfig{}, no_sinks);
   std::map<std::uint32_t, std::map<std::uint32_t, int>> victim_hits;
   for (int day = 95; day < 105; ++day) {
     for (const auto& rec : engine.run_day(day)) {
@@ -87,7 +91,7 @@ TEST(BooterModelTest, CustomerTargetsAreSticky) {
 
 TEST(ScriptedEventTest, OvhEventRecordedOnEventDays) {
   World world(tiny_config());
-  AttackEngine engine(world, AttackEngineConfig{}, {});
+  AttackEngine engine(world, AttackEngineConfig{}, no_sinks);
   for (int day = 100; day <= 104; ++day) engine.run_day(day);
   const auto& events = engine.scripted_events();
   ASSERT_EQ(events.size(), 3u);  // Feb 10, 11, 12
@@ -106,7 +110,7 @@ TEST(ScriptedEventTest, DisabledByConfig) {
   World world(tiny_config());
   AttackEngineConfig cfg;
   cfg.scripted_ovh_event = false;
-  AttackEngine engine(world, cfg, {});
+  AttackEngine engine(world, cfg, no_sinks);
   for (int day = 100; day <= 104; ++day) engine.run_day(day);
   EXPECT_TRUE(engine.scripted_events().empty());
 }
@@ -170,8 +174,8 @@ TEST(RateLimitedAmplifierTest, EngineRespectsServerLimit) {
       server->set_mode7_rate_limit(60);
     }
   }
-  AttackEngine open_engine(open_world, AttackEngineConfig{}, {});
-  AttackEngine limited_engine(limited_world, AttackEngineConfig{}, {});
+  AttackEngine open_engine(open_world, AttackEngineConfig{}, no_sinks);
+  AttackEngine limited_engine(limited_world, AttackEngineConfig{}, no_sinks);
   for (int day = 98; day < 102; ++day) {
     open_engine.run_day(day);
     limited_engine.run_day(day);

@@ -1,7 +1,7 @@
 // ShardedExecutor unit contract (fixed shard boundaries, ordered merge,
-// inline fallback) plus the determinism-merge acceptance test: a full
-// StudyPipeline run is bit-identical for K ∈ {1, 2, 7} worker threads and
-// across two consecutive runs at the same K.
+// inline fallback) plus the determinism-merge acceptance test: both shapes
+// of the study harness are bit-identical for K ∈ {1, 2, 7} worker threads,
+// across two runs at the same K, and (regional) across record/replay.
 #include "sim/sharded_executor.h"
 
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include <bit>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <mutex>
 #include <numeric>
@@ -305,16 +306,19 @@ TEST(ShardedPipelineTest, RepeatedRunsAtSameShardCountAgree) {
 // --- Attack-day shards: the §3d pin for AttackEngine::run_days. ---
 
 /// Runs the peak-fortnight attack window (attacks + scans, darknet and all
-/// three vantages) through AttackEngine::run_days on a K-job executor and
-/// fingerprints every downstream observable. RegionalRun is a thin harness
-/// over AttackEngine + ScanTraffic — no prober, so any divergence here is
-/// the day-shard path itself.
-Fingerprint run_attack_window(int jobs) {
+/// three vantages) through the regional harness shape on a K-job executor
+/// and fingerprints every downstream observable. The regional shape has no
+/// prober, so any divergence here is the day-shard path itself. `record`
+/// and `replay` are the harness's --record/--replay paths.
+Fingerprint run_attack_window(int jobs, const std::string& record = "",
+                              const std::string& replay = "") {
   bench::Options opt;
   opt.scale = 400;
   opt.jobs = jobs;
-  bench::RegionalRun run(opt, /*with_darknet=*/true);
-  run.run(95, 109);
+  opt.record = record;
+  opt.replay = replay;
+  bench::StudyPipeline run(opt, {95, 109}, /*with_darknet=*/true);
+  run.run();
 
   Fingerprint fp;
   for (int day = 0; day < run.global->horizon_days(); ++day) {
@@ -341,10 +345,16 @@ Fingerprint run_attack_window(int jobs) {
 }
 
 TEST(ShardedPipelineTest, AttackDayShardsByteIdenticalAcrossJobCounts) {
-  const Fingerprint k1 = run_attack_window(1);
+  // The K=1 run records its window; the regional (kind 1) artifact replays
+  // to the live fingerprint at decode jobs 1 and 3.
+  const std::string path = testing::TempDir() + "attack_window.gorcol";
+  const Fingerprint k1 = run_attack_window(1, path);
   EXPECT_GT(k1.items, 0u);
   EXPECT_EQ(k1, run_attack_window(2));
   EXPECT_EQ(k1, run_attack_window(7));
+  EXPECT_EQ(k1, run_attack_window(1, "", path));
+  EXPECT_EQ(k1, run_attack_window(3, "", path));
+  std::remove(path.c_str());
 }
 
 TEST(ShardedPipelineTest, AttackDayShardsStableAcrossRepeatRuns) {

@@ -26,14 +26,15 @@
 namespace gorilla::study {
 namespace {
 
-/// The detector configuration gorilla_replay derives from a quick
-/// StudyPipeline header (horizon 8 weeks, sample days 70 + 7*week): a pure
-/// function of the header, so live and replay configure identical sinks.
-DetectorSinkConfig quick_study_config() {
+/// The detector configuration gorilla_replay derives from a recording's
+/// header: its window is the harness's attack_days(), a pure function of
+/// the header, so live and replay configure identical sinks.
+DetectorSinkConfig detector_config(const StudyHeader& shape) {
+  const bench::DayWindow days = bench::attack_days(shape);
   DetectorSinkConfig cfg;
-  cfg.window_start = 0;
-  cfg.window_end =
-      static_cast<util::SimTime>(70 + 7 * 7 + 1) * util::kSecondsPerDay;
+  cfg.window_start =
+      static_cast<util::SimTime>(days.from) * util::kSecondsPerDay;
+  cfg.window_end = static_cast<util::SimTime>(days.to) * util::kSecondsPerDay;
   cfg.bucket_seconds = 300;
   cfg.detector.floor_bps = 5e6;
   return cfg;
@@ -47,22 +48,23 @@ TEST(ReplayBackendsTest, LiveBusAndReplayedArtifactRenderByteIdentically) {
   opt.quick = true;
   opt.record = path;
 
-  DetectorSink live(quick_study_config());
+  std::string live_render;
   {
     bench::StudyPipeline pipeline(opt);
+    DetectorSink live(detector_config(pipeline.shape()));
     pipeline.extra_sinks.push_back(&live);
     pipeline.run();
+    live.finish();
+    live_render = live.render();
+    // The quick study at this scale must actually exercise the detector —
+    // an empty report would make byte-equality vacuous.
+    EXPECT_GT(live.flows_binned(), 0u);
   }
-  live.finish();
-  const std::string live_render = live.render();
-  // The quick study at this scale must actually exercise the detector —
-  // an empty report would make byte-equality vacuous.
-  EXPECT_GT(live.flows_binned(), 0u);
   EXPECT_NE(live_render.find("attack "), std::string::npos);
 
   Replayer replayer;
   ASSERT_TRUE(replayer.load(path));
-  DetectorSink replayed(quick_study_config());
+  DetectorSink replayed(detector_config(replayer.header()));
   ASSERT_TRUE(replayer.replay(replayed));
   replayed.finish();
   EXPECT_EQ(replayed.render(), live_render);
@@ -72,14 +74,14 @@ TEST(ReplayBackendsTest, LiveBusAndReplayedArtifactRenderByteIdentically) {
   bench::Options sharded = opt;
   sharded.record.clear();
   sharded.jobs = 3;
-  DetectorSink live_sharded(quick_study_config());
   {
     bench::StudyPipeline pipeline(sharded);
+    DetectorSink live_sharded(detector_config(pipeline.shape()));
     pipeline.extra_sinks.push_back(&live_sharded);
     pipeline.run();
+    live_sharded.finish();
+    EXPECT_EQ(live_sharded.render(), live_render);
   }
-  live_sharded.finish();
-  EXPECT_EQ(live_sharded.render(), live_render);
 
   std::remove(path.c_str());
 }

@@ -17,9 +17,9 @@
 // --jobs K runs up to K passes concurrently. Per-sink output is a pure
 // function of the artifact, so it is byte-identical for every K — and
 // identical to a LIVE run of the same study with the sink riding the bus
-// (--live re-simulates from the artifact's own header and proves exactly
-// that; scripts/check.sh diffs the two). Diagnostics go to stderr; stdout
-// stays empty.
+// (--live rebuilds the harness the artifact's header describes, study or
+// regional, and proves exactly that; scripts/check.sh diffs the two).
+// Diagnostics go to stderr; stdout stays empty.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -51,13 +51,14 @@ void usage(std::FILE* out, const char* argv0) {
       "\n"
       "  --artifact PATH  recorded study (GORCOLv3)\n"
       "  --sinks LIST     comma-separated backends (default: detector)\n"
-      "  --weeks N        replay at most N complete weeks (N >= 0;\n"
-      "                   StudyPipeline recordings only)\n"
+      "  --weeks N        replay at most N complete weeks (N >= 0; study\n"
+      "                   recordings only: a regional window has no weeks)\n"
       "  --jobs K         run up to K sink passes concurrently (K >= 1;\n"
       "                   output is identical for every K)\n"
       "  --out DIR        output directory (default: .)\n"
-      "  --live           re-simulate from the artifact's header with the\n"
-      "                   sinks riding the live bus (equivalence check)\n"
+      "  --live           re-simulate the study or regional harness the\n"
+      "                   artifact's header describes, with the sinks riding\n"
+      "                   the live bus (equivalence check)\n"
       "  --mem-report     print the MemStats registry to stderr at exit\n",
       argv0);
 }
@@ -258,51 +259,32 @@ int main(int argc, char** argv) {
     die(study::Replayer::describe_load_failure(args.artifact));
   }
   const study::StudyHeader header = replayer.header();
-  const bool is_study = header.kind == 0;
-  if (!is_study && header.kind != 1) {
-    die("'" + args.artifact + "': unknown recording kind " +
-        std::to_string(header.kind));
+  const char* shape = bench::shape_name(header);
+  if (shape == nullptr) {
+    die("'" + args.artifact + "': unknown recording shape (kind " +
+        std::to_string(header.kind) + ")");
   }
-  if (!is_study && args.weeks >= 0) {
-    die("--weeks applies to StudyPipeline recordings only; '" +
-        args.artifact + "' is a regional (kind 1) recording with no week "
-        "markers");
-  }
-  if (args.live && !is_study) {
-    die("--live supports StudyPipeline recordings only");
+  const int horizon = bench::sample_weeks(header);
+  if (args.weeks >= 0 && horizon == 0) {
+    die("--weeks applies to study recordings only; '" + args.artifact +
+        "' is a " + shape + " recording with no week markers");
   }
   if (args.live && args.weeks >= 0) {
     die("--live always runs the full recorded horizon; drop --weeks");
   }
 
-  // A study recording holds every week of its horizon (param_a).
-  const int horizon = is_study ? header.param_a : 0;
   std::fprintf(stderr,
                "[replay] loaded %s: kind=%s scale=%u seed=%llu weeks=%d\n",
-               args.artifact.c_str(), is_study ? "study" : "regional",
-               header.scale, static_cast<unsigned long long>(header.seed),
-               horizon);
+               args.artifact.c_str(), shape, header.scale,
+               static_cast<unsigned long long>(header.seed), horizon);
 
   // The detector window is a pure function of the header (and the week
   // cap), so a live run and a replay of the same artifact configure the
-  // identical sink. Study sample weeks probe at day 70 + week*7; the window
-  // covers every attack day up to the last replayed sample.
-  const int weeks_used =
-      args.weeks >= 0 ? std::min(args.weeks, horizon) : horizon;
+  // identical sink.
+  const bench::DayWindow days = bench::attack_days(header, args.weeks);
   study::DetectorSinkConfig det_cfg;
-  if (is_study) {
-    det_cfg.window_start = 0;
-    det_cfg.window_end =
-        weeks_used > 0
-            ? static_cast<SimTime>(70 + (weeks_used - 1) * 7 + 1) *
-                  util::kSecondsPerDay
-            : 0;
-  } else {
-    det_cfg.window_start =
-        static_cast<SimTime>(header.param_a) * util::kSecondsPerDay;
-    det_cfg.window_end =
-        static_cast<SimTime>(header.param_b) * util::kSecondsPerDay;
-  }
+  det_cfg.window_start = static_cast<SimTime>(days.from) * util::kSecondsPerDay;
+  det_cfg.window_end = static_cast<SimTime>(days.to) * util::kSecondsPerDay;
   det_cfg.bucket_seconds = 300;
   det_cfg.detector.floor_bps = 5e6;
 
@@ -331,13 +313,7 @@ int main(int argc, char** argv) {
   if (args.live) {
     // Rebuild the exact harness the artifact's header describes and run it
     // live with every backend riding the bus.
-    bench::Options opt;
-    opt.scale = header.scale;
-    opt.seed = header.seed;
-    opt.quick = header.quick;
-    opt.jobs = args.jobs;
-    bench::StudyPipeline pipeline(opt, header.with_vantages,
-                                  header.with_darknet);
+    bench::StudyPipeline pipeline(header, args.jobs);
     for (auto& backend : backends) {
       pipeline.extra_sinks.push_back(&backend->sink());
     }
