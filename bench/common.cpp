@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 
 #include "util/fault.h"
 #include "util/mem_stats.h"
@@ -274,10 +275,17 @@ void StudyPipeline::run() {
     darknet->set_capture_loss(impairment.request_loss, impairment.seed);
   }
 
-  if (!opt_.replay.empty()) {
-    replay(bus);
-  } else {
-    simulate(bus, vantages);
+  try {
+    if (!opt_.replay.empty()) {
+      replay(bus);
+    } else {
+      simulate(bus, vantages);
+    }
+  } catch (const std::exception& ex) {
+    // A shard runs once (DESIGN §3e): whatever escapes the engine ends the
+    // study with one line and the bad-run exit code, never a terminate().
+    std::fprintf(stderr, "[engine] study aborted: %s\n", ex.what());
+    std::exit(2);
   }
   run_done_ = EngineClock::now();
   ran_ = true;

@@ -133,7 +133,8 @@ struct StudyPipeline {
   std::vector<study::EventSink*> extra_sinks;
 
   /// Runs the shape's days (and weekly probes) — or replays a recorded
-  /// stream when the options carry --replay.
+  /// stream when the options carry --replay. An exception escaping either
+  /// (a failed shard) prints "[engine] study aborted: WHAT" and exits 2.
   void run();
 
   /// The header this harness records and accepts on replay.

@@ -1,9 +1,6 @@
 #include "sim/sharded_executor.h"
 
 #include <algorithm>
-#include <condition_variable>
-#include <exception>
-#include <mutex>
 
 namespace gorilla::sim {
 
@@ -11,51 +8,16 @@ void ShardedExecutor::parallel_for(
     std::size_t n, std::size_t chunk_size,
     const std::function<void(std::size_t, std::size_t)>& fn) {
   const std::size_t chunk = chunk_size == 0 ? 1 : chunk_size;
-  if (jobs() <= 1) {
-    for (std::size_t b = 0; b < n; b += chunk) {
-      run_shard_with_retry(fn, b / chunk, b, std::min(n, b + chunk));
-    }
+  const std::size_t shards = (n + chunk - 1) / chunk;
+  const auto shard = [&fn, n, chunk](std::size_t s) {
+    const std::size_t b = s * chunk;
+    run_shard(fn, b, std::min(n, b + chunk));
+  };
+  if (pool_ == nullptr) {
+    for (std::size_t s = 0; s < shards; ++s) shard(s);
     return;
   }
-  std::mutex mu;
-  std::condition_variable cv;
-  std::size_t remaining = (n + chunk - 1) / chunk;
-  if (remaining == 0) return;
-  std::exception_ptr first_error;
-  for (std::size_t b = 0; b < n; b += chunk) {
-    const std::size_t e = std::min(n, b + chunk);
-    const std::size_t index = b / chunk;
-    pool_->submit([this, &fn, &mu, &cv, &remaining, &first_error, index, b, e] {
-      try {
-        run_shard_with_retry(fn, index, b, e);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(mu);
-        // Executor-internal completion plumbing, held under mu — not shard
-        // output. The buffered-output contract applies to the shard fn.
-        if (!first_error) first_error = std::current_exception();  // NOLINT(shard-mutation)
-      }
-      const std::lock_guard<std::mutex> lock(mu);
-      if (--remaining == 0) cv.notify_one();  // NOLINT(shard-mutation): counter under mu
-    });
-  }
-  std::unique_lock<std::mutex> lock(mu);
-  cv.wait(lock, [&remaining] { return remaining == 0; });
-  if (first_error) std::rethrow_exception(first_error);
-}
-
-std::vector<ShardFailure> ShardedExecutor::quarantined() const {
-  const std::lock_guard<std::mutex> lock(quarantine_mutex_);
-  return quarantined_;
-}
-
-void ShardedExecutor::clear_quarantine() {
-  const std::lock_guard<std::mutex> lock(quarantine_mutex_);
-  quarantined_.clear();
-}
-
-void ShardedExecutor::note_quarantine(ShardFailure failure) {
-  const std::lock_guard<std::mutex> lock(quarantine_mutex_);
-  quarantined_.push_back(std::move(failure));
+  pool_->parallel_for(shards, shard);
 }
 
 }  // namespace gorilla::sim

@@ -30,9 +30,7 @@
 #include <functional>
 #include <future>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -41,19 +39,6 @@
 #include "util/thread_pool.h"
 
 namespace gorilla::sim {
-
-/// One shard that exhausted its retry budget: which index range, how many
-/// attempts were burned, and the final error text. Collected in the
-/// executor's quarantine list so a long run's operator (or a future
-/// distributed scheduler) can see exactly which (seed, range) cell is
-/// poison instead of just "the run died".
-struct ShardFailure {
-  std::size_t index = 0;  ///< shard ordinal within its run_ordered call
-  std::size_t begin = 0;
-  std::size_t end = 0;
-  int attempts = 0;
-  std::string error;
-};
 
 class ShardedExecutor {
  public:
@@ -64,27 +49,12 @@ class ShardedExecutor {
     return pool_ == nullptr ? 1 : pool_->size();
   }
 
-  /// Per-shard retry budget (default 3 attempts). Because produce() is pure
-  /// in its range (contract rule 2), re-running a failed shard is invisible
-  /// in the output: a transient failure heals with bit-identical results
-  /// for any worker count. Values < 1 clamp to 1 (no retry).
-  void set_max_attempts(int n) noexcept { max_attempts_ = n < 1 ? 1 : n; }
-  [[nodiscard]] int max_attempts() const noexcept { return max_attempts_; }
-
-  /// Shards that exhausted every attempt since the last clear_quarantine().
-  /// Such a shard still aborts its run (skipping it would change the output
-  /// stream); the list exists so the failure is attributable and a re-run
-  /// can be steered around or re-provisioned.
-  [[nodiscard]] std::vector<ShardFailure> quarantined() const;
-  void clear_quarantine();
-
   /// Ordered map/reduce over [0, n): produce(begin, end) runs on workers,
   /// consume(result) runs on the calling thread in ascending shard order.
-  /// Each shard gets up to max_attempts() tries (transient failures retry
-  /// the same pure range and stay invisible); a shard that exhausts them is
-  /// quarantined and its LAST exception re-throws here, in shard order, and
-  /// only after every in-flight task has finished (they reference `produce`
-  /// and its captures, which must outlive them).
+  /// Each shard runs exactly once. A throwing shard aborts the run: the
+  /// earliest failed shard's exception re-throws here, and only after every
+  /// in-flight task has finished (they reference `produce` and its
+  /// captures, which must outlive them).
   template <typename Produce, typename Consume>
   void run_ordered(std::size_t n, std::size_t chunk_size, Produce produce,
                    Consume consume) {
@@ -93,7 +63,7 @@ class ShardedExecutor {
     if (jobs() <= 1) {
       for (std::size_t b = 0; b < n; b += chunk) {
         const std::size_t e = std::min(n, b + chunk);
-        consume(run_shard_with_retry(produce, b / chunk, b, e));
+        consume(run_shard(produce, b, e));
       }
       return;
     }
@@ -105,12 +75,9 @@ class ShardedExecutor {
     const auto submit_one = [&] {
       const std::size_t b = next;
       const std::size_t e = std::min(n, b + chunk);
-      const std::size_t index = b / chunk;
       next = e;
       auto task = std::make_shared<std::packaged_task<Result()>>(
-          [this, &produce, index, b, e] {
-            return run_shard_with_retry(produce, index, b, e);
-          });
+          [&produce, b, e] { return run_shard(produce, b, e); });
       inflight.push_back(task->get_future());
       pool_->submit([task] { (*task)(); });
     };
@@ -140,44 +107,25 @@ class ShardedExecutor {
   }
 
   /// Unordered parallel apply over [0, n): fn(begin, end) per shard, no
-  /// result. The caller guarantees shards mutate disjoint state (contract
-  /// rule 2); use run_ordered() when anything order-sensitive is reduced.
-  /// Blocks until every shard ran; the first exception re-throws here.
+  /// result, each shard exactly once. The caller guarantees shards mutate
+  /// disjoint state (contract rule 2); use run_ordered() when anything
+  /// order-sensitive is reduced. Blocks until every started shard finished;
+  /// the lowest failed shard's exception re-throws here.
   void parallel_for(std::size_t n, std::size_t chunk_size,
                     const std::function<void(std::size_t, std::size_t)>& fn);
 
  private:
-  /// Runs one shard with the bounded retry policy. The fault hook fires
-  /// before every attempt, so an injected `shard-throw` is indistinguishable
-  /// from a produce() failure — exactly what the harness is for.
+  /// Runs one shard. The fault hook fires first, so an injected
+  /// `shard-throw` is indistinguishable from a produce() failure — exactly
+  /// what the harness is for.
   template <typename Produce>
-  std::invoke_result_t<Produce&, std::size_t, std::size_t> run_shard_with_retry(
-      Produce& produce, std::size_t index, std::size_t begin, std::size_t end) {
-    const int cap = max_attempts_;
-    for (int attempt = 1;; ++attempt) {
-      try {
-        util::FaultPlan::on_shard_attempt();
-        return produce(begin, end);
-      } catch (const std::exception& ex) {
-        if (attempt >= cap) {
-          note_quarantine({index, begin, end, attempt, ex.what()});
-          throw;
-        }
-      } catch (...) {
-        if (attempt >= cap) {
-          note_quarantine({index, begin, end, attempt, "unknown exception"});
-          throw;
-        }
-      }
-    }
+  static std::invoke_result_t<Produce&, std::size_t, std::size_t> run_shard(
+      Produce& produce, std::size_t begin, std::size_t end) {
+    util::FaultPlan::on_shard_attempt();
+    return produce(begin, end);
   }
 
-  void note_quarantine(ShardFailure failure);
-
   util::ThreadPool* pool_;
-  int max_attempts_ = 3;
-  mutable std::mutex quarantine_mutex_;
-  std::vector<ShardFailure> quarantined_;
 };
 
 }  // namespace gorilla::sim

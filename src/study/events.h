@@ -41,7 +41,12 @@ inline constexpr int kAllVantages = -1;
 /// The wants_*() capabilities exist for stream fidelity, not just speed:
 /// producers consult them exactly where the pre-bus engine consulted
 /// "is this collector wired?", so a run with an absent collector burns the
-/// same RNG draws through the bus as it did before the bus existed.
+/// same RNG draws through the bus as it did before the bus existed. That
+/// makes wants_labels() part of the simulation's input: label events draw
+/// RNG, so subscribing any sink that wants labels to a bus that did not
+/// already want them changes every later draw. Recorders and replay
+/// backends are invisible only on buses that already want labels, as every
+/// bench::StudyPipeline shape does. wants_flows() gates no draws.
 class EventSink {
  public:
   virtual ~EventSink() = default;

@@ -52,8 +52,12 @@ class Recorder final : public EventSink {
   explicit Recorder(const StudyHeader& header) : header_(header) {}
 
   // The recorder consumes everything: with it on the bus, producers build
-  // flow/label events even when no live collector wants them. Those events
-  // never draw RNG, so recording does not perturb the simulation stream.
+  // flow/label events even when no live collector wants them. Flow events
+  // draw no RNG, but label events do: AttackEngine draws each attack's
+  // vendor-visibility chance, and the background label stream, only when
+  // wants_labels() is true. Recording leaves the simulation stream alone
+  // only because every bench::StudyPipeline shape already subscribes a
+  // label store; on a bus without one, adding a Recorder changes the run.
   [[nodiscard]] bool wants_flows() const override { return true; }
   [[nodiscard]] bool wants_labels() const override { return true; }
 

@@ -1,10 +1,8 @@
 #include "util/columnar.h"
 
 #include <algorithm>
-#include <condition_variable>
 #include <cstdio>
 #include <fstream>
-#include <mutex>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
@@ -190,28 +188,13 @@ void ColumnArchive::inflate(ThreadPool* pool) {
     s.storage = SectionStorage::kRaw;
     s.raw_len = s.bytes.size();
   };
-  if (pool == nullptr || pool->size() <= 1) {
+  if (pool == nullptr) {
     for (Section& s : sections) inflate_one(s);
     return;
   }
-  std::mutex mu;
-  std::condition_variable cv;
-  std::size_t pending = 0;
-  for (Section& s : sections) {
-    if (s.storage != SectionStorage::kBlocks) continue;
-    {
-      const std::lock_guard<std::mutex> lock(mu);
-      ++pending;
-    }
-    pool->submit([&inflate_one, &s, &mu, &cv, &pending] {
-      inflate_one(s);
-      const std::lock_guard<std::mutex> lock(mu);
-      --pending;  // NOLINT(shard-mutation): completion counter, held under mu
-      cv.notify_all();
-    });
-  }
-  std::unique_lock<std::mutex> lock(mu);
-  cv.wait(lock, [&pending] { return pending == 0; });
+  pool->parallel_for(sections.size(), [this, &inflate_one](std::size_t i) {
+    inflate_one(sections[i]);
+  });
 }
 
 bool ColumnArchive::save(std::ostream& out) const {

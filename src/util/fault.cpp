@@ -59,20 +59,9 @@ std::uint64_t g_shard_attempts = 0;     // guarded by g_mutex
     return true;
   }
   if (name == "shard-throw") {
-    // AxT: ordinal and optional repeat count.
-    const std::size_t x = args.find('x');
-    const std::string_view ord =
-        x == std::string_view::npos ? args : args.substr(0, x);
-    const auto attempt = parse_u64(ord);
+    const auto attempt = parse_u64(args);
     if (!attempt) return false;
-    std::uint64_t count = 1;
-    if (x != std::string_view::npos) {
-      const auto c = parse_u64(args.substr(x + 1));
-      if (!c || *c == 0 || *c > 0xffffffffull) return false;
-      count = *c;
-    }
     plan.shard_throw_at = *attempt;
-    plan.shard_throw_count = static_cast<std::uint32_t>(count);
     return true;
   }
   return false;
@@ -164,18 +153,20 @@ SinkAction FaultPlan::next_sink_action(std::size_t chunk_len) {
 }
 
 void FaultPlan::on_shard_attempt() {
+  // The first attempt reads GORILLA_FAULTS (via active()), as the sink
+  // hook's first write does, so processes without --faults see env plans.
+  static const bool env_read = (static_cast<void>(active()), true);
+  static_cast<void>(env_read);
   if (!g_plan_active.load(std::memory_order_acquire)) return;
   std::uint64_t ordinal = 0;
   std::optional<std::uint64_t> at;
-  std::uint32_t count = 1;
   {
     const std::lock_guard<std::mutex> lock(g_mutex);
     ordinal = g_shard_attempts++;
     if (!g_plan) return;
     at = g_plan->shard_throw_at;
-    count = g_plan->shard_throw_count;
   }
-  if (at && ordinal >= *at && ordinal - *at < count) {
+  if (at == ordinal) {
     throw FaultInjected("injected shard fault at attempt " +
                         std::to_string(ordinal));
   }

@@ -16,10 +16,9 @@
 //   short-write@OFF       sink fails (failbit) from global byte offset OFF
 //   corrupt@OFF           XOR 0x5a into the byte at global sink offset OFF
 //   corrupt@rand:SEED:N   same, at a seeded pseudo-random offset in [0, N)
-//   shard-throw@AxT       throw FaultInjected on global shard-attempt
-//                         ordinals A..A+T-1 (T defaults to 1: a transient
-//                         failure that a retry heals; larger T models a
-//                         poison shard)
+//   shard-throw@A         throw FaultInjected on global shard-attempt
+//                         ordinal A (one-shot: shards run once, so the
+//                         throw aborts the run that owns the shard)
 //
 // Counters are process-global and mutex-guarded; reset_counters() rewinds
 // them so one test can stage several runs under one plan. With no plan
@@ -36,8 +35,7 @@
 namespace gorilla::util {
 
 /// Thrown by the shard-attempt hook at planned points. A distinct type so
-/// tests (and the executor's quarantine report) can tell an injected fault
-/// from a genuine defect.
+/// tests can tell an injected fault from a genuine defect.
 class FaultInjected : public std::runtime_error {
  public:
   explicit FaultInjected(const std::string& what) : std::runtime_error(what) {}
@@ -56,7 +54,6 @@ struct FaultPlan {
   std::optional<std::uint64_t> short_write_at;  ///< global sink byte offset
   std::optional<std::uint64_t> corrupt_at;      ///< global sink byte offset
   std::optional<std::uint64_t> shard_throw_at;  ///< global attempt ordinal
-  std::uint32_t shard_throw_count = 1;          ///< consecutive throwing attempts
 
   /// Parses the directive grammar above; nullopt (never a partial plan) on
   /// any syntax error. An empty spec parses to an empty plan.
@@ -82,8 +79,8 @@ struct FaultPlan {
   [[nodiscard]] static SinkAction next_sink_action(std::size_t chunk_len);
 
   /// Shard hook: accounts one shard attempt; throws FaultInjected when this
-  /// attempt's global ordinal is inside the planned window. Cheap no-op when
-  /// no plan is active.
+  /// attempt's global ordinal is the planned one. Cheap no-op when no plan
+  /// is active.
   static void on_shard_attempt();
 };
 

@@ -1,6 +1,7 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <exception>
 #include <utility>
 
 namespace gorilla::util {
@@ -28,6 +29,51 @@ void ThreadPool::submit(std::function<void()> job) {
     queue_.push_back(std::move(job));
   }
   cv_.notify_one();
+}
+
+void ThreadPool::parallel_for(std::size_t n,
+                              const std::function<void(std::size_t)>& fn) {
+  if (size() <= 1) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  // Join state on this frame; the wait below outlives every job.
+  struct Join {
+    std::mutex mu;
+    std::condition_variable done;
+    std::size_t pending = 0;
+    std::size_t failed = 0;  ///< lowest failing index so far (n = none)
+    std::exception_ptr error;
+  } join;
+  join.pending = n;
+  join.failed = n;
+  for (std::size_t i = 0; i < n; ++i) {
+    submit([&fn, &join, i] {
+      bool skip = false;
+      {
+        const std::lock_guard<std::mutex> lock(join.mu);
+        skip = i > join.failed;
+      }
+      std::exception_ptr error;
+      if (!skip) {
+        try {
+          fn(i);
+        } catch (...) {
+          error = std::current_exception();
+        }
+      }
+      const std::lock_guard<std::mutex> lock(join.mu);
+      if (error != nullptr && i < join.failed) {
+        join.failed = i;
+        join.error = error;
+      }
+      // The join's own completion count, held under mu — not job output.
+      if (--join.pending == 0) join.done.notify_one();  // NOLINT(shard-mutation)
+    });
+  }
+  std::unique_lock<std::mutex> lock(join.mu);
+  join.done.wait(lock, [&join] { return join.pending == 0; });
+  if (join.error != nullptr) std::rethrow_exception(join.error);
 }
 
 void ThreadPool::worker_loop() {

@@ -5,6 +5,11 @@
 // live one layer up in sim::ShardedExecutor, which slices work into
 // fixed-size chunks and merges results on the calling thread in canonical
 // chunk order — the pool only supplies the concurrency.
+//
+// parallel_for() is the one blocking join every "submit N jobs and wait"
+// caller uses: the executor's unordered apply, archive inflation, lint's
+// per-file phases and gorilla_replay's sink passes. Each index runs at
+// most once and no job is ever retried.
 #pragma once
 
 #include <condition_variable>
@@ -30,6 +35,14 @@ class ThreadPool {
 
   /// Enqueues a job; runs on some worker after all earlier jobs started.
   void submit(std::function<void()> job);
+
+  /// Runs fn(i) for every i in [0, n) and blocks until all of them have
+  /// finished; inline on the calling thread when size() <= 1. When jobs
+  /// throw, indices above the lowest failure seen so far are skipped, every
+  /// started job still finishes (jobs reference `fn` and its captures), and
+  /// then the lowest failing index's exception is rethrown. Must not be
+  /// called from one of this pool's own workers.
+  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   [[nodiscard]] int size() const noexcept {
     return static_cast<int>(workers_.size());

@@ -1,7 +1,7 @@
 // FaultPlan contract: the directive grammar parses all-or-nothing, the
 // sink hook turns planned global offsets into exact short-write /
 // corruption actions through util::write_all, and the shard hook throws
-// on exactly the planned attempt ordinals — the same plan replays the
+// on exactly the planned attempt ordinal — the same plan replays the
 // same failure every run.
 #include "util/fault.h"
 
@@ -35,19 +35,28 @@ TEST(FaultPlanTest, EmptySpecParsesToEmptyPlan) {
 }
 
 TEST(FaultPlanTest, ParsesEveryDirective) {
-  const auto plan = FaultPlan::parse("short-write@100;corrupt@7;shard-throw@3x4");
+  const auto plan = FaultPlan::parse("short-write@100;corrupt@7;shard-throw@3");
   ASSERT_TRUE(plan.has_value());
   EXPECT_EQ(plan->short_write_at, 100u);
   EXPECT_EQ(plan->corrupt_at, 7u);
   EXPECT_EQ(plan->shard_throw_at, 3u);
-  EXPECT_EQ(plan->shard_throw_count, 4u);
 }
 
 TEST(FaultPlanTest, ShardThrowCountDefaultsToOne) {
+  // shard-throw is one-shot: the parsed plan throws on ordinal 12 only.
   const auto plan = FaultPlan::parse("shard-throw@12");
   ASSERT_TRUE(plan.has_value());
   EXPECT_EQ(plan->shard_throw_at, 12u);
-  EXPECT_EQ(plan->shard_throw_count, 1u);
+  const ScopedPlan guard(*plan);
+  int throws = 0;
+  for (int ordinal = 0; ordinal < 32; ++ordinal) {
+    try {
+      FaultPlan::on_shard_attempt();
+    } catch (const FaultInjected&) {
+      ++throws;
+    }
+  }
+  EXPECT_EQ(throws, 1);
 }
 
 TEST(FaultPlanTest, SeededCorruptOffsetIsDeterministicAndInRange) {
@@ -71,6 +80,8 @@ TEST(FaultPlanTest, MalformedSpecsRejectedWhole) {
   EXPECT_FALSE(FaultPlan::parse("short-write@12junk").has_value());
   EXPECT_FALSE(FaultPlan::parse("corrupt@rand:5").has_value());
   EXPECT_FALSE(FaultPlan::parse("corrupt@rand:5:0").has_value());
+  // shard-throw takes one ordinal: shards run once, so no repeat count.
+  EXPECT_FALSE(FaultPlan::parse("shard-throw@3x4").has_value());
   EXPECT_FALSE(FaultPlan::parse("shard-throw@2x0").has_value());
   // One bad directive poisons the whole spec — never a partial plan.
   EXPECT_FALSE(FaultPlan::parse("short-write@1;nope").has_value());
@@ -110,11 +121,10 @@ TEST(FaultPlanTest, CorruptFlipsExactlyOnePlannedByte) {
 TEST(FaultPlanTest, ShardThrowFiresOnPlannedOrdinalsOnly) {
   FaultPlan plan;
   plan.shard_throw_at = 2;
-  plan.shard_throw_count = 2;
   const ScopedPlan guard(plan);
 
   for (std::uint64_t ordinal = 0; ordinal < 6; ++ordinal) {
-    if (ordinal == 2 || ordinal == 3) {
+    if (ordinal == 2) {
       EXPECT_THROW(FaultPlan::on_shard_attempt(), FaultInjected)
           << "ordinal " << ordinal;
     } else {
@@ -133,7 +143,7 @@ TEST(FaultPlanTest, ResetCountersRewindsBothHooks) {
   const std::vector<std::uint8_t> chunk(8, 0xcc);
   EXPECT_FALSE(write_all(first, chunk));
   EXPECT_THROW(FaultPlan::on_shard_attempt(), FaultInjected);
-  EXPECT_NO_THROW(FaultPlan::on_shard_attempt());  // ordinal 1: past window
+  EXPECT_NO_THROW(FaultPlan::on_shard_attempt());  // ordinal 1: not planned
 
   FaultPlan::reset_counters();
   std::ostringstream second;

@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <mutex>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <thread>
+#include <vector>
 
 namespace gorilla::util {
 namespace {
@@ -84,6 +88,80 @@ TEST(ThreadPoolTest, JobsMayOutliveTheirCaptures) {
     }
   }
   EXPECT_EQ(sum.load(), 55);
+}
+
+TEST(ThreadPoolTest, ParallelForRunsEveryIndexExactlyOnce) {
+  for (const int threads : {1, 2, 7}) {
+    ThreadPool pool(threads);
+    std::vector<std::atomic<int>> hits(1000);
+    pool.parallel_for(hits.size(), [&hits](std::size_t i) {
+      hits[i].fetch_add(1);
+    });
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      ASSERT_EQ(hits[i].load(), 1) << "index " << i << ", " << threads
+                                   << " thread(s)";
+    }
+  }
+}
+
+TEST(ThreadPoolTest, ParallelForOverNothingRunsNothing) {
+  for (const int threads : {1, 3}) {
+    ThreadPool pool(threads);
+    std::atomic<int> calls{0};
+    pool.parallel_for(0, [&calls](std::size_t) { calls.fetch_add(1); });
+    EXPECT_EQ(calls.load(), 0);
+  }
+}
+
+TEST(ThreadPoolTest, ParallelForRethrowsTheLowestFailingIndex) {
+  for (const int threads : {1, 2, 7}) {
+    ThreadPool pool(threads);
+    try {
+      pool.parallel_for(64, [](std::size_t i) {
+        if (i == 9 || i == 30 || i == 61) {
+          throw std::runtime_error("index " + std::to_string(i));
+        }
+      });
+      FAIL() << "parallel_for swallowed the failures";
+    } catch (const std::runtime_error& ex) {
+      EXPECT_STREQ(ex.what(), "index 9") << threads << " thread(s)";
+    }
+  }
+}
+
+TEST(ThreadPoolTest, ParallelForDrainsStartedJobsBeforeRethrow) {
+  // Index 0 throws at once while the others are still sleeping. The join
+  // must not rethrow (and unwind the frame the jobs reference) until every
+  // started job has finished.
+  ThreadPool pool(4);
+  std::atomic<int> started{0};
+  std::atomic<int> finished{0};
+  EXPECT_THROW(pool.parallel_for(
+                   8,
+                   [&started, &finished](std::size_t i) {
+                     started.fetch_add(1);
+                     if (i == 0) throw std::runtime_error("first");
+                     std::this_thread::sleep_for(std::chrono::milliseconds(20));
+                     finished.fetch_add(1);
+                   }),
+               std::runtime_error);
+  EXPECT_GE(started.load(), 1);
+  EXPECT_EQ(finished.load(), started.load() - 1);
+}
+
+TEST(ThreadPoolTest, ParallelForRunsNormallyAfterAThrowingJoin) {
+  ThreadPool pool(3);
+  EXPECT_THROW(pool.parallel_for(
+                   16,
+                   [](std::size_t i) {
+                     if (i == 4) throw std::runtime_error("once");
+                   }),
+               std::runtime_error);
+  std::vector<std::atomic<int>> hits(16);
+  pool.parallel_for(hits.size(), [&hits](std::size_t i) {
+    hits[i].fetch_add(1);
+  });
+  for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1);
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 // (--live rebuilds the harness the artifact's header describes, study or
 // regional, and proves exactly that; scripts/check.sh diffs the two).
 // Diagnostics go to stderr; stdout stays empty.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -28,7 +29,6 @@
 #include <fstream>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common.h"
@@ -37,6 +37,7 @@
 #include "study/pcap_export_sink.h"
 #include "study/recorder.h"
 #include "util/mem_stats.h"
+#include "util/thread_pool.h"
 #include "util/time.h"
 
 namespace {
@@ -163,6 +164,7 @@ struct Backend {
   [[nodiscard]] virtual gorilla::study::EventSink& sink() = 0;
   [[nodiscard]] virtual bool finish() = 0;
   double seconds = 0.0;
+  bool stream_ok = true;  ///< the replay pass read a consistent stream
 };
 
 struct DetectorBackend final : Backend {
@@ -326,28 +328,18 @@ int main(int argc, char** argv) {
     // One ordered pass per backend over the shared immutable archive; up
     // to --jobs passes in flight at once. Per-sink results cannot depend
     // on K: every pass is independent and read-only.
-    auto run_pass = [&](Backend& backend) {
+    util::ThreadPool pool(
+        std::min(args.jobs, static_cast<int>(backends.size())));
+    pool.parallel_for(backends.size(), [&replayer, &backends,
+                                        &args](std::size_t i) {
+      Backend& backend = *backends[i];
       const auto t0 = Clock::now();
-      const bool ok = replayer.replay(backend.sink(), args.weeks);
+      backend.stream_ok = replayer.replay(backend.sink(), args.weeks);
       backend.seconds =
           std::chrono::duration<double>(Clock::now() - t0).count();
-      return ok;
-    };
-    std::size_t next = 0;
-    while (next < backends.size()) {
-      const std::size_t batch = std::min<std::size_t>(
-          static_cast<std::size_t>(args.jobs), backends.size() - next);
-      std::vector<std::thread> threads;
-      std::vector<char> oks(batch, 1);
-      for (std::size_t j = 1; j < batch; ++j) {
-        threads.emplace_back([&, j] {
-          oks[j] = run_pass(*backends[next + j]) ? 1 : 0;
-        });
-      }
-      oks[0] = run_pass(*backends[next]) ? 1 : 0;
-      for (auto& t : threads) t.join();
-      for (const char ok : oks) stream_ok = stream_ok && ok != 0;
-      next += batch;
+    });
+    for (const auto& backend : backends) {
+      stream_ok = stream_ok && backend->stream_ok;
     }
   }
 

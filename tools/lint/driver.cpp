@@ -11,13 +11,11 @@
 // artifact writers, and the --self-test harness.
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -47,31 +45,13 @@ const std::vector<std::string>& all_rules() {
 
 // --- parallel execution ----------------------------------------------------
 
-/// Runs fn(0..n-1) on a ThreadPool. The pool has no join primitive by
-/// design (DESIGN §3d: ordering lives in the callers), so completion is
-/// counted under a mutex here.
+/// Runs fn(0..n-1) on a pool of up to `jobs` threads (inline for one) and
+/// joins on ThreadPool::parallel_for. Every fn(i) touches only file i, so
+/// the result does not depend on `jobs`.
 void parallel_each(std::size_t n, int jobs,
                    const std::function<void(std::size_t)>& fn) {
-  if (jobs <= 1 || n <= 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
   util::ThreadPool pool(std::min(jobs, static_cast<int>(n)));
-  std::mutex mu;
-  std::condition_variable cv;
-  std::size_t done = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    pool.submit([&fn, &mu, &cv, &done, i] {
-      fn(i);
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        ++done;  // NOLINT(shard-mutation): completion counter, held under mu
-      }
-      cv.notify_one();
-    });
-  }
-  std::unique_lock<std::mutex> lock(mu);
-  cv.wait(lock, [&done, n] { return done == n; });
+  pool.parallel_for(n, fn);
 }
 
 // --- cache -----------------------------------------------------------------
