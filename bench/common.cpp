@@ -146,6 +146,20 @@ Options parse_options(int argc, char** argv, std::uint32_t default_scale) {
   return opt;
 }
 
+Options standalone_options(int argc, char** argv,
+                           std::uint32_t default_scale) {
+  Options opt = parse_options(argc, argv, default_scale);
+  if (!opt.record.empty() || !opt.replay.empty()) {
+    const char* slash = std::strrchr(argv[0], '/');
+    std::fprintf(stderr,
+                 "%s: --record/--replay need the study harness, which this "
+                 "bench does not run\n",
+                 slash != nullptr ? slash + 1 : argv[0]);
+    std::exit(2);
+  }
+  return opt;
+}
+
 bool maybe_write_csv(const Options& opt, const std::string& name,
                      const util::CsvDocument& doc) {
   if (opt.csv_dir.empty()) return false;

@@ -62,6 +62,13 @@ bool maybe_write_csv(const Options& opt, const std::string& name,
 [[nodiscard]] Options parse_options(int argc, char** argv,
                                     std::uint32_t default_scale = 40);
 
+/// parse_options for the benches that drive their own world instead of a
+/// StudyPipeline: they have no event stream to record or replay, so
+/// --record and --replay are refused with one line and exit 2 rather than
+/// silently ignored.
+[[nodiscard]] Options standalone_options(int argc, char** argv,
+                                         std::uint32_t default_scale);
+
 /// Prints the standard provenance header every bench emits.
 void print_header(const std::string& figure, const Options& opt);
 

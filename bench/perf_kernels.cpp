@@ -1,8 +1,8 @@
 // Micro/meso performance benchmarks (google-benchmark) over the hot
 // kernels the reproduction pipeline leans on: prefix-trie lookups, mode 6/7
 // wire (de)serialization, monitor-table updates, checksum, the GORCOLv3
-// artifact codec (varint kernel, delta transform, block codec), a full
-// single-amplifier probe round trip, and the weekly layers (monlist pass,
+// artifact codec (varint kernel, delta transform, CRC-32, block codec), a
+// full single-amplifier probe round trip, and the weekly layers (monlist pass,
 // version pass, monitor seeding at --jobs 4).
 #include <benchmark/benchmark.h>
 
@@ -23,6 +23,7 @@
 #include "util/block_codec.h"
 #include "util/bytes.h"
 #include "util/columnar.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -174,9 +175,9 @@ void BM_InternetChecksum(benchmark::State& state) {
 }
 BENCHMARK(BM_InternetChecksum)->Arg(64)->Arg(1500);
 
-// --- GORCOLv3 artifact codec kernels (BM_ColumnarCodec family): the
-// varint decode kernel, the delta transform, and the block codec that
-// together set record/replay artifact throughput.
+// --- GORCOLv3 artifact codec kernels (BM_ColumnarCodec family plus
+// BM_Crc32): the varint decode kernel, the delta transform, the checksum
+// and the block codec that together set record/replay artifact throughput.
 
 void BM_ColumnarCodecVarintDecode(benchmark::State& state) {
   // A realistic column: zigzagged small deltas with the occasional big
@@ -231,6 +232,19 @@ void BM_ColumnarCodecDeltaTransform(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_ColumnarCodecDeltaTransform)->Arg(100000);
+
+void BM_Crc32(benchmark::State& state) {
+  // The section and block checksum: every stored byte passes through it
+  // twice on save and twice on load.
+  std::vector<std::uint8_t> data(static_cast<std::size_t>(state.range(0)));
+  util::Rng rng(8);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.next());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(util::crc32(data));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(64 * 1024);
 
 void BM_ColumnarCodecBlockCompress(benchmark::State& state) {
   // Delta-transformed column bytes (what v3 actually feeds the codec).

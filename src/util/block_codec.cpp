@@ -1,7 +1,9 @@
 #include "util/block_codec.h"
 
 #include <algorithm>
+#include <bit>
 #include <optional>
+#include <utility>
 
 #include "util/bytes.h"
 #include "util/crc32.h"
@@ -29,15 +31,6 @@ void append_bytes(std::vector<std::uint8_t>& out,
   std::copy_n(b.begin(), b.size(), out.begin() + static_cast<std::ptrdiff_t>(base));
 }
 
-/// LZ4-style length extension: a run of 255s plus a terminator < 255.
-void put_ext_len(std::vector<std::uint8_t>& out, std::size_t len) {
-  while (len >= 255) {
-    out.push_back(255);
-    len -= 255;
-  }
-  out.push_back(static_cast<std::uint8_t>(len));
-}
-
 /// Reads a length extension at `ip`, adding it into `len`. False on a torn
 /// extension or an absurd (malformed) total.
 [[nodiscard]] bool read_ext_len(std::span<const std::uint8_t> body,
@@ -52,39 +45,87 @@ void put_ext_len(std::vector<std::uint8_t>& out, std::size_t len) {
   return true;
 }
 
-/// One sequence: token (lit nibble | match nibble), literal run, 16-bit
-/// back-reference offset, match length. A literals-only tail is emitted by
-/// the caller with no offset — end-of-block is "input exhausted after the
-/// literal run".
-void emit_sequence(std::vector<std::uint8_t>& out,
-                   std::span<const std::uint8_t> lits, std::size_t offset,
-                   std::size_t mlen) {
+/// Output cursor over a buffer pre-sized to the worst case, so emitting a
+/// sequence is plain stores with no per-byte capacity check.
+class BodyWriter {
+ public:
+  /// Worst-case LZ body for `n` input bytes: every literal byte, one
+  /// length-extension byte per 255 of them, and the final token plus its
+  /// extension terminator. A match always encodes shorter than it covers.
+  explicit BodyWriter(std::size_t n) : buf_(n + n / 255 + 16) {}
+
+  void byte(std::uint8_t b) { buf_[op_++] = b; }
+
+  /// LZ4-style length extension: a run of 255s plus a terminator < 255.
+  void ext_len(std::size_t len) {
+    while (len >= 255) {
+      byte(255);
+      len -= 255;
+    }
+    byte(static_cast<std::uint8_t>(len));
+  }
+
+  /// Token (lit nibble | match nibble) and the literal run it announces.
+  void literals(std::span<const std::uint8_t> lits, std::size_t ml_nibble) {
+    byte(static_cast<std::uint8_t>(
+        (std::min<std::size_t>(lits.size(), 15) << 4) | ml_nibble));
+    if (lits.size() >= 15) ext_len(lits.size() - 15);
+    std::copy_n(lits.begin(), lits.size(),
+                buf_.begin() + static_cast<std::ptrdiff_t>(op_));
+    op_ += lits.size();
+  }
+
+  std::vector<std::uint8_t> finish() && {
+    buf_.resize(op_);
+    return std::move(buf_);
+  }
+
+ private:
+  std::vector<std::uint8_t> buf_;
+  std::size_t op_ = 0;
+};
+
+/// One sequence: token, literal run, 16-bit back-reference offset, match
+/// length. A literals-only tail is emitted by the caller with no offset —
+/// end-of-block is "input exhausted after the literal run".
+void emit_sequence(BodyWriter& out, std::span<const std::uint8_t> lits,
+                   std::size_t offset, std::size_t mlen) {
   const std::size_t ml = mlen - kMinMatch;
-  out.push_back(static_cast<std::uint8_t>(
-      (std::min<std::size_t>(lits.size(), 15) << 4) |
-      std::min<std::size_t>(ml, 15)));
-  if (lits.size() >= 15) put_ext_len(out, lits.size() - 15);
-  append_bytes(out, lits);
-  ByteWriter(out).u16le(static_cast<std::uint16_t>(offset));
-  if (ml >= 15) put_ext_len(out, ml - 15);
+  out.literals(lits, std::min<std::size_t>(ml, 15));
+  out.byte(static_cast<std::uint8_t>(offset));
+  out.byte(static_cast<std::uint8_t>(offset >> 8));
+  if (ml >= 15) out.ext_len(ml - 15);
 }
 
-void emit_final_literals(std::vector<std::uint8_t>& out,
-                         std::span<const std::uint8_t> lits) {
-  out.push_back(static_cast<std::uint8_t>(
-      std::min<std::size_t>(lits.size(), 15) << 4));
-  if (lits.size() >= 15) put_ext_len(out, lits.size() - 15);
-  append_bytes(out, lits);
+/// Length of the common run of `in` at `a` and `b` (a < b), at least
+/// `known` bytes long already: compares eight bytes per step and locates
+/// the first mismatching byte from the lowest set bit of the XOR.
+[[nodiscard]] std::size_t match_length(std::span<const std::uint8_t> in,
+                                       std::size_t a, std::size_t b,
+                                       std::size_t known) noexcept {
+  const std::size_t n = in.size();
+  std::size_t len = known;
+  while (n - (b + len) >= 8) {
+    const std::uint64_t diff =
+        *load_u64le(in, a + len) ^ *load_u64le(in, b + len);
+    if (diff != 0) {
+      return len + static_cast<std::size_t>(std::countr_zero(diff)) / 8;
+    }
+    len += 8;
+  }
+  while (b + len < n && in[a + len] == in[b + len]) ++len;
+  return len;
 }
 
 /// Greedy single-pass parse over one block. Matches reference earlier
 /// bytes of the SAME block only, so each block decodes independently.
+/// The table holds the last position each hash was seen at; a candidate
+/// is taken whenever its four bytes equal the current four.
 std::vector<std::uint8_t> lz_compress_block(std::span<const std::uint8_t> in,
                                             std::vector<std::int32_t>& table) {
   std::fill(table.begin(), table.end(), -1);
-  std::vector<std::uint8_t> out;
-  out.reserve(in.size() / 2 + 32);
   const std::size_t n = in.size();
+  BodyWriter out(n);
   std::size_t i = 0;
   std::size_t anchor = 0;
   while (i + kMinMatch <= n) {
@@ -95,8 +136,7 @@ std::vector<std::uint8_t> lz_compress_block(std::span<const std::uint8_t> in,
     if (cand >= 0) {
       const auto cpos = static_cast<std::size_t>(cand);
       if (*load_u32le(in, cpos) == seq) {
-        std::size_t mlen = kMinMatch;
-        while (i + mlen < n && in[i + mlen] == in[cpos + mlen]) ++mlen;
+        const std::size_t mlen = match_length(in, cpos, i, kMinMatch);
         emit_sequence(out, in.subspan(anchor, i - anchor), i - cpos, mlen);
         i += mlen;
         anchor = i;
@@ -105,8 +145,25 @@ std::vector<std::uint8_t> lz_compress_block(std::span<const std::uint8_t> in,
     }
     ++i;
   }
-  emit_final_literals(out, in.subspan(anchor));
-  return out;
+  out.literals(in.subspan(anchor), 0);
+  return std::move(out).finish();
+}
+
+/// Copies a `mlen`-byte back-reference `off` bytes behind `op`. A match
+/// that does not overlap its source (off >= mlen) is one copy. An
+/// overlapping one (off < mlen, run extension) repeats the period `off`:
+/// `done` stays a multiple of `off`, so each copy from the match source
+/// can be `off + done` long, doubling the copied run without its source
+/// and destination ever overlapping.
+void copy_match(std::vector<std::uint8_t>& out, std::size_t op,
+                std::size_t off, std::size_t mlen) {
+  const auto src = out.begin() + static_cast<std::ptrdiff_t>(op - off);
+  const auto dst = out.begin() + static_cast<std::ptrdiff_t>(op);
+  for (std::size_t done = 0; done < mlen;) {
+    const std::size_t chunk = std::min(off + done, mlen - done);
+    std::copy_n(src, chunk, dst + static_cast<std::ptrdiff_t>(done));
+    done += chunk;
+  }
 }
 
 /// Decodes one LZ block body, appending exactly `raw_len` bytes to `out`.
@@ -142,9 +199,8 @@ std::vector<std::uint8_t> lz_compress_block(std::span<const std::uint8_t> in,
     mlen += kMinMatch;
     const std::size_t off = *offset;
     if (off == 0 || off > op - base || mlen > oend - op) break;
-    // Byte-at-a-time on purpose: off < mlen self-referential copies (run
-    // extension) must observe the bytes this same loop just produced.
-    for (std::size_t k = 0; k < mlen; ++k, ++op) out[op] = out[op - off];
+    copy_match(out, op, off, mlen);
+    op += mlen;
   }
   if (!ok) out.resize(base);
   return ok;

@@ -10,12 +10,15 @@
 // analysis & determinism rules".
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <istream>
 #include <optional>
 #include <ostream>
 #include <span>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace gorilla::util {
@@ -46,19 +49,47 @@ namespace gorilla::util {
   return (std::uint64_t{*hi} << 32) | *lo;
 }
 
+namespace detail {
+
+/// Little-endian load of an unsigned `T`, bounds-checked once. At run time
+/// on a little-endian host it is a single word load (the codec kernels and
+/// the CRC lean on that); constant evaluation and big-endian hosts combine
+/// the bytes one by one.
+template <typename T>
+[[nodiscard]] constexpr std::optional<T> load_le(
+    std::span<const std::uint8_t> in, std::size_t offset) noexcept {
+  if (offset > in.size() || in.size() - offset < sizeof(T)) {
+    return std::nullopt;
+  }
+  T v = 0;
+  if (std::is_constant_evaluated() ||
+      std::endian::native != std::endian::little) {
+    for (std::size_t k = 0; k < sizeof(T); ++k) {
+      v = static_cast<T>(v | (static_cast<T>(in[offset + k]) << (8 * k)));
+    }
+  } else {
+    std::memcpy(&v, in.data() + offset, sizeof(T));
+  }
+  return v;
+}
+
+}  // namespace detail
+
 [[nodiscard]] constexpr std::optional<std::uint16_t> load_u16le(
     std::span<const std::uint8_t> in, std::size_t offset) noexcept {
-  if (offset > in.size() || in.size() - offset < 2) return std::nullopt;
-  return static_cast<std::uint16_t>(std::uint32_t{in[offset]} |
-                                    (std::uint32_t{in[offset + 1]} << 8));
+  return detail::load_le<std::uint16_t>(in, offset);
 }
 
 [[nodiscard]] constexpr std::optional<std::uint32_t> load_u32le(
     std::span<const std::uint8_t> in, std::size_t offset) noexcept {
-  if (offset > in.size() || in.size() - offset < 4) return std::nullopt;
-  return std::uint32_t{in[offset]} | (std::uint32_t{in[offset + 1]} << 8) |
-         (std::uint32_t{in[offset + 2]} << 16) |
-         (std::uint32_t{in[offset + 3]} << 24);
+  return detail::load_le<std::uint32_t>(in, offset);
+}
+
+/// 8-byte little-endian word load: the word-at-a-time step of the CRC-32
+/// and block codec kernels (match extension compares two of these).
+[[nodiscard]] constexpr std::optional<std::uint64_t> load_u64le(
+    std::span<const std::uint8_t> in, std::size_t offset) noexcept {
+  return detail::load_le<std::uint64_t>(in, offset);
 }
 
 /// LEB128 varint decode at `pos`: the one decode kernel shared by every

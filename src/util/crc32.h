@@ -3,15 +3,22 @@
 //
 // GORCOL sections carry a CRC over their payload so a torn write, a
 // flipped bit on disk, or a truncated copy is detected at load time instead
-// of silently replaying garbage into an analysis. The implementation is the
-// classic byte-at-a-time table walk — fast enough that checksumming is
-// noise next to the varint codec (see BENCH_engine.json), and constexpr so
-// tests can pin golden values at compile time.
+// of silently replaying garbage into an analysis. Every stored byte of an
+// artifact is checksummed twice on load (section CRC, then block CRC) and
+// twice on save, so the checksum is on the replay critical path: a byte-at-
+// a-time table walk ran at ~300 MB/s, a measurable share of an artifact
+// replay. The run-time path is therefore slicing-by-8 (eight 256-entry
+// tables, one 8-byte word per step); constant evaluation and the tail
+// bytes keep the classic byte walk, so tests can still pin golden values
+// at compile time. Both walks compute the same function.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <span>
+#include <type_traits>
+
+#include "util/bytes.h"
 
 namespace gorilla::util {
 
@@ -32,6 +39,24 @@ constexpr std::array<std::uint32_t, 256> make_crc32_table() noexcept {
 inline constexpr std::array<std::uint32_t, 256> kCrc32Table =
     make_crc32_table();
 
+/// Slicing-by-8 tables: slice k maps a byte to its CRC contribution when
+/// k zero bytes follow it (slice 0 is the byte-walk table).
+constexpr std::array<std::array<std::uint32_t, 256>, 8>
+make_crc32_slices() noexcept {
+  std::array<std::array<std::uint32_t, 256>, 8> slices{};
+  slices[0] = kCrc32Table;
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::size_t n = 0; n < 256; ++n) {
+      const std::uint32_t prev = slices[k - 1][n];
+      slices[k][n] = kCrc32Table[prev & 0xffu] ^ (prev >> 8);
+    }
+  }
+  return slices;
+}
+
+inline constexpr std::array<std::array<std::uint32_t, 256>, 8> kCrc32Slices =
+    make_crc32_slices();
+
 }  // namespace detail
 
 /// Incremental CRC-32 accumulator: feed byte ranges in any chunking, read
@@ -40,8 +65,19 @@ class Crc32 {
  public:
   constexpr void update(std::span<const std::uint8_t> data) noexcept {
     std::uint32_t c = state_;
-    for (const std::uint8_t b : data) {
-      c = detail::kCrc32Table[(c ^ b) & 0xffu] ^ (c >> 8);
+    std::size_t i = 0;
+    if (!std::is_constant_evaluated()) {
+      const auto& t = detail::kCrc32Slices;
+      for (; data.size() - i >= 8; i += 8) {
+        const std::uint64_t w = *load_u64le(data, i) ^ c;
+        c = t[7][w & 0xffu] ^ t[6][(w >> 8) & 0xffu] ^
+            t[5][(w >> 16) & 0xffu] ^ t[4][(w >> 24) & 0xffu] ^
+            t[3][(w >> 32) & 0xffu] ^ t[2][(w >> 40) & 0xffu] ^
+            t[1][(w >> 48) & 0xffu] ^ t[0][w >> 56];
+      }
+    }
+    for (; i < data.size(); ++i) {
+      c = detail::kCrc32Table[(c ^ data[i]) & 0xffu] ^ (c >> 8);
     }
     state_ = c;
   }

@@ -3,7 +3,12 @@
 # tests/golden/quick.sha256. stderr (phase timings) is not pinned.
 #
 #   cmake -DBENCH=<binary> -DNAME=<bench> -DMANIFEST=<quick.sha256>
-#         -DOUT=<stdout capture> -P check_stdout.cmake
+#         -DOUT=<stdout capture> [-DRECORD=<artifact path>]
+#         -P check_stdout.cmake
+#
+# With RECORD set the bench also runs with --record RECORD, and the pin is
+# the SHA-256 of that recorded artifact instead of stdout (manifest
+# tests/golden/artifact.sha256): the stored bytes are pinned the same way.
 #
 # The manifest uses sha256sum's "<hash>  <name>" line format. A change that
 # means to move bytes re-pins the affected lines, e.g. from the build tree:
@@ -22,15 +27,25 @@ if(NOT pin_count EQUAL 1)
 endif()
 string(REGEX REPLACE "  .*$" "" expected "${pins}")
 
-execute_process(COMMAND "${BENCH}" --quick
+set(args --quick)
+set(pinned "${OUT}")
+set(what stdout)
+if(DEFINED RECORD)
+  file(REMOVE "${RECORD}")
+  list(APPEND args --record "${RECORD}")
+  set(pinned "${RECORD}")
+  set(what "recorded artifact")
+endif()
+string(JOIN " " shown ${args})
+execute_process(COMMAND "${BENCH}" ${args}
                 OUTPUT_FILE "${OUT}"
                 ERROR_VARIABLE diagnostics
                 RESULT_VARIABLE status)
 if(NOT status EQUAL 0)
-  message(FATAL_ERROR "${NAME} --quick exited with ${status}\n${diagnostics}")
+  message(FATAL_ERROR "${NAME} ${shown} exited with ${status}\n${diagnostics}")
 endif()
-file(SHA256 "${OUT}" actual)
+file(SHA256 "${pinned}" actual)
 if(NOT actual STREQUAL expected)
-  message(FATAL_ERROR "${NAME} --quick stdout changed: sha256 ${actual}, "
-                      "pinned ${expected} (stdout kept at ${OUT})")
+  message(FATAL_ERROR "${NAME} ${shown} ${what} changed: sha256 ${actual}, "
+                      "pinned ${expected} (kept at ${pinned})")
 endif()
