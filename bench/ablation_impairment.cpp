@@ -104,5 +104,8 @@ int run(const bench::Options& opt) {
 }  // namespace gorilla
 
 int main(int argc, char** argv) {
-  return gorilla::run(gorilla::bench::parse_options(argc, argv, 80));
+  // Its four pipelines differ only in impairment, which the recorded
+  // header does not carry: no recording can stand for one of them.
+  return gorilla::run(gorilla::bench::live_only_options(
+      argc, argv, 80, /*refuse_record=*/true));
 }

@@ -30,6 +30,15 @@ void print_phase(const char* phase, double seconds) {
   std::fprintf(stderr, "[engine] phase %-12s %8.3fs\n", phase, seconds);
 }
 
+/// Refuses a flag this bench cannot honour: one stderr line naming the
+/// bench, then the bad-run exit code.
+[[noreturn]] void refuse_flag(const char* argv0, const char* why) {
+  const char* slash = std::strrchr(argv0, '/');
+  std::fprintf(stderr, "%s: %s\n", slash != nullptr ? slash + 1 : argv0,
+               why);
+  std::exit(2);
+}
+
 /// Strict positive-integer flag parse: rejects non-numeric text, trailing
 /// junk, zero, and negatives with a clear message instead of silently
 /// clamping (a mistyped `--jobs -4` or `--scale 0x10` should not quietly
@@ -150,12 +159,25 @@ Options standalone_options(int argc, char** argv,
                            std::uint32_t default_scale) {
   Options opt = parse_options(argc, argv, default_scale);
   if (!opt.record.empty() || !opt.replay.empty()) {
-    const char* slash = std::strrchr(argv[0], '/');
-    std::fprintf(stderr,
-                 "%s: --record/--replay need the study harness, which this "
-                 "bench does not run\n",
-                 slash != nullptr ? slash + 1 : argv[0]);
-    std::exit(2);
+    refuse_flag(argv[0],
+                "--record/--replay need the study harness, which this bench "
+                "does not run");
+  }
+  return opt;
+}
+
+Options live_only_options(int argc, char** argv,
+                          std::uint32_t default_scale, bool refuse_record) {
+  Options opt = parse_options(argc, argv, default_scale);
+  if (!opt.replay.empty()) {
+    refuse_flag(argv[0],
+                "--replay is refused: this bench reads state its recording "
+                "does not hold, so it runs live only");
+  }
+  if (refuse_record && !opt.record.empty()) {
+    refuse_flag(argv[0],
+                "--record is refused: this bench runs several studies, which "
+                "would overwrite one recording");
   }
   return opt;
 }

@@ -69,6 +69,15 @@ bool maybe_write_csv(const Options& opt, const std::string& name,
 [[nodiscard]] Options standalone_options(int argc, char** argv,
                                          std::uint32_t default_scale);
 
+/// parse_options for the harness benches whose output depends on more
+/// than their recording holds: post-run probes of `pipeline.world`, which a
+/// replay never simulates, or impairment settings the header does not
+/// carry. --replay is refused with one line and exit 2, and so is --record
+/// when `refuse_record` (several pipelines would write one path).
+[[nodiscard]] Options live_only_options(int argc, char** argv,
+                                        std::uint32_t default_scale,
+                                        bool refuse_record = false);
+
 /// Prints the standard provenance header every bench emits.
 void print_header(const std::string& figure, const Options& opt);
 

@@ -374,9 +374,10 @@ void BM_WeeklyVersionSample(benchmark::State& state) {
 BENCHMARK(BM_WeeklyVersionSample)->Unit(benchmark::kMillisecond);
 
 void BM_SeedMonitorTables(benchmark::State& state) {
-  // One week's monitor seeding at --jobs N (plan on the calling thread,
-  // apply fanned out over the shared world arena); the 1-job run is the
-  // inline path, so the pair reads as the fan-out's scaling. Tables are
+  // One week's monitor seeding at --jobs N (plan drawn on the calling
+  // thread, each 256-server chunk applied on an apply lane as soon as it is
+  // drawn); the 1-job run applies each chunk inline through the same path,
+  // so the pair reads as the lanes' scaling. Tables are
   // emptied between iterations, as the probe-time restart expiry mostly
   // does, so every iteration regrows them from the arena.
   sim::WorldConfig cfg;

@@ -52,8 +52,8 @@ struct MonitorSlot {
 };
 
 /// One buffered observe_many() call — a day shard's unit of monitor-table
-/// mutation. Worker threads record these instead of touching the table;
-/// the calling thread applies them in day order during the ordered merge
+/// mutation. Day shards record these instead of touching the table; the
+/// ordered merge posts them in day order to the table's apply lane
 /// (DESIGN.md §3d), so per-table LRU evolution matches the sequential
 /// engine exactly.
 struct MonitorObservation {

@@ -1,6 +1,7 @@
 #include "sim/attack.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <unordered_map>
 
@@ -700,14 +701,29 @@ AttackEngine::DayShardResult AttackEngine::simulate_day(
   return std::move(shard.result);
 }
 
-void AttackEngine::consume_day(DayShardResult& result) {
-  // Monitor deltas first, then the buffered bus events: the two touch
-  // disjoint state (tables vs. collectors), so only each delta's internal
-  // order — per-table chronological — matters for the merge.
-  for (auto& [server_index, delta] : result.monitor_deltas) {
-    if (auto* server = world_.detailed(server_index)) {
-      server->monitor().apply_delta(delta);
-    }
+void AttackEngine::consume_day(DayShardResult& result,
+                               ShardedExecutor::Lanes& lanes) {
+  // Monitor deltas leave for the apply lanes (DESIGN.md §3d rule 4), one
+  // batch per lane per day: a server always maps to the same lane and days
+  // are posted in ascending order, so each table sees its deltas in the
+  // sequential engine's chronological order. Nothing reads a table until
+  // the caller joins the lanes; the bus events and record folds below
+  // touch disjoint state (collectors, engine totals).
+  std::array<MonitorBatch, ShardedExecutor::kLanes> batches;
+  for (auto& entry : result.monitor_deltas) {
+    batches[entry.first % ShardedExecutor::kLanes].push_back(std::move(entry));
+  }
+  result.monitor_deltas.clear();
+  for (std::size_t lane = 0; lane < batches.size(); ++lane) {
+    if (batches[lane].empty()) continue;
+    MonitorBatch batch = std::move(batches[lane]);
+    lanes.post(lane, [this, deltas = std::move(batch)] {
+      for (const auto& [server_index, delta] : deltas) {
+        if (auto* server = world_.detailed(server_index)) {
+          server->monitor().apply_delta(delta);
+        }
+      }
+    });
   }
   result.events.replay_into(*sink_);
   for (std::size_t i = 0; i < result.records.size(); ++i) {
@@ -740,7 +756,8 @@ std::vector<AttackRecord> AttackEngine::run_day(int day) {
   const DayWindowPlan plan = make_window_plan(day, day + 1);
   DayShardResult result = simulate_day(day, plan);
   std::vector<AttackRecord> records = result.records;
-  consume_day(result);
+  ShardedExecutor::Lanes lanes{ShardedExecutor(nullptr)};
+  consume_day(result, lanes);
   return records;
 }
 
@@ -758,6 +775,9 @@ void AttackEngine::run_days(int from, int to, ShardedExecutor* executor,
   // path IS the sequential engine — DESIGN.md §3d).
   ShardedExecutor inline_executor(nullptr);
   ShardedExecutor& exec = executor != nullptr ? *executor : inline_executor;
+  // Declared before the fan-out, so an aborting shard unwinds through the
+  // lanes' destructor, which waits for every started monitor apply.
+  ShardedExecutor::Lanes lanes(exec);
   exec.run_ordered(
       static_cast<std::size_t>(to - from), /*chunk_size=*/1,
       [this, from, &plan, scans, darknet_geometry,
@@ -771,7 +791,8 @@ void AttackEngine::run_days(int from, int to, ShardedExecutor* executor,
         }
         return result;
       },
-      [this](DayShardResult result) { consume_day(result); });
+      [this, &lanes](DayShardResult result) { consume_day(result, lanes); });
+  lanes.join();
 }
 
 }  // namespace gorilla::sim

@@ -14,9 +14,11 @@
 // Parallel execution (DESIGN.md §3d): every day is a pure function of
 // (seed, day) — its RNG is a splitmix substream derived from the day index,
 // and all its bus emissions and monitor-table mutations are buffered into a
-// DayShardResult on the worker, then applied on the calling thread in
-// ascending day order. run_days() fans whole days out over a
-// ShardedExecutor; output is bit-identical for any --jobs value.
+// DayShardResult on the worker, then merged on the calling thread in
+// ascending day order: events replay into the sink there, and each day's
+// monitor deltas go to the executor's apply lanes, keyed by server.
+// run_days() fans whole days out over a ShardedExecutor; output is
+// bit-identical for any --jobs value.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +28,7 @@
 
 #include "ntp/monlist.h"
 #include "sim/impairment.h"
+#include "sim/sharded_executor.h"
 #include "sim/world.h"
 // Published downward interface (DESIGN.md §3f): the engine buffers typed
 // study events, so these types cross the layer boundary by value, by design.
@@ -43,7 +46,6 @@ class FlowCollector;
 namespace gorilla::sim {
 
 class ScanTraffic;
-class ShardedExecutor;
 
 /// One NTP reflection attack (ground truth, kept for validation).
 struct AttackRecord {
@@ -223,14 +225,16 @@ class AttackEngine {
   /// Everything one day shard produced on a worker thread: ground-truth
   /// records (scripted prefix first), buffered bus events, buffered
   /// monitor-table deltas (per amplifier, first-touch order), and the day's
-  /// victim picks per booter. consume_day() folds it into the engine and
-  /// the world on the calling thread.
+  /// victim picks per booter. consume_day() folds it into the engine on the
+  /// calling thread and hands the deltas to the apply lanes.
+  using MonitorBatch =
+      std::vector<std::pair<std::uint32_t, ntp::MonitorDelta>>;
   struct DayShardResult {
     int day = 0;
     std::size_t scripted_count = 0;  ///< scripted prefix of `records`
     std::vector<AttackRecord> records;
     study::EventBuffer events;
-    std::vector<std::pair<std::uint32_t, ntp::MonitorDelta>> monitor_deltas;
+    MonitorBatch monitor_deltas;
     std::vector<std::vector<net::Ipv4Address>> booter_picks;
   };
 
@@ -255,8 +259,10 @@ class AttackEngine {
   /// Pure in (seed, day, plan): the worker-side half of a day.
   [[nodiscard]] DayShardResult simulate_day(int day,
                                             const DayWindowPlan& plan) const;
-  /// Calling-thread half: applies deltas, replays events, merges state.
-  void consume_day(DayShardResult& result);
+  /// Calling-thread half: posts the deltas to `lanes` (keyed by server),
+  /// replays events, merges state. The caller joins `lanes` before any
+  /// monitor table is read.
+  void consume_day(DayShardResult& result, ShardedExecutor::Lanes& lanes);
 
   std::uint32_t pick_booter(util::Rng& rng) const;
   net::Ipv4Address pick_victim(int day, util::Rng& rng,

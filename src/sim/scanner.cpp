@@ -242,22 +242,11 @@ void ScanTraffic::seed_monitor_tables(int week, ShardedExecutor* executor) {
       config_.seed, (std::uint64_t{1} << 32) +
                         static_cast<std::uint64_t>(
                             static_cast<std::uint32_t>(week)));
-  if (executor == nullptr || executor->jobs() <= 1) {
-    plan_seed_observations(
-        week, rng, [] {},
-        [](ntp::NtpServer* server, net::Ipv4Address address,
-           std::uint16_t port, std::uint8_t mode, util::SimTime when) {
-          server->monitor().observe(address, port, mode, ntp::kNtpVersion,
-                                    when);
-        });
-    return;
-  }
-
-  // Plan/apply split: the RNG plan is drawn sequentially above (identical
-  // draw order to the inline path); only the monitor-table writes fan out.
-  // Each server's entries live in one contiguous slice and each chunk owns
-  // whole servers, so no two workers ever touch the same monitor table and
-  // the per-server observe order matches the sequential engine exactly.
+  // The plan is drawn here in one RNG order; each 256-server chunk goes to
+  // an apply lane as soon as it is drawn (DESIGN.md §3d rule 4), so the
+  // table writes overlap the rest of the draw. A chunk owns whole servers
+  // and a server is in one chunk, so every table sees its observations in
+  // plan order. Inline (--jobs 1) each chunk applies as it is posted.
   struct Planned {
     ntp::NtpServer* server = nullptr;
     net::Ipv4Address address;
@@ -265,30 +254,37 @@ void ScanTraffic::seed_monitor_tables(int week, ShardedExecutor* executor) {
     std::uint8_t mode = 0;
     util::SimTime when = 0;
   };
-  std::vector<Planned> plan;
-  plan.reserve(last_plan_size_);  // weekly plans change size slowly
-  std::vector<std::size_t> offsets;
-  offsets.reserve(world_.amplifier_indices().size() + 1);
+  constexpr std::size_t kChunkServers = 256;
+  ShardedExecutor inline_executor(nullptr);
+  ShardedExecutor::Lanes lanes(executor != nullptr ? *executor
+                                                   : inline_executor);
+  std::vector<Planned> chunk;
+  std::size_t chunk_index = 0;
+  std::size_t chunk_servers = 0;
+  const auto post_chunk = [&lanes, &chunk, &chunk_index, &chunk_servers] {
+    const std::size_t planned_size = chunk.size();
+    lanes.post(chunk_index++, [planned = std::move(chunk)] {
+      for (const auto& p : planned) {
+        p.server->monitor().observe(p.address, p.port, p.mode,
+                                    ntp::kNtpVersion, p.when);
+      }
+    });
+    chunk = {};
+    chunk.reserve(planned_size);  // neighbouring chunks plan alike
+    chunk_servers = 0;
+  };
   plan_seed_observations(
-      week, rng, [&plan, &offsets] { offsets.push_back(plan.size()); },
-      [&plan](ntp::NtpServer* server, net::Ipv4Address address,
-              std::uint16_t port, std::uint8_t mode, util::SimTime when) {
-        plan.push_back(Planned{server, address, port, mode, when});
+      week, rng,
+      [&post_chunk, &chunk_servers] {
+        if (chunk_servers == kChunkServers) post_chunk();
+        ++chunk_servers;
+      },
+      [&chunk](ntp::NtpServer* server, net::Ipv4Address address,
+               std::uint16_t port, std::uint8_t mode, util::SimTime when) {
+        chunk.push_back(Planned{server, address, port, mode, when});
       });
-  offsets.push_back(plan.size());
-  last_plan_size_ = plan.size();
-
-  executor->parallel_for(
-      offsets.size() - 1, /*chunk_size=*/256,
-      [&plan, &offsets](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          for (std::size_t j = offsets[i]; j < offsets[i + 1]; ++j) {
-            const auto& p = plan[j];
-            p.server->monitor().observe(p.address, p.port, p.mode,
-                                        ntp::kNtpVersion, p.when);
-          }
-        }
-      });
+  post_chunk();
+  lanes.join();
 }
 
 }  // namespace gorilla::sim

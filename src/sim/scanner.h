@@ -86,10 +86,11 @@ class ScanTraffic {
   /// cheaper than per-day per-server observation). The plan draws from a
   /// pure (seed, week) substream, independent of the day streams.
   ///
-  /// With a (multi-job) executor, the RNG plan is drawn sequentially —
-  /// burning exactly the draws of the inline path — and only the per-server
-  /// monitor-table writes fan out, each server owned by one chunk; the
-  /// result is bit-identical for any job count.
+  /// The RNG plan is always drawn on the calling thread, in one order; each
+  /// 256-server chunk of monitor-table writes is posted to the executor's
+  /// apply lanes as soon as it is drawn and joined before returning. A
+  /// server is owned by one chunk, so the result is bit-identical for any
+  /// job count (a null or 1-job executor applies each chunk inline).
   void seed_monitor_tables(int week, ShardedExecutor* executor = nullptr);
 
   [[nodiscard]] const std::vector<ScanActor>& actors() const noexcept {
@@ -103,8 +104,7 @@ class ScanTraffic {
   /// The single source of the seed_monitor_tables() RNG stream: walks every
   /// amplifier slot, calling `begin_server()` once per slot (before any
   /// draws) and `emit(server, address, port, mode, when)` per planned
-  /// monitor-table observation. Both the inline and the plan/apply paths
-  /// run through here, so their draw order cannot diverge.
+  /// monitor-table observation.
   template <typename BeginServer, typename Emit>
   void plan_seed_observations(int week, util::Rng& rng,
                               BeginServer&& begin_server, Emit&& emit);
@@ -114,7 +114,6 @@ class ScanTraffic {
   ImpairmentLayer impairment_;
   util::Rng rng_;                  ///< construction-time draws only
   std::vector<ScanActor> actors_;  ///< research first, then malicious
-  std::size_t last_plan_size_ = 0; ///< previous week's seeding plan length
 };
 
 /// TTL of scan packets at a ~10-hop vantage: Linux initial 64 -> mode 54

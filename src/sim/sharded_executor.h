@@ -16,20 +16,28 @@
 //      (visitor streams, float accumulation) therefore see exactly the
 //      sequential order.
 //
+//   4. keyed writes may leave the calling thread through apply Lanes: every
+//      write to a key's state is posted to that key's lane in sequential
+//      order, and the lanes join before anything reads that state.
+//
 // With jobs() <= 1 everything runs inline on the calling thread, which IS
 // the sequential engine — K=1 reproduces the seed by construction, and the
 // shard-invariance tests pin K>1 to that same byte stream.
 //
 // gorilla_lint's `worker-capture` rule rejects `[&]` capture on the worker
-// lambda handed to run_ordered()/parallel_for(): captures must be spelled
+// lambda handed to run_ordered() or Lanes::post(): captures must be spelled
 // out so a reviewer can check rule 2 at the call site.
 #pragma once
 
+#include <array>
+#include <condition_variable>
 #include <cstddef>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <type_traits>
 #include <utility>
@@ -106,13 +114,48 @@ class ShardedExecutor {
     }
   }
 
-  /// Unordered parallel apply over [0, n): fn(begin, end) per shard, no
-  /// result, each shard exactly once. The caller guarantees shards mutate
-  /// disjoint state (contract rule 2); use run_ordered() when anything
-  /// order-sensitive is reduced. Blocks until every started shard finished;
-  /// the lowest failed shard's exception re-throws here.
-  void parallel_for(std::size_t n, std::size_t chunk_size,
-                    const std::function<void(std::size_t, std::size_t)>& fn);
+  /// Lanes per Lanes object: a constant, so which writes share a lane never
+  /// depends on the worker count.
+  static constexpr std::size_t kLanes = 16;
+
+  /// Keyed apply lanes (contract rule 4). post(key, job) queues `job` on
+  /// lane key % kLanes; each lane runs its jobs one at a time in post
+  /// order on the executor's pool, and different lanes run concurrently.
+  /// Writes to state owned by one key, posted in sequential order, thus
+  /// land in sequential order. With a null or 1-thread pool post() runs the
+  /// job inline at once (the sequential engine). A throwing job stops its
+  /// lane and the jobs not yet started; join() waits for every started job
+  /// and then rethrows the first failure. The destructor waits too (an
+  /// exception path), so jobs may reference the posting frame.
+  class Lanes {
+   public:
+    explicit Lanes(const ShardedExecutor& executor) noexcept
+        : pool_(executor.jobs() <= 1 ? nullptr : executor.pool_) {}
+    ~Lanes() { wait_idle(); }
+
+    Lanes(const Lanes&) = delete;
+    Lanes& operator=(const Lanes&) = delete;
+
+    void post(std::size_t key, std::function<void()> job);
+    /// Blocks until every posted job has run; rethrows the first failure.
+    void join();
+
+   private:
+    struct Lane {
+      std::deque<std::function<void()>> queue;
+      bool running = false;  ///< a drain job is submitted or running
+    };
+
+    void drain(std::size_t lane);
+    void wait_idle();
+
+    util::ThreadPool* pool_;  ///< null = inline
+    std::mutex mu_;
+    std::condition_variable idle_;
+    std::array<Lane, kLanes> lanes_;
+    std::size_t running_ = 0;  ///< lanes with a drain job in flight
+    std::exception_ptr error_;
+  };
 
  private:
   /// Runs one shard. The fault hook fires first, so an injected

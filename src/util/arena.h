@@ -26,12 +26,12 @@
 // the *calling* thread's stripe, whichever stripe carved it: blocks are
 // owned by the arena as a whole and all die with it, so storage migrating
 // between stripes is harmless. The study frees on one thread what it
-// allocated on another (attack-day merges grow tables on the calling
-// thread, the parallel probe's expiry shrinks them on workers), so a
-// stripe whose bump block runs out first adopts the other stripes' idle
-// free lists, and only then carves a new block. Which stripe serves a
-// request never changes what a caller observes beyond the address it gets
-// back.
+// allocated on another (attack-day and seeding apply lanes grow tables on
+// whichever worker runs the lane, the parallel probe's expiry shrinks them
+// on others), so a stripe whose bump block runs out first adopts the other
+// stripes' idle free lists, and only then carves a new block. Which
+// stripe serves a request never changes what a caller observes beyond the
+// address it gets back.
 //
 // Accounting: each block charges one MemStats::Counter::add per block (a
 // relaxed atomic), so per-subsystem live/peak bytes are exact at block

@@ -6,10 +6,10 @@
 // fixed-size chunks and merges results on the calling thread in canonical
 // chunk order — the pool only supplies the concurrency.
 //
-// parallel_for() is the one blocking join every "submit N jobs and wait"
-// caller uses: the executor's unordered apply, archive inflation, lint's
-// per-file phases and gorilla_replay's sink passes. Each index runs at
-// most once and no job is ever retried.
+// parallel_for() is the blocking join every "submit N jobs and wait"
+// caller uses: archive inflation, lint's per-file phases and
+// gorilla_replay's sink passes. Each index runs at most once and no job is
+// ever retried.
 #pragma once
 
 #include <condition_variable>

@@ -3,12 +3,14 @@
 # tests/golden/quick.sha256. stderr (phase timings) is not pinned.
 #
 #   cmake -DBENCH=<binary> -DNAME=<bench> -DMANIFEST=<quick.sha256>
-#         -DOUT=<stdout capture> [-DRECORD=<artifact path>]
+#         -DOUT=<stdout capture> [-DRECORD=<artifact path>] [-DJOBS=<N>]
 #         -P check_stdout.cmake
 #
 # With RECORD set the bench also runs with --record RECORD, and the pin is
 # the SHA-256 of that recorded artifact instead of stdout (manifest
 # tests/golden/artifact.sha256): the stored bytes are pinned the same way.
+# With JOBS set the bench runs with --jobs JOBS against the same pin, since
+# every job count must produce the same bytes.
 #
 # The manifest uses sha256sum's "<hash>  <name>" line format. A change that
 # means to move bytes re-pins the affected lines, e.g. from the build tree:
@@ -28,6 +30,9 @@ endif()
 string(REGEX REPLACE "  .*$" "" expected "${pins}")
 
 set(args --quick)
+if(DEFINED JOBS)
+  list(APPEND args --jobs "${JOBS}")
+endif()
 set(pinned "${OUT}")
 set(what stdout)
 if(DEFINED RECORD)

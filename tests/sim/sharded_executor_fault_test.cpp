@@ -1,7 +1,7 @@
-// Shards run once: a one-shot injected `shard-throw` aborts run_ordered and
-// parallel_for with util::FaultInjected, no shard is ever run twice, and
-// the consumed output is a clean prefix of the canonical merge — inline
-// and on a 4-thread pool.
+// Shards run once: a one-shot injected `shard-throw` aborts run_ordered
+// with util::FaultInjected, no shard is ever run twice, and the consumed
+// output is a clean prefix of the canonical merge — inline and on a
+// 4-thread pool.
 //
 // Suites are named ShardedExecutorFault* so the TSan preset's test filter
 // (^ShardedExecutor...) picks them up.
@@ -77,30 +77,6 @@ TEST(ShardedExecutorFaultTest, InjectedShardThrowAbortsRunOrdered) {
       // Inline, attempts are shard ordinals: shards 0 and 1 ran and merged.
       EXPECT_EQ(ran, 2);
       EXPECT_EQ(sums.size(), 2u);
-    }
-  }
-}
-
-TEST(ShardedExecutorFaultTest, InjectedShardThrowAbortsParallelFor) {
-  util::ThreadPool pool(4);
-  for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr), &pool}) {
-    const ScopedPlan guard(third_attempt_throws());
-    ShardedExecutor exec(p);
-    std::vector<std::atomic<int>> runs(kShards);
-    EXPECT_THROW(exec.parallel_for(kN, kChunk,
-                                   [&runs](std::size_t b, std::size_t) {
-                                     runs[b / kChunk].fetch_add(1);
-                                   }),
-                 util::FaultInjected);
-    int ran = 0;
-    for (const auto& r : runs) {
-      EXPECT_LE(r.load(), 1);  // never retried
-      ran += r.load();
-    }
-    EXPECT_LE(ran, static_cast<int>(kShards) - 1);
-    if (p == nullptr) {
-      EXPECT_EQ(runs[0].load() + runs[1].load(), 2);
-      EXPECT_EQ(ran, 2);
     }
   }
 }

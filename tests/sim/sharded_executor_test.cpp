@@ -1,7 +1,8 @@
 // ShardedExecutor unit contract (fixed shard boundaries, ordered merge,
-// inline fallback) plus the determinism-merge acceptance test: both shapes
-// of the study harness are bit-identical for K ∈ {1, 2, 7} worker threads,
-// across two runs at the same K, and (regional) across record/replay.
+// inline fallback, keyed apply lanes) plus the determinism-merge acceptance
+// test: both shapes of the study harness, sinks and monitor tables alike,
+// are bit-identical for K ∈ {1, 2, 7} worker threads, across two runs at
+// the same K, and (regional sinks) across record/replay.
 #include "sim/sharded_executor.h"
 
 #include <gtest/gtest.h>
@@ -178,33 +179,131 @@ TEST(ShardedExecutorTest, ExceptionDrainsInFlightShardsBeforeRethrow) {
   EXPECT_GE(started.load(), 1);
 }
 
-TEST(ShardedExecutorTest, ParallelForCoversDisjointShards) {
-  const std::size_t n = 10'000;
-  const auto run_with = [n](ShardedExecutor& exec) {
-    std::vector<std::uint32_t> out(n, 0);
-    exec.parallel_for(n, 64, [&out](std::size_t b, std::size_t e) {
-      for (std::size_t i = b; i < e; ++i) {
-        out[i] = static_cast<std::uint32_t>(i * 2654435761u);
-      }
-    });
-    return out;
-  };
-  ShardedExecutor inline_exec(nullptr);
-  util::ThreadPool pool(7);
-  ShardedExecutor exec(&pool);
-  EXPECT_EQ(run_with(inline_exec), run_with(exec));
+// --- Keyed apply lanes (contract rule 4). ---
+
+/// Waits up to five seconds for `flag`; false on timeout, so a broken
+/// lane fails the test instead of hanging it.
+bool wait_for(const std::atomic<bool>& flag) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!flag.load()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
 }
 
-TEST(ShardedExecutorTest, ParallelForExceptionRethrows) {
+TEST(ShardedExecutorLanesTest, EachLaneKeepsPostOrder) {
+  util::ThreadPool pool(4);
+  ShardedExecutor exec(&pool);
+  // Keys 0..36 spread over every lane; each key's log is written only by
+  // its own lane's jobs, which run one at a time.
+  constexpr std::size_t kKeys = 37;
+  std::vector<std::vector<int>> logs(kKeys);
+  {
+    ShardedExecutor::Lanes lanes(exec);
+    for (int i = 0; i < 2000; ++i) {
+      const auto key = static_cast<std::size_t>(i) % kKeys;
+      lanes.post(key, [&log = logs[key], i] { log.push_back(i); });
+    }
+    lanes.join();
+  }
+  for (std::size_t key = 0; key < kKeys; ++key) {
+    ASSERT_FALSE(logs[key].empty());
+    EXPECT_TRUE(std::is_sorted(logs[key].begin(), logs[key].end()));
+    EXPECT_EQ(logs[key].front(), static_cast<int>(key));
+  }
+}
+
+TEST(ShardedExecutorLanesTest, TwoLanesRunConcurrently) {
   util::ThreadPool pool(2);
   ShardedExecutor exec(&pool);
-  EXPECT_THROW(exec.parallel_for(10, 1,
-                                 [](std::size_t b, std::size_t) {
-                                   if (b == 7) {
-                                     throw std::runtime_error("boom");
-                                   }
-                                 }),
-               std::runtime_error);
+  std::atomic<bool> a_started{false};
+  std::atomic<bool> b_started{false};
+  std::atomic<bool> a_saw_b{false};
+  std::atomic<bool> b_saw_a{false};
+  ShardedExecutor::Lanes lanes(exec);
+  // Each job waits for the other to start: they only both see each other
+  // when the two lanes overlap in time.
+  lanes.post(0, [&a_started, &b_started, &a_saw_b] {
+    a_started.store(true);
+    a_saw_b.store(wait_for(b_started));
+  });
+  lanes.post(1, [&a_started, &b_started, &b_saw_a] {
+    b_started.store(true);
+    b_saw_a.store(wait_for(a_started));
+  });
+  lanes.join();
+  EXPECT_TRUE(a_saw_b.load());
+  EXPECT_TRUE(b_saw_a.load());
+}
+
+TEST(ShardedExecutorLanesTest, JoinRethrowsAfterStartedJobsFinish) {
+  util::ThreadPool pool(4);
+  ShardedExecutor exec(&pool);
+  std::atomic<bool> slow_started{false};
+  std::atomic<bool> slow_finished{false};
+  std::atomic<bool> after_failure_ran{false};
+  ShardedExecutor::Lanes lanes(exec);
+  lanes.post(1, [&slow_started, &slow_finished] {
+    slow_started.store(true);
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    slow_finished.store(true);
+  });
+  lanes.post(0, [&slow_started] {
+    (void)wait_for(slow_started);
+    throw std::runtime_error("lane 0 failed");
+  });
+  // Queued behind the failure on the same lane: never started.
+  lanes.post(ShardedExecutor::kLanes, [&after_failure_ran] {
+    after_failure_ran.store(true);
+  });
+  EXPECT_THROW(lanes.join(), std::runtime_error);
+  EXPECT_TRUE(slow_started.load());
+  EXPECT_TRUE(slow_finished.load());
+  EXPECT_FALSE(after_failure_ran.load());
+  lanes.join();  // the failure was reported once
+}
+
+TEST(ShardedExecutorLanesTest, DestructorWaitsForStartedJobs) {
+  util::ThreadPool pool(2);
+  ShardedExecutor exec(&pool);
+  std::atomic<bool> started{false};
+  std::atomic<bool> finished{false};
+  {
+    ShardedExecutor::Lanes lanes(exec);
+    lanes.post(3, [&started, &finished] {
+      started.store(true);
+      std::this_thread::sleep_for(std::chrono::milliseconds(30));
+      finished.store(true);
+    });
+    ASSERT_TRUE(wait_for(started));
+    // Leaves scope without join(), as an exception path does.
+  }
+  EXPECT_TRUE(finished.load());
+}
+
+TEST(ShardedExecutorLanesTest, NullOrOneThreadPoolRunsEachJobInline) {
+  util::ThreadPool one(1);
+  ShardedExecutor null_exec(nullptr);
+  ShardedExecutor one_exec(&one);
+  for (ShardedExecutor* exec : {&null_exec, &one_exec}) {
+    ShardedExecutor::Lanes lanes(*exec);
+    std::vector<int> order;
+    std::thread::id ran_on;
+    lanes.post(5, [&order, &ran_on] {
+      order.push_back(5);
+      ran_on = std::this_thread::get_id();
+    });
+    // Ran at once, on this thread, before any join.
+    EXPECT_EQ(order, std::vector<int>{5});
+    EXPECT_EQ(ran_on, std::this_thread::get_id());
+    lanes.post(2, [&order] { order.push_back(2); });
+    EXPECT_EQ(order, (std::vector<int>{5, 2}));
+    EXPECT_THROW(lanes.post(0, [] { throw std::runtime_error("inline"); }),
+                 std::runtime_error);
+    lanes.join();
+  }
 }
 
 // --- Full-pipeline determinism: the acceptance test for the engine. ---
@@ -242,6 +341,29 @@ void mix_flows(Fingerprint& fp, const telemetry::FlowCollector& vantage) {
     fp.mix(f.payload_bytes);
     fp.mix(static_cast<std::uint64_t>(f.first));
     fp.mix(static_cast<std::uint64_t>(f.last));
+  }
+}
+
+/// Every detailed server's monitor table, dumped at the end of the horizon.
+/// Nothing else in a regional window reads the tables, so this is what pins
+/// each table's write order across job counts.
+void mix_tables(Fingerprint& fp, const sim::World& world) {
+  constexpr util::SimTime kDumpAt = 181 * util::kSecondsPerDay;
+  for (std::uint32_t i = 0; i < world.servers().size(); ++i) {
+    const ntp::NtpServer* server = world.detailed(i);
+    if (server == nullptr) continue;
+    const auto entries = server->monitor().dump(kDumpAt, net::Ipv4Address{});
+    fp.mix(i);
+    fp.mix(entries.size());
+    for (const auto& e : entries) {
+      fp.mix(e.address.value());
+      fp.mix(e.avg_interval);
+      fp.mix(e.last_seen);
+      fp.mix(e.count);
+      fp.mix(e.port);
+      fp.mix(e.mode);
+      fp.mix(e.version);
+    }
   }
 }
 
@@ -287,6 +409,7 @@ Fingerprint run_pipeline(int jobs) {
     fp.mix(static_cast<std::uint64_t>(day));
     fp.mix(scanners);
   }
+  mix_tables(fp, *pipeline.world);
   return fp;
 }
 
@@ -305,13 +428,20 @@ TEST(ShardedPipelineTest, RepeatedRunsAtSameShardCountAgree) {
 
 // --- Attack-day shards: the §3d pin for AttackEngine::run_days. ---
 
+/// What one attack-window run leaves behind: the sinks' observables, and
+/// the monitor tables (untouched under replay, which simulates nothing).
+struct WindowRun {
+  Fingerprint sinks;
+  Fingerprint tables;
+};
+
 /// Runs the peak-fortnight attack window (attacks + scans, darknet and all
 /// three vantages) through the regional harness shape on a K-job executor
 /// and fingerprints every downstream observable. The regional shape has no
 /// prober, so any divergence here is the day-shard path itself. `record`
 /// and `replay` are the harness's --record/--replay paths.
-Fingerprint run_attack_window(int jobs, const std::string& record = "",
-                              const std::string& replay = "") {
+WindowRun run_attack_window(int jobs, const std::string& record = "",
+                            const std::string& replay = "") {
   bench::Options opt;
   opt.scale = 400;
   opt.jobs = jobs;
@@ -341,24 +471,34 @@ Fingerprint run_attack_window(int jobs, const std::string& record = "",
     fp.mix(static_cast<std::uint64_t>(day));
     fp.mix(scanners);
   }
-  return fp;
+  Fingerprint tables;
+  mix_tables(tables, *run.world);
+  return {fp, tables};
 }
 
 TEST(ShardedPipelineTest, AttackDayShardsByteIdenticalAcrossJobCounts) {
   // The K=1 run records its window; the regional (kind 1) artifact replays
-  // to the live fingerprint at decode jobs 1 and 3.
+  // to the live sink fingerprint at decode jobs 1 and 3. The live runs'
+  // monitor tables match too.
   const std::string path = testing::TempDir() + "attack_window.gorcol";
-  const Fingerprint k1 = run_attack_window(1, path);
-  EXPECT_GT(k1.items, 0u);
-  EXPECT_EQ(k1, run_attack_window(2));
-  EXPECT_EQ(k1, run_attack_window(7));
-  EXPECT_EQ(k1, run_attack_window(1, "", path));
-  EXPECT_EQ(k1, run_attack_window(3, "", path));
+  const WindowRun k1 = run_attack_window(1, path);
+  EXPECT_GT(k1.sinks.items, 0u);
+  EXPECT_GT(k1.tables.items, 0u);
+  for (const int jobs : {2, 7}) {
+    const WindowRun run = run_attack_window(jobs);
+    EXPECT_EQ(k1.sinks, run.sinks) << "jobs " << jobs;
+    EXPECT_EQ(k1.tables, run.tables) << "jobs " << jobs;
+  }
+  EXPECT_EQ(k1.sinks, run_attack_window(1, "", path).sinks);
+  EXPECT_EQ(k1.sinks, run_attack_window(3, "", path).sinks);
   std::remove(path.c_str());
 }
 
 TEST(ShardedPipelineTest, AttackDayShardsStableAcrossRepeatRuns) {
-  EXPECT_EQ(run_attack_window(7), run_attack_window(7));
+  const WindowRun a = run_attack_window(7);
+  const WindowRun b = run_attack_window(7);
+  EXPECT_EQ(a.sinks, b.sinks);
+  EXPECT_EQ(a.tables, b.tables);
 }
 
 }  // namespace

@@ -140,6 +140,25 @@ TEST(WorkerCapture, BlanketCaptureFlagged) {
   EXPECT_EQ(count_rule(fs, "worker-capture"), 1u);
 }
 
+TEST(WorkerCapture, LanePostBehindSubscriptedKeyFlagged) {
+  const std::string code =
+      "struct Lanes {\n"
+      "  template <typename Fn>\n"
+      "  void post(unsigned long key, Fn fn);\n"
+      "};\n"
+      "void fold(Lanes& lanes, const unsigned long* keys, long* out) {\n"
+      "  lanes.post(keys[1], [&] { *out += 1; });\n"
+      "  lanes.post(keys[2], [out] { *out += 1; });\n"
+      "  lanes.post(3, [&out](unsigned long) { out = nullptr; });\n"
+      "}\n";
+  const std::vector<Finding> fs = run("src/sim/x.cpp", code);
+  ASSERT_EQ(count_rule(fs, "worker-capture"), 1u);
+  ASSERT_EQ(count_rule(fs, "shard-mutation"), 1u);
+  for (const Finding& f : fs) {
+    EXPECT_EQ(f.line, f.rule == "worker-capture" ? 6u : 8u);
+  }
+}
+
 TEST(UnorderedIter, NameDeclaredInHeaderCaughtInCpp) {
   const std::vector<Finding> fs = analyze(
       {SourceDoc{"src/core/reg.h",

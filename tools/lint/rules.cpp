@@ -302,10 +302,10 @@ void rule_raw_ofstream(SourceFile& f, Sink& sink) {
 // --- worker-lambda rules ---------------------------------------------------
 //
 // worker-capture, shard-mutation, and shared-rng all inspect the first
-// lambda handed to ShardedExecutor::run_ordered/parallel_for or
-// ThreadPool::submit — the one that runs on pool threads. The sanctioned
-// merge path is run_ordered's consume callback, which runs on the calling
-// thread and is not inspected.
+// lambda handed to ShardedExecutor::run_ordered, ShardedExecutor::Lanes::post
+// or ThreadPool::submit/parallel_for — the one that runs on pool threads.
+// The sanctioned merge path is run_ordered's consume callback, which runs
+// on the calling thread and is not inspected.
 
 struct WorkerLambda {
   std::size_t intro = 0;        ///< offset of '['
@@ -318,9 +318,9 @@ struct WorkerLambda {
 /// Finds the worker lambda of the call whose name ends at `after_name`.
 /// Walks to the first lambda-introducer '[' (one preceded, spaces aside,
 /// by '(' ',' '{' or '='; a subscript follows an identifier or a closing
-/// bracket instead). Stops at the first ';' — past the end of the
-/// statement, and before any body lambda in a declaration of
-/// run_ordered/parallel_for themselves.
+/// bracket instead, and is skipped, as in a lane key `keys[i]`). Stops at
+/// the first ';' — past the end of the statement, and before any body
+/// lambda in a declaration of run_ordered/parallel_for themselves.
 bool find_worker_lambda(const std::string& s, std::size_t after_name,
                         WorkerLambda& out) {
   for (std::size_t i = after_name; i < s.size() && s[i] != ';'; ++i) {
@@ -328,7 +328,7 @@ bool find_worker_lambda(const std::string& s, std::size_t after_name,
     std::size_t j = i;
     while (j > 0 && std::isspace(static_cast<unsigned char>(s[j - 1]))) --j;
     const char prev = j > 0 ? s[j - 1] : '\0';
-    if (prev != '(' && prev != ',' && prev != '{' && prev != '=') return false;
+    if (prev != '(' && prev != ',' && prev != '{' && prev != '=') continue;
     const std::size_t close = s.find(']', i);
     if (close == std::string::npos) return false;
     out.intro = i;
@@ -423,7 +423,8 @@ std::set<std::string> names_with_declared_type(
 }
 
 const std::regex& worker_call_re() {
-  static const std::regex re(R"(\b(run_ordered|parallel_for|submit)\b)");
+  static const std::regex re(
+      R"(\b(run_ordered|parallel_for|post|submit)\b)");
   return re;
 }
 
