@@ -35,10 +35,9 @@ void BM_PrefixTrieLookup(benchmark::State& state) {
   net::PrefixTrie<std::uint32_t> trie;
   for (std::uint32_t i = 0; i < static_cast<std::uint32_t>(state.range(0));
        ++i) {
-    trie.insert(net::Prefix(net::Ipv4Address{
-                                static_cast<std::uint32_t>(rng.next())},
-                            static_cast<int>(rng.uniform_int(12, 24))),
-                i);
+    const auto length = static_cast<int>(rng.uniform_int(12, 24));
+    const net::Ipv4Address base{static_cast<std::uint32_t>(rng.next())};
+    trie.insert(net::Prefix(base, length), i);
   }
   std::uint64_t x = 12345;
   for (auto _ : state) {
@@ -140,9 +139,11 @@ void BM_ReadvarRoundTrip(benchmark::State& state) {
   util::Rng rng(3);
   ntp::NtpServerConfig cfg;
   cfg.address = net::Ipv4Address(10, 0, 0, 1);
+  std::string text;
   do {
-    cfg.identity = ntp::make_system_variables("linux", 2012, 2, rng);
-  } while (cfg.identity.readvar.size() <= ntp::kControlMaxDataBytes);
+    text = ntp::make_system_variables("linux", 2012, 2, rng);
+  } while (text.size() <= ntp::kControlMaxDataBytes);
+  cfg.identity = ntp::ServerIdentity(std::move(text), 2);
   ntp::NtpServer server(cfg);
   net::UdpPacket probe;
   probe.src = net::Ipv4Address(198, 51, 100, 7);
@@ -306,15 +307,22 @@ BENCHMARK(BM_ServerProbeRoundTrip)->Arg(5)->Arg(600);
 // in (small worlds so a full google-benchmark repetition loop stays sane).
 
 void BM_WorldBuild(benchmark::State& state) {
+  // The world every run sets up first, built as bench::StudyPipeline builds
+  // it: default registry, seed 1, the argument as --scale (40 is the study
+  // shape's default).
   for (auto _ : state) {
     sim::WorldConfig cfg;
     cfg.scale = static_cast<std::uint32_t>(state.range(0));
-    cfg.registry.num_ases = 2000;
+    cfg.seed = 1;
     sim::World world(cfg);
     benchmark::DoNotOptimize(world.servers().size());
   }
 }
-BENCHMARK(BM_WorldBuild)->Arg(400)->Arg(100)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_WorldBuild)
+    ->Arg(400)
+    ->Arg(100)
+    ->Arg(40)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_AttackDay(benchmark::State& state) {
   sim::WorldConfig cfg;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 
+#include "ntp/sysinfo.h"
 #include "util/bytes.h"
 #include "util/format.h"
 
@@ -123,6 +124,10 @@ std::string SystemVariables::render() const {
     out.append(", ").append(key).append("=").append(value);
   }
   return out;
+}
+
+ServerIdentity SystemVariables::identity() const {
+  return {render(), stratum};
 }
 
 std::map<std::string, std::string> parse_variable_list(std::string_view text) {

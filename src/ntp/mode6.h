@@ -58,19 +58,14 @@ struct ControlPacket {
 /// byte-for-byte what the ONP scans send.
 [[nodiscard]] ControlPacket make_version_request(std::uint16_t sequence = 1);
 
-/// A server's mode 6 identity as it goes on the wire: its READVAR variable
-/// list rendered once, when the server is configured, plus the stratum its
-/// mode 4 time replies carry. Responders cut reply fragments straight from
-/// `readvar`, so no per-probe rendering happens.
-struct ServerIdentity {
-  std::string readvar;
-  int stratum = 2;
-};
+/// A server's stored mode 6 identity (ntp/sysinfo.h).
+class ServerIdentity;
 
 /// The system variable list an ntpd reports to READVAR, field by field —
 /// the builder for hand-written identities (tests, examples, Table 3's
-/// worked servers). Population-scale identities are written straight to
-/// text by ntp::make_system_variables().
+/// worked servers). Population-scale identities are drawn by sim::World
+/// and written straight to text by ntp::make_system_variables() at their
+/// first READVAR.
 struct SystemVariables {
   std::string version;  ///< e.g. "ntpd 4.2.6p5@1.2349-o Tue May 10 2011"
   std::string system;   ///< e.g. "Linux/2.6.32", "cisco", "JUNOS"
@@ -89,7 +84,7 @@ struct SystemVariables {
   [[nodiscard]] std::string render() const;
 
   /// The rendered identity a server stores.
-  [[nodiscard]] ServerIdentity identity() const { return {render(), stratum}; }
+  [[nodiscard]] ServerIdentity identity() const;
 };
 
 /// Appends the core READVAR variables, version through rootdisp, in wire

@@ -5,6 +5,11 @@
 
 namespace gorilla::ntp {
 
+// One per detailed server (DESIGN.md §3g): the identity is kept as its draw,
+// a stream state and three small fields, instead of hundreds of bytes of
+// text.
+static_assert(sizeof(NtpServer) <= 208, "NtpServer grew past its budget");
+
 namespace {
 
 /// NTP-era timestamp (seconds since 1900) for a SimTime; the 2013-11-01
@@ -221,8 +226,9 @@ ResponseSummary NtpServer::respond_readvar(const net::UdpPacket& request,
   if (!config_.mode6_enabled) return {};
   if (parsed.opcode != ControlOp::kReadVariables) return {};
 
-  // Fragments are cut from the stored text straight onto the wire.
-  const std::string_view text = config_.identity.readvar;
+  // Fragments are cut from the stored text straight onto the wire; a
+  // world-drawn identity renders here, at its first READVAR.
+  const std::string_view text = readvar();
   const std::size_t fragments = readvar_fragment_count(text.size());
   std::vector<net::UdpPacket> one_send;
   one_send.reserve(fragments);

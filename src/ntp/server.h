@@ -1,7 +1,8 @@
 // A simulated ntpd instance.
 //
 // Each server owns a monitor (MRU) table, an identity (its READVAR reply
-// text, rendered once, and its stratum), and a restriction configuration.
+// text, rendered at the first READVAR that needs it, and its stratum), and
+// a restriction configuration.
 // It answers:
 //   - mode 3 client queries with a mode 4 time packet,
 //   - mode 7 MON_GETLIST_1 with its monitor table (unless `noquery`),
@@ -23,6 +24,7 @@
 #include "ntp/mode7.h"
 #include "ntp/monlist.h"
 #include "ntp/ntp_packet.h"
+#include "ntp/sysinfo.h"
 
 namespace gorilla::ntp {
 
@@ -38,9 +40,9 @@ struct NtpServerConfig {  // LINT-COMPACT
   bool monlist_enabled = true;
   /// False when mode 6 is also restricted.
   bool mode6_enabled = true;
-  /// READVAR reply text and stratum. Hand-built servers write it with
-  /// SystemVariables{...}.identity(); sim::World draws it with
-  /// ntp::make_system_variables().
+  /// READVAR reply text and stratum. Hand-built servers pass the text in
+  /// with SystemVariables{...}.identity(); sim::World passes its draw
+  /// (ntp::IdentityDraw), which renders at the first READVAR.
   ServerIdentity identity;
   /// Extra times the full response sequence repeats (0 = healthy). A value
   /// of n means the dump is sent n+1 times — the §3.4 loop fault.
@@ -92,6 +94,10 @@ class NtpServer {  // LINT-COMPACT
 
   [[nodiscard]] const NtpServerConfig& config() const noexcept {
     return config_;
+  }
+  /// The READVAR text this server replies with, rendered on first use.
+  [[nodiscard]] const std::string& readvar() {
+    return config_.identity.readvar();
   }
   [[nodiscard]] MonitorTable& monitor() noexcept { return monitor_; }
   [[nodiscard]] const MonitorTable& monitor() const noexcept {

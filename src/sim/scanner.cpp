@@ -207,11 +207,14 @@ void ScanTraffic::plan_seed_observations(int week, util::Rng& rng,
         (void)rng.uniform(3600);
         continue;  // this scanner's probe never reached the server
       }
-      emit(server, a.address,
-           static_cast<std::uint16_t>(rng.uniform_int(1024, 65535)),
+      // Offset before port: the order the pinned outputs were drawn in.
+      const auto offset = static_cast<util::SimTime>(rng.uniform(3600));
+      const auto port =
+          static_cast<std::uint16_t>(rng.uniform_int(1024, 65535));
+      emit(server, a.address, port,
            static_cast<std::uint8_t>(mode6 ? ntp::Mode::kControl
                                            : ntp::Mode::kPrivate),
-           when - static_cast<util::SimTime>(rng.uniform(3600)));
+           when - offset);
     }
     const std::uint64_t hits = rng.poisson(malicious_rate_per_server);
     for (std::uint64_t h = 0; h < hits && h < 16; ++h) {
@@ -225,12 +228,14 @@ void ScanTraffic::plan_seed_observations(int week, util::Rng& rng,
         (void)rng.uniform(3 * util::kSecondsPerDay);
         continue;
       }
-      emit(server, a.address,
-           static_cast<std::uint16_t>(rng.uniform_int(1024, 65535)),
+      const auto offset =
+          static_cast<util::SimTime>(rng.uniform(3 * util::kSecondsPerDay));
+      const auto port =
+          static_cast<std::uint16_t>(rng.uniform_int(1024, 65535));
+      emit(server, a.address, port,
            static_cast<std::uint8_t>(mode6 ? ntp::Mode::kControl
                                            : ntp::Mode::kPrivate),
-           when - static_cast<util::SimTime>(
-                      rng.uniform(3 * util::kSecondsPerDay)));
+           when - offset);
     }
   }
 }

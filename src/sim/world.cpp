@@ -151,8 +151,10 @@ void World::build_population(util::Rng& rng) {
       const std::uint32_t bi = pool[rng.uniform(pool.size())];
       const auto& prefix = blocks[bi].prefix;
       const double hazard = block_hazard(bi) * host_type_hazard(end_host);
-      add_amplifier(prefix.at(rng.uniform(prefix.size())), end_host,
-                    rng.uniform01(), hazard);
+      // u before the address: the order the pinned outputs were drawn in.
+      const double u = rng.uniform01();
+      const net::Ipv4Address addr = prefix.at(rng.uniform(prefix.size()));
+      add_amplifier(addr, end_host, u, hazard);
       ++placed;
     }
   }
@@ -288,10 +290,20 @@ void World::assign_detail_tier(util::Rng& rng) {
     const auto pool = t.mega ? ntp::SystemPool::kMega
                      : t.ever_amplifier ? ntp::SystemPool::kAllAmplifiers
                                         : ntp::SystemPool::kNonAmplifier;
-    const std::string system = ntp::sample_system_string(pool, detail_rng);
-    cfg.identity = ntp::make_system_variables(
-        system, ntp::sample_compile_year(detail_rng),
-        ntp::sample_stratum(detail_rng), detail_rng);
+    // The identity is stored as its draw and rendered at its first READVAR
+    // (most servers never get one). Stratum comes before compile year: the
+    // order the pinned identities were drawn in (DESIGN.md §3g).
+    ntp::IdentityDraw draw;
+    draw.pool = pool;
+    draw.row = ntp::sample_system_row(pool, detail_rng);
+    const std::string& system =
+        ntp::system_string_distribution(pool)[draw.row].first;
+    const int stratum = ntp::sample_stratum(detail_rng);
+    draw.compile_year = ntp::sample_compile_year(detail_rng);
+    draw.rng = detail_rng;
+    cfg.identity = ntp::ServerIdentity(draw, stratum);
+    ntp::make_system_variables(system, draw.compile_year, stratum, detail_rng,
+                               ntp::DrawMode::kSkip);
     cfg.initial_ttl = initial_ttl_for_system(system);
     if (t.mega) {
       // §3.4's giants are specific boxes: the worst returned ~136 GB to one

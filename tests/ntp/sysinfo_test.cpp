@@ -5,6 +5,9 @@
 #include <cstdio>
 #include <map>
 #include <string>
+#include <utility>
+
+#include "util/mem_stats.h"
 
 namespace gorilla::ntp {
 namespace {
@@ -24,7 +27,8 @@ TEST(SystemDistributionTest, SamplingTracksWeights) {
   std::map<std::string, int> counts;
   constexpr int n = 50000;
   for (int i = 0; i < n; ++i) {
-    ++counts[sample_system_string(SystemPool::kAllNtp, rng)];
+    const auto row = sample_system_row(SystemPool::kAllNtp, rng);
+    ++counts[system_string_distribution(SystemPool::kAllNtp)[row].first];
   }
   EXPECT_NEAR(counts["cisco"] / double(n), 0.484, 0.02);
   EXPECT_NEAR(counts["unix"] / double(n), 0.306, 0.02);
@@ -36,9 +40,8 @@ TEST(SystemDistributionTest, AmplifierPoolLinuxDominates) {
   int linux_count = 0;
   constexpr int n = 20000;
   for (int i = 0; i < n; ++i) {
-    if (sample_system_string(SystemPool::kAllAmplifiers, rng) == "linux") {
-      ++linux_count;
-    }
+    // Row 0 of the amplifier pool is "linux".
+    if (sample_system_row(SystemPool::kAllAmplifiers, rng) == 0) ++linux_count;
   }
   EXPECT_NEAR(linux_count / double(n), 0.80, 0.02);
 }
@@ -170,9 +173,8 @@ std::string reference_render(const SystemVariables& v) {
 
 TEST(MakeSystemVariablesTest, EmbedsIdentity) {
   util::Rng rng(5);
-  const auto id = make_system_variables("junos", 2009, 16, rng);
-  EXPECT_EQ(id.stratum, 16);
-  const auto vars = parse_variable_list(id.readvar);
+  const std::string text = make_system_variables("junos", 2009, 16, rng);
+  const auto vars = parse_variable_list(text);
   EXPECT_EQ(vars.at("system"), "junos");
   EXPECT_EQ(vars.at("stratum"), "16");
   EXPECT_EQ(vars.at("leap"), "3");
@@ -180,27 +182,109 @@ TEST(MakeSystemVariablesTest, EmbedsIdentity) {
   EXPECT_NE(vars.at("version").find("ntpd "), std::string::npos);
 }
 
-TEST(MakeSystemVariablesTest, TextMatchesFieldByFieldReference) {
-  // Every system string, both leap states and every response tier, over
-  // enough draws to cover both halves of each chance() and wide numeric
-  // ranges; the two generators must also leave the stream in step.
-  util::Rng rng(41);
-  util::Rng ref_rng(41);
+/// The mixed draws the MakeSystemVariablesTest cases run over: every system
+/// string, both leap states and every response tier, often enough to cover
+/// both halves of each chance() and wide numeric ranges.
+struct MixedDraw {
+  std::string system;
+  int year = 0;
+  int stratum = 0;
+};
+
+MixedDraw mixed_draw(int i) {
   static const char* kSystems[] = {"linux", "cisco",  "junos", "bsd",
                                    "vmkernel", "qnx", "unix",  "windows"};
-  for (int i = 0; i < 4000; ++i) {
-    const std::string system = kSystems[i % 8];
-    const int year = 1998 + i % 17;
-    const int stratum = i % 5 == 0 ? 16 : 1 + i % 6;
-    const auto id = make_system_variables(system, year, stratum, rng);
+  return {kSystems[i % 8], 1998 + i % 17, i % 5 == 0 ? 16 : 1 + i % 6};
+}
+
+constexpr int kMixedDraws = 4000;
+
+TEST(MakeSystemVariablesTest, TextMatchesFieldByFieldReference) {
+  // The two generators must also leave the stream in step.
+  util::Rng rng(41);
+  util::Rng ref_rng(41);
+  for (int i = 0; i < kMixedDraws; ++i) {
+    const MixedDraw d = mixed_draw(i);
+    const std::string text =
+        make_system_variables(d.system, d.year, d.stratum, rng);
     const auto ref =
-        reference_system_variables(system, year, stratum, ref_rng);
-    ASSERT_EQ(id.readvar, reference_render(ref)) << "draw " << i;
-    ASSERT_EQ(id.readvar, ref.render()) << "draw " << i;
-    ASSERT_EQ(id.stratum, ref.stratum);
-    ASSERT_EQ(id.readvar.capacity() - id.readvar.size(), 0u);
+        reference_system_variables(d.system, d.year, d.stratum, ref_rng);
+    ASSERT_EQ(text, reference_render(ref)) << "draw " << i;
+    ASSERT_EQ(text, ref.render()) << "draw " << i;
+    ASSERT_EQ(text.capacity() - text.size(), 0u);
     ASSERT_EQ(rng.next(), ref_rng.next());
   }
+}
+
+TEST(MakeSystemVariablesTest, SkipAdvancesLikeRenderAndSavedStateRenders) {
+  // A world keeps the stream state from before the identity draws and
+  // skips them; rendering later from that state must give the eager text,
+  // and the skip must leave the stream exactly where the render does.
+  util::Rng rng(41);
+  util::Rng skip_rng(41);
+  for (int i = 0; i < kMixedDraws; ++i) {
+    const MixedDraw d = mixed_draw(i);
+    util::Rng saved = skip_rng;
+    const std::string eager =
+        make_system_variables(d.system, d.year, d.stratum, rng);
+    const std::string skipped = make_system_variables(
+        d.system, d.year, d.stratum, skip_rng, DrawMode::kSkip);
+    ASSERT_TRUE(skipped.empty());
+    ASSERT_EQ(make_system_variables(d.system, d.year, d.stratum, saved),
+              eager)
+        << "draw " << i;
+    const std::uint64_t after = rng.next();
+    ASSERT_EQ(skip_rng.next(), after) << "draw " << i;
+    ASSERT_EQ(saved.next(), after) << "draw " << i;
+  }
+}
+
+TEST(ServerIdentityTest, DrawnIdentityRendersOnFirstReadAndKeepsIt) {
+  util::Rng rng(9);
+  IdentityDraw draw;
+  draw.pool = SystemPool::kAllAmplifiers;
+  draw.row = 1;  // "bsd": a full ntpd install
+  draw.compile_year = 2011;
+  draw.rng = rng;
+  const std::string eager = make_system_variables(
+      system_string_distribution(draw.pool)[draw.row].first,
+      draw.compile_year, 3, rng);
+
+  auto& text_bytes = util::MemStats::instance().counter("ntp.identity");
+  const std::uint64_t before = text_bytes.live();
+  ServerIdentity id(draw, 3);
+  EXPECT_FALSE(id.rendered());
+  EXPECT_EQ(text_bytes.live(), before);
+  EXPECT_EQ(id.readvar(), eager);
+  EXPECT_TRUE(id.rendered());
+  EXPECT_EQ(text_bytes.live(), before + eager.size());
+  EXPECT_EQ(&id.readvar(), &id.readvar());  // kept, not re-rendered
+  EXPECT_EQ(text_bytes.live(), before + eager.size());
+  {
+    // Copies charge their own text; moves carry the charge along.
+    ServerIdentity copy = id;
+    EXPECT_EQ(text_bytes.live(), before + 2 * eager.size());
+    ServerIdentity moved = std::move(copy);
+    EXPECT_EQ(moved.readvar(), eager);
+    EXPECT_EQ(text_bytes.live(), before + 2 * eager.size());
+    moved = ServerIdentity("version=\"x\"", 2);
+    EXPECT_EQ(text_bytes.live(), before + eager.size() + 11);
+  }
+  EXPECT_EQ(text_bytes.live(), before + eager.size());
+}
+
+TEST(ServerIdentityTest, HandBuiltIdentityHoldsItsText) {
+  SystemVariables vars;
+  vars.version = "ntpd 4.2.6p5";
+  vars.system = "Linux/2.6.32";
+  vars.stratum = 4;
+  ServerIdentity id = vars.identity();
+  EXPECT_TRUE(id.rendered());
+  EXPECT_EQ(id.stratum, 4);
+  EXPECT_EQ(id.readvar(), vars.render());
+  ServerIdentity empty;
+  EXPECT_TRUE(empty.rendered());
+  EXPECT_TRUE(empty.readvar().empty());
 }
 
 TEST(ExtractCompileYearTest, FindsTrailingYear) {
@@ -221,8 +305,9 @@ TEST(ExtractCompileYearTest, RoundTripsWithGenerator) {
   util::Rng rng(6);
   for (int i = 0; i < 500; ++i) {
     const int year = sample_compile_year(rng);
-    const auto id = make_system_variables("linux", year, 2, rng);
-    const auto version = parse_variable_list(id.readvar).at("version");
+    const auto version =
+        parse_variable_list(make_system_variables("linux", year, 2, rng))
+            .at("version");
     EXPECT_EQ(extract_compile_year(version), year) << version;
   }
 }

@@ -7,6 +7,7 @@
 #include "core/monlist_analysis.h"
 #include "sim/attack.h"
 #include "study/bus.h"
+#include "util/mem_stats.h"
 
 namespace gorilla::scan {
 namespace {
@@ -148,6 +149,42 @@ TEST_F(ProberTest, VersionSampleCountsPopulation) {
   EXPECT_GT(summary.responders_total, 0u);
   EXPECT_EQ(util::date_from_sim_time(Prober::sample_time(summary.week + 6)),
             (util::Date{2014, 2, 21}));
+}
+
+TEST_F(ProberTest, VersionPassRendersExactlyItsResponders) {
+  // World-drawn identities stay draws until a READVAR needs their text.
+  auto& text_bytes = util::MemStats::instance().counter("ntp.identity");
+  const auto rendered = [this] {
+    std::set<std::uint32_t> out;
+    for (std::uint32_t i = 0; i < world_.servers().size(); ++i) {
+      const ntp::NtpServer* server = world_.detailed(i);
+      if (server != nullptr && server->config().identity.rendered()) {
+        out.insert(i);
+      }
+    }
+    return out;
+  };
+  const std::uint64_t before = text_bytes.live();
+  {
+    const sim::World fresh(tiny_config());
+    EXPECT_EQ(text_bytes.live(), before);
+  }
+  EXPECT_TRUE(rendered().empty());
+
+  std::set<std::uint32_t> responders;
+  prober_.run_version_sample(0, [&](const VersionObservation& obs) {
+    responders.insert(obs.server_index);
+  });
+  ASSERT_FALSE(responders.empty());
+  EXPECT_EQ(rendered(), responders);
+  std::uint64_t bytes = 0;
+  for (const auto i : responders) bytes += world_.detailed(i)->readvar().size();
+  EXPECT_EQ(text_bytes.live() - before, bytes);
+
+  // A second pass over the same week renders nothing new.
+  prober_.run_version_sample(0, [](const VersionObservation&) {});
+  EXPECT_EQ(rendered(), responders);
+  EXPECT_EQ(text_bytes.live() - before, bytes);
 }
 
 TEST_F(ProberTest, VersionObservationsParseIdentity) {

@@ -242,7 +242,7 @@ IdentityDigest identity_digest(std::uint64_t seed) {
   WorldConfig cfg;
   cfg.scale = 400;
   cfg.seed = seed;
-  const World world(cfg);
+  World world(cfg);
   IdentityDigest d;
   d.fnv1a = 0xcbf29ce484222325ULL;
   auto mix = [&d](unsigned char c) {
@@ -250,9 +250,9 @@ IdentityDigest identity_digest(std::uint64_t seed) {
     d.fnv1a *= 0x100000001b3ULL;
   };
   for (std::uint32_t i = 0; i < world.servers().size(); ++i) {
-    const ntp::NtpServer* server = world.detailed(i);
+    ntp::NtpServer* server = world.detailed(i);
     if (server == nullptr) continue;
-    const std::string& text = server->config().identity.readvar;
+    const std::string& text = server->readvar();
     for (const char c : text) mix(static_cast<unsigned char>(c));
     mix('\n');
     ++d.servers;
@@ -262,9 +262,10 @@ IdentityDigest identity_digest(std::uint64_t seed) {
 }
 
 TEST(WorldIdentityTest, ReadvarTextIsPinned) {
-  // The §3.3 identities are drawn once per world; these pins hold the bytes
-  // the field-by-field builder rendered, so any change to the draw order or
-  // the number formatting shows up here before it reaches Table 2.
+  // The §3.3 identities are drawn once per world and rendered on first
+  // read; these pins hold the bytes the field-by-field builder rendered, so
+  // any change to the draw order or the number formatting shows up here
+  // before it reaches Table 2.
   const IdentityDigest one = identity_digest(1);
   EXPECT_EQ(one.servers, 15288u);
   EXPECT_EQ(one.text_bytes, 5134731u);
@@ -273,14 +274,13 @@ TEST(WorldIdentityTest, ReadvarTextIsPinned) {
 }
 
 TEST(WorldIdentityTest, StoredStratumMatchesText) {
-  const World world(tiny_config());
+  World world(tiny_config());
   std::size_t checked = 0;
   for (std::uint32_t i = 0; i < world.servers().size(); ++i) {
-    const ntp::NtpServer* server = world.detailed(i);
+    ntp::NtpServer* server = world.detailed(i);
     if (server == nullptr) continue;
-    const auto& id = server->config().identity;
-    ASSERT_EQ(ntp::parse_variable_list(id.readvar).at("stratum"),
-              std::to_string(id.stratum));
+    ASSERT_EQ(ntp::parse_variable_list(server->readvar()).at("stratum"),
+              std::to_string(server->config().identity.stratum));
     ++checked;
   }
   EXPECT_GT(checked, 1000u);

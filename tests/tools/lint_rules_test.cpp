@@ -130,6 +130,43 @@ TEST(SharedRng, FlagsDirectDrawAllowsSubstream) {
   }
 }
 
+TEST(RngArgOrder, FlagsTwoDrawingArgumentsOnce) {
+  const std::string code =
+      "struct Rng { double u(); };\n"
+      "double f(double, double);\n"
+      "int g(Rng&);\n"
+      "double a(Rng& rng) { return f(rng.u(), rng.u()); }\n"
+      "double b(Rng* rng_) { return f(rng_->u(),\n"
+      "                               g(*rng_) + g(rng_[0]) + rng_->u()); }\n"
+      "double c(Rng& detail_rng) {\n"
+      "  return f(g(detail_rng), f(detail_rng.u(), 1.0));\n"
+      "}\n";
+  const std::vector<Finding> fs = run("src/sim/x.cpp", code);
+  ASSERT_EQ(count_rule(fs, "rng-arg-order"), 3u);
+  std::vector<std::size_t> lines;
+  for (const Finding& f : fs) {
+    if (f.rule == "rng-arg-order") lines.push_back(f.line);
+  }
+  EXPECT_EQ(lines, (std::vector<std::size_t>{4, 5, 8}));
+}
+
+TEST(RngArgOrder, SequencedDrawsPassThroughAndLambdasAreClean) {
+  const std::string code =
+      "struct Rng { double u(); };\n"
+      "double f(double, double);\n"
+      "double h(double, Rng&);\n"
+      "template <typename Fn> double later(double, Fn);\n"
+      "double a(Rng& rng) {\n"
+      "  const double x = rng.u();\n"
+      "  const double y = rng.u();\n"
+      "  if (rng.u() > 0.5 && f(x, y) > 0) return h(rng.u(), rng);\n"
+      "  return later(rng.u(), [&rng] { return rng.u(); }) + f(x, rng.u());\n"
+      "}\n"
+      "double strings(double v) { return f(v, v); }\n";
+  const std::vector<Finding> fs = run("src/sim/x.cpp", code);
+  EXPECT_EQ(count_rule(fs, "rng-arg-order"), 0u);
+}
+
 TEST(WorkerCapture, BlanketCaptureFlagged) {
   const std::string code =
       std::string(kWorkerPrelude) +

@@ -38,7 +38,7 @@ const std::vector<std::string>& all_rules() {
       "raw-decode",   "wall-clock",     "unordered-iter", "float-eq",
       "parse-optional", "worker-capture", "raw-ofstream",   "shard-mutation",
       "shared-rng",   "layer-break",    "layer-cycle",    "stale-waiver",
-      "heavy-node-container", "codec-escape",
+      "heavy-node-container", "codec-escape", "rng-arg-order",
   };
   return kRules;
 }

@@ -9,7 +9,9 @@
 #include <algorithm>
 #include <cctype>
 #include <regex>
+#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "tools/lint/internal.h"
@@ -533,6 +535,103 @@ void rule_shared_rng(SourceFile& f, Sink& sink) {
   }
 }
 
+// --- rule: rng-arg-order --------------------------------------------------
+
+/// A call with two or more arguments that draw from an RNG. C++ leaves the
+/// order in which a call's arguments are evaluated unspecified, so the
+/// order of such draws — and every seeded byte after them — rests on the
+/// compiler. Draw into named locals, one statement each, then call.
+///
+/// An argument draws when it makes a member call on an identifier spelling
+/// `rng` (rng, detail_rng, rng_) or passes one, as a whole argument, into a
+/// nested call (sample_stratum(rng)). A lambda argument runs later, not at
+/// the call, and never counts.
+void rule_rng_arg_order(SourceFile& f, Sink& sink) {
+  const auto& toks = f.lex.tokens;
+  std::vector<std::size_t> code;  // indices of non-comment tokens
+  code.reserve(toks.size());
+  for (std::size_t i = 0; i < toks.size(); ++i) {
+    if (toks[i].kind != TokenKind::kComment) code.push_back(i);
+  }
+  const auto punct = [&](std::size_t ci) {
+    const Token& t = toks[code[ci]];
+    return t.kind == TokenKind::kPunct ? f.lex.text[t.offset] : '\0';
+  };
+  const auto ident = [&](std::size_t ci) {
+    const Token& t = toks[code[ci]];
+    return t.kind == TokenKind::kIdentifier ? f.lex.view(t)
+                                            : std::string_view{};
+  };
+  const auto is_rng = [&](std::size_t ci) {
+    return ident(ci).find("rng") != std::string_view::npos;
+  };
+  // Matching closer of every (, [ and {.
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> closer(code.size(), kNone);
+  std::vector<std::size_t> open;
+  for (std::size_t ci = 0; ci < code.size(); ++ci) {
+    const char c = punct(ci);
+    if (c == '(' || c == '[' || c == '{') {
+      open.push_back(ci);
+    } else if ((c == ')' || c == ']' || c == '}') && !open.empty()) {
+      const char o = punct(open.back());
+      if ((o == '(' && c == ')') || (o == '[' && c == ']') ||
+          (o == '{' && c == '}')) {
+        closer[open.back()] = ci;
+        open.pop_back();
+      }
+    }
+  }
+  static const std::set<std::string_view> kNotCalls = {
+      "if",       "while",    "for",       "switch",        "return",
+      "sizeof",   "alignof",  "alignas",   "decltype",      "catch",
+      "noexcept", "requires", "constexpr", "static_assert",
+  };
+  // Tokens [b, e) of one argument: does evaluating it draw?
+  const auto draws = [&](std::size_t b, std::size_t e) {
+    if (b >= e || punct(b) == '[') return false;  // empty, or a lambda
+    for (std::size_t j = b; j < e; ++j) {
+      if (!is_rng(j)) continue;
+      const bool member_call =
+          (j + 3 < e && punct(j + 1) == '.' && !ident(j + 2).empty() &&
+           punct(j + 3) == '(') ||
+          (j + 4 < e && punct(j + 1) == '-' && punct(j + 2) == '>' &&
+           !ident(j + 3).empty() && punct(j + 4) == '(');
+      const bool passed = j > b && j + 1 < e &&
+                          (punct(j - 1) == '(' || punct(j - 1) == ',') &&
+                          (punct(j + 1) == ',' || punct(j + 1) == ')');
+      if (member_call || passed) return true;
+    }
+    return false;
+  };
+  for (std::size_t ci = 1; ci < code.size(); ++ci) {
+    if (punct(ci) != '(' || closer[ci] == kNone) continue;
+    const std::string_view callee = ident(ci - 1);
+    const bool call = callee.empty() ? punct(ci - 1) == '>'
+                                     : kNotCalls.count(callee) == 0;
+    if (!call) continue;
+    const std::size_t end = closer[ci];
+    int drawing = 0;
+    std::size_t arg = ci + 1;
+    for (std::size_t k = ci + 1; k <= end; ++k) {
+      if (k < end && closer[k] != kNone) {
+        k = closer[k];  // skip a nested group whole
+        continue;
+      }
+      if (k == end || punct(k) == ',') {
+        if (draws(arg, k)) ++drawing;
+        arg = k + 1;
+      }
+    }
+    if (drawing < 2) continue;
+    sink.add(f.lex.line_of(toks[code[ci - 1]].offset), "rng-arg-order",
+             std::to_string(drawing) +
+                 " arguments draw from an Rng in one call; their order is "
+                 "unspecified, so draw each into a local first (DESIGN.md "
+                 "§3c)");
+  }
+}
+
 // --- rule: heavy-node-container --------------------------------------------
 
 /// Node-based std containers inside a struct/class marked `// LINT-COMPACT`.
@@ -684,6 +783,7 @@ void run_file_rules(SourceFile& f,
   rule_raw_ofstream(f, sink);
   rule_shard_mutation(f, sink);
   rule_shared_rng(f, sink);
+  rule_rng_arg_order(f, sink);
   rule_heavy_node_container(f, sink);
 }
 
