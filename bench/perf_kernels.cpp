@@ -59,41 +59,62 @@ void BM_RegistryAsnLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_RegistryAsnLookup);
 
-void BM_MonlistSerialize(benchmark::State& state) {
-  std::vector<ntp::MonitorEntry> entries(
-      static_cast<std::size_t>(state.range(0)));
+std::vector<ntp::MonitorEntry> make_bench_entries(std::size_t n) {
+  std::vector<ntp::MonitorEntry> entries(n);
   for (std::size_t i = 0; i < entries.size(); ++i) {
     entries[i].address = net::Ipv4Address{static_cast<std::uint32_t>(i + 1)};
     entries[i].count = static_cast<std::uint32_t>(i * 7);
   }
+  return entries;
+}
+
+// Arg 0: table entries. Arg 1: 0 serializes via Mode7Packet
+// (make_monlist_response + serialize), 1 writes each datagram straight from
+// the entries (serialize_monlist_packet) as the server does.
+void BM_MonlistSerialize(benchmark::State& state) {
+  const auto entries =
+      make_bench_entries(static_cast<std::size_t>(state.range(0)));
+  const bool direct = state.range(1) != 0;
   for (auto _ : state) {
-    const auto packets =
-        ntp::make_monlist_response(entries, ntp::Implementation::kXntpd);
     std::size_t bytes = 0;
-    for (const auto& p : packets) bytes += ntp::serialize(p).size();
+    if (direct) {
+      const std::uint64_t n = ntp::monlist_dump_packets(entries.size());
+      for (std::size_t k = 0; k < n; ++k) {
+        bytes += ntp::serialize_monlist_packet(entries, k,
+                                               ntp::Implementation::kXntpd)
+                     .size();
+      }
+    } else {
+      for (const auto& p :
+           ntp::make_monlist_response(entries, ntp::Implementation::kXntpd)) {
+        bytes += ntp::serialize(p).size();
+      }
+    }
     benchmark::DoNotOptimize(bytes);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_MonlistSerialize)->Arg(6)->Arg(60)->Arg(600);
+BENCHMARK(BM_MonlistSerialize)
+    ->ArgsProduct({{6, 60, 600}, {0, 1}})
+    ->ArgNames({"entries", "direct"});
 
+// The prober's read side: each datagram parsed in place and the final run
+// decoded straight into one reused table.
 void BM_MonlistParseReassemble(benchmark::State& state) {
-  std::vector<ntp::MonitorEntry> entries(600);
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    entries[i].address = net::Ipv4Address{static_cast<std::uint32_t>(i + 1)};
-  }
+  const auto entries = make_bench_entries(600);
   std::vector<std::vector<std::uint8_t>> wire;
-  for (const auto& p :
-       ntp::make_monlist_response(entries, ntp::Implementation::kXntpd)) {
-    wire.push_back(ntp::serialize(p));
+  const std::uint64_t n = ntp::monlist_dump_packets(entries.size());
+  for (std::size_t k = 0; k < n; ++k) {
+    wire.push_back(
+        ntp::serialize_monlist_packet(entries, k, ntp::Implementation::kXntpd));
   }
+  std::vector<ntp::Mode7View> views;
+  std::vector<ntp::MonitorEntry> table;
   for (auto _ : state) {
-    std::vector<ntp::Mode7Packet> parsed;
-    parsed.reserve(wire.size());
-    for (const auto& w : wire) {
-      parsed.push_back(*ntp::parse_mode7_packet(w));
-    }
-    benchmark::DoNotOptimize(ntp::reassemble_monlist(parsed));
+    views.clear();
+    for (const auto& w : wire) views.push_back(*ntp::parse_mode7_view(w));
+    benchmark::DoNotOptimize(ntp::reassemble_monlist_into(views, table));
+    benchmark::DoNotOptimize(table.data());
   }
   state.SetItemsProcessed(state.iterations() * 600);
 }
@@ -135,7 +156,8 @@ BENCHMARK(BM_MonlistDump)->Arg(6)->Arg(60)->Arg(600);
 void BM_ReadvarRoundTrip(benchmark::State& state) {
   // A server holding a world-drawn identity (a full ntpd install, two
   // fragments): the version probe's reply is cut from the stored text,
-  // then parsed and reassembled as the prober does.
+  // then parsed in place and reassembled into one reused buffer as the
+  // prober does.
   util::Rng rng(3);
   ntp::NtpServerConfig cfg;
   cfg.address = net::Ipv4Address(10, 0, 0, 1);
@@ -151,15 +173,17 @@ void BM_ReadvarRoundTrip(benchmark::State& state) {
   probe.src_port = 57915;
   probe.dst_port = net::kNtpPort;
   probe.payload = ntp::serialize(ntp::make_version_request());
-  std::vector<ntp::ControlPacket> parsed;
+  std::vector<ntp::ControlView> parsed;
+  std::string reply;
   util::SimTime now = 1000000;
   for (auto _ : state) {
     const auto response = server.handle(probe, ++now);
     parsed.clear();
     for (const auto& pkt : response.packets) {
-      parsed.push_back(*ntp::parse_control_packet(pkt.payload));
+      parsed.push_back(*ntp::parse_control_view(pkt.payload));
     }
-    benchmark::DoNotOptimize(ntp::reassemble_readvar(parsed));
+    benchmark::DoNotOptimize(ntp::reassemble_readvar_into(parsed, reply));
+    benchmark::DoNotOptimize(reply.data());
   }
 }
 BENCHMARK(BM_ReadvarRoundTrip);

@@ -12,7 +12,7 @@ namespace gorilla::ntp {
 namespace {
 
 /// Writes the 12-byte control header announcing `count` data bytes.
-void write_header(util::ByteWriter& w, const ControlPacket& p,
+void write_header(util::ByteWriter& w, const ControlHeader& p,
                   std::size_t count) {
   w.u8(make_li_vn_mode(0, p.version, Mode::kControl));
   std::uint8_t rem = static_cast<std::uint8_t>(p.opcode) & 0x1f;
@@ -30,7 +30,7 @@ void write_header(util::ByteWriter& w, const ControlPacket& p,
 /// Header of READVAR response fragment `index` of a `text_bytes` list, and
 /// the [offset, offset + count) slice of the list it carries.
 struct FragmentSlice {
-  ControlPacket header;
+  ControlHeader header;
   std::size_t count = 0;
 };
 
@@ -59,7 +59,7 @@ std::vector<std::uint8_t> serialize(const ControlPacket& p) {
   return out;
 }
 
-std::optional<ControlPacket> parse_control_packet(
+std::optional<ControlView> parse_control_view(
     std::span<const std::uint8_t> raw) {
   util::ByteReader r(raw);
   const std::uint8_t b0 = r.u8();
@@ -67,7 +67,7 @@ std::optional<ControlPacket> parse_control_packet(
       (b0 & 0x7) != static_cast<std::uint8_t>(Mode::kControl)) {
     return std::nullopt;
   }
-  ControlPacket p;
+  ControlView p;
   p.version = (b0 >> 3) & 0x7;
   const std::uint8_t rem = r.u8();
   p.response = rem & 0x80;
@@ -79,9 +79,18 @@ std::optional<ControlPacket> parse_control_packet(
   p.association_id = r.u16be();
   p.offset = r.u16be();
   const std::uint16_t count = r.u16be();
-  const auto data = r.take(count);
+  p.data = r.take(count);
   if (!r.ok()) return std::nullopt;  // short header or declared count > body
-  p.data.assign(data.begin(), data.end());
+  return p;
+}
+
+std::optional<ControlPacket> parse_control_packet(
+    std::span<const std::uint8_t> raw) {
+  const auto view = parse_control_view(raw);
+  if (!view) return std::nullopt;
+  ControlPacket p;
+  static_cast<ControlHeader&>(p) = *view;
+  p.data.assign(view->data.begin(), view->data.end());
   return p;
 }
 
@@ -145,10 +154,12 @@ std::vector<ControlPacket> make_readvar_response(
   std::vector<ControlPacket> fragments;
   fragments.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    auto [p, count] = readvar_fragment(text.size(), i, request_sequence);
-    const auto data = text.substr(p.offset, count);
+    const auto [header, count] =
+        readvar_fragment(text.size(), i, request_sequence);
+    const auto data = text.substr(header.offset, count);
+    ControlPacket& p = fragments.emplace_back();
+    static_cast<ControlHeader&>(p) = header;
     p.data.assign(data.begin(), data.end());
-    fragments.push_back(std::move(p));
   }
   return fragments;
 }
@@ -167,32 +178,60 @@ std::vector<std::uint8_t> serialize_readvar_fragment(
   return out;
 }
 
-std::optional<std::string> reassemble_readvar(
-    std::span<const ControlPacket> fragments) {
+namespace {
+
+/// Appends fragments whose offsets strictly ascend: each must start where
+/// the text so far ends, and the last must not announce more.
+bool append_in_order(std::span<const ControlView> fragments,
+                     std::string& text) {
+  for (const ControlView& f : fragments) {
+    if (f.offset != text.size()) return false;  // gap or overlap
+    text.append(util::as_text(f.data));
+  }
+  return fragments.empty() || !fragments.back().more;
+}
+
+}  // namespace
+
+bool reassemble_readvar_into(std::span<const ControlView> fragments,
+                             std::string& text) {
+  text.clear();
+  const auto out_of_order = [](const ControlView& a, const ControlView& b) {
+    return a.offset >= b.offset;
+  };
+  if (std::adjacent_find(fragments.begin(), fragments.end(), out_of_order) ==
+      fragments.end()) {
+    return append_in_order(fragments, text);  // the common, in-order reply
+  }
   // Loop-faulted responders (§3.4 megas) resend the whole fragment chain;
   // deduplicate by offset, keeping the last copy, then require contiguity.
   // The stable sort keeps arrival order among equal offsets, so the last
   // fragment of each equal-offset run is the last copy.
-  std::vector<const ControlPacket*> by_offset;
-  by_offset.reserve(fragments.size());
-  for (const auto& f : fragments) by_offset.push_back(&f);
+  std::vector<ControlView> by_offset(fragments.begin(), fragments.end());
   std::stable_sort(by_offset.begin(), by_offset.end(),
-                   [](const ControlPacket* a, const ControlPacket* b) {
-                     return a->offset < b->offset;
+                   [](const ControlView& a, const ControlView& b) {
+                     return a.offset < b.offset;
                    });
-  std::string out;
-  const ControlPacket* last = nullptr;
+  std::size_t kept = 0;
   for (std::size_t i = 0; i < by_offset.size(); ++i) {
-    const ControlPacket* f = by_offset[i];
-    if (i + 1 < by_offset.size() && by_offset[i + 1]->offset == f->offset) {
+    if (i + 1 < by_offset.size() &&
+        by_offset[i + 1].offset == by_offset[i].offset) {
       continue;  // superseded by a later copy
     }
-    if (f->offset != out.size()) return std::nullopt;  // gap or overlap
-    out.append(f->data.begin(), f->data.end());
-    last = f;
+    by_offset[kept++] = by_offset[i];
   }
-  if (last != nullptr && last->more) return std::nullopt;
-  return out;
+  by_offset.resize(kept);
+  return append_in_order(by_offset, text);
+}
+
+std::optional<std::string> reassemble_readvar(
+    std::span<const ControlPacket> fragments) {
+  std::vector<ControlView> views;
+  views.reserve(fragments.size());
+  for (const auto& f : fragments) views.push_back(f.view());
+  std::string text;
+  if (!reassemble_readvar_into(views, text)) return std::nullopt;
+  return text;
 }
 
 }  // namespace gorilla::ntp

@@ -29,7 +29,9 @@ enum class ControlOp : std::uint8_t {
 inline constexpr std::size_t kControlHeaderBytes = 12;
 inline constexpr std::size_t kControlMaxDataBytes = 468;
 
-struct ControlPacket {
+/// The 12-byte control header, decoded, less its count field (which is
+/// the data area's length).
+struct ControlHeader {
   std::uint8_t version = 2;  // ntpq sends VN=2
   bool response = false;     // R bit
   bool error = false;        // E bit
@@ -39,18 +41,36 @@ struct ControlPacket {
   std::uint16_t status = 0;
   std::uint16_t association_id = 0;  // 0 = the system itself
   std::uint16_t offset = 0;          // byte offset of this fragment's data
+};
+
+/// A control packet whose data area is borrowed from the buffer it was
+/// parsed from (parse_control_view): valid only while that buffer lives
+/// and is not modified. The prober reads READVAR replies through views.
+struct ControlView : ControlHeader {
+  std::span<const std::uint8_t> data;
+};
+
+/// A control packet that owns its data area.
+struct ControlPacket : ControlHeader {
   std::vector<std::uint8_t> data;
 
   [[nodiscard]] std::size_t total_bytes() const noexcept {
     // Header + data padded to 4.
     return kControlHeaderBytes + (data.size() + 3) / 4 * 4;
   }
+
+  /// This packet as a view of its own data area.
+  [[nodiscard]] ControlView view() const noexcept { return {*this, data}; }
 };
 
 [[nodiscard]] std::vector<std::uint8_t> serialize(const ControlPacket& p);
 
-/// Parses one control packet; nullopt if not mode 6, truncated, or the
-/// declared count exceeds the buffer.
+/// Parses one control packet in place; nullopt if not mode 6, truncated,
+/// or the declared count exceeds the buffer. The one mode 6 decoder.
+[[nodiscard]] std::optional<ControlView> parse_control_view(
+    std::span<const std::uint8_t> raw);
+
+/// parse_control_view() with the data area copied out.
 [[nodiscard]] std::optional<ControlPacket> parse_control_packet(
     std::span<const std::uint8_t> raw);
 
@@ -158,8 +178,16 @@ void for_each_variable(std::string_view text, Visit&& visit) {
 [[nodiscard]] std::vector<std::uint8_t> serialize_readvar_fragment(
     std::string_view text, std::size_t index, std::uint16_t request_sequence);
 
-/// Reassembles READVAR response fragments into the full text; fragments may
-/// arrive out of order. Returns nullopt if a gap remains.
+/// Reassembles READVAR response fragments into the full variable list in
+/// `text` (cleared first; unspecified on failure). Fragments may arrive out
+/// of order; a loop-faulted responder's repeated chain keeps the last copy
+/// of each offset. False when a gap or overlap remains or the last
+/// fragment announces more. An empty fragment set is the empty list.
+bool reassemble_readvar_into(std::span<const ControlView> fragments,
+                             std::string& text);
+
+/// reassemble_readvar_into() over owning packets, returning the text;
+/// nullopt if a gap remains.
 [[nodiscard]] std::optional<std::string> reassemble_readvar(
     std::span<const ControlPacket> fragments);
 

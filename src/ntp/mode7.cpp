@@ -7,34 +7,42 @@
 
 namespace gorilla::ntp {
 
+namespace {
+
+/// Writes the 8-byte mode 7 header.
+void write_header(util::ByteWriter& w, const Mode7Header& h) {
+  // In mode 7 the top two bits are repurposed: R (response) and M (more).
+  w.u8(static_cast<std::uint8_t>((h.response ? 0x80 : 0) |
+                                 (h.more ? 0x40 : 0) |
+                                 (kNtpVersion << 3) |
+                                 static_cast<std::uint8_t>(Mode::kPrivate)));
+  w.u8(static_cast<std::uint8_t>((h.auth ? 0x80 : 0) | (h.sequence & 0x7f)));
+  w.u8(static_cast<std::uint8_t>(h.implementation));
+  w.u8(static_cast<std::uint8_t>(h.request));
+  w.u16be(static_cast<std::uint16_t>(
+      (static_cast<std::uint16_t>(h.error) << 12) | (h.item_count & 0x0fff)));
+  w.u16be(static_cast<std::uint16_t>(h.item_size & 0x0fff));
+}
+
+}  // namespace
+
 std::vector<std::uint8_t> serialize(const Mode7Packet& p) {
   std::vector<std::uint8_t> out;
   out.reserve(kMode7HeaderBytes + p.data.size());
   util::ByteWriter w(out);
-  // In mode 7 the top two bits are repurposed: R (response) and M (more).
-  w.u8(static_cast<std::uint8_t>((p.response ? 0x80 : 0) |
-                                 (p.more ? 0x40 : 0) |
-                                 (kNtpVersion << 3) |
-                                 static_cast<std::uint8_t>(Mode::kPrivate)));
-  w.u8(static_cast<std::uint8_t>((p.auth ? 0x80 : 0) | (p.sequence & 0x7f)));
-  w.u8(static_cast<std::uint8_t>(p.implementation));
-  w.u8(static_cast<std::uint8_t>(p.request));
-  w.u16be(static_cast<std::uint16_t>(
-      (static_cast<std::uint16_t>(p.error) << 12) | (p.item_count & 0x0fff)));
-  w.u16be(static_cast<std::uint16_t>(p.item_size & 0x0fff));
+  write_header(w, p);
   w.bytes(p.data);
   return out;
 }
 
-std::optional<Mode7Packet> parse_mode7_packet(
-    std::span<const std::uint8_t> raw) {
+std::optional<Mode7View> parse_mode7_view(std::span<const std::uint8_t> raw) {
   util::ByteReader r(raw);
   const std::uint8_t b0 = r.u8();
   if (r.truncated() ||
       (b0 & 0x7) != static_cast<std::uint8_t>(Mode::kPrivate)) {
     return std::nullopt;
   }
-  Mode7Packet p;
+  Mode7View p;
   p.response = b0 & 0x80;
   p.more = b0 & 0x40;
   const std::uint8_t b1 = r.u8();
@@ -53,9 +61,18 @@ std::optional<Mode7Packet> parse_mode7_packet(
   // datagram carries (truncated in flight, or a crafted over-read) or more
   // than the protocol's 500-byte data area allows. Reject both.
   if (declared > kMode7MaxDataBytes) return std::nullopt;
-  const auto data = r.take(declared);
+  p.data = r.take(declared);
   if (!r.ok()) return std::nullopt;
-  p.data.assign(data.begin(), data.end());
+  return p;
+}
+
+std::optional<Mode7Packet> parse_mode7_packet(
+    std::span<const std::uint8_t> raw) {
+  const auto view = parse_mode7_view(raw);
+  if (!view) return std::nullopt;
+  Mode7Packet p;
+  static_cast<Mode7Header&>(p) = *view;
+  p.data.assign(view->data.begin(), view->data.end());
   return p;
 }
 
@@ -81,8 +98,7 @@ Mode7Packet make_monlist_request(Implementation impl, bool authenticated) {
 
 namespace {
 
-void encode_item(std::vector<std::uint8_t>& out, const MonitorEntry& e) {
-  util::ByteWriter w(out);
+void encode_item(util::ByteWriter& w, const MonitorEntry& e) {
   w.u32be(e.avg_interval);
   w.u32be(e.last_seen);
   w.u32be(e.restr);
@@ -114,35 +130,76 @@ MonitorEntry decode_item(std::span<const std::uint8_t> item) {
   return e;
 }
 
+/// Appends the items `p` carries to `out`, stopping once `out` holds
+/// `limit` entries. Bounded by the bytes actually present, whatever the
+/// header claims (a hand-built packet may claim more).
+void append_items(const Mode7View& p, std::vector<MonitorEntry>& out,
+                  std::size_t limit) {
+  if (p.item_size != kMonitorItemBytes) return;
+  std::size_t n =
+      std::min<std::size_t>(p.item_count, p.data.size() / kMonitorItemBytes);
+  n = std::min(n, limit - std::min(limit, out.size()));
+  for (std::size_t i = 0; i < n; ++i) {
+    out.push_back(decode_item(
+        p.data.subspan(i * kMonitorItemBytes, kMonitorItemBytes)));
+  }
+}
+
+/// Header of datagram `index` of a monlist dump of `entries` entries, and
+/// the first entry it carries (it carries header.item_count of them).
+struct MonlistSlice {
+  Mode7Header header;
+  std::size_t first = 0;
+};
+
+MonlistSlice monlist_slice(std::size_t entries, std::size_t index,
+                           Implementation impl) {
+  const std::size_t n = std::min(entries, kMonlistMaxEntries);
+  MonlistSlice s;
+  s.first = index * kMonitorItemsPerPacket;
+  s.header.response = true;
+  s.header.more = index + 1 < monlist_dump_packets(n);
+  s.header.sequence = static_cast<std::uint8_t>(index & 0x7f);
+  s.header.implementation = impl;
+  s.header.request = RequestCode::kMonGetList1;
+  s.header.error = n == 0 ? Mode7Error::kNoData : Mode7Error::kOk;
+  s.header.item_count = static_cast<std::uint16_t>(
+      std::min(kMonitorItemsPerPacket, n - std::min(n, s.first)));
+  s.header.item_size = kMonitorItemBytes;
+  return s;
+}
+
 }  // namespace
 
 std::vector<Mode7Packet> make_monlist_response(
     std::span<const MonitorEntry> entries, Implementation impl) {
-  std::vector<Mode7Packet> packets;
-  const std::size_t n = std::min(entries.size(), kMonlistMaxEntries);
-  const std::size_t num_packets =
-      n == 0 ? 1 : (n + kMonitorItemsPerPacket - 1) / kMonitorItemsPerPacket;
-  packets.reserve(num_packets);
+  const std::size_t num_packets = monlist_dump_packets(entries.size());
+  std::vector<Mode7Packet> packets(num_packets);
   for (std::size_t pkt = 0; pkt < num_packets; ++pkt) {
-    const std::size_t first = pkt * kMonitorItemsPerPacket;
-    const std::size_t count =
-        std::min(kMonitorItemsPerPacket, n - std::min(n, first));
-    Mode7Packet p;
-    p.response = true;
-    p.more = pkt + 1 < num_packets;
-    p.sequence = static_cast<std::uint8_t>(pkt & 0x7f);
-    p.implementation = impl;
-    p.request = RequestCode::kMonGetList1;
-    p.error = n == 0 ? Mode7Error::kNoData : Mode7Error::kOk;
-    p.item_count = static_cast<std::uint16_t>(count);
-    p.item_size = kMonitorItemBytes;
-    p.data.reserve(count * kMonitorItemBytes);
-    for (std::size_t i = 0; i < count; ++i) {
-      encode_item(p.data, entries[first + i]);
+    const auto [header, first] = monlist_slice(entries.size(), pkt, impl);
+    Mode7Packet& p = packets[pkt];
+    static_cast<Mode7Header&>(p) = header;
+    p.data.reserve(header.item_count * kMonitorItemBytes);
+    util::ByteWriter w(p.data);
+    for (std::size_t i = 0; i < header.item_count; ++i) {
+      encode_item(w, entries[first + i]);
     }
-    packets.push_back(std::move(p));
   }
   return packets;
+}
+
+std::vector<std::uint8_t> serialize_monlist_packet(
+    std::span<const MonitorEntry> entries, std::size_t index,
+    Implementation impl) {
+  const auto [header, first] = monlist_slice(entries.size(), index, impl);
+  std::vector<std::uint8_t> out;
+  out.reserve(kMode7HeaderBytes + header.item_count * kMonitorItemBytes);
+  util::ByteWriter w(out);
+  write_header(w, header);
+  for (std::size_t i = 0; i < header.item_count; ++i) {
+    encode_item(w, entries[first + i]);
+  }
+  return out;
 }
 
 namespace {
@@ -231,16 +288,7 @@ Mode7Packet make_mode7_error(Mode7Error err, Implementation impl,
 
 std::vector<MonitorEntry> decode_items(const Mode7Packet& p) {
   std::vector<MonitorEntry> entries;
-  if (p.item_size != kMonitorItemBytes) return entries;
-  // Decode only what the payload carries, whatever the header claims.
-  const std::size_t n =
-      std::min<std::size_t>(p.item_count, p.data.size() / kMonitorItemBytes);
-  entries.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    entries.push_back(decode_item(
-        std::span<const std::uint8_t>(p.data).subspan(i * kMonitorItemBytes,
-                                                      kMonitorItemBytes)));
-  }
+  append_items(p.view(), entries, p.item_count);
   return entries;
 }
 
@@ -342,31 +390,48 @@ std::vector<PeerListEntry> decode_peer_items(const Mode7Packet& p) {
   return peers;
 }
 
-std::optional<std::vector<MonitorEntry>> reassemble_monlist(
-    std::span<const Mode7Packet> packets) {
-  // Keep only monlist responses; partition into runs at each sequence reset
-  // (sequence <= previous), then decode the final complete run — matching
-  // the paper's "use the final table received" rule for mega amplifiers.
-  std::vector<const Mode7Packet*> responses;
-  for (const auto& p : packets) {
-    if (p.response && p.request == RequestCode::kMonGetList1 &&
-        p.error == Mode7Error::kOk) {
-      responses.push_back(&p);
+bool reassemble_monlist_into(std::span<const Mode7View> packets,
+                             std::vector<MonitorEntry>& table) {
+  // Keep only monlist responses; a new run starts at each sequence reset
+  // (sequence <= previous), and the final run is decoded — matching the
+  // paper's "use the final table received" rule for mega amplifiers.
+  const auto is_table = [](const Mode7View& p) {
+    return p.response && p.request == RequestCode::kMonGetList1 &&
+           p.error == Mode7Error::kOk;
+  };
+  table.clear();
+  std::size_t run_start = packets.size();
+  std::size_t run_items = 0;
+  const Mode7View* previous = nullptr;
+  for (std::size_t i = 0; i < packets.size(); ++i) {
+    const Mode7View& p = packets[i];
+    if (!is_table(p)) continue;
+    if (previous == nullptr || p.sequence <= previous->sequence) {
+      run_start = i;
+      run_items = 0;
+    }
+    run_items += p.item_count;
+    previous = &p;
+  }
+  if (previous == nullptr) return false;
+  // No real monitor table exceeds the 600-entry cap; a reassembly that would
+  // is replayed/forged garbage. Keep the protocol invariant for consumers.
+  table.reserve(std::min(run_items, kMonlistMaxEntries));
+  for (std::size_t i = run_start; i < packets.size(); ++i) {
+    if (is_table(packets[i])) {
+      append_items(packets[i], table, kMonlistMaxEntries);
     }
   }
-  if (responses.empty()) return std::nullopt;
-  std::size_t run_start = 0;
-  for (std::size_t i = 1; i < responses.size(); ++i) {
-    if (responses[i]->sequence <= responses[i - 1]->sequence) run_start = i;
-  }
+  return true;
+}
+
+std::optional<std::vector<MonitorEntry>> reassemble_monlist(
+    std::span<const Mode7Packet> packets) {
+  std::vector<Mode7View> views;
+  views.reserve(packets.size());
+  for (const auto& p : packets) views.push_back(p.view());
   std::vector<MonitorEntry> table;
-  for (std::size_t i = run_start; i < responses.size(); ++i) {
-    auto items = decode_items(*responses[i]);
-    table.insert(table.end(), items.begin(), items.end());
-  }
-  // No real monitor table exceeds the 600-entry cap; a reassembly that does
-  // is replayed/forged garbage. Keep the protocol invariant for consumers.
-  if (table.size() > kMonlistMaxEntries) table.resize(kMonlistMaxEntries);
+  if (!reassemble_monlist_into(views, table)) return std::nullopt;
   return table;
 }
 

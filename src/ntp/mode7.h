@@ -89,8 +89,9 @@ struct MonitorEntry {
   std::uint8_t version = 0;          ///< NTP version of last packet
 };
 
-/// A mode 7 packet (request or response).
-struct Mode7Packet {
+/// The 8-byte mode 7 header, decoded: everything a packet says about
+/// itself except its data area.
+struct Mode7Header {
   bool response = false;
   bool more = false;
   std::uint8_t sequence = 0;  ///< 7-bit
@@ -100,12 +101,32 @@ struct Mode7Packet {
   Mode7Error error = Mode7Error::kOk;
   std::uint16_t item_count = 0;
   std::uint16_t item_size = 0;
+};
+
+/// A mode 7 packet whose data area is borrowed from the buffer it was
+/// parsed from (parse_mode7_view): valid only while that buffer lives and
+/// is not modified. The prober reads replies through views, in place.
+struct Mode7View : Mode7Header {
+  std::span<const std::uint8_t> data;
+};
+
+/// A mode 7 packet (request or response) that owns its data area.
+struct Mode7Packet : Mode7Header {
   std::vector<std::uint8_t> data;
+
+  /// This packet as a view of its own data area.
+  [[nodiscard]] Mode7View view() const noexcept { return {*this, data}; }
 };
 
 [[nodiscard]] std::vector<std::uint8_t> serialize(const Mode7Packet& p);
 
-/// Parses a mode 7 packet; nullopt on non-mode-7 or truncated declared data.
+/// Parses a mode 7 packet in place; nullopt on non-mode-7 input, a header
+/// shorter than 8 bytes, or declared data the datagram does not carry or
+/// the protocol does not allow (> 500 bytes). The one mode 7 decoder.
+[[nodiscard]] std::optional<Mode7View> parse_mode7_view(
+    std::span<const std::uint8_t> raw);
+
+/// parse_mode7_view() with the data area copied out.
 [[nodiscard]] std::optional<Mode7Packet> parse_mode7_packet(
     std::span<const std::uint8_t> raw);
 
@@ -119,6 +140,14 @@ struct Mode7Packet {
 /// (<=6 items each, M bit set on all but the last, sequence 0,1,2,...).
 [[nodiscard]] std::vector<Mode7Packet> make_monlist_response(
     std::span<const MonitorEntry> entries, Implementation impl);
+
+/// Wire bytes of datagram `index` (< monlist_dump_packets(entries.size()))
+/// of the monlist dump of `entries`:
+/// serialize(make_monlist_response(entries, impl)[index]), written straight
+/// from the entries without materializing a Mode7Packet.
+[[nodiscard]] std::vector<std::uint8_t> serialize_monlist_packet(
+    std::span<const MonitorEntry> entries, std::size_t index,
+    Implementation impl);
 
 /// Legacy MON_GETLIST (code 20) response: 32-byte items, <=15 per datagram.
 /// Port/version/daddr detail is lost in this layout — which is why the
@@ -154,7 +183,9 @@ struct PeerListEntry {
 [[nodiscard]] std::vector<PeerListEntry> decode_peer_items(
     const Mode7Packet& p);
 
-/// Decodes the items carried by one response packet.
+/// Decodes the MON_GETLIST_1 items carried by one response packet: at most
+/// item_count, and only whole items the data area holds; none when the
+/// item size is not 72.
 [[nodiscard]] std::vector<MonitorEntry> decode_items(const Mode7Packet& p);
 
 /// Exact UDP payload bytes of a full monlist dump carrying `entries` table
@@ -169,10 +200,17 @@ struct PeerListEntry {
 /// Number of datagrams in a dump of `entries` entries (>= 1).
 [[nodiscard]] std::uint64_t monlist_dump_packets(std::size_t entries) noexcept;
 
-/// Reassembles a full monlist table from response packets (sorts by
-/// sequence; tolerates duplicated sequence runs by keeping the *final* run,
-/// which is how §3.4 handles mega-amplifier repeats). Returns nullopt when
-/// the packets are not a monlist response.
+/// Reassembles a full monlist table from response packets into `table`
+/// (cleared first): keeps the MON_GETLIST_1 responses without error,
+/// starts a new run at each sequence reset (sequence <= previous) and
+/// decodes the *final* run, which is how §3.4 handles mega-amplifier
+/// repeats; at most kMonlistMaxEntries entries. Returns false (table empty)
+/// when no packet is a monlist response.
+bool reassemble_monlist_into(std::span<const Mode7View> packets,
+                             std::vector<MonitorEntry>& table);
+
+/// reassemble_monlist_into() over owning packets, returning the table;
+/// nullopt when the packets are not a monlist response.
 [[nodiscard]] std::optional<std::vector<MonitorEntry>> reassemble_monlist(
     std::span<const Mode7Packet> packets);
 

@@ -73,12 +73,12 @@ ResponseSummary NtpServer::handle(const net::UdpPacket& request,
                        peek_version(request.payload).value_or(4), now);
       return respond_time(request, now);
     case Mode::kPrivate: {
-      const auto parsed = parse_mode7_packet(request.payload);
+      const auto parsed = parse_mode7_view(request.payload);
       if (!parsed || parsed->response) return {};
       return respond_monlist(request, *parsed, now, materialize_cap);
     }
     case Mode::kControl: {
-      const auto parsed = parse_control_packet(request.payload);
+      const auto parsed = parse_control_view(request.payload);
       if (!parsed || parsed->response) return {};
       return respond_readvar(request, *parsed, now, materialize_cap);
     }
@@ -109,7 +109,7 @@ ResponseSummary NtpServer::respond_time(const net::UdpPacket& request,
 }
 
 ResponseSummary NtpServer::respond_monlist(const net::UdpPacket& request,
-                                           const Mode7Packet& parsed,
+                                           const Mode7View& parsed,
                                            util::SimTime now,
                                            std::size_t materialize_cap) {
   // Repeat count: a loop fault re-delivers the request, so the server
@@ -159,21 +159,29 @@ ResponseSummary NtpServer::respond_monlist(const net::UdpPacket& request,
 
   // The final dump's table (all loop observations already recorded above);
   // intermediate dumps differ only in the probe entry's count, not in size,
-  // so totals scale exactly. Old ntpd builds answer the legacy request
-  // code with the compact 32-byte item layout.
+  // so totals scale exactly. MON_GETLIST_1 datagrams are written straight
+  // from the dump; old ntpd builds answer the legacy request code with the
+  // compact 32-byte item layout.
   const auto entries = monitor_.dump(now, config_.address);
-  const auto wire_packets =
-      parsed.request == RequestCode::kMonGetList
-          ? make_legacy_monlist_response(entries, config_.accepted_impl)
-          : make_monlist_response(entries, config_.accepted_impl);
-
   std::vector<net::UdpPacket> one_dump;
-  one_dump.reserve(wire_packets.size());
+  if (parsed.request == RequestCode::kMonGetList) {
+    for (const auto& wp :
+         make_legacy_monlist_response(entries, config_.accepted_impl)) {
+      one_dump.push_back(make_reply(request, serialize(wp), now));
+    }
+  } else {
+    const std::uint64_t datagrams = monlist_dump_packets(entries.size());
+    one_dump.reserve(datagrams);
+    for (std::size_t k = 0; k < datagrams; ++k) {
+      one_dump.push_back(make_reply(
+          request,
+          serialize_monlist_packet(entries, k, config_.accepted_impl), now));
+    }
+  }
   std::uint64_t dump_udp = 0, dump_wire = 0;
-  for (const auto& wp : wire_packets) {
-    one_dump.push_back(make_reply(request, serialize(wp), now));
-    dump_udp += one_dump.back().payload.size();
-    dump_wire += one_dump.back().on_wire_bytes();
+  for (const auto& pkt : one_dump) {
+    dump_udp += pkt.payload.size();
+    dump_wire += pkt.on_wire_bytes();
   }
   summary.total_packets = dumps * one_dump.size();
   summary.total_udp_payload_bytes = dumps * dump_udp;
@@ -215,7 +223,7 @@ ResponseSummary NtpServer::respond_peer_list(const net::UdpPacket& request,
 }
 
 ResponseSummary NtpServer::respond_readvar(const net::UdpPacket& request,
-                                           const ControlPacket& parsed,
+                                           const ControlView& parsed,
                                            util::SimTime now,
                                            std::size_t materialize_cap) {
   const std::uint64_t sends = std::uint64_t{config_.loop_repeat} + 1;

@@ -122,14 +122,14 @@ class NtpServer {  // LINT-COMPACT
   ResponseSummary respond_time(const net::UdpPacket& request,
                                util::SimTime now);
   ResponseSummary respond_monlist(const net::UdpPacket& request,
-                                  const Mode7Packet& parsed, util::SimTime now,
+                                  const Mode7View& parsed, util::SimTime now,
                                   std::size_t materialize_cap);
   ResponseSummary respond_peer_list(const net::UdpPacket& request,
                                     util::SimTime now);
   /// Token-bucket check for the mode 7 rate limiter; true = may respond.
   bool mode7_rate_allows(util::SimTime now);
   ResponseSummary respond_readvar(const net::UdpPacket& request,
-                                  const ControlPacket& parsed,
+                                  const ControlView& parsed,
                                   util::SimTime now,
                                   std::size_t materialize_cap);
 

@@ -124,7 +124,8 @@ net::UdpPacket Prober::make_probe(std::vector<std::uint8_t> request_wire) const 
 bool Prober::probe_one(std::uint32_t server_index, int week, util::SimTime now,
                        net::UdpPacket& probe, int max_attempts,
                        MonlistSampleSummary& summary,
-                       AmplifierObservation& obs) {
+                       AmplifierObservation& obs,
+                       std::vector<ntp::Mode7View>& views) {
   const auto ai = server_index;
   ++summary.probes_sent;
   // Offline / churned-away targets never see the probe.
@@ -215,18 +216,17 @@ bool Prober::probe_one(std::uint32_t server_index, int week, util::SimTime now,
       }
     }
 
-    // Reassemble the final table run from the surviving packets.
-    std::vector<ntp::Mode7Packet> parsed;
-    parsed.reserve(response.packets.size());
+    // Reassemble the final table run from the surviving datagrams, read
+    // in place and decoded straight into the observation's table.
+    views.clear();
     for (const auto& pkt : response.packets) {
-      if (auto p = ntp::parse_mode7_packet(pkt.payload)) {
-        parsed.push_back(std::move(*p));
+      if (const auto v = ntp::parse_mode7_view(pkt.payload)) {
+        views.push_back(*v);
       }
     }
-    auto table = ntp::reassemble_monlist(parsed);
-    if (!table || (parsed.size() == 1 &&
-                   parsed.front().error != ntp::Mode7Error::kOk)) {
-      if (damage.degraded() && parsed.empty()) {
+    if (!ntp::reassemble_monlist_into(views, obs.table) ||
+        (views.size() == 1 && views.front().error != ntp::Mode7Error::kOk)) {
+      if (damage.degraded() && views.empty()) {
         impairment_blocked = true;  // damage ate the reply — retry
         continue;
       }
@@ -240,7 +240,6 @@ bool Prober::probe_one(std::uint32_t server_index, int week, util::SimTime now,
     obs.response_packets = delivered_packets;
     obs.response_udp_bytes = delivered_udp;
     obs.response_wire_bytes = delivered_wire;
-    obs.table = std::move(*table);
     obs.probe_time = when;
     obs.table_partial =
         damage.packets_dropped + damage.packets_truncated > 0;
@@ -296,9 +295,10 @@ MonlistSampleSummary Prober::probe_indices(
           ChunkResult r;
           AmplifierObservation obs;
           net::UdpPacket chunk_probe = probe;  // one copy per chunk
+          std::vector<ntp::Mode7View> views;   // reply scratch, per chunk
           for (std::size_t i = begin; i < end; ++i) {
             if (probe_one(server_indices[i], week, now, chunk_probe,
-                          max_attempts, r.partial, obs)) {
+                          max_attempts, r.partial, obs, views)) {
               r.observations.push_back(std::move(obs));
             }
           }
@@ -317,9 +317,10 @@ MonlistSampleSummary Prober::probe_indices(
     return summary;
   }
 
-  AmplifierObservation obs;  // reused across visits
+  AmplifierObservation obs;            // reused across visits
+  std::vector<ntp::Mode7View> views;  // reply scratch, reused likewise
   for (const auto ai : server_indices) {
-    if (probe_one(ai, week, now, probe, max_attempts, summary, obs)) {
+    if (probe_one(ai, week, now, probe, max_attempts, summary, obs, views)) {
       visit(obs);
     }
   }
@@ -343,7 +344,10 @@ VersionSampleSummary Prober::run_version_sample(int vweek,
       impairment_.enabled() ? policy_.max_retries + 1 : 1;
 
   VersionObservation obs;
-  std::vector<ntp::ControlPacket> fragments;  // reused across responders
+  // Reply scratch reused across responders: the parsed fragments (read in
+  // place) and the reassembled variable list.
+  std::vector<ntp::ControlView> fragments;
+  std::string text;
   const auto& traits = world_.servers();
   for (std::uint32_t i = 0; i < traits.size(); ++i) {
     ++summary.probes_sent;
@@ -399,8 +403,8 @@ VersionSampleSummary Prober::run_version_sample(int vweek,
 
       fragments.clear();
       for (const auto& pkt : response.packets) {
-        if (auto p = ntp::parse_control_packet(pkt.payload)) {
-          fragments.push_back(std::move(*p));
+        if (const auto v = ntp::parse_control_view(pkt.payload)) {
+          fragments.push_back(*v);
         }
       }
       if (fragments.empty() && damage.degraded()) {
@@ -410,8 +414,7 @@ VersionSampleSummary Prober::run_version_sample(int vweek,
         impairment_blocked = true;
         continue;
       }
-      const auto text = ntp::reassemble_readvar(fragments);
-      if (!text) {
+      if (!ntp::reassemble_readvar_into(fragments, text)) {
         if (damage.degraded()) {
           impairment_blocked = true;  // damage broke the reply — retry
           continue;
@@ -424,7 +427,7 @@ VersionSampleSummary Prober::run_version_sample(int vweek,
       // (parse_variable_list's map semantics) without building the map.
       std::optional<std::string_view> system, version, stratum;
       ntp::for_each_variable(
-          *text, [&](std::string_view key, std::string_view value) {
+          text, [&](std::string_view key, std::string_view value) {
             auto* slot = key == "system"    ? &system
                          : key == "version" ? &version
                          : key == "stratum" ? &stratum

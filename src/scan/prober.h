@@ -185,10 +185,13 @@ class Prober {
   /// effects touch only this target's server, which is what makes chunked
   /// parallel probing safe.
   /// `probe` is the pass's request datagram; probe_one() restamps its
-  /// destination and send time for this target.
+  /// destination and send time for this target. `views` is the caller's
+  /// scratch for the reply's parsed datagrams, read in place; the table is
+  /// decoded from them straight into `obs.table`.
   bool probe_one(std::uint32_t server_index, int week, util::SimTime now,
                  net::UdpPacket& probe, int max_attempts,
-                 MonlistSampleSummary& summary, AmplifierObservation& obs);
+                 MonlistSampleSummary& summary, AmplifierObservation& obs,
+                 std::vector<ntp::Mode7View>& views);
   /// The pass's probe datagram carrying `request_wire`, from this prober's
   /// source address and port to the NTP port; destination and time unset.
   [[nodiscard]] net::UdpPacket make_probe(

@@ -43,8 +43,11 @@ void PcapExportSink::on_probe_observation(
       continue;
     }
     if (response_datagrams.empty()) {
-      for (const auto& p : ntp::make_monlist_response(obs.table, config_.impl)) {
-        response_datagrams.push_back(ntp::serialize(p));
+      const std::uint64_t n = ntp::monlist_dump_packets(obs.table.size());
+      response_datagrams.reserve(n);
+      for (std::size_t k = 0; k < n; ++k) {
+        response_datagrams.push_back(
+            ntp::serialize_monlist_packet(obs.table, k, config_.impl));
       }
     }
     const std::uint16_t victim_port =

@@ -42,4 +42,8 @@ bool write_all(std::ostream& out, std::span<const std::uint8_t> buf) {
   return static_cast<bool>(out);
 }
 
+std::string_view as_text(std::span<const std::uint8_t> buf) noexcept {
+  return {reinterpret_cast<const char*>(buf.data()), buf.size()};
+}
+
 }  // namespace gorilla::util

@@ -13,6 +13,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <istream>
 #include <optional>
 #include <ostream>
@@ -248,6 +249,11 @@ class ByteReader {
 /// Writers cannot fail; the value of the class is that serializers express
 /// a wire layout field-by-field in one vocabulary shared with the reader,
 /// and the lint layer can forbid ad-hoc byte poking everywhere else.
+///
+/// Every append grows the vector once (`resize`, geometric capacity) and
+/// then stores into the new tail: fixed-width fields byte by byte through
+/// one pointer, spans and text with one `memcpy`. Nothing is pushed a byte
+/// at a time.
 class ByteWriter {
  public:
   explicit ByteWriter(std::vector<std::uint8_t>& out) noexcept : out_(out) {}
@@ -255,15 +261,17 @@ class ByteWriter {
   void u8(std::uint8_t v) { out_.push_back(v); }
 
   void u16be(std::uint16_t v) {
-    out_.push_back(static_cast<std::uint8_t>(v >> 8));
-    out_.push_back(static_cast<std::uint8_t>(v));
+    std::uint8_t* p = extend(2);
+    p[0] = static_cast<std::uint8_t>(v >> 8);
+    p[1] = static_cast<std::uint8_t>(v);
   }
 
   void u32be(std::uint32_t v) {
-    out_.push_back(static_cast<std::uint8_t>(v >> 24));
-    out_.push_back(static_cast<std::uint8_t>(v >> 16));
-    out_.push_back(static_cast<std::uint8_t>(v >> 8));
-    out_.push_back(static_cast<std::uint8_t>(v));
+    std::uint8_t* p = extend(4);
+    p[0] = static_cast<std::uint8_t>(v >> 24);
+    p[1] = static_cast<std::uint8_t>(v >> 16);
+    p[2] = static_cast<std::uint8_t>(v >> 8);
+    p[3] = static_cast<std::uint8_t>(v);
   }
 
   void u64be(std::uint64_t v) {
@@ -272,39 +280,38 @@ class ByteWriter {
   }
 
   void u16le(std::uint16_t v) {
-    out_.push_back(static_cast<std::uint8_t>(v));
-    out_.push_back(static_cast<std::uint8_t>(v >> 8));
+    std::uint8_t* p = extend(2);
+    p[0] = static_cast<std::uint8_t>(v);
+    p[1] = static_cast<std::uint8_t>(v >> 8);
   }
 
   void u32le(std::uint32_t v) {
-    out_.push_back(static_cast<std::uint8_t>(v));
-    out_.push_back(static_cast<std::uint8_t>(v >> 8));
-    out_.push_back(static_cast<std::uint8_t>(v >> 16));
-    out_.push_back(static_cast<std::uint8_t>(v >> 24));
+    std::uint8_t* p = extend(4);
+    p[0] = static_cast<std::uint8_t>(v);
+    p[1] = static_cast<std::uint8_t>(v >> 8);
+    p[2] = static_cast<std::uint8_t>(v >> 16);
+    p[3] = static_cast<std::uint8_t>(v >> 24);
   }
 
+  /// Appends `data`. A span of this writer's own vector is fine: the source
+  /// is re-based after the vector grows, so a reallocation cannot leave it
+  /// dangling.
   void bytes(std::span<const std::uint8_t> data) {
-    // Element-wise append rather than a ranged insert: GCC 12's -O2/-O3
-    // object-size analysis misjudges insert-from-span as an overflowing
-    // memmove and fails the strict build (-Werror=stringop-overflow).
-    out_.reserve(out_.size() + data.size());
-    for (const std::uint8_t b : data) out_.push_back(b);
+    append(data.data(), data.size());
   }
 
   /// Appends text byte for byte (ASCII wire fields such as mode 6
   /// variable lists).
-  void chars(std::string_view text) {
-    out_.reserve(out_.size() + text.size());
-    for (const char c : text) out_.push_back(static_cast<std::uint8_t>(c));
-  }
+  void chars(std::string_view text) { append(text.data(), text.size()); }
 
   void fill(std::size_t n, std::uint8_t value = 0) {
-    out_.insert(out_.end(), n, value);
+    out_.resize(out_.size() + n, value);
   }
 
   /// Pads with `value` until the vector length is a multiple of `multiple`.
   void pad_to(std::size_t multiple, std::uint8_t value = 0) {
-    while (out_.size() % multiple != 0) out_.push_back(value);
+    const std::size_t rem = out_.size() % multiple;
+    if (rem != 0) fill(multiple - rem, value);
   }
 
   /// Overwrites 2 bytes at `offset` big-endian (checksum back-patching);
@@ -322,13 +329,39 @@ class ByteWriter {
   }
 
  private:
+  /// Grows the vector by `n` bytes and returns the first new one.
+  std::uint8_t* extend(std::size_t n) {
+    const std::size_t at = out_.size();
+    out_.resize(at + n);
+    return out_.data() + at;
+  }
+
+  /// Appends `n` bytes from `src` with one copy. A source inside the
+  /// written bytes is located by offset before the vector grows and read
+  /// back from the new storage after it. (This resize-plus-`memcpy` form is
+  /// also what GCC 12's -O2/-O3 object-size analysis accepts; a ranged
+  /// `insert` from a span trips -Werror=stringop-overflow there.)
+  void append(const void* src, std::size_t n) {
+    if (n == 0) return;
+    const auto* from = static_cast<const std::uint8_t*>(src);
+    const std::uint8_t* base = out_.data();
+    const std::size_t at = out_.size();
+    const bool own =
+        !std::less<>{}(from, base) && std::less<>{}(from, base + at);
+    const std::size_t offset =
+        own ? static_cast<std::size_t>(from - base) : 0;
+    out_.resize(at + n);
+    std::memcpy(out_.data() + at, own ? out_.data() + offset : from, n);
+  }
+
   std::vector<std::uint8_t>& out_;
 };
 
 /// Reads exactly `buf.size()` bytes from `in`; false on a short read (the
 /// buffer contents are unspecified then — callers must not use them).
-/// This pair owns the one unavoidable byte<->char reinterpret_cast, so
-/// stream I/O elsewhere stays free of it.
+/// This pair (with as_text below) owns the one unavoidable byte<->char
+/// reinterpret_cast, so stream I/O and text handling elsewhere stay free of
+/// it.
 [[nodiscard]] bool read_exact(std::istream& in, std::span<std::uint8_t> buf);
 
 /// Writes all of `buf` to `out`; false when the stream is failed afterwards
@@ -336,5 +369,12 @@ class ByteWriter {
 /// seam util::FaultPlan's short-write/corrupt directives act through).
 [[nodiscard]] bool write_all(std::ostream& out,
                              std::span<const std::uint8_t> buf);
+
+/// The bytes of `buf` as text, borrowed: the in-memory byte->char bridge
+/// (a view of a wire field such as a mode 6 variable list, appended to a
+/// std::string without a byte-by-byte copy). Lives beside
+/// read_exact/write_all for the same reason.
+[[nodiscard]] std::string_view as_text(
+    std::span<const std::uint8_t> buf) noexcept;
 
 }  // namespace gorilla::util

@@ -242,6 +242,65 @@ TEST_P(MonlistSizeSweep, WireRoundTrip) {
   }
 }
 
+// The server writes each datagram straight from its dump; the bytes must be
+// exactly those of the packet path, header and items, for every geometry
+// edge: the empty NoData reply, one partial datagram, exactly one full one,
+// one item over, and the 600-entry cap from below, at and above.
+TEST(MonlistDirectSerializeTest, MatchesPacketPathByteForByte) {
+  for (const std::size_t n : {0u, 1u, 6u, 7u, 599u, 600u, 601u}) {
+    const auto entries = make_entries(n);
+    for (const auto impl : {Implementation::kXntpd, Implementation::kXntpdOld}) {
+      const auto packets = make_monlist_response(entries, impl);
+      ASSERT_EQ(packets.size(), monlist_dump_packets(n)) << "n=" << n;
+      for (std::size_t k = 0; k < packets.size(); ++k) {
+        EXPECT_EQ(serialize_monlist_packet(entries, k, impl),
+                  serialize(packets[k]))
+            << "n=" << n << " impl=" << static_cast<int>(impl) << " k=" << k;
+      }
+    }
+  }
+}
+
+TEST(Mode7ViewTest, ParsesInPlaceAndDecodesLikeThePacket) {
+  const auto entries = make_entries(4);
+  const auto wire = serialize_monlist_packet(entries, 0, Implementation::kXntpd);
+  const auto view = parse_mode7_view(wire);
+  ASSERT_TRUE(view);
+  EXPECT_TRUE(view->response);
+  EXPECT_EQ(view->item_count, 4);
+  // The data area is the datagram's own bytes, not a copy.
+  EXPECT_EQ(view->data.data(), wire.data() + kMode7HeaderBytes);
+  EXPECT_EQ(view->data.size(), 4 * kMonitorItemBytes);
+  std::vector<MonitorEntry> from_view;
+  ASSERT_TRUE(reassemble_monlist_into(std::span(&*view, 1), from_view));
+  const auto from_packet = decode_items(*parse_mode7_packet(wire));
+  ASSERT_EQ(from_view.size(), 4u);
+  ASSERT_EQ(from_packet.size(), 4u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(from_view[i].address, entries[i].address);
+    EXPECT_EQ(from_view[i].port, from_packet[i].port);
+    EXPECT_EQ(from_view[i].count, from_packet[i].count);
+  }
+}
+
+TEST(Mode7ViewTest, ReassembleIntoReusesTheCallersTable) {
+  const auto run = make_monlist_response(make_entries(13),
+                                         Implementation::kXntpd);
+  std::vector<Mode7View> views;
+  for (const auto& p : run) views.push_back(p.view());
+  std::vector<MonitorEntry> table(50);  // stale contents are replaced
+  ASSERT_TRUE(reassemble_monlist_into(views, table));
+  EXPECT_EQ(table.size(), 13u);
+  EXPECT_EQ(table.front().address, make_entries(1).front().address);
+
+  const auto refusal = make_mode7_error(Mode7Error::kImplMismatch,
+                                        Implementation::kXntpd,
+                                        RequestCode::kMonGetList1);
+  const std::vector<Mode7View> refused{refusal.view()};
+  EXPECT_FALSE(reassemble_monlist_into(refused, table));
+  EXPECT_TRUE(table.empty());
+}
+
 INSTANTIATE_TEST_SUITE_P(Sizes, MonlistSizeSweep,
                          ::testing::Values(1, 2, 5, 6, 7, 11, 12, 59, 60, 100,
                                            599, 600, 601, 750));

@@ -163,6 +163,71 @@ TEST(ByteWriterTest, PatchBackfillsChecksumStyleFields) {
   EXPECT_EQ(buf[3], 0xaa);
 }
 
+TEST(ByteWriterTest, EmptyAppendsWriteNothing) {
+  std::vector<std::uint8_t> buf;
+  ByteWriter w(buf);
+  w.bytes({});
+  w.chars("");
+  w.fill(0);
+  EXPECT_TRUE(buf.empty());
+  w.u8(9);
+  w.bytes(std::span<const std::uint8_t>{});
+  w.chars(std::string_view{});
+  EXPECT_EQ(buf, (std::vector<std::uint8_t>{9}));
+}
+
+TEST(ByteWriterTest, PadToOnlyPadsWhenNotAMultiple) {
+  std::vector<std::uint8_t> buf;
+  ByteWriter w(buf);
+  w.pad_to(4);  // empty is a multiple of anything
+  EXPECT_TRUE(buf.empty());
+  w.u32be(0x01020304);
+  w.pad_to(4, 0xee);  // already a multiple: no-op
+  EXPECT_EQ(buf.size(), 4u);
+  w.u8(5);
+  w.pad_to(4, 0xee);  // 5 -> 8 with the given value
+  EXPECT_EQ(buf, (std::vector<std::uint8_t>{1, 2, 3, 4, 5, 0xee, 0xee, 0xee}));
+  w.pad_to(3, 0x11);  // 8 -> 9
+  EXPECT_EQ(buf.size(), 9u);
+  EXPECT_EQ(buf.back(), 0x11);
+  w.pad_to(1);  // every length is a multiple of 1
+  EXPECT_EQ(buf.size(), 9u);
+}
+
+TEST(ByteWriterTest, ByteOrderIsExact) {
+  std::vector<std::uint8_t> buf;
+  ByteWriter w(buf);
+  w.u16be(0x0102);
+  w.u32be(0x03040506);
+  w.u16le(0x0807);
+  w.u32le(0x0c0b0a09);
+  w.u64be(0x0d0e0f1011121314ull);
+  w.chars("AZ");
+  EXPECT_EQ(buf, (std::vector<std::uint8_t>{1,  2,  3,  4,  5,  6,  7,
+                                            8,  9,  10, 11, 12, 13, 14,
+                                            15, 16, 17, 18, 19, 20, 'A',
+                                            'Z'}));
+}
+
+TEST(ByteWriterTest, AppendingItsOwnBytesIsSafe) {
+  // A span of the writer's own vector stays valid across the growth the
+  // append itself causes: the source is re-based after the reallocation.
+  std::vector<std::uint8_t> buf = {1, 2, 3, 4};
+  buf.shrink_to_fit();
+  ByteWriter w(buf);
+  w.bytes(buf);  // whole vector, at full capacity: must reallocate
+  EXPECT_EQ(buf, (std::vector<std::uint8_t>{1, 2, 3, 4, 1, 2, 3, 4}));
+  w.bytes(std::span<const std::uint8_t>(buf).subspan(2, 3));
+  EXPECT_EQ(buf,
+            (std::vector<std::uint8_t>{1, 2, 3, 4, 1, 2, 3, 4, 3, 4, 1}));
+  // With spare capacity (no reallocation) the copy is the same.
+  buf.reserve(64);
+  w.bytes(std::span<const std::uint8_t>(buf).last(2));
+  EXPECT_EQ(buf.size(), 13u);
+  EXPECT_EQ(buf[11], 4);
+  EXPECT_EQ(buf[12], 1);
+}
+
 // --- stream bridge ---------------------------------------------------------
 
 TEST(StreamBridgeTest, WriteAllThenReadExactRoundTrips) {
@@ -172,6 +237,17 @@ TEST(StreamBridgeTest, WriteAllThenReadExactRoundTrips) {
   std::vector<std::uint8_t> in(4);
   EXPECT_TRUE(read_exact(ss, in));
   EXPECT_EQ(in, out);
+}
+
+TEST(StreamBridgeTest, AsTextBorrowsTheBytes) {
+  const std::vector<std::uint8_t> bytes = {'o', 'k', 0x00, 0xff};
+  const std::string_view text = as_text(bytes);
+  EXPECT_EQ(static_cast<const void*>(text.data()),
+            static_cast<const void*>(bytes.data()));
+  ASSERT_EQ(text.size(), 4u);
+  EXPECT_EQ(text.substr(0, 2), "ok");
+  EXPECT_EQ(static_cast<unsigned char>(text[3]), 0xffu);
+  EXPECT_TRUE(as_text({}).empty());
 }
 
 TEST(StreamBridgeTest, ReadExactRefusesShortStreams) {
