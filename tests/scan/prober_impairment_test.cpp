@@ -6,11 +6,17 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <set>
+#include <span>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
 #include "core/amplifiers.h"
+#include "sim/sharded_executor.h"
+#include "util/crc32.h"
+#include "util/thread_pool.h"
 
 namespace gorilla::scan {
 namespace {
@@ -31,6 +37,83 @@ ObsKey key_of(const AmplifierObservation& obs) {
   return {obs.server_index, obs.response_wire_bytes, obs.response_packets,
           obs.table.size(), obs.attempts, obs.table_partial};
 }
+
+/// CRC-32 over a stream of integers (8 bytes little-endian each) and
+/// length-prefixed strings: one number that moves when any field does.
+class Fingerprint {
+ public:
+  void add(std::uint64_t v) {
+    std::array<std::uint8_t, 8> bytes{};
+    for (std::size_t i = 0; i < bytes.size(); ++i) {
+      bytes[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+    crc_.update(bytes);
+  }
+  void add(std::string_view text) {
+    add(text.size());
+    crc_.update(std::span(reinterpret_cast<const std::uint8_t*>(text.data()),
+                          text.size()));
+  }
+  void add(const util::Date& d) {
+    add(static_cast<std::uint64_t>(d.year));
+    add(static_cast<std::uint64_t>(d.month));
+    add(static_cast<std::uint64_t>(d.day));
+  }
+  void add(const AmplifierObservation& o) {
+    add(o.server_index);
+    add(o.address.value());
+    add(o.response_packets);
+    add(o.response_udp_bytes);
+    add(o.response_wire_bytes);
+    add(o.table.size());
+    for (const auto& e : o.table) {
+      add(e.address.value());
+      add(e.local_address.value());
+      add(e.avg_interval);
+      add(e.last_seen);
+      add(e.restr);
+      add(e.count);
+      add(e.port);
+      add(e.mode);
+      add(e.version);
+    }
+    add(static_cast<std::uint64_t>(o.probe_time));
+    add(o.table_partial ? 1u : 0u);
+    add(static_cast<std::uint64_t>(o.attempts));
+  }
+  void add(const VersionObservation& o) {
+    add(o.server_index);
+    add(o.address.value());
+    add(o.response_packets);
+    add(o.response_wire_bytes);
+    add(std::string_view(o.system));
+    add(std::string_view(o.version));
+    add(static_cast<std::uint64_t>(o.stratum));
+    add(static_cast<std::uint64_t>(o.probe_time));
+  }
+  void add(const MonlistSampleSummary& s) {
+    add(static_cast<std::uint64_t>(s.week));
+    add(s.date);
+    for (const auto n : {s.probes_sent, s.responders, s.error_replies,
+                         s.probes_lost, s.retries, s.truncated_tables,
+                         s.rate_limited}) {
+      add(n);
+    }
+  }
+  void add(const VersionSampleSummary& s) {
+    add(static_cast<std::uint64_t>(s.week));
+    add(s.date);
+    for (const auto n : {s.probes_sent, s.responders_total,
+                         s.responders_detailed, s.probes_lost, s.retries,
+                         s.truncated_tables, s.rate_limited}) {
+      add(n);
+    }
+  }
+  [[nodiscard]] std::uint32_t value() const { return crc_.value(); }
+
+ private:
+  util::Crc32 crc_;
+};
 
 std::vector<ObsKey> collect_sample(Prober& prober, int week,
                                    MonlistSampleSummary* out = nullptr) {
@@ -295,6 +378,90 @@ TEST(ProberImpairmentTest, VersionPassRetriesRepliesDestroyedInTransit) {
   // The destroyed replies are retried, then counted as lost.
   EXPECT_GT(summary.probes_lost, 10000u);
   EXPECT_GE(summary.retries, summary.probes_lost);
+}
+
+TEST(ProberImpairmentTest, ImpairedPassesKeepTheirBytes) {
+  // Every fate at once, on a monlist pass and the version pass of the same
+  // week (so the two share one rate-limit window), once with a KoD limiter
+  // and once with a silent one. The constants pin every observation field
+  // and every summary counter.
+  struct Pin {
+    bool kod;
+    std::uint32_t monlist_crc;
+    std::uint32_t version_crc;
+  };
+  for (const Pin pin : {Pin{true, 0x9841aad8u, 0x990354bcu},
+                        Pin{false, 0x2f9dce67u, 0xf2127d67u}}) {
+    sim::ImpairmentConfig cfg;
+    cfg.seed = 23;
+    cfg.request_loss = 0.08;
+    cfg.icmp_unreachable_rate = 0.04;
+    cfg.transient_silence_rate = 0.06;
+    cfg.response_packet_loss = 0.1;
+    cfg.response_truncate_rate = 0.05;
+    cfg.response_garble_rate = 0.05;
+    cfg.rate_limiter_fraction = 0.3;
+    cfg.rate_limit_per_window = 1;
+    cfg.rate_limit_kod = pin.kod;
+    sim::World world(tiny_config());
+    Prober prober(world, kProbeSource, ntp::Implementation::kXntpd, cfg);
+
+    Fingerprint monlist;
+    const auto ms = prober.run_monlist_sample(
+        6, [&](const AmplifierObservation& obs) { monlist.add(obs); });
+    monlist.add(ms);
+    Fingerprint version;
+    const auto vs = prober.run_version_sample(
+        0, [&](const VersionObservation& obs) { version.add(obs); });
+    version.add(vs);
+
+    EXPECT_GT(ms.retries, 0u);
+    EXPECT_GT(ms.probes_lost, 0u);
+    EXPECT_GT(ms.truncated_tables, 0u);
+    EXPECT_GT(ms.rate_limited, 0u);
+    EXPECT_GT(vs.retries, 0u);
+    EXPECT_GT(vs.probes_lost, 0u);
+    EXPECT_GT(vs.truncated_tables, 0u);
+    EXPECT_GT(vs.rate_limited, 0u);
+    EXPECT_EQ(monlist.value(), pin.monlist_crc) << "kod=" << pin.kod;
+    EXPECT_EQ(version.value(), pin.version_crc) << "kod=" << pin.kod;
+  }
+}
+
+TEST(ProberImpairmentTest, VersionPassIsJobCountInvariant) {
+  // No rate limiter, so the pass may run chunked on the executor; the
+  // visit order and the summary must match the inline run exactly.
+  sim::ImpairmentConfig lossy;
+  lossy.seed = 5;
+  lossy.request_loss = 0.1;
+  lossy.transient_silence_rate = 0.05;
+  lossy.response_packet_loss = 0.1;
+  lossy.response_truncate_rate = 0.05;
+  lossy.response_garble_rate = 0.05;
+  util::ThreadPool pool(4);
+  sim::ShardedExecutor executor(&pool);
+  for (const auto& cfg : {sim::ImpairmentConfig{}, lossy}) {
+    auto run = [&](sim::ShardedExecutor* exec) {
+      sim::World world(tiny_config());
+      Prober prober(world, kProbeSource, ntp::Implementation::kXntpd, cfg);
+      prober.set_executor(exec);
+      std::vector<std::uint32_t> order;
+      Fingerprint f;
+      for (const int vweek : {0, 3}) {
+        f.add(prober.run_version_sample(
+            vweek, [&](const VersionObservation& obs) {
+              order.push_back(obs.server_index);
+              f.add(obs);
+            }));
+      }
+      return std::make_pair(order, f.value());
+    };
+    const auto inline_run = run(nullptr);
+    const auto sharded_run = run(&executor);
+    EXPECT_FALSE(inline_run.first.empty());
+    EXPECT_EQ(inline_run.first, sharded_run.first);
+    EXPECT_EQ(inline_run.second, sharded_run.second);
+  }
 }
 
 }  // namespace
