@@ -48,6 +48,9 @@ Outcome run_world(const bench::Options& opt, double remediation_speed,
 
   core::AmplifierCensus census(world.registry(), world.pbl());
   core::VictimAnalysis victims(world.registry(), world.pbl());
+  study::AnalysisSink analyses;
+  analyses.census = &census;
+  analyses.victims = &victims;
   sim::AttackEngineConfig acfg;
   acfg.seed = opt.seed ^ 0xa77acdULL;
   study::EventBus no_sinks;
@@ -63,16 +66,7 @@ Outcome run_world(const bench::Options& opt, double remediation_speed,
     const int sample_day = util::onp_sample_day(week);
     for (; day <= sample_day; ++day) attacks.run_day(day);
     scans.seed_monitor_tables(week);
-    const auto date = util::onp_sample_dates()[static_cast<std::size_t>(week)];
-    census.begin_sample(week, date);
-    victims.begin_sample(week, date);
-    prober.run_monlist_sample(week,
-                              [&](const scan::AmplifierObservation& obs) {
-                                census.add(obs);
-                                victims.add(obs);
-                              });
-    census.end_sample();
-    victims.end_sample();
+    prober.run_monlist_sample(week, analyses);
   }
 
   Outcome out;

@@ -1,6 +1,7 @@
 #include "common.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -51,6 +52,22 @@ long parse_positive(const char* text, const char* flag, long max_value) {
                  "invalid value for %s: '%s' (expected an integer in "
                  "[1, %ld])\n",
                  flag, text, max_value);
+    std::exit(2);
+  }
+  return v;
+}
+
+/// Strict seed parse: a decimal u64 and nothing else (no sign, no spaces,
+/// no overflow), so `--seed notanumber` cannot quietly run seed 0.
+std::uint64_t parse_seed(const char* text) {
+  const char* end = text + std::strlen(text);
+  std::uint64_t v = 0;
+  const auto [stop, error] = std::from_chars(text, end, v);
+  if (text == end || error != std::errc() || stop != end) {
+    std::fprintf(stderr,
+                 "invalid value for --seed: '%s' (expected a decimal integer "
+                 "in [0, 18446744073709551615])\n",
+                 text);
     std::exit(2);
   }
   return v;
@@ -115,7 +132,7 @@ Options parse_options(int argc, char** argv, std::uint32_t default_scale) {
       opt.scale = static_cast<std::uint32_t>(
           parse_positive(value("--scale"), "--scale", 1l << 30));
     } else if (arg == "--seed") {
-      opt.seed = std::strtoull(value("--seed"), nullptr, 10);
+      opt.seed = parse_seed(value("--seed"));
     } else if (arg == "--quick") {
       opt.quick = true;
     } else if (arg == "--csv") {
@@ -150,6 +167,9 @@ Options parse_options(int argc, char** argv, std::uint32_t default_scale) {
           "          [--faults SPEC] [--mem-report]\n",
           argv[0]);
       std::exit(0);
+    } else {
+      refuse_flag(argv[0], ("unknown argument '" + arg +
+                            "' (--help lists the flags)").c_str());
     }
   }
   return opt;

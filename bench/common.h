@@ -57,8 +57,9 @@ struct Options {
 bool maybe_write_csv(const Options& opt, const std::string& name,
                      const util::CsvDocument& doc);
 
-/// Parses --scale/--seed/--quick; exits with usage on unknown flags
-/// (ignores google-benchmark style flags so mixed invocation works).
+/// Parses the shared bench flags. An unknown argument, a missing value or
+/// a malformed number is refused with one stderr line and exit 2;
+/// google-benchmark `--benchmark*` flags pass through untouched.
 [[nodiscard]] Options parse_options(int argc, char** argv,
                                     std::uint32_t default_scale = 40);
 

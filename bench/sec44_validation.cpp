@@ -26,6 +26,9 @@ int run(const bench::Options& opt) {
   sim::World world(wcfg);
   core::AmplifierCensus census(world.registry(), world.pbl());
   core::VictimAnalysis victims(world.registry(), world.pbl());
+  study::AnalysisSink analyses;
+  analyses.census = &census;
+  analyses.victims = &victims;
   sim::AttackEngineConfig acfg;
   acfg.seed = opt.seed ^ 0xa77acdULL;
   study::EventBus no_sinks;
@@ -41,16 +44,7 @@ int run(const bench::Options& opt) {
     const int sample_day = util::onp_sample_day(week);
     for (; day <= sample_day; ++day) attacks.run_day(day);
     scans.seed_monitor_tables(week);
-    const auto date = util::onp_sample_dates()[static_cast<std::size_t>(week)];
-    census.begin_sample(week, date);
-    victims.begin_sample(week, date);
-    prober.run_monlist_sample(week,
-                              [&](const scan::AmplifierObservation& obs) {
-                                census.add(obs);
-                                victims.add(obs);
-                              });
-    census.end_sample();
-    victims.end_sample();
+    prober.run_monlist_sample(week, analyses);
   }
 
   // The victim's CDN "publishes" the amplifier ASes of the disclosed event.

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <unordered_set>
 
 #include "core/amplifiers.h"
 #include "core/victims.h"
@@ -38,11 +39,16 @@ int main(int argc, char** argv) {
   acfg.seed = wcfg.seed ^ 0xa77acdULL;
   study::EventBus no_sinks;
   sim::AttackEngine attacks(world, acfg, no_sinks);
-  for (int day = 96; day <= 103; ++day) attacks.run_day(day);
+  std::unordered_set<std::uint32_t> truth_victims;
+  for (int day = 96; day <= 103; ++day) {
+    for (const auto& rec : attacks.run_day(day)) {
+      truth_victims.insert(rec.victim.value());
+    }
+  }
   std::printf("attack engine ground truth: %llu attacks, %llu unique "
               "victims, %s sent\n\n",
               static_cast<unsigned long long>(attacks.totals().ntp_attacks),
-              static_cast<unsigned long long>(attacks.unique_victims()),
+              static_cast<unsigned long long>(truth_victims.size()),
               util::bytes_str(static_cast<double>(
                   attacks.totals().response_bytes)).c_str());
 
@@ -73,7 +79,7 @@ int main(int argc, char** argv) {
   std::printf("recovered / ground truth victims: %.2f (tables see a ~44 h "
               "window, so <1 is expected)\n\n",
               static_cast<double>(row.ips) /
-                  static_cast<double>(attacks.unique_victims()));
+                  static_cast<double>(truth_victims.size()));
 
   util::TextTable ports({"rank", "port", "fraction"});
   const auto top = victims.top_ports(8);

@@ -153,13 +153,14 @@ class Prober {
 
   [[nodiscard]] net::Ipv4Address source() const noexcept { return source_; }
 
-  /// Optional parallel engine for the per-target monlist loop. Each target
-  /// only mutates its own server's state (monitor-table bookkeeping), so
-  /// fixed-size target chunks probe independently on workers while the
-  /// visitor runs on the calling thread in ascending target order — output
-  /// is bit-identical for any job count. Passes that need the shared
-  /// rate-limit window (impairment with rate_limit_per_window > 0) fall
-  /// back to the sequential loop automatically. Null clears the executor.
+  /// Optional parallel engine for every pass, monlist and version alike.
+  /// Each target only mutates its own server's state (monitor-table
+  /// bookkeeping, the identity its first READVAR renders), so fixed-size
+  /// target chunks probe independently on workers while the visitor runs on
+  /// the calling thread in ascending target order — output is bit-identical
+  /// for any job count. Passes that need the shared rate-limit window
+  /// (impairment with rate_limit_per_window > 0) run inline instead. Null
+  /// clears the executor.
   void set_executor(sim::ShardedExecutor* executor) noexcept {
     executor_ = executor;
   }
@@ -176,22 +177,33 @@ class Prober {
   [[nodiscard]] const ProbePolicy& policy() const noexcept { return policy_; }
 
  private:
+  /// How one probe attempt ended, and so how a target's attempts ended.
+  enum class Outcome : std::uint8_t {
+    kAnswered,    ///< a reply the pass recorded
+    kRefused,     ///< a reply the pass cannot use, or a rate-limit refusal
+    kLost,        ///< lost to impairment: worth another attempt
+    kRestricted,  ///< the server answers no such request: no retry helps
+  };
+
   void apply_due_remediation(int week);
-  MonlistSampleSummary probe_indices(
-      const std::vector<std::uint32_t>& server_indices, int week,
-      util::SimTime now, const MonlistVisitor& visit);
-  /// Probes one target; fills `obs` and returns true when it responded with
-  /// a table. Counter side effects land in `summary`; server-state side
-  /// effects touch only this target's server, which is what makes chunked
-  /// parallel probing safe.
-  /// `probe` is the pass's request datagram; probe_one() restamps its
-  /// destination and send time for this target. `views` is the caller's
-  /// scratch for the reply's parsed datagrams, read in place; the table is
-  /// decoded from them straight into `obs.table`.
-  bool probe_one(std::uint32_t server_index, int week, util::SimTime now,
-                 net::UdpPacket& probe, int max_attempts,
-                 MonlistSampleSummary& summary, AmplifierObservation& obs,
-                 std::vector<ntp::Mode7View>& views);
+  /// The pass driver: runs `probe_one(index, summary, obs)` over `targets`
+  /// and visits each target it returns true for, in target order. Chunked
+  /// on the executor (DESIGN.md §3d) unless the pass needs the shared
+  /// rate-limit window; each chunk probes with its own copy of
+  /// `probe_one`, which carries the pass's datagram and reply scratch.
+  template <class Observation, class Targets, class Summary, class ProbeOne,
+            class Visit>
+  void probe_indices(const Targets& targets, Summary& summary,
+                     ProbeOne probe_one, const Visit& visit);
+  /// The attempt loop both passes share: fate (drawn at `attempt + salt`),
+  /// handle(), restriction, silence, rate budget, damage and retry, with
+  /// `reply(attempt, probe, response, damage)` deciding kAnswered, kRefused
+  /// or kLost. Counts retries, rate_limited and probes_lost; touches only
+  /// this target's server and the rate window.
+  template <class Summary, class ReplyStep>
+  Outcome run_attempts(std::uint32_t server_index, int week, util::SimTime now,
+                       int salt, ntp::NtpServer& server, net::UdpPacket& probe,
+                       Summary& summary, const ReplyStep& reply);
   /// The pass's probe datagram carrying `request_wire`, from this prober's
   /// source address and port to the NTP port; destination and time unset.
   [[nodiscard]] net::UdpPacket make_probe(

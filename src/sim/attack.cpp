@@ -623,6 +623,8 @@ AttackEngine::DayShardResult AttackEngine::simulate_day(
   shard.result.day = day;
   shard.result.events = study::EventBuffer(plan.wants_flows,
                                            plan.wants_labels);
+  // Each booter's customer targets picked earlier this day (gamer feuds are
+  // sticky). Day-scoped, so each day stays a pure function of (seed, day).
   std::vector<std::vector<net::Ipv4Address>> booter_targets(booters_.size());
   const auto& live_pool = plan.live_pools[static_cast<std::size_t>(
       week_of_day(day) - plan.base_week)];
@@ -697,7 +699,6 @@ AttackEngine::DayShardResult AttackEngine::simulate_day(
     shard.result.records.push_back(std::move(rec));
   }
 
-  shard.result.booter_picks = std::move(booter_targets);
   return std::move(shard.result);
 }
 
@@ -728,7 +729,6 @@ void AttackEngine::consume_day(DayShardResult& result,
   result.events.replay_into(*sink_);
   for (std::size_t i = 0; i < result.records.size(); ++i) {
     const auto& rec = result.records[i];
-    victim_ever_[rec.victim.value()] = true;
     ++totals_.ntp_attacks;
     totals_.response_packets += rec.response_packets;
     totals_.response_bytes += rec.response_bytes;
@@ -736,18 +736,6 @@ void AttackEngine::consume_day(DayShardResult& result,
       scripted_events_.push_back(rec);
     } else {
       ++attacks_per_booter_[rec.booter_id];
-    }
-  }
-  // Merge each booter's day-local picks into its rolling customer-target
-  // list (most recent 16), purely diagnostic state for the §5.2 analyses.
-  for (std::size_t b = 0; b < result.booter_picks.size(); ++b) {
-    auto& targets = booters_[b].customer_targets;
-    for (const auto& victim : result.booter_picks[b]) {
-      targets.push_back(victim);
-    }
-    if (targets.size() > 16) {
-      targets.erase(targets.begin(),
-                    targets.end() - static_cast<std::ptrdiff_t>(16));
     }
   }
 }

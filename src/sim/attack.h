@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -151,16 +150,10 @@ struct AttackEngineConfig {
 
 /// A booter ("stresser") service or standalone botmaster — §5.2's attacker
 /// ecosystem. Each attack is launched through one of these; the profile
-/// shapes its tooling (priming) and clientele (sticky victim list).
+/// shapes its tooling (priming).
 struct BooterProfile {
   std::uint32_t id = 0;
   bool primes_amplifiers = false;  ///< booter-grade tooling
-  /// The service's recent customer-target list (gamer feuds are sticky).
-  /// Repeat-victim draws see the targets picked *earlier the same day* —
-  /// day-scoped stickiness keeps each day a pure function of (seed, day)
-  /// so days can simulate in parallel; the merged list here (most recent
-  /// 16 across days) is diagnostic state for the §5.2 analyses.
-  std::vector<net::Ipv4Address> customer_targets;
 };
 
 class AttackEngine {
@@ -200,12 +193,8 @@ class AttackEngine {
     std::uint64_t ntp_attacks = 0;
     std::uint64_t response_packets = 0;
     std::uint64_t response_bytes = 0;
-    std::uint64_t unique_victim_count = 0;  ///< filled by unique_victims()
   };
   [[nodiscard]] const Totals& totals() const noexcept { return totals_; }
-  [[nodiscard]] std::uint64_t unique_victims() const {
-    return victim_ever_.size();
-  }
   [[nodiscard]] const std::vector<BooterProfile>& booters() const noexcept {
     return booters_;
   }
@@ -223,10 +212,10 @@ class AttackEngine {
 
  private:
   /// Everything one day shard produced on a worker thread: ground-truth
-  /// records (scripted prefix first), buffered bus events, buffered
-  /// monitor-table deltas (per amplifier, first-touch order), and the day's
-  /// victim picks per booter. consume_day() folds it into the engine on the
-  /// calling thread and hands the deltas to the apply lanes.
+  /// records (scripted prefix first), buffered bus events and buffered
+  /// monitor-table deltas (per amplifier, first-touch order).
+  /// consume_day() folds it into the engine on the calling thread and hands
+  /// the deltas to the apply lanes.
   using MonitorBatch =
       std::vector<std::pair<std::uint32_t, ntp::MonitorDelta>>;
   struct DayShardResult {
@@ -235,7 +224,6 @@ class AttackEngine {
     std::vector<AttackRecord> records;
     study::EventBuffer events;
     MonitorBatch monitor_deltas;
-    std::vector<std::vector<net::Ipv4Address>> booter_picks;
   };
 
   /// Shared inputs every day shard in a window reads; immutable while the
@@ -289,7 +277,6 @@ class AttackEngine {
   util::ZipfSampler booter_zipf_;
   std::vector<net::Ipv4Address> hosting_victims_;  ///< per-hosting-AS picks
   std::vector<net::Ipv4Address> common_victims_;   ///< Merit+FRGP common pool
-  std::unordered_map<std::uint32_t, bool> victim_ever_;
   util::ZipfSampler hosting_zipf_;
   std::vector<net::Asn> hosting_ases_;
   util::WeightedSampler port_sampler_;

@@ -4,7 +4,7 @@
 // (raw strings, digit separators, encoding prefixes), the single-file
 // rules, the include-graph pass (layer-break / layer-cycle against the
 // DESIGN §3f DAG), and the stale-waiver pass — with parallel per-file
-// analysis, a content-hash cache, baselines, and JSON output. This file
+// analysis, a content-hash cache, and JSON output. This file
 // is only the CLI entry point; run with no arguments for usage, and see
 // DESIGN.md "Static analysis v2" for the rule catalogue.
 #include <string>

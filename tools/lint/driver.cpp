@@ -3,8 +3,7 @@
 // analyze() is the deterministic pipeline over in-memory documents:
 // parallel lex+summary, global container-name pooling, parallel rules
 // (both phases cacheable by content hash), then the serial graph and
-// stale-waiver passes, sorted findings, and baseline subtraction. The
-// result is byte-identical for any --jobs value because every mutation is
+// stale-waiver passes, and sorted findings. The result is byte-identical for any --jobs value because every mutation is
 // per-file and the merge walks files in input order.
 //
 // run_cli() wraps that in the tree walk, the content-hash cache file, the
@@ -206,36 +205,6 @@ void save_cache(const std::string& path, const std::vector<SourceFile>& files,
   }
 }
 
-// --- baseline --------------------------------------------------------------
-
-/// Baseline keys are checkout-independent: the path is trimmed to the
-/// first tree-root component so `/home/a/repo/src/...` and `src/...`
-/// match.
-std::string normalize_path(const std::string& path) {
-  static const std::vector<std::string> kRoots = {"src/", "tests/", "tools/",
-                                                  "bench/", "examples/"};
-  for (const std::string& root : kRoots) {
-    if (path.rfind(root, 0) == 0) return path;
-    const std::size_t at = path.find("/" + root);
-    if (at != std::string::npos) return path.substr(at + 1);
-  }
-  return path;
-}
-
-std::string baseline_key(const Finding& f) {
-  return f.rule + "\t" + normalize_path(f.path) + "\t" + f.snippet;
-}
-
-std::map<std::string, int> load_baseline(const std::string& path) {
-  std::map<std::string, int> out;
-  std::ifstream in(path);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!line.empty() && line[0] != '#') ++out[line];
-  }
-  return out;
-}
-
 // --- output ----------------------------------------------------------------
 
 std::string json_escape(const std::string& s) {
@@ -266,7 +235,6 @@ void print_findings(const AnalysisResult& result, bool json) {
     std::ostringstream out;
     out << "{\n  \"tool\": \"" << kToolVersion << "\",\n  \"files\": "
         << result.file_count << ",\n  \"cache_hits\": " << result.cache_hits
-        << ",\n  \"baseline_suppressed\": " << result.baseline_suppressed
         << ",\n  \"findings\": [";
     for (std::size_t i = 0; i < result.findings.size(); ++i) {
       const Finding& f = result.findings[i];
@@ -434,8 +402,6 @@ int usage() {
       "options:\n"
       "  --jobs N              worker threads (default: hardware)\n"
       "  --format text|json    findings output format\n"
-      "  --baseline FILE       subtract known findings\n"
-      "  --write-baseline FILE write current findings as the new baseline\n"
       "  --dot FILE            write the include-graph DOT artifact\n"
       "  --cache FILE          per-file content-hash result cache\n");
   return 2;
@@ -519,21 +485,6 @@ AnalysisResult analyze(std::vector<SourceDoc> docs, const Options& options) {
   if (!options.cache_path.empty()) {
     save_cache(options.cache_path, files, context_hash);
   }
-
-  if (!options.baseline_path.empty()) {
-    std::map<std::string, int> baseline = load_baseline(options.baseline_path);
-    std::vector<Finding> kept;
-    for (Finding& f : findings) {
-      const auto it = baseline.find(baseline_key(f));
-      if (it != baseline.end() && it->second > 0) {
-        --it->second;
-        ++result.baseline_suppressed;
-      } else {
-        kept.push_back(std::move(f));
-      }
-    }
-    findings = std::move(kept);
-  }
   result.findings = std::move(findings);
   return result;
 }
@@ -560,14 +511,6 @@ int run_cli(const std::vector<std::string>& args) {
       const std::string* v = need_value();
       if (v == nullptr || (*v != "text" && *v != "json")) return usage();
       options.json = *v == "json";
-    } else if (a == "--baseline") {
-      const std::string* v = need_value();
-      if (v == nullptr) return usage();
-      options.baseline_path = *v;
-    } else if (a == "--write-baseline") {
-      const std::string* v = need_value();
-      if (v == nullptr) return usage();
-      options.write_baseline = *v;
     } else if (a == "--dot") {
       const std::string* v = need_value();
       if (v == nullptr) return usage();
@@ -611,23 +554,14 @@ int run_cli(const std::vector<std::string>& args) {
                       std::ios::trunc);
     out << result.dot;
   }
-  if (!options.write_baseline.empty()) {
-    std::ofstream out(options.write_baseline,  // NOLINT(raw-ofstream)
-                      std::ios::trunc);
-    out << "# gorilla-lint baseline: rule<TAB>path<TAB>snippet\n";
-    for (const Finding& f : result.findings) out << baseline_key(f) << "\n";
-    std::fprintf(stderr, "gorilla-lint: wrote %zu baseline entries to %s\n",
-                 result.findings.size(), options.write_baseline.c_str());
-    return 0;
-  }
 
   print_findings(result, options.json);
   std::fprintf(stderr,
                "gorilla-lint: %zu finding%s in %zu files, %.1f ms "
-               "(jobs=%d, cache hits %zu, baseline-suppressed %zu)\n",
+               "(jobs=%d, cache hits %zu)\n",
                result.findings.size(),
                result.findings.size() == 1 ? "" : "s", result.file_count, ms,
-               options.jobs, result.cache_hits, result.baseline_suppressed);
+               options.jobs, result.cache_hits);
   return result.findings.empty() ? 0 : 1;
 }
 

@@ -9,8 +9,7 @@
 //      the include-graph pass (layer-DAG ranks, file- and directory-level
 //      cycle rejection, DOT artifact), and stale-waiver (a NOLINT that
 //      suppressed nothing is itself a finding).
-//   3. reporting: deterministic ordering, optional baseline subtraction,
-//      text or JSON output.
+//   3. reporting: deterministic ordering, text or JSON output.
 //
 // The library is filesystem-free at its core (analyze() takes in-memory
 // documents) so the rules are unit-testable; run_cli() adds the directory
@@ -39,17 +38,14 @@ struct SourceDoc {
 
 struct Options {
   int jobs = 1;                 ///< worker threads; <=1 runs inline
-  std::string baseline_path;    ///< if set, subtract known findings
-  std::string write_baseline;   ///< if set, write current findings and exit 0
   std::string dot_path;         ///< if set, emit the include-graph artifact
   std::string cache_path;       ///< if set, per-file content-hash cache
   bool json = false;            ///< machine-readable findings on stdout
 };
 
 struct AnalysisResult {
-  std::vector<Finding> findings;        ///< post-waiver, post-baseline
+  std::vector<Finding> findings;        ///< post-waiver
   std::size_t file_count = 0;
-  std::size_t baseline_suppressed = 0;
   std::size_t cache_hits = 0;
   std::string dot;                      ///< include-graph DOT text
 };
@@ -58,7 +54,7 @@ struct AnalysisResult {
 [[nodiscard]] AnalysisResult analyze(std::vector<SourceDoc> docs,
                                      const Options& options);
 
-/// Full command-line driver (tree walk, cache, baseline, self-test).
+/// Full command-line driver (tree walk, cache, self-test).
 /// Returns the process exit code: 0 clean, 1 findings/self-test failure,
 /// 2 usage error.
 int run_cli(const std::vector<std::string>& args);
