@@ -3,8 +3,9 @@
 // analyze() is the deterministic pipeline over in-memory documents:
 // parallel lex+summary, global container-name pooling, parallel rules
 // (both phases cacheable by content hash), then the serial graph and
-// stale-waiver passes, and sorted findings. The result is byte-identical for any --jobs value because every mutation is
-// per-file and the merge walks files in input order.
+// stale-waiver passes, and sorted findings. The result is byte-identical
+// for any --jobs value because every mutation is per-file and the merge
+// walks files in input order.
 //
 // run_cli() wraps that in the tree walk, the content-hash cache file, the
 // artifact writers, and the --self-test harness.
