@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include "scan/prober.h"
+#include "sim/attack.h"
+#include "study/bus.h"
 #include "study/events.h"
 #include "telemetry/darknet.h"
 #include "telemetry/flow.h"
+#include "util/bytes.h"
+#include "util/crc32.h"
 
 namespace gorilla::sim {
 namespace {
@@ -148,6 +153,75 @@ TEST_F(ScanTrafficTest, DeterministicGivenSeed) {
     EXPECT_EQ(scans_.actors()[i].address, s2.actors()[i].address);
     EXPECT_EQ(scans_.actors()[i].first_day, s2.actors()[i].first_day);
   }
+}
+
+/// Weeks 0..5 of the study loop on a tiny world (attack days up to each
+/// sample day, then seeding, then the monlist pass), and a CRC-32 over the
+/// dump of every amplifier whose monlist is still live at week 5: what any
+/// later probe of this world could read out of its monitor tables.
+struct LiveTables {
+  std::uint32_t crc = 0;
+  std::size_t fixed = 0;    ///< amplifiers remediated by week 5
+  std::size_t entries = 0;  ///< dumped entries across the live tables
+};
+
+LiveTables live_tables_after_six_weeks() {
+  World world(tiny_config());
+  study::EventBus no_sinks;
+  AttackEngine attacks(world, AttackEngineConfig{}, no_sinks);
+  ScanTraffic scans(world, scan_config());
+  scan::Prober prober(world, net::Ipv4Address(198, 51, 100, 7));
+  constexpr int kLastWeek = 5;
+  int day = 0;
+  for (int week = 0; week <= kLastWeek; ++week) {
+    const int sample_day = util::onp_sample_day(week);
+    attacks.run_days(day, sample_day + 1);
+    day = sample_day + 1;
+    scans.seed_monitor_tables(week);
+    (void)prober.run_monlist_sample(week,
+                                    [](const scan::AmplifierObservation&) {});
+  }
+  const util::SimTime now = scan::Prober::sample_time(kLastWeek) + 3600;
+  LiveTables out;
+  util::Crc32 crc;
+  std::vector<std::uint8_t> bytes;
+  for (const auto ai : world.amplifier_indices()) {
+    const auto& t = world.servers()[ai];
+    if (t.monlist_fix_week >= 0 && kLastWeek >= t.monlist_fix_week) {
+      ++out.fixed;
+      continue;
+    }
+    const auto* server = world.detailed(ai);
+    if (server == nullptr) continue;
+    bytes.clear();
+    util::ByteWriter w(bytes);
+    w.u32le(ai);
+    const auto dump = server->monitor().dump(now, server->config().address);
+    out.entries += dump.size();
+    for (const auto& e : dump) {
+      w.u32le(e.address.value());
+      w.u32le(e.local_address.value());
+      w.u32le(e.avg_interval);
+      w.u32le(e.last_seen);
+      w.u32le(e.restr);
+      w.u32le(e.count);
+      w.u16le(e.port);
+      w.u8(e.mode);
+      w.u8(e.version);
+    }
+    crc.update(bytes);
+  }
+  out.crc = crc.value();
+  return out;
+}
+
+TEST(ScanTrafficPinTest, LiveMonitorTablesAfterSixWeeksArePinned) {
+  const LiveTables live = live_tables_after_six_weeks();
+  ASSERT_GT(live.fixed, 0u);
+  ASSERT_GT(live.entries, 0u);
+  // Captured before remediated tables left the seeding and probe paths:
+  // releasing what no dump can see must leave every dumpable byte alone.
+  EXPECT_EQ(live.crc, 0x1E8EB4D0u);
 }
 
 }  // namespace
