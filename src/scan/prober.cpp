@@ -94,17 +94,17 @@ util::SimTime Prober::sample_time(int week) noexcept {
 void Prober::apply_due_remediation(int week) {
   if (week <= remediation_applied_week_) return;
   for (const auto ai : world_.amplifier_indices()) {
+    auto* server = world_.detailed(ai);
+    if (server == nullptr) continue;
     const auto& t = world_.servers()[ai];
-    if (t.monlist_fix_week >= 0 && t.monlist_fix_week <= week) {
-      if (auto* server = world_.detailed(ai)) {
-        server->set_monlist_enabled(false);
-      }
+    if (!t.monlist_live(week) && server->config().monlist_enabled) {
+      // No probe can dump this table again: release it once, at the
+      // transition. Later passes only add their own probe entries, and
+      // clearing those every week would re-allocate each table again.
+      server->set_monlist_enabled(false);
+      server->monitor().clear();
     }
-    if (t.version_fix_week >= 0 && t.version_fix_week <= week) {
-      if (auto* server = world_.detailed(ai)) {
-        server->set_mode6_enabled(false);
-      }
-    }
+    if (!t.version_live(week)) server->set_mode6_enabled(false);
   }
   remediation_applied_week_ = week;
 }

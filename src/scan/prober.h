@@ -185,6 +185,9 @@ class Prober {
     kRestricted,  ///< the server answers no such request: no retry helps
   };
 
+  /// Turns off monlist and mode 6 on every detailed amplifier whose fix
+  /// week has come. A table is cleared once, when its monlist turns off:
+  /// nothing can dump it after that.
   void apply_due_remediation(int week);
   /// The pass driver: runs `probe_one(index, summary, obs)` over `targets`
   /// and visits each target it returns true for, in target order. Chunked

@@ -178,10 +178,7 @@ AttackEngine::DayWindowPlan AttackEngine::make_window_plan(int from,
     auto& pool =
         plan.live_pools[static_cast<std::size_t>(week - plan.base_week)];
     for (const auto ai : world_.amplifier_indices()) {
-      const auto& t = world_.servers()[ai];
-      if (t.monlist_fix_week < 0 || week < t.monlist_fix_week) {
-        pool.push_back(ai);
-      }
+      if (world_.servers()[ai].monlist_live(week)) pool.push_back(ai);
     }
   }
   // Snapshot monitor sizes once per window, on the calling thread: shards
@@ -285,8 +282,7 @@ void AttackEngine::pick_amplifiers(int day, bool common_pool, bool primed,
   out.clear();
   const int week = week_of_day(day);
   auto alive = [&](std::uint32_t idx) {
-    const auto& t = world_.servers()[idx];
-    return t.monlist_fix_week < 0 || week < t.monlist_fix_week;
+    return world_.servers()[idx].monlist_live(week);
   };
   auto sample_regional = [&](const std::vector<std::uint32_t>& pool,
                              std::size_t want) {
@@ -661,8 +657,7 @@ AttackEngine::DayShardResult AttackEngine::simulate_day(
       rec.amplifiers.push_back(live_pool[rng.uniform(live_pool.size())]);
     }
     for (const auto idx : world_.frgp_amplifiers()) {
-      const auto& t = world_.servers()[idx];
-      if (t.monlist_fix_week < 0 || week_of_day(day) < t.monlist_fix_week) {
+      if (world_.servers()[idx].monlist_live(week_of_day(day))) {
         rec.amplifiers.push_back(idx);
       }
     }

@@ -194,6 +194,10 @@ void ScanTraffic::plan_seed_observations(int week, util::Rng& rng,
     begin_server();
     auto* server = world_.detailed(ai);
     if (server == nullptr) continue;
+    // This week's pass disables a monlist fixed by now before any dump:
+    // its plan is still drawn, so the stream stays put, but nothing of it
+    // is written.
+    const bool dumpable = world_.servers()[ai].monlist_live(week);
     for (const auto& [actor_index, actor] : research) {
       const ScanActor& a = *actor;
       const bool mode6 = rng.chance(a.mode6_share);
@@ -211,6 +215,7 @@ void ScanTraffic::plan_seed_observations(int week, util::Rng& rng,
       const auto offset = static_cast<util::SimTime>(rng.uniform(3600));
       const auto port =
           static_cast<std::uint16_t>(rng.uniform_int(1024, 65535));
+      if (!dumpable) continue;
       emit(server, a.address, port,
            static_cast<std::uint8_t>(mode6 ? ntp::Mode::kControl
                                            : ntp::Mode::kPrivate),
@@ -232,6 +237,7 @@ void ScanTraffic::plan_seed_observations(int week, util::Rng& rng,
           static_cast<util::SimTime>(rng.uniform(3 * util::kSecondsPerDay));
       const auto port =
           static_cast<std::uint16_t>(rng.uniform_int(1024, 65535));
+      if (!dumpable) continue;
       emit(server, a.address, port,
            static_cast<std::uint8_t>(mode6 ? ntp::Mode::kControl
                                            : ntp::Mode::kPrivate),

@@ -84,7 +84,8 @@ class ScanTraffic {
   /// Injects this week's research-scanner probe entries into the detailed
   /// servers' monitor tables (called once per sample week by the harness,
   /// cheaper than per-day per-server observation). The plan draws from a
-  /// pure (seed, week) substream, independent of the day streams.
+  /// pure (seed, week) substream, independent of the day streams. Tables
+  /// whose monlist is fixed by `week` are left alone.
   ///
   /// The RNG plan is always drawn on the calling thread, in one order; each
   /// 256-server chunk of monitor-table writes is posted to the executor's
@@ -104,7 +105,8 @@ class ScanTraffic {
   /// The single source of the seed_monitor_tables() RNG stream: walks every
   /// amplifier slot, calling `begin_server()` once per slot (before any
   /// draws) and `emit(server, address, port, mode, when)` per planned
-  /// monitor-table observation.
+  /// monitor-table observation. A server whose monlist is fixed by `week`
+  /// gets its draws but no emits: no probe can dump its table again.
   template <typename BeginServer, typename Emit>
   void plan_seed_observations(int week, util::Rng& rng,
                               BeginServer&& begin_server, Emit&& emit);

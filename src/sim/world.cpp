@@ -397,15 +397,13 @@ bool World::reachable(std::uint32_t server_index, int week) const {
 
 bool World::responds_monlist(std::uint32_t server_index, int week) const {
   const ServerTraits& t = traits_[server_index];
-  if (!t.ever_amplifier) return false;
-  if (t.monlist_fix_week >= 0 && week >= t.monlist_fix_week) return false;
+  if (!t.ever_amplifier || !t.monlist_live(week)) return false;
   return reachable(server_index, week);
 }
 
 bool World::responds_version(std::uint32_t server_index, int week) const {
   const ServerTraits& t = traits_[server_index];
-  if (!t.mode6_responder) return false;
-  if (t.version_fix_week >= 0 && week >= t.version_fix_week) return false;
+  if (!t.mode6_responder || !t.version_live(week)) return false;
   return stable_uniform(server_index, week, kSaltAvailability ^ 0x6ULL) <
          config_.availability;
 }
@@ -413,8 +411,7 @@ bool World::responds_version(std::uint32_t server_index, int week) const {
 std::uint64_t World::live_amplifier_count(int week) const {
   std::uint64_t count = 0;
   for (const auto ai : amplifier_indices_) {
-    const auto& t = traits_[ai];
-    if (t.monlist_fix_week < 0 || week < t.monlist_fix_week) ++count;
+    if (traits_[ai].monlist_live(week)) ++count;
   }
   return count;
 }

@@ -155,6 +155,81 @@ TEST_F(ScanTrafficTest, DeterministicGivenSeed) {
   }
 }
 
+/// Detailed amplifiers whose monlist is fixed by `week`.
+std::vector<std::uint32_t> fixed_by(const World& world, int week) {
+  std::vector<std::uint32_t> out;
+  for (const auto ai : world.amplifier_indices()) {
+    if (!world.servers()[ai].monlist_live(week) &&
+        world.detailed(ai) != nullptr) {
+      out.push_back(ai);
+    }
+  }
+  return out;
+}
+
+const net::Ipv4Address kProberSource(198, 51, 100, 7);
+
+TEST_F(ScanTrafficTest, SeedingSkipsTablesFixedByThisWeek) {
+  constexpr int kWeek = 4;
+  const auto fixed = fixed_by(world_, kWeek);
+  ASSERT_FALSE(fixed.empty());
+  scans_.seed_monitor_tables(kWeek);
+  for (const auto ai : fixed) {
+    EXPECT_EQ(world_.detailed(ai)->monitor().size(), 0u) << "server " << ai;
+  }
+  std::size_t live_with_entries = 0;
+  for (const auto ai : world_.amplifier_indices()) {
+    const auto* server = world_.detailed(ai);
+    if (server != nullptr && world_.servers()[ai].monlist_live(kWeek) &&
+        server->monitor().size() > 0) {
+      ++live_with_entries;
+    }
+  }
+  EXPECT_GT(live_with_entries, 0u);
+}
+
+TEST_F(ScanTrafficTest, TransitionPassLeavesOnlyTheProberEntry) {
+  constexpr int kWeek = 4;
+  for (int week = 0; week <= kWeek; ++week) scans_.seed_monitor_tables(week);
+  const auto fixed = fixed_by(world_, kWeek);
+  ASSERT_FALSE(fixed.empty());
+  scan::Prober prober(world_, kProberSource);
+  (void)prober.run_monlist_sample(kWeek,
+                                  [](const scan::AmplifierObservation&) {});
+  std::size_t probed = 0;
+  for (const auto ai : fixed) {
+    const auto& table = world_.detailed(ai)->monitor();
+    ASSERT_LE(table.size(), 1u) << "server " << ai;
+    if (table.size() == 1) {
+      EXPECT_TRUE(table.find(kProberSource).has_value()) << "server " << ai;
+      ++probed;
+    }
+  }
+  EXPECT_GT(probed, 0u);
+}
+
+TEST_F(ScanTrafficTest, FixedTableIsClearedOnlyAtTheTransition) {
+  constexpr int kWeek = 4;
+  for (int week = 0; week <= kWeek; ++week) scans_.seed_monitor_tables(week);
+  scan::Prober prober(world_, kProberSource);
+  const auto ignore = [](const scan::AmplifierObservation&) {};
+  (void)prober.run_monlist_sample(kWeek, ignore);
+  // Entries written by hand after the transition, stamped at the next
+  // pass's probe time so no restart expiry can drop them.
+  const net::Ipv4Address by_hand(203, 0, 113, 9);
+  const util::SimTime next = scan::Prober::sample_time(kWeek + 1);
+  const auto fixed = fixed_by(world_, kWeek);
+  ASSERT_FALSE(fixed.empty());
+  for (const auto ai : fixed) {
+    world_.detailed(ai)->monitor().observe(by_hand, 4444, 3, 4, next);
+  }
+  (void)prober.run_monlist_sample(kWeek + 1, ignore);
+  for (const auto ai : fixed) {
+    EXPECT_TRUE(world_.detailed(ai)->monitor().find(by_hand).has_value())
+        << "server " << ai;
+  }
+}
+
 /// Weeks 0..5 of the study loop on a tiny world (attack days up to each
 /// sample day, then seeding, then the monlist pass), and a CRC-32 over the
 /// dump of every amplifier whose monlist is still live at week 5: what any
@@ -170,7 +245,7 @@ LiveTables live_tables_after_six_weeks() {
   study::EventBus no_sinks;
   AttackEngine attacks(world, AttackEngineConfig{}, no_sinks);
   ScanTraffic scans(world, scan_config());
-  scan::Prober prober(world, net::Ipv4Address(198, 51, 100, 7));
+  scan::Prober prober(world, kProberSource);
   constexpr int kLastWeek = 5;
   int day = 0;
   for (int week = 0; week <= kLastWeek; ++week) {
