@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <iterator>
 #include <utility>
 
 #include "scan/prober.h"
@@ -66,7 +67,8 @@ util::Date decode_date(util::ColumnReader& r) {
   return d;
 }
 
-// Section layout, in write order; a loadable artifact holds every one.
+// Section layout, in write order (Recorder::columns() order); a loadable
+// artifact holds every one.
 constexpr const char* kSectionNames[] = {
     "tape", "global", "label", "flow", "dark", "begin", "obs", "sum",
     "end", "tbl.addr", "tbl.local", "tbl.avg", "tbl.seen", "tbl.restr",
@@ -105,6 +107,21 @@ int get_week(util::ColumnReader& r, DecodeState& st) {
 }
 
 }  // namespace
+
+Recorder::Recorder(const StudyHeader& header) : header_(header) {
+  static_assert(std::size(kSectionNames) == kColumns);
+  for (util::ColumnWriter* col : columns()) {
+    *col = util::ColumnWriter::sealing();
+  }
+}
+
+std::array<util::ColumnWriter*, Recorder::kColumns>
+Recorder::columns() noexcept {
+  return {&tape_,     &global_,   &label_,    &flow_,      &dark_,
+          &begin_,    &obs_,      &sum_,      &end_,       &tbl_addr_,
+          &tbl_local_, &tbl_avg_, &tbl_seen_, &tbl_restr_, &tbl_count_,
+          &tbl_port_, &tbl_mode_, &tbl_ver_};
+}
 
 void Recorder::tag(std::uint8_t t) {
   if (t == run_tag_) {
@@ -233,42 +250,27 @@ void Recorder::on_monlist_summary(const scan::MonlistSampleSummary& summary) {
 void Recorder::on_sample_end(int week) {
   tag(kTagEnd);
   put_week(end_, week);
-  // Week boundary: report the accumulated column bytes into the memory
-  // registry (gauge — the recorder only ever grows until to_archive()).
+  // Week boundary: report what the columns hold into the memory registry
+  // (gauge; sealing a block shrinks it, so its peak is the high-water
+  // mark).
   static auto& gauge = util::MemStats::instance().counter("study.recorder");
   gauge.observe(column_bytes());
 }
 
-std::size_t Recorder::column_bytes() const noexcept {
-  return tape_.size() + global_.size() + label_.size() + flow_.size() +
-         dark_.size() + begin_.size() + obs_.size() + sum_.size() +
-         end_.size() + tbl_addr_.size() + tbl_local_.size() + tbl_avg_.size() +
-         tbl_seen_.size() + tbl_restr_.size() + tbl_count_.size() +
-         tbl_port_.size() + tbl_mode_.size() + tbl_ver_.size();
+std::size_t Recorder::column_bytes() noexcept {
+  std::size_t bytes = 0;
+  for (const util::ColumnWriter* col : columns()) bytes += col->held_bytes();
+  return bytes;
 }
 
 util::ColumnArchive Recorder::to_archive() {
   flush_run();
   util::ColumnArchive archive;
   archive.header = encode_header(header_);
-  archive.sections.emplace_back("tape", tape_.take_buffer());
-  archive.sections.emplace_back("global", global_.take_buffer());
-  archive.sections.emplace_back("label", label_.take_buffer());
-  archive.sections.emplace_back("flow", flow_.take_buffer());
-  archive.sections.emplace_back("dark", dark_.take_buffer());
-  archive.sections.emplace_back("begin", begin_.take_buffer());
-  archive.sections.emplace_back("obs", obs_.take_buffer());
-  archive.sections.emplace_back("sum", sum_.take_buffer());
-  archive.sections.emplace_back("end", end_.take_buffer());
-  archive.sections.emplace_back("tbl.addr", tbl_addr_.take_buffer());
-  archive.sections.emplace_back("tbl.local", tbl_local_.take_buffer());
-  archive.sections.emplace_back("tbl.avg", tbl_avg_.take_buffer());
-  archive.sections.emplace_back("tbl.seen", tbl_seen_.take_buffer());
-  archive.sections.emplace_back("tbl.restr", tbl_restr_.take_buffer());
-  archive.sections.emplace_back("tbl.count", tbl_count_.take_buffer());
-  archive.sections.emplace_back("tbl.port", tbl_port_.take_buffer());
-  archive.sections.emplace_back("tbl.mode", tbl_mode_.take_buffer());
-  archive.sections.emplace_back("tbl.ver", tbl_ver_.take_buffer());
+  const auto cols = columns();
+  for (std::size_t i = 0; i < kColumns; ++i) {
+    archive.add_column(kSectionNames[i], *cols[i]);
+  }
   return archive;
 }
 

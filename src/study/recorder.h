@@ -12,6 +12,7 @@
 // cost.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 
@@ -45,11 +46,14 @@ struct StudyHeader {
 /// alongside the live consumers, run the study, then save().
 ///
 /// Columns are transformed before varint — delta-encoded addresses and
-/// monotone timestamps, frame-of-reference week ids — and the archive
-/// block-compresses them at save time (GORCOLv3).
+/// monotone timestamps, frame-of-reference week ids — and each column is
+/// a sealing ColumnWriter: every 64 KiB block is compressed as it fills,
+/// into the frames a save-time compression of the whole column would
+/// write (GORCOLv3). The recorder holds those frames plus one raw tail per
+/// column; to_archive() compresses the tails.
 class Recorder final : public EventSink {
  public:
-  explicit Recorder(const StudyHeader& header) : header_(header) {}
+  explicit Recorder(const StudyHeader& header);
 
   // The recorder consumes everything: with it on the bus, producers build
   // flow/label events even when no live collector wants them. Flow events
@@ -80,10 +84,15 @@ class Recorder final : public EventSink {
   [[nodiscard]] bool save(const std::string& path);
 
  private:
+  static constexpr std::size_t kColumns = 18;
+
   void tag(std::uint8_t t);
   void flush_run();
-  /// Total encoded bytes across every column (the recorder's footprint).
-  [[nodiscard]] std::size_t column_bytes() const noexcept;
+  /// Every column, in section order.
+  [[nodiscard]] std::array<util::ColumnWriter*, kColumns> columns() noexcept;
+  /// Bytes held across every column: sealed frames plus raw tails (the
+  /// recorder's footprint).
+  [[nodiscard]] std::size_t column_bytes() noexcept;
   /// Column transforms: delta against the previous value of the same
   /// column, and frame-of-reference week ids (first week on the tape is
   /// the base; later ones store the difference).

@@ -157,6 +157,36 @@ void write_section_frame(ByteWriter& w, const std::string& name) {
 
 }  // namespace
 
+void ColumnWriter::seal_block() {
+  const std::vector<std::uint8_t> frame = block_compress(
+      std::span<const std::uint8_t>(buf_).first(kBlockRawSize));
+  sealed_.insert(sealed_.end(), frame.begin(), frame.end());
+  buf_.erase(buf_.begin(),
+             buf_.begin() + static_cast<std::ptrdiff_t>(kBlockRawSize));
+  sealed_raw_ += kBlockRawSize;
+}
+
+std::vector<std::uint8_t> ColumnWriter::take_blocks() {
+  const std::vector<std::uint8_t> tail = block_compress(buf_);
+  sealed_.insert(sealed_.end(), tail.begin(), tail.end());
+  buf_ = {};
+  sealed_raw_ = 0;
+  return std::exchange(sealed_, {});
+}
+
+void ColumnArchive::add_column(std::string name, ColumnWriter& col) {
+  if (col.size() < kBlockRawSize) {
+    sections.emplace_back(std::move(name), col.take_buffer());
+    return;
+  }
+  Section section;
+  section.name = std::move(name);
+  section.raw_len = col.size();
+  section.bytes = col.take_blocks();
+  section.storage = SectionStorage::kBlocks;
+  sections.push_back(std::move(section));
+}
+
 const ColumnArchive::Section* ColumnArchive::find(
     std::string_view name) const noexcept {
   for (const auto& section : sections) {
@@ -208,8 +238,9 @@ bool ColumnArchive::save(std::ostream& out) const {
   if (!write_all(out, scratch)) return false;
   std::vector<std::uint8_t> stored;
   for (const Section& section : sections) {
-    // Pick the stored representation. Compression happens here, at save
-    // time: in-memory sections stay raw so ColumnWriter appends stay O(1).
+    // Pick the stored representation: a raw section long enough to pay for
+    // framing is compressed here; block frames (from add_column or a
+    // load) are written as they are.
     const std::vector<std::uint8_t>* payload = &section.bytes;
     auto storage = section.storage;
     std::uint64_t raw_len = section.raw_len;

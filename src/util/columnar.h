@@ -12,12 +12,14 @@
 // and ColumnReader decodes them block-by-block from the borrowed stored
 // bytes — the archive never inflates a whole file (or section) to a
 // vector unless ColumnArchive::inflate() is explicitly asked to trade
-// memory for flat-decode speed.
+// memory for flat-decode speed. On the write side a sealing ColumnWriter
+// compresses each block as it fills, so a long column is never held raw.
 #pragma once
 
 #include <bit>
 #include <cstdint>
 #include <istream>
+#include <limits>
 #include <optional>
 #include <ostream>
 #include <span>
@@ -45,11 +47,34 @@ class ThreadPool;
 }
 
 /// Append-only typed column. Owns its byte buffer; freely movable.
+///
+/// A plain writer holds the whole column raw. A sealing writer holds only
+/// the unfinished block raw: each time the column completes a
+/// kBlockRawSize block, counted from its first byte, the block is
+/// compressed through block_compress() and only its frame is kept. Blocks
+/// are compressed independently, so the sealed frames are exactly the
+/// frames block_compress() would make of the whole column.
 class ColumnWriter {
  public:
-  void put_u8(std::uint8_t v) { ByteWriter(buf_).u8(v); }
-  void put_u16(std::uint16_t v) { ByteWriter(buf_).u16le(v); }
-  void put_u32(std::uint32_t v) { ByteWriter(buf_).u32le(v); }
+  ColumnWriter() = default;
+  [[nodiscard]] static ColumnWriter sealing() noexcept {
+    ColumnWriter w;
+    w.seal_at_ = kBlockRawSize;
+    return w;
+  }
+
+  void put_u8(std::uint8_t v) {
+    ByteWriter(buf_).u8(v);
+    seal_if_full();
+  }
+  void put_u16(std::uint16_t v) {
+    ByteWriter(buf_).u16le(v);
+    seal_if_full();
+  }
+  void put_u32(std::uint32_t v) {
+    ByteWriter(buf_).u32le(v);
+    seal_if_full();
+  }
 
   void put_varint(std::uint64_t v) {
     ByteWriter w(buf_);
@@ -58,6 +83,7 @@ class ColumnWriter {
       v >>= 7;
     }
     w.u8(static_cast<std::uint8_t>(v));
+    seal_if_full();
   }
 
   void put_zigzag(std::int64_t v) { put_varint(zigzag_encode(v)); }
@@ -67,19 +93,42 @@ class ColumnWriter {
     ByteWriter w(buf_);
     w.u32le(static_cast<std::uint32_t>(bits));
     w.u32le(static_cast<std::uint32_t>(bits >> 32));
+    seal_if_full();
   }
 
-  [[nodiscard]] std::size_t size() const noexcept { return buf_.size(); }
+  /// Raw bytes put so far, sealed or not.
+  [[nodiscard]] std::size_t size() const noexcept {
+    return sealed_raw_ + buf_.size();
+  }
+  /// Bytes the writer holds: sealed frames plus the raw tail.
+  [[nodiscard]] std::size_t held_bytes() const noexcept {
+    return sealed_.size() + buf_.size();
+  }
+  /// The raw bytes not yet sealed: the whole column for a plain writer.
   [[nodiscard]] const std::vector<std::uint8_t>& buffer() const noexcept {
     return buf_;
   }
-  /// Moves the encoded bytes out (the writer is empty afterwards).
+  /// Moves the unsealed raw bytes out (the whole column for a plain
+  /// writer; the writer is empty afterwards).
   [[nodiscard]] std::vector<std::uint8_t> take_buffer() noexcept {
     return std::move(buf_);
   }
+  /// Moves the column out as one block stream, compressing the raw tail
+  /// now: exactly block_compress() of every byte put. The writer is empty
+  /// afterwards.
+  [[nodiscard]] std::vector<std::uint8_t> take_blocks();
 
  private:
+  void seal_if_full() {
+    if (buf_.size() >= seal_at_) seal_block();
+  }
+  /// Compresses the first kBlockRawSize raw bytes into sealed_.
+  void seal_block();
+
   std::vector<std::uint8_t> buf_;
+  std::vector<std::uint8_t> sealed_;
+  std::size_t sealed_raw_ = 0;
+  std::size_t seal_at_ = std::numeric_limits<std::size_t>::max();
 };
 
 /// Forward-only typed reads over one column. Failure is sticky: after any
@@ -246,6 +295,12 @@ struct ColumnArchive {
 
   std::vector<std::uint8_t> header;
   std::vector<Section> sections;
+
+  /// Appends `col` as section `name`, leaving the writer empty. A column
+  /// of at least one whole block goes in as block frames (a sealing
+  /// writer compressed all but its tail already); a shorter one goes in
+  /// raw, and save() compresses it as it does any raw section.
+  void add_column(std::string name, ColumnWriter& col);
 
   /// Section by name; nullptr when absent.
   [[nodiscard]] const Section* find(std::string_view name) const noexcept;

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -201,6 +202,71 @@ TEST(RecorderTest, ReplayPreservesPayloadsAndTotalOrder) {
 
   JournalSink direct;
   emit_synthetic_stream(direct);
+  JournalSink replayed;
+  ASSERT_TRUE(replayer.replay(replayed));
+  EXPECT_EQ(replayed.lines, direct.lines);
+}
+
+// Three weekly samples of 3000 observations with 20-entry tables: every
+// monitor-table column and the observation column span several 64 KiB
+// blocks, so the recorder seals blocks while the stream is still coming.
+void emit_multi_block_stream(EventSink& sink) {
+  for (int week = 0; week < 3; ++week) {
+    sink.on_sample_begin(week, util::Date{2014, 1, 10 + 7 * week});
+    for (std::uint32_t s = 0; s < 3000; ++s) {
+      scan::AmplifierObservation obs;
+      obs.server_index = s * 7 + static_cast<std::uint32_t>(week);
+      obs.address = net::Ipv4Address(0x0a000000u + s * 977);
+      obs.response_packets = 1 + s % 100;
+      obs.response_udp_bytes = 440 * (1 + s % 100);
+      obs.probe_time = (70 + 7 * week) * 86400 + s;
+      obs.attempts = 1 + static_cast<int>(s % 3);
+      for (std::uint32_t i = 0; i < 20; ++i) {
+        ntp::MonitorEntry entry;
+        entry.address =
+            net::Ipv4Address(0xc6336400u + (s * 31 + i * 17) % 4093);
+        entry.local_address = obs.address;
+        entry.avg_interval = (s * i) % 5000;
+        entry.last_seen = i * 60 + s % 60;
+        entry.count = 1 + (s * 131 + i) % 100000;
+        entry.port = static_cast<std::uint16_t>(1024 + (s ^ i) % 60000);
+        entry.mode = static_cast<std::uint8_t>(i % 2 == 0 ? 7 : 3);
+        entry.version = 2;
+        obs.table.push_back(entry);
+      }
+      sink.on_probe_observation(week, obs);
+    }
+    sink.on_sample_end(week);
+  }
+}
+
+TEST(RecorderTest, SealedColumnsSaveAsTheirRawColumnsWould) {
+  Recorder recorder(test_header());
+  emit_multi_block_stream(recorder);
+  const util::ColumnArchive sealed = recorder.to_archive();
+  std::size_t multi_block = 0;
+  for (const auto& section : sealed.sections) {
+    if (section.raw_len > util::kBlockRawSize) {
+      ++multi_block;
+      EXPECT_EQ(section.storage, util::ColumnArchive::SectionStorage::kBlocks)
+          << section.name;
+    }
+  }
+  EXPECT_GE(multi_block, 5u);
+
+  // The same columns held raw until save, as an archive of plain sections.
+  util::ColumnArchive raw = sealed;
+  raw.inflate();
+  std::stringstream from_sealed, from_raw;
+  ASSERT_TRUE(sealed.save(from_sealed));
+  ASSERT_TRUE(raw.save(from_raw));
+  EXPECT_EQ(from_sealed.str(), from_raw.str());
+
+  // And the sealed stream replays to what was emitted.
+  Replayer replayer;
+  ASSERT_TRUE(replayer.load_archive(sealed));
+  JournalSink direct;
+  emit_multi_block_stream(direct);
   JournalSink replayed;
   ASSERT_TRUE(replayer.replay(replayed));
   EXPECT_EQ(replayed.lines, direct.lines);

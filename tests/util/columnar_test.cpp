@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace gorilla::util {
@@ -281,6 +282,103 @@ TEST(ColumnArchiveV3Test, StreamingReaderFailsStickyOnDamagedBlock) {
   EXPECT_FALSE(r.ok());
   (void)r.get_u8();
   EXPECT_FALSE(r.ok());
+}
+
+// ---- Sealing writers: blocks compressed as they fill, same frames ----
+
+constexpr std::size_t kSealLengths[] = {
+    0, 1, 63, 64, 65535, 65536, 65537, 3 * kBlockRawSize + 17};
+
+/// Puts exactly `len` bytes into `w` with every value width mixed in, so
+/// values straddle block boundaries. Stretches of small repeating values
+/// compress; stretches of random words do not (stored-verbatim blocks).
+void fill_column(ColumnWriter& w, std::size_t len) {
+  Rng rng(len + 1);
+  std::uint64_t i = 0;
+  while (len - w.size() >= 10) {
+    const bool noisy = (w.size() / 20000) % 3 == 2;
+    const std::uint64_t v = noisy ? rng.next() : i % 300;
+    switch (i++ % 5) {
+      case 0:
+        w.put_u8(static_cast<std::uint8_t>(v));
+        break;
+      case 1:
+        w.put_u16(static_cast<std::uint16_t>(v));
+        break;
+      case 2:
+        w.put_u32(static_cast<std::uint32_t>(v));
+        break;
+      case 3:
+        w.put_varint(v);
+        break;
+      default:
+        w.put_f64(static_cast<double>(v));
+        break;
+    }
+  }
+  while (w.size() < len) w.put_u8(static_cast<std::uint8_t>(w.size()));
+}
+
+TEST(SealingColumnTest, FramesEqualWholeColumnCompression) {
+  for (const std::size_t len : kSealLengths) {
+    ColumnWriter plain;
+    fill_column(plain, len);
+    ColumnWriter sealing = ColumnWriter::sealing();
+    fill_column(sealing, len);
+    ASSERT_EQ(plain.size(), len);
+    ASSERT_EQ(sealing.size(), len);
+    // Only the unfinished block stays raw.
+    EXPECT_EQ(sealing.buffer().size(), len % kBlockRawSize) << len;
+    EXPECT_EQ(sealing.take_blocks(), block_compress(plain.buffer())) << len;
+    EXPECT_EQ(sealing.size(), 0u);
+  }
+}
+
+TEST(SealingColumnTest, HeldBytesAreFramesPlusTail) {
+  constexpr std::size_t kLen = 3 * kBlockRawSize + 17;
+  ColumnWriter sealing = ColumnWriter::sealing();
+  fill_column(sealing, kLen);
+  ColumnWriter plain;
+  fill_column(plain, kLen);
+  const std::size_t frames =
+      block_compress(std::span<const std::uint8_t>(plain.buffer())
+                         .first(3 * kBlockRawSize))
+          .size();
+  EXPECT_EQ(sealing.held_bytes(), frames + 17);
+  EXPECT_LT(sealing.held_bytes(), sealing.size());
+}
+
+TEST(SealingColumnTest, ArchiveSavesTheBytesOfTheRawColumn) {
+  for (const std::size_t len : kSealLengths) {
+    ColumnWriter plain;
+    fill_column(plain, len);
+    ColumnWriter sealing = ColumnWriter::sealing();
+    fill_column(sealing, len);
+    const std::vector<std::uint8_t> raw = plain.buffer();
+
+    ColumnArchive from_raw;
+    from_raw.header = {7};
+    from_raw.sections.emplace_back("c", plain.take_buffer());
+    ColumnArchive from_sealed;
+    from_sealed.header = {7};
+    from_sealed.add_column("c", sealing);
+    const auto& section = from_sealed.sections.front();
+    EXPECT_EQ(section.storage, len >= kBlockRawSize
+                                   ? ColumnArchive::SectionStorage::kBlocks
+                                   : ColumnArchive::SectionStorage::kRaw)
+        << len;
+    EXPECT_EQ(section.raw_len, len);
+
+    std::stringstream a, b;
+    ASSERT_TRUE(from_raw.save(a));
+    ASSERT_TRUE(from_sealed.save(b));
+    EXPECT_EQ(a.str(), b.str()) << len;
+
+    auto loaded = ColumnArchive::load(b);
+    ASSERT_TRUE(loaded.has_value());
+    loaded->inflate();
+    EXPECT_EQ(loaded->sections.front().bytes, raw) << len;
+  }
 }
 
 }  // namespace
