@@ -117,10 +117,10 @@ Recorder::Recorder(const StudyHeader& header) : header_(header) {
 
 std::array<util::ColumnWriter*, Recorder::kColumns>
 Recorder::columns() noexcept {
-  return {&tape_,     &global_,   &label_,    &flow_,      &dark_,
-          &begin_,    &obs_,      &sum_,      &end_,       &tbl_addr_,
-          &tbl_local_, &tbl_avg_, &tbl_seen_, &tbl_restr_, &tbl_count_,
-          &tbl_port_, &tbl_mode_, &tbl_ver_};
+  return {&tape_,      &global_,   &label_,    &flow_,  &dark_,
+          &begin_,     &obs_,      &sum_,      &end_,   &tbl_addr_,
+          &tbl_local_, &tbl_avg_,  &tbl_seen_, &tbl_restr_,
+          &tbl_count_, &tbl_port_, &tbl_mode_, &tbl_ver_};
 }
 
 void Recorder::tag(std::uint8_t t) {
