@@ -237,7 +237,13 @@ struct BlockFrame {
 
 std::vector<std::uint8_t> block_compress(std::span<const std::uint8_t> raw) {
   std::vector<std::uint8_t> out;
-  if (raw.empty()) return out;
+  block_compress_append(raw, out);
+  return out;
+}
+
+void block_compress_append(std::span<const std::uint8_t> raw,
+                           std::vector<std::uint8_t>& out) {
+  if (raw.empty()) return;
   std::vector<std::int32_t> table(std::size_t{1} << kHashBits);
   std::vector<std::uint8_t> body;
   for (std::size_t pos = 0; pos < raw.size(); pos += kBlockRawSize) {
@@ -257,7 +263,6 @@ std::vector<std::uint8_t> block_compress(std::span<const std::uint8_t> raw) {
     w.u8(method);
     append_bytes(out, body);
   }
-  return out;
 }
 
 bool BlockCursor::next(std::vector<std::uint8_t>& out) {

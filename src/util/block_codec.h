@@ -33,6 +33,13 @@ inline constexpr std::size_t kBlockHeaderSize = 13;
 [[nodiscard]] std::vector<std::uint8_t> block_compress(
     std::span<const std::uint8_t> raw);
 
+/// block_compress() appending its frames to `out`. Blocks are framed
+/// independently, so compressing a stream in runs whose lengths (all but
+/// the last) are whole blocks appends exactly the frames of one call over
+/// the whole stream.
+void block_compress_append(std::span<const std::uint8_t> raw,
+                           std::vector<std::uint8_t>& out);
+
 /// Decodes an entire block stream, appending to `out`. False when the
 /// stream is torn, CRC-damaged, or malformed — `out` then holds the bytes
 /// of every intact leading block.

@@ -158,17 +158,15 @@ void write_section_frame(ByteWriter& w, const std::string& name) {
 }  // namespace
 
 void ColumnWriter::seal_block() {
-  const std::vector<std::uint8_t> frame = block_compress(
-      std::span<const std::uint8_t>(buf_).first(kBlockRawSize));
-  sealed_.insert(sealed_.end(), frame.begin(), frame.end());
+  block_compress_append(
+      std::span<const std::uint8_t>(buf_).first(kBlockRawSize), sealed_);
   buf_.erase(buf_.begin(),
              buf_.begin() + static_cast<std::ptrdiff_t>(kBlockRawSize));
   sealed_raw_ += kBlockRawSize;
 }
 
 std::vector<std::uint8_t> ColumnWriter::take_blocks() {
-  const std::vector<std::uint8_t> tail = block_compress(buf_);
-  sealed_.insert(sealed_.end(), tail.begin(), tail.end());
+  block_compress_append(buf_, sealed_);
   buf_ = {};
   sealed_raw_ = 0;
   return std::exchange(sealed_, {});

@@ -51,7 +51,7 @@ class ThreadPool;
 /// A plain writer holds the whole column raw. A sealing writer holds only
 /// the unfinished block raw: each time the column completes a
 /// kBlockRawSize block, counted from its first byte, the block is
-/// compressed through block_compress() and only its frame is kept. Blocks
+/// compressed (block_compress_append) and only its frame is kept. Blocks
 /// are compressed independently, so the sealed frames are exactly the
 /// frames block_compress() would make of the whole column.
 class ColumnWriter {
