@@ -102,12 +102,11 @@ struct ServerTraits {
   bool mega = false;
   bool other_impl = false;  ///< answers only the impl the scan doesn't send
 
-  /// True while monlist is not yet remediated in sample week `week`
-  /// (availability aside): from its fix week on, nothing dumps its table.
+  /// True while monlist (version_live: mode 6) is not yet remediated in
+  /// sample week `week`, availability aside.
   [[nodiscard]] constexpr bool monlist_live(int week) const noexcept {
     return monlist_fix_week < 0 || week < monlist_fix_week;
   }
-  /// True while mode 6 is not yet remediated in sample week `week`.
   [[nodiscard]] constexpr bool version_live(int week) const noexcept {
     return version_fix_week < 0 || week < version_fix_week;
   }
