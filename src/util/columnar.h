@@ -57,6 +57,7 @@ class ThreadPool;
 class ColumnWriter {
  public:
   ColumnWriter() = default;
+  /// A writer that seals each block as it fills.
   [[nodiscard]] static ColumnWriter sealing() noexcept {
     ColumnWriter w;
     w.seal_at_ = kBlockRawSize;
@@ -108,8 +109,9 @@ class ColumnWriter {
   [[nodiscard]] const std::vector<std::uint8_t>& buffer() const noexcept {
     return buf_;
   }
-  /// Moves the unsealed raw bytes out (the whole column for a plain
-  /// writer; the writer is empty afterwards).
+  /// Moves the raw bytes out, leaving the writer empty: the whole column
+  /// while no block is sealed, which a plain writer never does. Once one
+  /// is, take_blocks() is the way out.
   [[nodiscard]] std::vector<std::uint8_t> take_buffer() noexcept {
     return std::move(buf_);
   }
