@@ -4,6 +4,7 @@
 #
 #   cmake -DBENCH=<binary> -DNAME=<bench> -DMANIFEST=<quick.sha256>
 #         -DOUT=<stdout capture> [-DRECORD=<artifact path>] [-DJOBS=<N>]
+#         [-DREPLAY=<artifact path> [-DLIVE_ONLY=ON]]
 #         -P check_stdout.cmake
 #
 # With RECORD set the bench also runs with --record RECORD, and the pin is
@@ -11,6 +12,12 @@
 # tests/golden/artifact.sha256): the stored bytes are pinned the same way.
 # With JOBS set the bench runs with --jobs JOBS against the same pin, since
 # every job count must produce the same bytes.
+#
+# With REPLAY set (ctest label "golden-replay") the bench first records its
+# --quick study to REPLAY, then replays that recording at --quick, and the
+# replayed stdout is held to the same quick.sha256 pin as the live run. A
+# bench that runs live only (LIVE_ONLY set) must instead refuse --replay
+# with exit 2 and one stderr line.
 #
 # The manifest uses sha256sum's "<hash>  <name>" line format. A change that
 # means to move bytes re-pins the affected lines, e.g. from the build tree:
@@ -29,7 +36,36 @@ if(NOT pin_count EQUAL 1)
 endif()
 string(REGEX REPLACE "  .*$" "" expected "${pins}")
 
+if(DEFINED REPLAY AND LIVE_ONLY)
+  execute_process(COMMAND "${BENCH}" --quick --replay "${REPLAY}"
+                  OUTPUT_FILE "${OUT}"
+                  ERROR_VARIABLE diagnostics
+                  RESULT_VARIABLE status)
+  string(STRIP "${diagnostics}" diagnostics)
+  if(NOT status STREQUAL "2" OR diagnostics MATCHES "\n" OR
+     NOT diagnostics MATCHES "--replay is refused")
+    message(FATAL_ERROR "${NAME} --quick --replay: exited with ${status}, "
+                        "expected 2 and one refusal line\n${diagnostics}")
+  endif()
+  return()
+endif()
+
+if(DEFINED REPLAY)
+  file(REMOVE "${REPLAY}")
+  execute_process(COMMAND "${BENCH}" --quick --record "${REPLAY}"
+                  OUTPUT_QUIET
+                  ERROR_VARIABLE diagnostics
+                  RESULT_VARIABLE status)
+  if(NOT status EQUAL 0)
+    message(FATAL_ERROR "${NAME} --quick --record exited with ${status}\n"
+                        "${diagnostics}")
+  endif()
+endif()
+
 set(args --quick)
+if(DEFINED REPLAY)
+  list(APPEND args --replay "${REPLAY}")
+endif()
 if(DEFINED JOBS)
   list(APPEND args --jobs "${JOBS}")
 endif()
