@@ -10,6 +10,7 @@
 // move. The zero-loss row is bit-for-bit the seed pipeline; each lossy row
 // is itself deterministic, so any cell can be replayed exactly.
 #include <cstdio>
+#include <iterator>
 
 #include "common.h"
 
@@ -68,10 +69,12 @@ int run(const bench::Options& opt) {
   util::TextTable table({"loss rate", "pool first", "pool last",
                          "reduction", "BAF med (w0)", "lost", "retries",
                          "partial", "rate-ltd"});
+  // The first row is the pristine network.
   Outcome clean{};
-  for (const double loss : losses) {
+  for (std::size_t i = 0; i < std::size(losses); ++i) {
+    const double loss = losses[i];
     const auto o = run_study(opt, loss);
-    if (loss == 0.0) clean = o;
+    if (i == 0) clean = o;
     char loss_label[16];
     std::snprintf(loss_label, sizeof loss_label, "%.0f%%", loss * 100.0);
     char reduction[16];

@@ -98,10 +98,8 @@ int run(const bench::Options& opt) {
   util::TextTable table({"scenario", "pool first", "pool last",
                          "witnessed pkts", "emitted volume",
                          "late p95/victim", "victims"});
-  Outcome baseline{};
   for (const auto& s : scenarios) {
     const auto o = run_world(opt, s.speed, s.rate_limit);
-    if (s.speed == 1.0) baseline = o;
     table.add_row({s.name, std::to_string(o.pool_first),
                    std::to_string(o.pool_last),
                    util::si_count(static_cast<double>(o.victim_packets)),
@@ -121,7 +119,6 @@ int run(const bench::Options& opt) {
       "emit — exactly why Merit deployed it as an interim measure (§7.1).\n"
       "The paper's observational claim that mitigation drove the decline\n"
       "(§6) is causally consistent with the model.\n");
-  (void)baseline;
   return 0;
 }
 

@@ -94,10 +94,6 @@ int run(const bench::Options& opt) {
 
   // §6.2 pool overlap.
   std::vector<net::Ipv4Address> monlist_ips;
-  for (const auto& [addr, _] : pipeline.census->mega_roster()) {
-    monlist_ips.push_back(addr);  // roster is a subset; add full pool below
-  }
-  monlist_ips.clear();
   for (const auto ai : pipeline.world->amplifier_indices()) {
     monlist_ips.push_back(pipeline.world->servers()[ai].home_address);
   }

@@ -93,7 +93,6 @@ struct Args {
 
 Args read_args(int argc, char** argv) {
   Args args;
-  bool sinks_set = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&](const char* name) -> const char* {
@@ -104,7 +103,6 @@ Args read_args(int argc, char** argv) {
       args.artifact = value("--artifact");
     } else if (arg == "--sinks") {
       args.sinks.clear();
-      sinks_set = true;
       std::string list = value("--sinks");
       std::size_t from = 0;
       while (from <= list.size()) {
@@ -146,7 +144,6 @@ Args read_args(int argc, char** argv) {
       die("unknown argument '" + arg + "'");
     }
   }
-  (void)sinks_set;
   if (args.artifact.empty()) {
     usage(stderr, argv[0]);
     die("--artifact PATH is required");
