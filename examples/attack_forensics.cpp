@@ -5,10 +5,9 @@
 //
 // Usage: ./build/examples/attack_forensics [--scale N] [--seed N]
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <unordered_set>
 
+#include "example_args.h"
 #include "core/amplifiers.h"
 #include "core/victims.h"
 #include "scan/prober.h"
@@ -20,15 +19,10 @@ using namespace gorilla;
 
 int main(int argc, char** argv) {
   sim::WorldConfig wcfg;
-  wcfg.scale = 200;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (!std::strcmp(argv[i], "--scale")) {
-      wcfg.scale = static_cast<std::uint32_t>(std::atoi(argv[i + 1]));
-    }
-    if (!std::strcmp(argv[i], "--seed")) {
-      wcfg.seed = std::strtoull(argv[i + 1], nullptr, 10);
-    }
-  }
+  const auto args = examples::read_example_args(
+      argc, argv, {200, wcfg.seed, ""}, examples::kScale | examples::kSeed);
+  wcfg.scale = args.scale;
+  wcfg.seed = args.seed;
   std::printf("building a 1:%u-scale Internet...\n", wcfg.scale);
   sim::World world(wcfg);
   std::printf("  %zu NTP servers, %zu ever-vulnerable amplifiers\n\n",

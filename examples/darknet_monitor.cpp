@@ -5,9 +5,8 @@
 //
 // Usage: ./build/examples/darknet_monitor [--scale N]
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
+#include "example_args.h"
 #include "sim/attack.h"
 #include "sim/scanner.h"
 #include "sim/world.h"
@@ -20,12 +19,8 @@ using namespace gorilla;
 
 int main(int argc, char** argv) {
   sim::WorldConfig wcfg;
-  wcfg.scale = 200;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (!std::strcmp(argv[i], "--scale")) {
-      wcfg.scale = static_cast<std::uint32_t>(std::atoi(argv[i + 1]));
-    }
-  }
+  wcfg.scale = examples::read_example_args(argc, argv, {}, examples::kScale)
+                   .scale;
   sim::World world(wcfg);
 
   telemetry::DarknetConfig dcfg;

@@ -6,10 +6,11 @@
 // Usage: ./build/examples/mega_hunt [--scale N] [--pcap FILE]
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
+#include <string>
 #include <vector>
 
+#include "example_args.h"
 #include "net/pcap.h"
 #include "ntp/ntpdc.h"
 #include "scan/prober.h"
@@ -21,14 +22,11 @@ using namespace gorilla;
 
 int main(int argc, char** argv) {
   sim::WorldConfig wcfg;
-  wcfg.scale = 200;
-  std::string pcap_path = "/tmp/gorilla_mega_hunt.pcap";
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (!std::strcmp(argv[i], "--scale")) {
-      wcfg.scale = static_cast<std::uint32_t>(std::atoi(argv[i + 1]));
-    }
-    if (!std::strcmp(argv[i], "--pcap")) pcap_path = argv[i + 1];
-  }
+  const auto args = examples::read_example_args(
+      argc, argv, {200, 0, "/tmp/gorilla_mega_hunt.pcap"},
+      examples::kScale | examples::kPcap);
+  wcfg.scale = args.scale;
+  const std::string& pcap_path = args.pcap;
   sim::World world(wcfg);
 
   // Some attack history so tables are interesting.

@@ -14,9 +14,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
+#include "example_args.h"
 #include "core/local_view.h"
 #include "sim/attack.h"
 #include "sim/scanner.h"
@@ -28,12 +27,8 @@ using namespace gorilla;
 
 int main(int argc, char** argv) {
   sim::WorldConfig wcfg;
-  wcfg.scale = 200;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (!std::strcmp(argv[i], "--scale")) {
-      wcfg.scale = static_cast<std::uint32_t>(std::atoi(argv[i + 1]));
-    }
-  }
+  wcfg.scale = examples::read_example_args(argc, argv, {}, examples::kScale)
+                   .scale;
   sim::World world(wcfg);
   const auto& named = world.registry().named();
   telemetry::FlowCollector border("Merit", {named.merit_space});
