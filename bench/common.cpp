@@ -398,7 +398,6 @@ void StudyPipeline::simulate(
 
 void StudyPipeline::replay(study::EventBus& bus) {
   study::Replayer replayer;
-  replayer.set_decode_jobs(opt_.jobs);
   if (!replayer.load(opt_.replay)) {
     std::fprintf(stderr, "failed to load study recording: %s\n",
                  study::Replayer::describe_load_failure(opt_.replay).c_str());

@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <fstream>
 #include <iterator>
+#include <span>
+#include <type_traits>
 #include <utility>
 
 #include "scan/prober.h"
 #include "util/mem_stats.h"
-#include "util/thread_pool.h"
 
 namespace gorilla::study {
 
@@ -25,102 +26,382 @@ enum : std::uint8_t {
   kTagEnd = 8,
 };
 
-std::vector<std::uint8_t> encode_header(const StudyHeader& h) {
-  util::ColumnWriter w;
-  w.put_u32(h.version);
-  w.put_u8(h.kind);
-  w.put_u32(h.scale);
-  w.put_varint(h.seed);
-  w.put_u8(h.quick ? 1 : 0);
-  w.put_u8(h.with_vantages ? 1 : 0);
-  w.put_u8(h.with_darknet ? 1 : 0);
-  w.put_zigzag(h.param_a);
-  w.put_zigzag(h.param_b);
-  return w.take_buffer();
-}
-
-bool decode_header(const std::vector<std::uint8_t>& bytes, StudyHeader& h) {
-  util::ColumnReader r(bytes);
-  h.version = r.get_u32();
-  h.kind = r.get_u8();
-  h.scale = r.get_u32();
-  h.seed = r.get_varint();
-  h.quick = r.get_u8() != 0;
-  h.with_vantages = r.get_u8() != 0;
-  h.with_darknet = r.get_u8() != 0;
-  h.param_a = static_cast<std::int32_t>(r.get_zigzag());
-  h.param_b = static_cast<std::int32_t>(r.get_zigzag());
-  return r.ok() && h.version == 1;
-}
-
-void encode_date(util::ColumnWriter& w, const util::Date& d) {
-  w.put_zigzag(d.year);
-  w.put_u8(static_cast<std::uint8_t>(d.month));
-  w.put_u8(static_cast<std::uint8_t>(d.day));
-}
-
-util::Date decode_date(util::ColumnReader& r) {
-  util::Date d;
-  d.year = static_cast<int>(r.get_zigzag());
-  d.month = r.get_u8();
-  d.day = r.get_u8();
-  return d;
-}
-
-// Section layout, in write order (Recorder::columns() order); a loadable
-// artifact holds every one.
-constexpr const char* kSectionNames[] = {
+// The artifact's columns, in section order; a loadable artifact holds every
+// one. The tape holds (tag, run length) pairs; every other column holds
+// the cells of one event type, or one monitor-table field.
+enum Column : std::size_t {
+  kTape, kGlobal, kLabel, kFlow, kDark, kBegin, kObs, kSum, kEnd,
+  kTblAddr, kTblLocal, kTblAvg, kTblSeen, kTblRestr, kTblCount, kTblPort,
+  kTblMode, kTblVer, kColumnCount
+};
+constexpr const char* kColumnNames[] = {
     "tape", "global", "label", "flow", "dark", "begin", "obs", "sum",
     "end", "tbl.addr", "tbl.local", "tbl.avg", "tbl.seen", "tbl.restr",
     "tbl.count", "tbl.port", "tbl.mode", "tbl.ver"};
+static_assert(kColumnCount == detail::kStreamColumns);
+static_assert(std::size(kColumnNames) == kColumnCount);
 
-/// The first section of kSectionNames that `archive` lacks, or nullptr.
+/// A monitor table longer than this is damage, not data: refuse it before
+/// anything is sized by it.
+constexpr std::uint64_t kMaxTableEntries = 1u << 24;
+
+using Transforms = detail::StreamTransforms;
+
+// ---- Cells -------------------------------------------------------------
+//
+// Every cell is an overload pair: the ColumnWriter one encodes a value, the
+// ColumnReader one decodes into an lvalue. The per-event coders below are
+// templates over the column type, so each event's layout is written once
+// and the Recorder and the Replayer run the same definition. A read past a
+// short or damaged column yields 0, so each coder returns whether the
+// columns it read are intact (always, when encoding), and the replayer
+// hands an event on only then.
+
+constexpr bool ok(const util::ColumnWriter& /*w*/) noexcept { return true; }
+bool ok(const util::ColumnReader& r) noexcept { return r.ok(); }
+
+template <class T>
+std::int64_t to_int(const T& v) noexcept {
+  if constexpr (std::is_same_v<T, net::Ipv4Address>) {
+    return v.value();
+  } else {
+    return static_cast<std::int64_t>(v);
+  }
+}
+
+template <class T>
+T from_int(std::int64_t v) noexcept {
+  if constexpr (std::is_same_v<T, net::Ipv4Address>) {
+    return net::Ipv4Address(static_cast<std::uint32_t>(v));
+  } else {
+    return static_cast<T>(v);
+  }
+}
+
+void u8(util::ColumnWriter& w, const auto& v) {
+  w.put_u8(static_cast<std::uint8_t>(to_int(v)));
+}
+template <class T>
+void u8(util::ColumnReader& r, T& v) {
+  v = from_int<T>(r.get_u8());
+}
+
+void u16(util::ColumnWriter& w, const auto& v) {
+  w.put_u16(static_cast<std::uint16_t>(to_int(v)));
+}
+template <class T>
+void u16(util::ColumnReader& r, T& v) {
+  v = from_int<T>(r.get_u16());
+}
+
+void u32(util::ColumnWriter& w, const auto& v) {
+  w.put_u32(static_cast<std::uint32_t>(to_int(v)));
+}
+template <class T>
+void u32(util::ColumnReader& r, T& v) {
+  v = from_int<T>(r.get_u32());
+}
+
+void varint(util::ColumnWriter& w, const auto& v) {
+  w.put_varint(static_cast<std::uint64_t>(to_int(v)));
+}
+template <class T>
+void varint(util::ColumnReader& r, T& v) {
+  v = from_int<T>(static_cast<std::int64_t>(r.get_varint()));
+}
+
+void zigzag(util::ColumnWriter& w, const auto& v) { w.put_zigzag(to_int(v)); }
+template <class T>
+void zigzag(util::ColumnReader& r, T& v) {
+  v = from_int<T>(r.get_zigzag());
+}
+
+void f64(util::ColumnWriter& w, double v) { w.put_f64(v); }
+void f64(util::ColumnReader& r, double& v) { v = r.get_f64(); }
+
+/// Delta against the previous value of the same cell.
+void delta(util::ColumnWriter& w, std::int64_t& prev, const auto& v) {
+  const std::int64_t x = to_int(v);
+  w.put_zigzag(x - prev);
+  prev = x;
+}
+template <class T>
+void delta(util::ColumnReader& r, std::int64_t& prev, T& v) {
+  prev += r.get_zigzag();
+  v = from_int<T>(prev);
+}
+
+/// Difference from `base`, a cell of the same event coded before it.
+void offset(util::ColumnWriter& w, std::int64_t base, const auto& v) {
+  w.put_zigzag(to_int(v) - base);
+}
+template <class T>
+void offset(util::ColumnReader& r, std::int64_t base, T& v) {
+  v = from_int<T>(base + r.get_zigzag());
+}
+
+/// Frame of reference: the first week id on the tape anchors the frame
+/// (stored against a base of 0, so whole); later ones store only the
+/// (tiny) difference.
+void week(util::ColumnWriter& w, Transforms& t, int v) {
+  w.put_zigzag(v - t.week_base);
+  if (!t.week_base_set) {
+    t.week_base = v;
+    t.week_base_set = true;
+  }
+}
+void week(util::ColumnReader& r, Transforms& t, int& v) {
+  const std::int64_t x = t.week_base + r.get_zigzag();
+  v = static_cast<int>(x);
+  if (!t.week_base_set) {
+    t.week_base = x;
+    t.week_base_set = true;
+  }
+}
+
+/// The monitor-table length. Decoding checks the column so far and the
+/// length cap before it sizes the table, which is reused across events.
+bool table_size(util::ColumnWriter& w,
+                const std::vector<ntp::MonitorEntry>& table) {
+  w.put_varint(table.size());
+  return true;
+}
+bool table_size(util::ColumnReader& r, std::vector<ntp::MonitorEntry>& table) {
+  const std::uint64_t n = r.get_varint();
+  if (!r.ok() || n > kMaxTableEntries) return false;
+  table.clear();
+  table.resize(static_cast<std::size_t>(n));
+  return true;
+}
+
+// ---- Coders: the artifact layout ---------------------------------------
+
+template <class Col, class Header>
+void code_header(Col& c, Header& h) {
+  u32(c, h.version);
+  u8(c, h.kind);
+  u32(c, h.scale);
+  varint(c, h.seed);
+  u8(c, h.quick);
+  u8(c, h.with_vantages);
+  u8(c, h.with_darknet);
+  zigzag(c, h.param_a);
+  zigzag(c, h.param_b);
+}
+
+template <class Col, class Date>
+void code_date(Col& c, Date& d) {
+  zigzag(c, d.year);
+  u8(c, d.month);
+  u8(c, d.day);
+}
+
+template <class Col, class Tag, class Count>
+void code_run(Col& tape, Tag& tag, Count& count) {
+  u8(tape, tag);
+  varint(tape, count);
+}
+
+template <class Cols, class Day, class Class, class Bytes>
+bool code_global(Cols& c, Transforms& t, Day& day, Class& p, Bytes& bytes) {
+  delta(c[kGlobal], t.global_day, day);
+  u8(c[kGlobal], p);
+  f64(c[kGlobal], bytes);
+  return ok(c[kGlobal]);
+}
+
+template <class Cols, class Label>
+bool code_label(Cols& c, Transforms& t, Label& a) {
+  delta(c[kLabel], t.label_start, a.start);
+  u8(c[kLabel], a.vector);
+  f64(c[kLabel], a.peak_bps);
+  return ok(c[kLabel]);
+}
+
+template <class Cols, class Flow, class Vantage>
+bool code_flow(Cols& c, Transforms& t, Flow& f, Vantage& vantage) {
+  auto& col = c[kFlow];
+  zigzag(col, vantage);
+  u32(col, f.src);
+  u32(col, f.dst);
+  u16(col, f.src_port);
+  u16(col, f.dst_port);
+  u8(col, f.protocol);
+  u8(col, f.ttl);
+  varint(col, f.packets);
+  varint(col, f.bytes);
+  varint(col, f.payload_bytes);
+  delta(col, t.flow_first, f.first);
+  offset(col, f.first, f.last);
+  return ok(c[kFlow]);
+}
+
+template <class Cols, class Addr, class Day, class Packets, class Benign>
+bool code_dark(Cols& c, Transforms& t, Addr& scanner, Day& day,
+               Packets& packets, Benign& benign) {
+  u32(c[kDark], scanner);
+  delta(c[kDark], t.dark_day, day);
+  varint(c[kDark], packets);
+  u8(c[kDark], benign);
+  return ok(c[kDark]);
+}
+
+template <class Cols, class Week, class Date>
+bool code_begin(Cols& c, Transforms& t, Week& wk, Date& date) {
+  week(c[kBegin], t, wk);
+  code_date(c[kBegin], date);
+  return ok(c[kBegin]);
+}
+
+template <class Cols, class Week, class Obs>
+bool code_observation(Cols& c, Transforms& t, Week& wk, Obs& obs) {
+  auto& col = c[kObs];
+  week(col, t, wk);
+  // The weekly sweep walks servers in index order and stamps a monotone
+  // probe clock: deltas are tiny where absolutes were wide.
+  delta(col, t.obs_index, obs.server_index);
+  delta(col, t.obs_addr, obs.address);
+  varint(col, obs.response_packets);
+  varint(col, obs.response_udp_bytes);
+  varint(col, obs.response_wire_bytes);
+  delta(col, t.obs_time, obs.probe_time);
+  u8(col, obs.table_partial);
+  zigzag(col, obs.attempts);
+  if (!table_size(col, obs.table)) return false;
+  for (auto& e : obs.table) {
+    // Dumps are sorted by last_seen (monotone within a dump) and the local
+    // address repeats for a whole dump — deltas collapse both.
+    delta(c[kTblAddr], t.tbl_addr, e.address);
+    delta(c[kTblLocal], t.tbl_local, e.local_address);
+    varint(c[kTblAvg], e.avg_interval);
+    delta(c[kTblSeen], t.tbl_seen, e.last_seen);
+    varint(c[kTblRestr], e.restr);
+    varint(c[kTblCount], e.count);
+    u16(c[kTblPort], e.port);
+    u8(c[kTblMode], e.mode);
+    u8(c[kTblVer], e.version);
+  }
+  for (std::size_t i = kTblAddr; i <= kTblVer; ++i) {
+    if (!ok(c[i])) return false;
+  }
+  return true;
+}
+
+template <class Cols, class Summary>
+bool code_summary(Cols& c, Transforms& t, Summary& s) {
+  auto& col = c[kSum];
+  week(col, t, s.week);
+  code_date(col, s.date);
+  varint(col, s.probes_sent);
+  varint(col, s.responders);
+  varint(col, s.error_replies);
+  varint(col, s.probes_lost);
+  varint(col, s.retries);
+  varint(col, s.truncated_tables);
+  varint(col, s.rate_limited);
+  return ok(c[kSum]);
+}
+
+template <class Cols, class Week>
+bool code_end(Cols& c, Transforms& t, Week& wk) {
+  week(c[kEnd], t, wk);
+  return ok(c[kEnd]);
+}
+
+/// Decodes a study header; false when it is short, malformed, or of a
+/// version this build does not read.
+bool read_header(std::span<const std::uint8_t> bytes, StudyHeader& h) {
+  util::ColumnReader r(bytes);
+  code_header(r, h);
+  return r.ok() && h.version == 1;
+}
+
+using Readers = std::array<util::ColumnReader, kColumnCount>;
+
+template <std::size_t... I>
+Readers open_columns(const util::ColumnArchive& archive,
+                     std::index_sequence<I...>) {
+  return {archive.column(kColumnNames[I])...};
+}
+
+/// Decodes one event of type `tag` and hands it to `sink`. False on damage
+/// (a short column, an absurd table length, an unknown tag), in which case
+/// nothing is dispatched: damage never fabricates an event.
+bool dispatch_event(Readers& c, Transforms& t, std::uint8_t tag,
+                    scan::AmplifierObservation& obs, EventSink& sink) {
+  switch (tag) {
+    case kTagGlobal: {
+      int day = 0;
+      auto p = telemetry::ProtocolClass{};
+      double bytes = 0.0;
+      if (!code_global(c, t, day, p, bytes)) return false;
+      sink.on_global_bytes(day, p, bytes);
+      return true;
+    }
+    case kTagLabel: {
+      telemetry::LabeledAttack a;
+      if (!code_label(c, t, a)) return false;
+      sink.on_attack_label(a);
+      return true;
+    }
+    case kTagFlow: {
+      telemetry::FlowRecord f;
+      int vantage = 0;
+      if (!code_flow(c, t, f, vantage)) return false;
+      sink.on_flow(f, vantage);
+      return true;
+    }
+    case kTagDark: {
+      net::Ipv4Address scanner;
+      int day = 0;
+      std::uint64_t packets = 0;
+      bool benign = false;
+      if (!code_dark(c, t, scanner, day, packets, benign)) return false;
+      sink.on_darknet_scan(scanner, day, packets, benign);
+      return true;
+    }
+    case kTagBegin: {
+      int wk = 0;
+      util::Date date;
+      if (!code_begin(c, t, wk, date)) return false;
+      sink.on_sample_begin(wk, date);
+      return true;
+    }
+    case kTagObs: {
+      int wk = 0;
+      if (!code_observation(c, t, wk, obs)) return false;
+      sink.on_probe_observation(wk, obs);
+      return true;
+    }
+    case kTagSummary: {
+      scan::MonlistSampleSummary s;
+      if (!code_summary(c, t, s)) return false;
+      sink.on_monlist_summary(s);
+      return true;
+    }
+    case kTagEnd: {
+      int wk = 0;
+      if (!code_end(c, t, wk)) return false;
+      sink.on_sample_end(wk);
+      return true;
+    }
+    default:
+      return false;  // unknown tag: artifact from a newer format
+  }
+}
+
+/// The first column `archive` lacks, or nullptr.
 const char* missing_section(const util::ColumnArchive& archive) {
-  for (const char* name : kSectionNames) {
+  for (const char* name : kColumnNames) {
     if (archive.find(name) == nullptr) return name;
   }
   return nullptr;
 }
 
-/// Decoder-side mirror of the Recorder's transform state.
-struct DecodeState {
-  std::int64_t global_day = 0, label_start = 0, flow_first = 0, dark_day = 0,
-               obs_index = 0, obs_addr = 0, obs_time = 0, tbl_addr = 0,
-               tbl_local = 0, tbl_seen = 0;
-  std::int64_t week_base = 0;
-  bool week_base_set = false;
-};
-
-std::int64_t get_delta(util::ColumnReader& r, std::int64_t& prev) {
-  prev += r.get_zigzag();
-  return prev;
-}
-
-int get_week(util::ColumnReader& r, DecodeState& st) {
-  const std::int64_t v = r.get_zigzag();
-  if (!st.week_base_set) {
-    st.week_base = v;
-    st.week_base_set = true;
-    return static_cast<int>(v);
-  }
-  return static_cast<int>(st.week_base + v);
-}
-
 }  // namespace
 
 Recorder::Recorder(const StudyHeader& header) : header_(header) {
-  static_assert(std::size(kSectionNames) == kColumns);
-  for (util::ColumnWriter* col : columns()) {
-    *col = util::ColumnWriter::sealing();
-  }
-}
-
-std::array<util::ColumnWriter*, Recorder::kColumns>
-Recorder::columns() noexcept {
-  return {&tape_,      &global_,   &label_,    &flow_,  &dark_,
-          &begin_,     &obs_,      &sum_,      &end_,   &tbl_addr_,
-          &tbl_local_, &tbl_avg_,  &tbl_seen_, &tbl_restr_,
-          &tbl_count_, &tbl_port_, &tbl_mode_, &tbl_ver_};
+  for (util::ColumnWriter& col : columns_) col = util::ColumnWriter::sealing();
 }
 
 void Recorder::tag(std::uint8_t t) {
@@ -135,121 +416,51 @@ void Recorder::tag(std::uint8_t t) {
 
 void Recorder::flush_run() {
   if (run_len_ == 0) return;
-  tape_.put_u8(run_tag_);
-  tape_.put_varint(run_len_);
+  code_run(columns_[kTape], run_tag_, run_len_);
   run_len_ = 0;
-}
-
-void Recorder::put_delta(util::ColumnWriter& col, std::int64_t& prev,
-                         std::int64_t v) {
-  col.put_zigzag(v - prev);
-  prev = v;
-}
-
-void Recorder::put_week(util::ColumnWriter& col, int week) {
-  // Frame of reference: the first week id on the tape anchors the frame;
-  // later ones store only the (tiny) difference.
-  if (!week_base_set_) {
-    week_base_ = week;
-    week_base_set_ = true;
-    col.put_zigzag(week);
-    return;
-  }
-  col.put_zigzag(week - week_base_);
 }
 
 void Recorder::on_global_bytes(int day, telemetry::ProtocolClass p,
                                double bytes) {
   tag(kTagGlobal);
-  put_delta(global_, prev_global_day_, day);
-  global_.put_u8(static_cast<std::uint8_t>(p));
-  global_.put_f64(bytes);
+  code_global(columns_, transforms_, day, p, bytes);
 }
 
 void Recorder::on_attack_label(const telemetry::LabeledAttack& label) {
   tag(kTagLabel);
-  put_delta(label_, prev_label_start_, label.start);
-  label_.put_u8(static_cast<std::uint8_t>(label.vector));
-  label_.put_f64(label.peak_bps);
+  code_label(columns_, transforms_, label);
 }
 
 void Recorder::on_flow(const telemetry::FlowRecord& flow, int vantage) {
   tag(kTagFlow);
-  flow_.put_zigzag(vantage);
-  flow_.put_u32(flow.src.value());
-  flow_.put_u32(flow.dst.value());
-  flow_.put_u16(flow.src_port);
-  flow_.put_u16(flow.dst_port);
-  flow_.put_u8(flow.protocol);
-  flow_.put_u8(flow.ttl);
-  flow_.put_varint(flow.packets);
-  flow_.put_varint(flow.bytes);
-  flow_.put_varint(flow.payload_bytes);
-  put_delta(flow_, prev_flow_first_, flow.first);
-  flow_.put_zigzag(flow.last - flow.first);
+  code_flow(columns_, transforms_, flow, vantage);
 }
 
 void Recorder::on_darknet_scan(net::Ipv4Address scanner, int day,
                                std::uint64_t packets, bool benign) {
   tag(kTagDark);
-  dark_.put_u32(scanner.value());
-  put_delta(dark_, prev_dark_day_, day);
-  dark_.put_varint(packets);
-  dark_.put_u8(benign ? 1 : 0);
+  code_dark(columns_, transforms_, scanner, day, packets, benign);
 }
 
 void Recorder::on_sample_begin(int week, const util::Date& date) {
   tag(kTagBegin);
-  put_week(begin_, week);
-  encode_date(begin_, date);
+  code_begin(columns_, transforms_, week, date);
 }
 
 void Recorder::on_probe_observation(int week,
                                     const scan::AmplifierObservation& obs) {
   tag(kTagObs);
-  put_week(obs_, week);
-  // The weekly sweep walks servers in index order and stamps a monotone
-  // probe clock: deltas are tiny where absolutes were wide.
-  put_delta(obs_, prev_obs_index_, obs.server_index);
-  put_delta(obs_, prev_obs_addr_, obs.address.value());
-  obs_.put_varint(obs.response_packets);
-  obs_.put_varint(obs.response_udp_bytes);
-  obs_.put_varint(obs.response_wire_bytes);
-  put_delta(obs_, prev_obs_time_, obs.probe_time);
-  obs_.put_u8(obs.table_partial ? 1 : 0);
-  obs_.put_zigzag(obs.attempts);
-  obs_.put_varint(obs.table.size());
-  for (const auto& e : obs.table) {
-    // Dumps are sorted by last_seen (monotone within a dump) and the local
-    // address repeats for a whole dump — deltas collapse both.
-    put_delta(tbl_addr_, prev_tbl_addr_, e.address.value());
-    put_delta(tbl_local_, prev_tbl_local_, e.local_address.value());
-    tbl_avg_.put_varint(e.avg_interval);
-    put_delta(tbl_seen_, prev_tbl_seen_, e.last_seen);
-    tbl_restr_.put_varint(e.restr);
-    tbl_count_.put_varint(e.count);
-    tbl_port_.put_u16(e.port);
-    tbl_mode_.put_u8(e.mode);
-    tbl_ver_.put_u8(e.version);
-  }
+  code_observation(columns_, transforms_, week, obs);
 }
 
 void Recorder::on_monlist_summary(const scan::MonlistSampleSummary& summary) {
   tag(kTagSummary);
-  put_week(sum_, summary.week);
-  encode_date(sum_, summary.date);
-  sum_.put_varint(summary.probes_sent);
-  sum_.put_varint(summary.responders);
-  sum_.put_varint(summary.error_replies);
-  sum_.put_varint(summary.probes_lost);
-  sum_.put_varint(summary.retries);
-  sum_.put_varint(summary.truncated_tables);
-  sum_.put_varint(summary.rate_limited);
+  code_summary(columns_, transforms_, summary);
 }
 
 void Recorder::on_sample_end(int week) {
   tag(kTagEnd);
-  put_week(end_, week);
+  code_end(columns_, transforms_, week);
   // Week boundary: report what the columns hold into the memory registry
   // (gauge; sealing a block shrinks it, so its peak is the high-water
   // mark).
@@ -257,19 +468,20 @@ void Recorder::on_sample_end(int week) {
   gauge.observe(column_bytes());
 }
 
-std::size_t Recorder::column_bytes() noexcept {
+std::size_t Recorder::column_bytes() const noexcept {
   std::size_t bytes = 0;
-  for (const util::ColumnWriter* col : columns()) bytes += col->held_bytes();
+  for (const util::ColumnWriter& col : columns_) bytes += col.held_bytes();
   return bytes;
 }
 
 util::ColumnArchive Recorder::to_archive() {
   flush_run();
   util::ColumnArchive archive;
-  archive.header = encode_header(header_);
-  const auto cols = columns();
-  for (std::size_t i = 0; i < kColumns; ++i) {
-    archive.add_column(kSectionNames[i], *cols[i]);
+  util::ColumnWriter header;
+  code_header(header, header_);
+  archive.header = header.take_buffer();
+  for (std::size_t i = 0; i < kColumnCount; ++i) {
+    archive.add_column(kColumnNames[i], columns_[i]);
   }
   return archive;
 }
@@ -285,22 +497,15 @@ bool Replayer::load(const std::string& path) {
 }
 
 bool Replayer::load_archive(util::ColumnArchive archive) {
-  if (!decode_header(archive.header, header_)) return false;
+  if (!read_header(archive.header, header_)) return false;
   if (missing_section(archive) != nullptr) return false;
   archive_ = std::move(archive);
-  apply_decode_policy();
   return true;
 }
 
 bool Replayer::load_prefix(const std::string& path, ReplayReport& report) {
   report.clean = load(path);
   return report.clean;
-}
-
-void Replayer::apply_decode_policy() {
-  if (decode_jobs_ <= 1) return;
-  util::ThreadPool pool(decode_jobs_);
-  archive_.inflate(&pool);
 }
 
 std::string Replayer::describe_load_failure(const std::string& path) {
@@ -337,11 +542,10 @@ std::string Replayer::describe_load_failure(const std::string& path) {
            " intact section(s) precede it)" + regenerate;
   }
   StudyHeader h;
-  if (!decode_header(archive->header, h)) {
-    util::ColumnReader r(archive->header);
-    const std::uint32_t version = r.get_u32();
-    if (r.ok() && version != 1) {
-      return quoted + ": study header version " + std::to_string(version) +
+  if (!read_header(archive->header, h)) {
+    // The version is the header's first cell, decoded whenever it is whole.
+    if (archive->header.size() >= sizeof(h.version) && h.version != 1) {
+      return quoted + ": study header version " + std::to_string(h.version) +
              " unsupported (this build reads 1)";
     }
     return quoted + ": malformed study header" + regenerate;
@@ -352,207 +556,27 @@ std::string Replayer::describe_load_failure(const std::string& path) {
   return quoted + " loads cleanly";
 }
 
-namespace {
-
-/// The dispatch loop behind replay(). Walks the tape, decodes each event
-/// out of its column, and hands it to `sink`. Stops after `max_weeks`
-/// complete weeks (-1 = unlimited) or at the first inconsistency (short
-/// column, unknown tag, absurd table size) — damage ends the walk, it
-/// never fabricates an event. True when the walk reached the end of the
-/// tape or the week cap without damage.
-bool dispatch_stream(const util::ColumnArchive& archive, EventSink& sink,
-                     int max_weeks) {
-  util::ColumnReader tape = archive.column("tape");
-  util::ColumnReader global = archive.column("global");
-  util::ColumnReader label = archive.column("label");
-  util::ColumnReader flow = archive.column("flow");
-  util::ColumnReader dark = archive.column("dark");
-  util::ColumnReader begin = archive.column("begin");
-  util::ColumnReader obs_col = archive.column("obs");
-  util::ColumnReader sum = archive.column("sum");
-  util::ColumnReader end = archive.column("end");
-  util::ColumnReader tbl_addr = archive.column("tbl.addr");
-  util::ColumnReader tbl_local = archive.column("tbl.local");
-  util::ColumnReader tbl_avg = archive.column("tbl.avg");
-  util::ColumnReader tbl_seen = archive.column("tbl.seen");
-  util::ColumnReader tbl_restr = archive.column("tbl.restr");
-  util::ColumnReader tbl_count = archive.column("tbl.count");
-  util::ColumnReader tbl_port = archive.column("tbl.port");
-  util::ColumnReader tbl_mode = archive.column("tbl.mode");
-  util::ColumnReader tbl_ver = archive.column("tbl.ver");
-
-  // Columns are transform-encoded (deltas / frame-of-reference); this
-  // state mirrors the Recorder's, advanced in the same tape order.
-  DecodeState st;
-
+bool Replayer::replay(EventSink& sink, int max_weeks) const {
+  // Walks the tape run by run, decoding each event out of its column with
+  // the transform state advanced in tape order. Stops after `max_weeks`
+  // complete weeks (-1 = unlimited) or at the first damage.
+  Readers c = open_columns(archive_, std::make_index_sequence<kColumnCount>{});
+  util::ColumnReader& tape = c[kTape];
+  Transforms t;
+  scan::AmplifierObservation obs;  // its table is reused across events
   int weeks = 0;
-  bool damaged = false;
-  bool capped = false;
-  scan::AmplifierObservation obs;  // reused across dispatches
-  while (!tape.at_end() && !damaged && !capped) {
-    const std::uint8_t t = tape.get_u8();
-    const std::uint64_t count = tape.get_varint();
-    if (!tape.ok()) {
-      damaged = true;
-      break;
-    }
-    for (std::uint64_t i = 0; i < count && !damaged; ++i) {
-      if (max_weeks >= 0 && weeks >= max_weeks) {
-        capped = true;
-        break;
-      }
-      switch (t) {
-        case kTagGlobal: {
-          const int day = static_cast<int>(get_delta(global, st.global_day));
-          const auto p = static_cast<telemetry::ProtocolClass>(global.get_u8());
-          const double bytes = global.get_f64();
-          if (!global.ok()) {
-            damaged = true;
-            break;
-          }
-          sink.on_global_bytes(day, p, bytes);
-          break;
-        }
-        case kTagLabel: {
-          telemetry::LabeledAttack a;
-          a.start = get_delta(label, st.label_start);
-          a.vector = static_cast<telemetry::AttackVector>(label.get_u8());
-          a.peak_bps = label.get_f64();
-          if (!label.ok()) {
-            damaged = true;
-            break;
-          }
-          sink.on_attack_label(a);
-          break;
-        }
-        case kTagFlow: {
-          const int vantage = static_cast<int>(flow.get_zigzag());
-          telemetry::FlowRecord f;
-          f.src = net::Ipv4Address(flow.get_u32());
-          f.dst = net::Ipv4Address(flow.get_u32());
-          f.src_port = flow.get_u16();
-          f.dst_port = flow.get_u16();
-          f.protocol = flow.get_u8();
-          f.ttl = flow.get_u8();
-          f.packets = flow.get_varint();
-          f.bytes = flow.get_varint();
-          f.payload_bytes = flow.get_varint();
-          f.first = get_delta(flow, st.flow_first);
-          f.last = f.first + flow.get_zigzag();
-          if (!flow.ok()) {
-            damaged = true;
-            break;
-          }
-          sink.on_flow(f, vantage);
-          break;
-        }
-        case kTagDark: {
-          const net::Ipv4Address scanner(dark.get_u32());
-          const int day = static_cast<int>(get_delta(dark, st.dark_day));
-          const std::uint64_t packets = dark.get_varint();
-          const bool benign = dark.get_u8() != 0;
-          if (!dark.ok()) {
-            damaged = true;
-            break;
-          }
-          sink.on_darknet_scan(scanner, day, packets, benign);
-          break;
-        }
-        case kTagBegin: {
-          const int week = get_week(begin, st);
-          const util::Date date = decode_date(begin);
-          if (!begin.ok()) {
-            damaged = true;
-            break;
-          }
-          sink.on_sample_begin(week, date);
-          break;
-        }
-        case kTagObs: {
-          const int week = get_week(obs_col, st);
-          obs.server_index =
-              static_cast<std::uint32_t>(get_delta(obs_col, st.obs_index));
-          obs.address = net::Ipv4Address(
-              static_cast<std::uint32_t>(get_delta(obs_col, st.obs_addr)));
-          obs.response_packets = obs_col.get_varint();
-          obs.response_udp_bytes = obs_col.get_varint();
-          obs.response_wire_bytes = obs_col.get_varint();
-          obs.probe_time = get_delta(obs_col, st.obs_time);
-          obs.table_partial = obs_col.get_u8() != 0;
-          obs.attempts = static_cast<int>(obs_col.get_zigzag());
-          const std::uint64_t n = obs_col.get_varint();
-          if (!obs_col.ok() || n > (1u << 24)) {
-            damaged = true;
-            break;
-          }
-          obs.table.clear();
-          obs.table.reserve(static_cast<std::size_t>(n));
-          for (std::uint64_t e = 0; e < n; ++e) {
-            ntp::MonitorEntry entry;
-            entry.address = net::Ipv4Address(
-                static_cast<std::uint32_t>(get_delta(tbl_addr, st.tbl_addr)));
-            entry.local_address = net::Ipv4Address(
-                static_cast<std::uint32_t>(get_delta(tbl_local, st.tbl_local)));
-            entry.avg_interval =
-                static_cast<std::uint32_t>(tbl_avg.get_varint());
-            entry.last_seen =
-                static_cast<std::uint32_t>(get_delta(tbl_seen, st.tbl_seen));
-            entry.restr = static_cast<std::uint32_t>(tbl_restr.get_varint());
-            entry.count = static_cast<std::uint32_t>(tbl_count.get_varint());
-            entry.port = tbl_port.get_u16();
-            entry.mode = tbl_mode.get_u8();
-            entry.version = tbl_ver.get_u8();
-            obs.table.push_back(entry);
-          }
-          if (!tbl_addr.ok() || !tbl_ver.ok()) {
-            damaged = true;
-            break;
-          }
-          sink.on_probe_observation(week, obs);
-          break;
-        }
-        case kTagSummary: {
-          scan::MonlistSampleSummary s;
-          s.week = get_week(sum, st);
-          s.date = decode_date(sum);
-          s.probes_sent = sum.get_varint();
-          s.responders = sum.get_varint();
-          s.error_replies = sum.get_varint();
-          s.probes_lost = sum.get_varint();
-          s.retries = sum.get_varint();
-          s.truncated_tables = sum.get_varint();
-          s.rate_limited = sum.get_varint();
-          if (!sum.ok()) {
-            damaged = true;
-            break;
-          }
-          sink.on_monlist_summary(s);
-          break;
-        }
-        case kTagEnd: {
-          const int week = get_week(end, st);
-          if (!end.ok()) {
-            damaged = true;
-            break;
-          }
-          sink.on_sample_end(week);
-          break;
-        }
-        default:
-          damaged = true;  // unknown tag: artifact from a newer format
-          break;
-      }
-      if (damaged) break;
-      if (t == kTagEnd) ++weeks;
+  while (!tape.at_end()) {
+    std::uint8_t tag = 0;
+    std::uint64_t count = 0;
+    code_run(tape, tag, count);
+    if (!tape.ok()) return false;
+    for (std::uint64_t i = 0; i < count; ++i) {
+      if (max_weeks >= 0 && weeks >= max_weeks) return true;
+      if (!dispatch_event(c, t, tag, obs, sink)) return false;
+      if (tag == kTagEnd) ++weeks;
     }
   }
-  return !damaged && (capped || (tape.at_end() && tape.ok()));
-}
-
-}  // namespace
-
-bool Replayer::replay(EventSink& sink, int max_weeks) const {
-  return dispatch_stream(archive_, sink, max_weeks);
+  return tape.ok();
 }
 
 }  // namespace gorilla::study

@@ -7,7 +7,8 @@
 // replay must hand every consumer the exact sequence the generators
 // emitted. Event payloads live in per-type columns (varint/zigzag packed),
 // with the monitor-table bulk — millions of entries per study — split into
-// true per-field columns. Replaying a recording into the same sinks is
+// true per-field columns. The layout is written down once, in recorder.cpp's
+// per-event coders, which both directions run. Replaying a recording into the same sinks is
 // bit-for-bit identical to re-simulating (tested), at a fraction of the
 // cost.
 #pragma once
@@ -42,12 +43,33 @@ struct StudyHeader {
   friend bool operator==(const StudyHeader&, const StudyHeader&) = default;
 };
 
+namespace detail {
+
+/// Columns in a GORCOLv3 study artifact (recorder.cpp lists them).
+inline constexpr std::size_t kStreamColumns = 18;
+
+/// State the column transforms carry from one event to the next: the
+/// previous value of every delta-coded cell, and the frame of reference
+/// for week ids (the first week on the tape is the base; later ones store
+/// the difference). The Recorder advances one copy as it encodes and the
+/// Replayer another as it decodes, in tape order, through the same coders.
+struct StreamTransforms {
+  std::int64_t global_day = 0, label_start = 0, flow_first = 0, dark_day = 0,
+               obs_index = 0, obs_addr = 0, obs_time = 0, tbl_addr = 0,
+               tbl_local = 0, tbl_seen = 0;
+  std::int64_t week_base = 0;
+  bool week_base_set = false;
+};
+
+}  // namespace detail
+
 /// An EventSink that captures the full stream. Subscribe it to the bus
 /// alongside the live consumers, run the study, then save().
 ///
-/// Columns are transformed before varint — delta-encoded addresses and
-/// monotone timestamps, frame-of-reference week ids — and each column is
-/// a sealing ColumnWriter: every 64 KiB block is compressed as it fills,
+/// Each event's cells and their transforms (delta-coded addresses and
+/// monotone timestamps, frame-of-reference week ids) are defined once, in
+/// per-event coders that the Replayer decodes with too. Each column is a
+/// sealing ColumnWriter: every 64 KiB block is compressed as it fills,
 /// into the frames a save-time compression of the whole column would
 /// write (GORCOLv3). The recorder holds those frames plus one raw tail per
 /// column; to_archive() compresses the tails.
@@ -84,36 +106,18 @@ class Recorder final : public EventSink {
   [[nodiscard]] bool save(const std::string& path);
 
  private:
-  static constexpr std::size_t kColumns = 18;
-
   void tag(std::uint8_t t);
   void flush_run();
-  /// Every column, in section order.
-  [[nodiscard]] std::array<util::ColumnWriter*, kColumns> columns() noexcept;
   /// Bytes held across every column: sealed frames plus raw tails (the
   /// recorder's footprint).
-  [[nodiscard]] std::size_t column_bytes() noexcept;
-  /// Column transforms: delta against the previous value of the same
-  /// column, and frame-of-reference week ids (first week on the tape is
-  /// the base; later ones store the difference).
-  void put_delta(util::ColumnWriter& col, std::int64_t& prev, std::int64_t v);
-  void put_week(util::ColumnWriter& col, int week);
+  [[nodiscard]] std::size_t column_bytes() const noexcept;
 
   StudyHeader header_;
-  util::ColumnWriter tape_, global_, label_, flow_, dark_, begin_, obs_,
-      sum_, end_;
-  // Monitor-table entry columns (one per MonitorEntry field).
-  util::ColumnWriter tbl_addr_, tbl_local_, tbl_avg_, tbl_seen_, tbl_restr_,
-      tbl_count_, tbl_port_, tbl_mode_, tbl_ver_;
+  /// Every column, in section order.
+  std::array<util::ColumnWriter, detail::kStreamColumns> columns_;
+  detail::StreamTransforms transforms_;
   std::uint8_t run_tag_ = 0;
   std::uint64_t run_len_ = 0;
-  // Encoder-side transform state, mirrored by the replay decoder.
-  std::int64_t prev_global_day_ = 0, prev_label_start_ = 0,
-               prev_flow_first_ = 0, prev_dark_day_ = 0, prev_obs_index_ = 0,
-               prev_obs_addr_ = 0, prev_obs_time_ = 0, prev_tbl_addr_ = 0,
-               prev_tbl_local_ = 0, prev_tbl_seen_ = 0;
-  std::int64_t week_base_ = 0;
-  bool week_base_set_ = false;
 };
 
 /// What Replayer::load_prefix() saw: `clean` means the artifact loaded,
@@ -146,28 +150,18 @@ class Replayer {
 
   [[nodiscard]] const StudyHeader& header() const noexcept { return header_; }
 
-  /// Opt-in parallel per-section decompress: with jobs > 1, the next
-  /// successful load inflates every compressed section across `jobs`
-  /// worker threads instead of streaming block-by-block during replay.
-  /// Purely a speed/memory trade — replay output is byte-identical for
-  /// any value. Call before load().
-  void set_decode_jobs(int jobs) noexcept {
-    decode_jobs_ = jobs < 1 ? 1 : jobs;
-  }
-
   /// Dispatches the stream into `sink` in recorded order, in one pass:
   /// all of it, or when `max_weeks` >= 0 only the events up to the
-  /// `max_weeks`-th on_sample_end. False when the stream turns out
-  /// internally inconsistent (the sink may have received a prefix of it
-  /// by then).
+  /// `max_weeks`-th on_sample_end. Every column streams block by block
+  /// from the loaded archive's stored bytes; none is inflated whole. To
+  /// feed several sinks, replay once into an EventBus of them. False when
+  /// the stream turns out internally inconsistent (the sink may have
+  /// received a prefix of it by then).
   [[nodiscard]] bool replay(EventSink& sink, int max_weeks = -1) const;
 
  private:
-  void apply_decode_policy();
-
   StudyHeader header_;
   util::ColumnArchive archive_;
-  int decode_jobs_ = 1;
 };
 
 }  // namespace gorilla::study

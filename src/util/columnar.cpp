@@ -10,7 +10,6 @@
 #endif
 
 #include "util/crc32.h"
-#include "util/thread_pool.h"
 
 namespace gorilla::util {
 
@@ -202,27 +201,6 @@ ColumnReader ColumnArchive::column(std::string_view name) const noexcept {
     return {ColumnReader::BlocksTag{}, section->bytes};
   }
   return ColumnReader(std::span<const std::uint8_t>(section->bytes));
-}
-
-void ColumnArchive::inflate(ThreadPool* pool) {
-  const auto inflate_one = [](Section& s) {
-    if (s.storage != SectionStorage::kBlocks) return;
-    std::vector<std::uint8_t> raw;
-    raw.reserve(static_cast<std::size_t>(s.raw_len));
-    // load() verified the stored bytes; a malformed block body behind a
-    // valid CRC ends early, exactly where the streaming reader would stop.
-    (void)block_decompress(s.bytes, raw);
-    s.bytes = std::move(raw);
-    s.storage = SectionStorage::kRaw;
-    s.raw_len = s.bytes.size();
-  };
-  if (pool == nullptr) {
-    for (Section& s : sections) inflate_one(s);
-    return;
-  }
-  pool->parallel_for(sections.size(), [this, &inflate_one](std::size_t i) {
-    inflate_one(sections[i]);
-  });
 }
 
 bool ColumnArchive::save(std::ostream& out) const {

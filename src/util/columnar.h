@@ -10,10 +10,11 @@
 // GORCOLv3 adds an in-repo block codec (util/block_codec.h): section
 // payloads are stored as independently framed 64 KiB compressed blocks,
 // and ColumnReader decodes them block-by-block from the borrowed stored
-// bytes — the archive never inflates a whole file (or section) to a
-// vector unless ColumnArchive::inflate() is explicitly asked to trade
-// memory for flat-decode speed. On the write side a sealing ColumnWriter
-// compresses each block as it fills, so a long column is never held raw.
+// bytes. That is the only read path: a file or section is never inflated
+// whole (a parallel whole-section inflate was measured and bought no
+// speed for ~60% more peak memory; DESIGN.md §3i). On the write side a
+// sealing ColumnWriter compresses each block as it fills, so a long column
+// is never held raw.
 #pragma once
 
 #include <bit>
@@ -32,8 +33,6 @@
 #include "util/bytes.h"
 
 namespace gorilla::util {
-
-class ThreadPool;
 
 /// ZigZag maps signed to unsigned so small-magnitude values varint-encode
 /// short regardless of sign.
@@ -137,12 +136,12 @@ class ColumnWriter {
 /// short, overlong, or block-damaged read, ok() stays false and every
 /// further get returns 0.
 ///
-/// Two sources: a flat borrowed span (raw or inflated sections), or a
-/// block stream decoded one block at a time into an internal scratch
-/// window — the streaming path borrows the stored bytes and never
-/// materializes the whole section. Values split across a block boundary
-/// are handled by carrying the unread tail (at most a few bytes) into the
-/// next window.
+/// Two sources: a flat borrowed span (a raw section, or any plain bytes
+/// such as an artifact header), or a block stream decoded one block at a
+/// time into an internal scratch window — the streaming path borrows the
+/// stored bytes and never materializes the whole section. Values split
+/// across a block boundary are handled by carrying the unread tail (at most
+/// a few bytes) into the next window.
 class ColumnReader {
  public:
   explicit ColumnReader(std::span<const std::uint8_t> data) noexcept
@@ -311,11 +310,6 @@ struct ColumnArchive {
   /// streaming block-by-block for compressed ones. Absent name reads as an
   /// empty column.
   [[nodiscard]] ColumnReader column(std::string_view name) const noexcept;
-
-  /// Decompresses every block-stored section in place (across `pool` when
-  /// given — sections are independent). Purely a speed/memory trade:
-  /// reads are byte-identical before and after.
-  void inflate(ThreadPool* pool = nullptr);
 
   /// Serializes as GORCOLv3; false when the sink fails mid-write (the
   /// stream then holds an undefined partial prefix — discard it).

@@ -6,10 +6,10 @@
 #
 #   cmake -DREPLAY_TOOL=<gorilla_replay> -DBENCH=<bench binary>
 #         -DMANIFEST=<gorilla_replay.sha256> -DWORK=<scratch dir>
-#         -P check_outputs.cmake
+#         -P check_replay_outputs.cmake
 foreach(var REPLAY_TOOL BENCH MANIFEST WORK)
   if(NOT DEFINED ${var})
-    message(FATAL_ERROR "check_outputs.cmake: -D${var}=... is required")
+    message(FATAL_ERROR "check_replay_outputs.cmake: -D${var}=... is required")
   endif()
 endforeach()
 

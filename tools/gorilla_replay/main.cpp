@@ -12,15 +12,15 @@
 //   csv       study::CsvExportSink  — streaming CSV projections
 //                                     → OUT/{global,labels,summaries}.csv
 //
-// Each selected sink gets its own single ordered pass over the stream (the
-// passes share the immutable loaded archive; --weeks N caps each pass);
-// --jobs K runs up to K passes concurrently. Per-sink output is a pure
-// function of the artifact, so it is byte-identical for every K — and
+// The artifact is decoded once: one ordered pass streams it into a
+// study::EventBus with every selected sink subscribed (--weeks N caps the
+// pass). Per-sink output is a pure function of the artifact, so it is
 // identical to a LIVE run of the same study with the sink riding the bus
 // (--live rebuilds the harness the artifact's header describes, study or
-// regional, and proves exactly that; scripts/check.sh diffs the two).
-// Diagnostics go to stderr; stdout stays empty.
-#include <algorithm>
+// regional, and proves exactly that; the gorilla_replay.outputs ctest and
+// scripts/check.sh diff the two). --jobs K sets the --live run's worker
+// count, with the same bytes for every K. Diagnostics go to stderr; stdout
+// stays empty.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -32,12 +32,12 @@
 #include <vector>
 
 #include "common.h"
+#include "study/bus.h"
 #include "study/csv_export_sink.h"
 #include "study/detector_sink.h"
 #include "study/pcap_export_sink.h"
 #include "study/recorder.h"
 #include "util/mem_stats.h"
-#include "util/thread_pool.h"
 #include "util/time.h"
 
 namespace {
@@ -54,7 +54,7 @@ void usage(std::FILE* out, const char* argv0) {
       "  --sinks LIST     comma-separated backends (default: detector)\n"
       "  --weeks N        replay at most N complete weeks (N >= 0; study\n"
       "                   recordings only: a regional window has no weeks)\n"
-      "  --jobs K         run up to K sink passes concurrently (K >= 1;\n"
+      "  --jobs K         worker threads for the --live run (K >= 1;\n"
       "                   output is identical for every K)\n"
       "  --out DIR        output directory (default: .)\n"
       "  --live           re-simulate the study or regional harness the\n"
@@ -161,7 +161,6 @@ struct Backend {
   [[nodiscard]] virtual gorilla::study::EventSink& sink() = 0;
   [[nodiscard]] virtual bool finish() = 0;
   double seconds = 0.0;
-  bool stream_ok = true;  ///< the replay pass read a consistent stream
 };
 
 struct DetectorBackend final : Backend {
@@ -253,7 +252,6 @@ int main(int argc, char** argv) {
   const Args args = read_args(argc, argv);
 
   study::Replayer replayer;
-  replayer.set_decode_jobs(args.jobs);
   if (!replayer.load(args.artifact)) {
     die(study::Replayer::describe_load_failure(args.artifact));
   }
@@ -308,7 +306,11 @@ int main(int argc, char** argv) {
 
   // Tool timing, not simulation state (the [replay] sink lines on stderr).
   using Clock = std::chrono::steady_clock;  // NOLINT(wall-clock)
+  const auto seconds_since = [](Clock::time_point t0) {
+    return std::chrono::duration<double>(Clock::now() - t0).count();
+  };
   bool stream_ok = true;
+  double elapsed = 0.0;
   if (args.live) {
     // Rebuild the exact harness the artifact's header describes and run it
     // live with every backend riding the bus.
@@ -318,27 +320,16 @@ int main(int argc, char** argv) {
     }
     const auto t0 = Clock::now();
     pipeline.run();
-    const double elapsed = std::chrono::duration<double>(Clock::now() - t0)
-                               .count();
-    for (auto& backend : backends) backend->seconds = elapsed;
+    elapsed = seconds_since(t0);
   } else {
-    // One ordered pass per backend over the shared immutable archive; up
-    // to --jobs passes in flight at once. Per-sink results cannot depend
-    // on K: every pass is independent and read-only.
-    util::ThreadPool pool(
-        std::min(args.jobs, static_cast<int>(backends.size())));
-    pool.parallel_for(backends.size(), [&replayer, &backends,
-                                        &args](std::size_t i) {
-      Backend& backend = *backends[i];
-      const auto t0 = Clock::now();
-      backend.stream_ok = replayer.replay(backend.sink(), args.weeks);
-      backend.seconds =
-          std::chrono::duration<double>(Clock::now() - t0).count();
-    });
-    for (const auto& backend : backends) {
-      stream_ok = stream_ok && backend->stream_ok;
-    }
+    // Decode once, fan out: one ordered pass into a bus of every backend.
+    study::EventBus bus;
+    for (auto& backend : backends) bus.subscribe(&backend->sink());
+    const auto t0 = Clock::now();
+    stream_ok = replayer.replay(bus, args.weeks);
+    elapsed = seconds_since(t0);
   }
+  for (auto& backend : backends) backend->seconds = elapsed;
 
   bool io_ok = true;
   for (auto& backend : backends) {
