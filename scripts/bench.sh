@@ -2,22 +2,25 @@
 # Engine perf trajectory: times representative full-pipeline benches under
 # the sharded study engine and writes BENCH_engine.json at the repo root.
 #
-# For each bench (fig03, fig07, fig13, tab05) this measures, at default
-# scale/seed:
+# For each bench (by default fig03, fig07, fig13, tab05) this measures, at
+# default scale/seed:
 #   - sequential wall time        (--jobs 1)
 #   - parallel wall time          (--jobs $(nproc), override with JOBS=N)
 #   - record wall time            (--jobs 1 --record study.bin)
 #   - replay wall time            (--replay study.bin)
-# and asserts stdout is byte-identical across all four runs — the engine's
-# determinism contract (DESIGN.md §3d) makes every mode a pure speedup.
-# The sequential run also records its peak RSS (peak_rss_kb), so the file
-# carries the memory trajectory alongside the perf trajectory —
-# scripts/check.sh gates fig03 RSS regressions against the latest run.
+# and asserts stdout is byte-identical across every run — the engine's
+# determinism contract (DESIGN.md §3d) makes every mode a pure speedup. A
+# bench that refuses --record or --replay (exit 2 and its refusal line)
+# gets null in those columns. The sequential and record runs also record
+# their peak RSS (peak_rss_kb, record_peak_rss_kb), so the file carries the
+# memory trajectory alongside the perf trajectory — scripts/check.sh gates
+# fig03 RSS regressions against the latest peak_rss_kb.
 #
 # The replay column is the simulate-once/analyze-many headline: every
 # analysis after the first skips world build + simulation entirely.
 #
-# Usage: scripts/bench.sh [build-dir]   (default: build)
+# Usage: scripts/bench.sh [build-dir [bench ...]]   (default: build, and
+#        the four benches above)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -37,6 +40,9 @@ jobs="${JOBS:-$cores}"
 # tab05 cover the probe-dominated and the regional forensic runs.
 benches=(fig03_amplifier_counts fig07_attack_timeseries fig13_top_victims
          tab05_top_amplifiers)
+if [[ $# -gt 1 ]]; then
+  benches=("${@:2}")
+fi
 
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
@@ -52,14 +58,15 @@ time_to() {
   awk -v a="$t0" -v b="$t1" 'BEGIN { printf "%.3f", (b - a) / 1e9 }'
 }
 
-# Wall time (s) and peak RSS (KB) of a command, stdout to $1; prints
-# "<seconds> <rss_kb>". Peak RSS comes from getrusage(RUSAGE_CHILDREN) in a
-# fresh python process per run — the container image carries no
-# /usr/bin/time, and ru_maxrss is the same kernel counter it would read.
+# Wall time (s) and peak RSS (KB) of a command, stdout to $1 and stderr to
+# the caller's; prints "<seconds> <rss_kb>". Peak RSS comes from
+# getrusage(RUSAGE_CHILDREN) in a fresh python process per run — the
+# container image carries no /usr/bin/time, and ru_maxrss is the same
+# kernel counter it would read.
 measure_to() {
   local out="$1"
   shift
-  python3 - "$out" "$@" <<'PY' 2>>"$work/stderr.log"
+  python3 - "$out" "$@" <<'PY'
 import resource, subprocess, sys, time
 t0 = time.monotonic()
 with open(sys.argv[1], "wb") as f:
@@ -71,6 +78,22 @@ print("%.3f %d" % (dt, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss))
 PY
 }
 
+# measure_to for a mode a bench may refuse (--record, --replay), stderr to
+# $1.err: prints "<seconds> <rss_kb>", or "null null" when the bench
+# refuses the flag. Any other failure fails the run.
+mode_to() {
+  local out="$1"
+  if measure_to "$@" 2>"$out.err"; then
+    return
+  fi
+  if grep -qE "is refused|need the study harness" "$out.err"; then
+    echo "null null"
+    return
+  fi
+  cat "$out.err" >&2
+  return 1
+}
+
 entries=""
 for bench in "${benches[@]}"; do
   bin="$bench_dir/$bench"
@@ -80,30 +103,53 @@ for bench in "${benches[@]}"; do
   fi
   echo "== $bench =="
 
-  read -r seq_s seq_rss_kb <<<"$(measure_to "$work/$bench.jobs1.txt" "$bin" --jobs 1)"
+  read -r seq_s seq_rss_kb <<<"$(measure_to "$work/$bench.jobs1.txt" \
+    "$bin" --jobs 1 2>>"$work/stderr.log")"
   echo "   --jobs 1        ${seq_s}s  (peak RSS $((seq_rss_kb / 1024)) MB)"
   par_s=$(time_to "$work/$bench.jobsN.txt" "$bin" --jobs "$jobs")
   echo "   --jobs $jobs        ${par_s}s"
-  rec_s=$(time_to "$work/$bench.record.txt" "$bin" --jobs 1 --record "$work/$bench.study")
-  echo "   --record        ${rec_s}s"
-  rep_s=$(time_to "$work/$bench.replay.txt" "$bin" --replay "$work/$bench.study")
-  echo "   --replay        ${rep_s}s"
+  res=$(mode_to "$work/$bench.record.txt" "$bin" --jobs 1 \
+    --record "$work/$bench.study") || exit 1
+  read -r rec_s rec_rss_kb <<<"$res"
+  rep_s=null
+  if [[ "$rec_s" == null ]]; then
+    echo "   --record        refused"
+  else
+    echo "   --record        ${rec_s}s  (peak RSS $((rec_rss_kb / 1024)) MB)"
+    res=$(mode_to "$work/$bench.replay.txt" "$bin" --replay "$work/$bench.study") ||
+      exit 1
+    read -r rep_s _ <<<"$res"
+  fi
+  if [[ "$rep_s" == null ]]; then
+    echo "   --replay        refused"
+  else
+    echo "   --replay        ${rep_s}s"
+  fi
 
-  for mode in jobsN record replay; do
+  modes=(jobsN)
+  if [[ "$rec_s" != null ]]; then modes+=(record); fi
+  if [[ "$rep_s" != null ]]; then modes+=(replay); fi
+  for mode in "${modes[@]}"; do
     if ! cmp -s "$work/$bench.jobs1.txt" "$work/$bench.$mode.txt"; then
       echo "bench.sh: FAIL — $bench $mode output differs from --jobs 1" >&2
       exit 1
     fi
   done
-  echo "   stdout byte-identical across jobs/record/replay"
+  echo "   stdout byte-identical across ${modes[*]}"
 
   # Sub-millisecond denominators would print inf/nan and break the JSON;
   # report a 0.00 sentinel speedup instead.
   jobs_speedup=$(awk -v a="$seq_s" -v b="$par_s" \
     'BEGIN { if (b > 0) printf "%.2f", a / b; else printf "0.00" }')
-  replay_speedup=$(awk -v a="$seq_s" -v b="$rep_s" \
-    'BEGIN { if (b > 0) printf "%.2f", a / b; else printf "0.00" }')
-  artifact_bytes=$(wc -c <"$work/$bench.study")
+  replay_speedup=null
+  if [[ "$rep_s" != null ]]; then
+    replay_speedup=$(awk -v a="$seq_s" -v b="$rep_s" \
+      'BEGIN { if (b > 0) printf "%.2f", a / b; else printf "0.00" }')
+  fi
+  artifact_bytes=null
+  if [[ "$rec_s" != null ]]; then
+    artifact_bytes=$(wc -c <"$work/$bench.study")
+  fi
 
   [[ -n "$entries" ]] && entries+=","
   entries+="
@@ -113,7 +159,7 @@ for bench in "${benches[@]}"; do
       \"record_s\": $rec_s, \"replay_s\": $rep_s,
       \"replay_speedup\": $replay_speedup,
       \"artifact_bytes\": $artifact_bytes,
-      \"peak_rss_kb\": $seq_rss_kb,
+      \"peak_rss_kb\": $seq_rss_kb, \"record_peak_rss_kb\": $rec_rss_kb,
       \"identical_stdout\": true }"
 done
 
@@ -153,8 +199,8 @@ if [[ -x "$replay_bin" && -f "$work/fig03_amplifier_counts.study" ]]; then
   echo "   detector        ${det_s}s"
   fan_s=$(time_to "$work/greplay.fan.txt" \
     "$replay_bin" --artifact "$artifact" --sinks detector,pcap,csv \
-    --jobs "$jobs" --out "$work/greplay_fan")
-  echo "   detector,pcap,csv (--jobs $jobs)  ${fan_s}s"
+    --out "$work/greplay_fan")
+  echo "   detector,pcap,csv  ${fan_s}s"
   if ! cmp -s "$work/greplay_det/detector.txt" \
               "$work/greplay_fan/detector.txt"; then
     echo "bench.sh: FAIL — gorilla_replay detector output differs across" \
@@ -162,7 +208,7 @@ if [[ -x "$replay_bin" && -f "$work/fig03_amplifier_counts.study" ]]; then
     exit 1
   fi
   pcap_bytes=$(wc -c <"$work/greplay_fan/attacks.pcap")
-  replay_json="{ \"artifact\": \"fig03_amplifier_counts\", \"jobs\": $jobs,
+  replay_json="{ \"artifact\": \"fig03_amplifier_counts\",
       \"detector_s\": $det_s, \"fanout_s\": $fan_s,
       \"pcap_bytes\": $pcap_bytes }"
 fi

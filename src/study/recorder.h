@@ -7,13 +7,14 @@
 // replay must hand every consumer the exact sequence the generators
 // emitted. Event payloads live in per-type columns (varint/zigzag packed),
 // with the monitor-table bulk — millions of entries per study — split into
-// true per-field columns. The layout is written down once, in recorder.cpp's
-// per-event coders, which both directions run. Replaying a recording into the same sinks is
-// bit-for-bit identical to re-simulating (tested), at a fraction of the
-// cost.
+// true per-field columns. The layout is written down once, in the
+// per-event coders of recorder.cpp, which both directions run. Replaying a
+// recording into the same sinks is bit-for-bit identical to re-simulating
+// (tested), at a fraction of the cost.
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 

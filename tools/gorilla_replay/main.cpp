@@ -160,7 +160,6 @@ struct Backend {
   [[nodiscard]] virtual const char* name() const = 0;
   [[nodiscard]] virtual gorilla::study::EventSink& sink() = 0;
   [[nodiscard]] virtual bool finish() = 0;
-  double seconds = 0.0;
 };
 
 struct DetectorBackend final : Backend {
@@ -329,13 +328,12 @@ int main(int argc, char** argv) {
     stream_ok = replayer.replay(bus, args.weeks);
     elapsed = seconds_since(t0);
   }
-  for (auto& backend : backends) backend->seconds = elapsed;
 
   bool io_ok = true;
   for (auto& backend : backends) {
     const bool ok = backend->finish();
     std::fprintf(stderr, "[replay] sink %-8s %8.3fs %s\n", backend->name(),
-                 backend->seconds, ok ? "ok" : "FAILED");
+                 elapsed, ok ? "ok" : "FAILED");
     io_ok = io_ok && ok;
   }
   if (!stream_ok) {
