@@ -230,6 +230,52 @@ TEST_F(WorldTest, EndHostShareOfLivePoolGrows) {
   EXPECT_GT(share_at(14), share_at(0) * 1.4);
 }
 
+/// FNV-1a-64 over every ServerTraits field of every server in index order,
+/// then amplifier_indices() and the Merit, CSU and FRGP lists, each list
+/// preceded by its length.
+std::uint64_t traits_digest(std::uint64_t seed, double remediation_speed) {
+  WorldConfig cfg;
+  cfg.scale = 400;
+  cfg.seed = seed;
+  cfg.remediation_speed = remediation_speed;
+  const World world(cfg);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      h ^= (v >> (8 * i)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const ServerTraits& t : world.servers()) {
+    mix(t.home_address.value(), 4);
+    mix(static_cast<std::uint16_t>(t.monlist_fix_week), 2);
+    mix(static_cast<std::uint16_t>(t.version_fix_week), 2);
+    mix(t.detailed_index, 4);
+    mix((t.ever_amplifier ? 1U : 0U) | (t.mode6_responder ? 2U : 0U) |
+            (t.end_host ? 4U : 0U) | (t.dhcp_churn ? 8U : 0U) |
+            (t.mega ? 16U : 0U) | (t.other_impl ? 32U : 0U),
+        1);
+  }
+  for (const auto* list :
+       {&world.amplifier_indices(), &world.merit_amplifiers(),
+        &world.csu_amplifiers(), &world.frgp_amplifiers()}) {
+    mix(list->size(), 8);
+    for (const std::uint32_t i : *list) mix(i, 4);
+  }
+  return h;
+}
+
+TEST_F(WorldTest, TraitsArePinned) {
+  // Every server's traits, fix weeks included, at two seeds and at the
+  // three remediation speeds of the §6.4 ablation (paper, no notification
+  // campaign, no community response). A change to how a fix week is
+  // sampled that moves one week of one server fails here.
+  EXPECT_EQ(traits_digest(1, 1.0), 0x46d70329af14bed9ULL);
+  EXPECT_EQ(traits_digest(7, 1.0), 0xff59f5b16eae45c8ULL);
+  EXPECT_EQ(traits_digest(1, 0.4), 0x2c297c3238235c2eULL);
+  EXPECT_EQ(traits_digest(1, 0.0), 0xe311e6b6eb93b621ULL);
+}
+
 struct IdentityDigest {
   std::uint64_t fnv1a = 0;
   std::size_t servers = 0;
