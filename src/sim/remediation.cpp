@@ -34,13 +34,6 @@ double host_type_hazard(bool end_host) noexcept {
   return end_host ? 0.72 : 1.08;
 }
 
-int sample_monlist_fix_week(double hazard, double u) noexcept {
-  for (int w = 1; w < static_cast<int>(kPaperAmplifierCounts.size()); ++w) {
-    if (std::pow(monlist_survival(w), hazard) < u) return w;
-  }
-  return -1;
-}
-
 double version_survival(int week) noexcept {
   if (week <= 0) return 1.0;
   // -19% over nine weeks, log-linear: per-week survival factor.
@@ -48,10 +41,25 @@ double version_survival(int week) noexcept {
   return std::pow(kPerWeek, week);
 }
 
-int sample_version_fix_week(double hazard, double u,
-                            int horizon_weeks) noexcept {
+FixWeekCurve FixWeekCurve::monlist(double hazard) {
+  FixWeekCurve curve;
+  for (int w = 1; w < static_cast<int>(kPaperAmplifierCounts.size()); ++w) {
+    curve.thresholds_.push_back(std::pow(monlist_survival(w), hazard));
+  }
+  return curve;
+}
+
+FixWeekCurve FixWeekCurve::version(int horizon_weeks) {
+  FixWeekCurve curve;
   for (int w = 1; w <= horizon_weeks; ++w) {
-    if (std::pow(version_survival(w), hazard) < u) return w;
+    curve.thresholds_.push_back(version_survival(w));
+  }
+  return curve;
+}
+
+int FixWeekCurve::fix_week(double u) const noexcept {
+  for (std::size_t i = 0; i < thresholds_.size(); ++i) {
+    if (thresholds_[i] < u) return static_cast<int>(i) + 1;
   }
   return -1;
 }

@@ -10,6 +10,7 @@
 
 #include <array>
 #include <cstdint>
+#include <vector>
 
 #include "net/registry.h"
 #include "util/rng.h"
@@ -45,18 +46,36 @@ inline constexpr double kScanAvailability = 0.63;
 /// hosts; tuned so the end-host share of live amplifiers rises ~18% -> ~34%.
 [[nodiscard]] double host_type_hazard(bool end_host) noexcept;
 
-/// Samples the sample-week index (0..14) at which a server with combined
-/// hazard h stops answering monlist, or -1 if it survives the horizon.
-/// `u` is the server's (possibly farm-shared) uniform draw.
-[[nodiscard]] int sample_monlist_fix_week(double hazard, double u) noexcept;
-
 /// Version (mode 6) pool: -19% over the nine measured weeks (§3.3, Fig 10);
 /// survival extrapolates linearly-in-log beyond.
 [[nodiscard]] double version_survival(int week) noexcept;
 
-/// Samples the week a server stops answering mode 6, or -1.
-[[nodiscard]] int sample_version_fix_week(double hazard, double u,
-                                          int horizon_weeks) noexcept;
+/// One survival curve's per-week fix thresholds under one hazard, computed
+/// once and shared by every server with that hazard. A server with uniform
+/// draw `u` (possibly farm-shared) stops answering in the first week whose
+/// threshold is below `u`.
+class FixWeekCurve {
+ public:
+  /// Monlist curve of combined hazard h: week w's threshold is
+  /// monlist_survival(w)^h, for w = 1..14.
+  [[nodiscard]] static FixWeekCurve monlist(double hazard);
+  /// Version curve (its hazard is always 1): week w's threshold is
+  /// version_survival(w), for w = 1..horizon_weeks.
+  [[nodiscard]] static FixWeekCurve version(int horizon_weeks);
+
+  /// The first week whose threshold is below `u`, or -1 if the server
+  /// survives the horizon. A scan in week order, not a binary search: the
+  /// monlist curve is not monotone (week 12's count is above week 11's).
+  [[nodiscard]] int fix_week(double u) const noexcept;
+
+  /// Week w's threshold at index w - 1.
+  [[nodiscard]] const std::vector<double>& thresholds() const noexcept {
+    return thresholds_;
+  }
+
+ private:
+  std::vector<double> thresholds_;
+};
 
 /// Remediation does not stop when the paper's sampling does: the §3.4
 /// follow-up probes (April-June) watched the March amplifier subset shrink

@@ -80,13 +80,31 @@ void World::build_population(util::Rng& rng) {
     (blocks[i].residential ? residential_blocks : infra_blocks).push_back(i);
   }
 
-  auto block_hazard = [&](std::uint32_t block_index) {
+  // Fix weeks come from threshold curves computed once per build: one
+  // monlist curve per hazard an amplifier can have (continent x host type,
+  // scaled by remediation_speed, and the regional cast's unit hazard) and
+  // the version curve.
+  std::vector<FixWeekCurve> monlist_curves;  // [continent * 2 + end_host]
+  for (int c = 0; c < net::kContinentCount; ++c) {
+    for (const bool end_host : {false, true}) {
+      monlist_curves.push_back(FixWeekCurve::monlist(
+          continent_hazard(static_cast<net::Continent>(c)) *
+          host_type_hazard(end_host) * config_.remediation_speed));
+    }
+  }
+  const FixWeekCurve regional_curve =
+      FixWeekCurve::monlist(config_.remediation_speed);
+  const FixWeekCurve version_curve = FixWeekCurve::version(40);
+
+  auto block_curve = [&](std::uint32_t block_index,
+                         bool end_host) -> const FixWeekCurve& {
     const auto& as_info = registry_.as_info(blocks[block_index].asn);
-    return continent_hazard(as_info.continent);
+    return monlist_curves[static_cast<std::size_t>(as_info.continent) * 2 +
+                          (end_host ? 1 : 0)];
   };
 
   auto add_amplifier = [&](net::Ipv4Address addr, bool end_host, double u,
-                           double hazard) {
+                           const FixWeekCurve& monlist_curve) {
     ServerTraits t;
     t.home_address = addr;
     t.ever_amplifier = true;
@@ -96,7 +114,7 @@ void World::build_population(util::Rng& rng) {
     t.mode6_responder = rng.chance(0.55);
     int fix = -1;
     if (config_.remediation_speed > 0.0) {
-      fix = sample_monlist_fix_week(hazard * config_.remediation_speed, u);
+      fix = monlist_curve.fix_week(u);
       if (fix < 0) {
         // Survivors of the study window keep getting fixed slowly (§3.4's
         // April-June follow-up saw the remnant shrink ~13%/week).
@@ -105,8 +123,8 @@ void World::build_population(util::Rng& rng) {
     }
     t.monlist_fix_week = static_cast<std::int16_t>(fix);
     if (t.mode6_responder) {
-      t.version_fix_week = static_cast<std::int16_t>(
-          sample_version_fix_week(1.0, rng.uniform01(), 40));
+      t.version_fix_week =
+          static_cast<std::int16_t>(version_curve.fix_week(rng.uniform01()));
     }
     amplifier_indices_.push_back(static_cast<std::uint32_t>(traits_.size()));
     traits_.push_back(t);
@@ -135,11 +153,10 @@ void World::build_population(util::Rng& rng) {
       size = std::min<std::uint64_t>({size, n_amp - placed, prefix.size()});
       const std::uint64_t start = rng.uniform(prefix.size() - size + 1);
       const double shared_u = rng.uniform01();
-      const double hazard =
-          block_hazard(bi) * host_type_hazard(/*end_host=*/false);
+      const FixWeekCurve& curve = block_curve(bi, /*end_host=*/false);
       for (std::uint64_t k = 0; k < size; ++k) {
         add_amplifier(prefix.at(start + k), /*end_host=*/false, shared_u,
-                      hazard);
+                      curve);
       }
       placed += size;
       farm_placed += size;
@@ -150,11 +167,10 @@ void World::build_population(util::Rng& rng) {
                              : infra_blocks;
       const std::uint32_t bi = pool[rng.uniform(pool.size())];
       const auto& prefix = blocks[bi].prefix;
-      const double hazard = block_hazard(bi) * host_type_hazard(end_host);
       // u before the address: the order the pinned outputs were drawn in.
       const double u = rng.uniform01();
       const net::Ipv4Address addr = prefix.at(rng.uniform(prefix.size()));
-      add_amplifier(addr, end_host, u, hazard);
+      add_amplifier(addr, end_host, u, block_curve(bi, end_host));
       ++placed;
     }
   }
@@ -170,7 +186,8 @@ void World::build_population(util::Rng& rng) {
     for (std::uint32_t k = 0; k < count; ++k) {
       const net::Ipv4Address addr = space.at(rng.uniform(space.size()));
       out.push_back(static_cast<std::uint32_t>(traits_.size()));
-      add_amplifier(addr, /*end_host=*/false, rng.uniform01(), 1.0);
+      add_amplifier(addr, /*end_host=*/false, rng.uniform01(),
+                    regional_curve);
       traits_.back().monlist_fix_week =
           static_cast<std::int16_t>(fix_week_for(k));
       traits_.back().other_impl = false;  // all locally visible
@@ -256,8 +273,8 @@ void World::build_population(util::Rng& rng) {
     t.home_address = blocks[bi].prefix.at(rng.uniform(blocks[bi].prefix.size()));
     t.mode6_responder = rng.chance(rest_mode6_p);
     if (t.mode6_responder) {
-      t.version_fix_week = static_cast<std::int16_t>(
-          sample_version_fix_week(1.0, rng.uniform01(), 40));
+      t.version_fix_week =
+          static_cast<std::int16_t>(version_curve.fix_week(rng.uniform01()));
     }
     traits_.push_back(t);
   }
