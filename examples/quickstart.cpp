@@ -7,9 +7,10 @@
 //   4. Classify every table entry with the paper's §4.2 filter and compute
 //      the amplifier's on-wire bandwidth amplification factor.
 //
-// Build & run:  ./build/examples/quickstart
+// Build & run:  ./build/examples/quickstart   (it takes no arguments)
 #include <cstdio>
 
+#include "example_args.h"
 #include "core/amplifiers.h"
 #include "core/monlist_analysis.h"
 #include "ntp/server.h"
@@ -17,7 +18,9 @@
 
 using namespace gorilla;
 
-int main() {
+int main(int argc, char** argv) {
+  examples::read_example_args(argc, argv, {}, /*accepted=*/0);
+
   // 1. One ntpd at 10.1.2.3 with monlist enabled (the vulnerable default
   //    of pre-4.2.7 ntpd).
   ntp::NtpServerConfig config;
