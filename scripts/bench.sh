@@ -17,10 +17,13 @@
 # fig03 RSS regressions against the latest peak_rss_kb.
 #
 # The replay column is the simulate-once/analyze-many headline: every
-# analysis after the first skips world build + simulation entirely.
+# analysis after the first skips the simulation (attack days, seeding and
+# probes); it still builds the World for its registry and PBL.
 #
 # Usage: scripts/bench.sh [build-dir [bench ...]]   (default: build, and
-#        the four benches above)
+#        the four benches above). The build directory may belong to another
+#        checkout: its CMakeCache.txt names the sources that lint times, and
+#        the run is appended to this checkout's BENCH_engine.json.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -29,6 +32,15 @@ build_dir="${1:-build}"
 bench_dir="$build_dir/bench"
 if [[ ! -d "$bench_dir" ]]; then
   echo "bench.sh: $bench_dir not found — configure and build first" >&2
+  exit 2
+fi
+# The checkout the build was configured from: lint times its sources, so a
+# run against another checkout's build times that checkout's code.
+root="$(sed -n 's/^CMAKE_HOME_DIRECTORY:INTERNAL=//p' \
+  "$build_dir/CMakeCache.txt" 2>/dev/null || true)"
+if [[ -z "$root" || ! -d "$root/src" ]]; then
+  echo "bench.sh: no source root (CMAKE_HOME_DIRECTORY) in" \
+       "$build_dir/CMakeCache.txt" >&2
   exit 2
 fi
 
@@ -163,20 +175,22 @@ for bench in "${benches[@]}"; do
       \"identical_stdout\": true }"
 done
 
-# Lint timing: the v2 analyzer over src+tools, cold cache then warm cache
-# (warm hits skip lexing and per-file rules; only the graph passes re-run).
-# Rides in the same run object so analyzer throughput is tracked alongside
-# engine throughput.
+# Lint timing: the v2 analyzer over the build's src+tools, cold cache then
+# warm cache (warm hits skip lexing and per-file rules; only the graph
+# passes re-run). Rides in the same run object so analyzer throughput is
+# tracked alongside engine throughput.
 lint_bin="$build_dir/tools/gorilla_lint/gorilla_lint"
 lint_json="null"
 if [[ -x "$lint_bin" ]]; then
   echo "== gorilla_lint =="
   rm -f "$work/lint.cache"
   lint_cold_s=$(time_to "$work/lint.cold.txt" \
-    "$lint_bin" --jobs "$jobs" --cache "$work/lint.cache" src tools)
+    "$lint_bin" --jobs "$jobs" --cache "$work/lint.cache" "$root/src" \
+    "$root/tools")
   echo "   cold cache      ${lint_cold_s}s"
   lint_warm_s=$(time_to "$work/lint.warm.txt" \
-    "$lint_bin" --jobs "$jobs" --cache "$work/lint.cache" src tools)
+    "$lint_bin" --jobs "$jobs" --cache "$work/lint.cache" "$root/src" \
+    "$root/tools")
   echo "   warm cache      ${lint_warm_s}s"
   lint_files=$(grep -o 'in [0-9]* files' "$work/stderr.log" |
     tail -1 | grep -o '[0-9]*' || echo 0)
