@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <limits>
 #include <vector>
 
 #include "util/rng.h"
