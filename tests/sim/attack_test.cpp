@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <set>
 
+#include "sim/sharded_executor.h"
 #include "study/bus.h"
 #include "study/collector_sink.h"
+#include "util/crc32.h"
+#include "util/thread_pool.h"
 
 namespace gorilla::sim {
 namespace {
@@ -16,6 +20,36 @@ WorldConfig tiny_config() {
   cfg.scale = 200;
   cfg.registry.num_ases = 2000;
   return cfg;
+}
+
+/// CRC-32 over every detailed server's monitor table, dumped at a fixed
+/// time: holds each table's entries, counts and times byte for byte.
+std::uint32_t monitor_tables_crc(const World& world) {
+  constexpr util::SimTime kDumpAt = 110 * util::kSecondsPerDay;
+  util::Crc32 crc;
+  auto feed = [&crc](std::uint32_t v) {
+    const std::array<std::uint8_t, 4> le{
+        static_cast<std::uint8_t>(v), static_cast<std::uint8_t>(v >> 8),
+        static_cast<std::uint8_t>(v >> 16), static_cast<std::uint8_t>(v >> 24)};
+    crc.update(le);
+  };
+  for (std::uint32_t i = 0; i < world.servers().size(); ++i) {
+    const ntp::NtpServer* server = world.detailed(i);
+    if (server == nullptr) continue;
+    const auto entries = server->monitor().dump(kDumpAt, net::Ipv4Address{});
+    feed(i);
+    feed(static_cast<std::uint32_t>(entries.size()));
+    for (const auto& e : entries) {
+      feed(e.address.value());
+      feed(e.avg_interval);
+      feed(e.last_seen);
+      feed(e.count);
+      feed(e.port);
+      feed(e.mode);
+      feed(e.version);
+    }
+  }
+  return crc.value();
 }
 
 TEST(AttackIntensityTest, FollowsPaperArc) {
@@ -221,6 +255,28 @@ TEST_F(AttackEngineTest, RunDaysMatchesPerDayLoop) {
   const double window_bytes = static_cast<double>(e1.totals().response_bytes);
   const double daily_bytes = static_cast<double>(e2.totals().response_bytes);
   EXPECT_NEAR(window_bytes / daily_bytes, 1.0, 0.01);
+}
+
+TEST_F(AttackEngineTest, ImpairedWindowMonitorTablesArePinned) {
+  // Lost triggers thin each amplifier's delivered count, the scripted OVH
+  // campaign (days 101-103) writes to the FRGP amplifiers, and sampling
+  // with replacement writes twice to an amplifier listed twice: all of it
+  // reaches the tables. The constant holds those writes, inline and on a
+  // 4-thread executor alike.
+  constexpr std::uint32_t kPinnedCrc = 0x00ab8401u;
+  AttackEngineConfig cfg;
+  cfg.impairment.seed = 0x1d5eedULL;
+  cfg.impairment.request_loss = 0.3;
+  auto run = [&cfg, this](util::ThreadPool* pool) {
+    World world(tiny_config());
+    AttackEngine engine(world, cfg, no_sinks_);
+    ShardedExecutor executor(pool);
+    engine.run_days(98, 106, &executor);
+    return monitor_tables_crc(world);
+  };
+  util::ThreadPool pool(4);
+  EXPECT_EQ(run(nullptr), kPinnedCrc);
+  EXPECT_EQ(run(&pool), kPinnedCrc);
 }
 
 TEST_F(AttackEngineTest, OvhVictimsStayInsideTheAnalogueBlocks) {
