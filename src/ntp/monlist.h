@@ -51,24 +51,6 @@ struct MonitorSlot {
   util::SimTime last_seen = 0;
 };
 
-/// One buffered observe_many() call — a day shard's unit of monitor-table
-/// mutation. Day shards record these instead of touching the table; the
-/// ordered merge posts them in day order to the table's apply lane
-/// (DESIGN.md §3d), so per-table LRU evolution matches the sequential
-/// engine exactly.
-struct MonitorObservation {
-  net::Ipv4Address address;
-  std::uint16_t port = 0;
-  std::uint8_t mode = 0;
-  std::uint8_t version = 4;
-  std::uint64_t count = 0;
-  util::SimTime first = 0;
-  util::SimTime last = 0;
-};
-
-/// A day shard's ordered observation batch against one table.
-using MonitorDelta = std::vector<MonitorObservation>;
-
 /// The MRU monitor table. All mutation is via observe(); dumping produces
 /// the wire-format entries, most-recently-seen first (ntpd dump order).
 ///
@@ -107,18 +89,6 @@ class MonitorTable {  // LINT-COMPACT
                     std::uint8_t mode, std::uint8_t version,
                     std::uint64_t packet_count, util::SimTime first,
                     util::SimTime last);
-
-  /// Applies one buffered observation — exactly observe_many() with the
-  /// recorded arguments.
-  void apply(const MonitorObservation& obs) {
-    observe_many(obs.address, obs.port, obs.mode, obs.version, obs.count,
-                 obs.first, obs.last);
-  }
-
-  /// Applies a day shard's batch in recorded order.
-  void apply_delta(const MonitorDelta& delta) {
-    for (const auto& obs : delta) apply(obs);
-  }
 
   /// Renders wire entries as of `now`, most recent first. avg_interval is
   /// (last_seen - first_seen) / (count - 1) (0 when count <= 1); last_seen

@@ -1,8 +1,8 @@
 #include "sim/attack.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
+#include <memory>
 #include <unordered_map>
 
 #include "net/ethernet.h"
@@ -36,32 +36,32 @@ double lerp(double a, double b, double t) noexcept {
   return a + (b - a) * std::clamp(t, 0.0, 1.0);
 }
 
+/// The spoofed triggers of `rec` that reach amplifier `amp_index` in
+/// `week`: lost ones leave no monitor-table evidence and elicit no
+/// response. Pure, so the apply lanes recompute what apply() computed.
+std::uint64_t triggers_reaching(const ImpairmentLayer& impairment,
+                                const AttackRecord& rec,
+                                std::uint32_t amp_index, int week) noexcept {
+  return impairment.enabled()
+             ? impairment.delivered_requests(amp_index, week,
+                                             rec.triggers_per_amplifier)
+             : rec.triggers_per_amplifier;
+}
+
 }  // namespace
 
 /// Mutable worker-side state for one simulated day. Everything here is
-/// owned by the shard: its RNG substream, its result buffers, and the
-/// bookkeeping that replaces live reads of shared mutable state (monitor
-/// sizes, booter target lists).
+/// owned by the shard: its RNG substream, its result, and the bookkeeping
+/// that replaces live reads of shared mutable state (monitor sizes).
 struct AttackEngine::DayShard {
   util::Rng rng;
   DayShardResult result;
-  /// server index -> slot in result.monitor_deltas (first-touch order).
-  std::unordered_map<std::uint32_t, std::size_t> delta_slot;
   /// Distinct (server, victim) keys observed this day, and the per-server
   /// count of them — the shard-local overlay on the snapshot size.
   std::unordered_map<std::uint64_t, char> seen_keys;
   std::unordered_map<std::uint32_t, std::uint32_t> new_keys;
 
   explicit DayShard(util::Rng day_rng) : rng(day_rng) {}
-
-  ntp::MonitorDelta& delta_for(std::uint32_t server_index) {
-    const auto [it, inserted] =
-        delta_slot.try_emplace(server_index, result.monitor_deltas.size());
-    if (inserted) {
-      result.monitor_deltas.emplace_back(server_index, ntp::MonitorDelta{});
-    }
-    return result.monitor_deltas[it->second].second;
-  }
 
   /// Records a victim key on a server; returns the estimated distinct-entry
   /// count (snapshot + this shard's additions, current key included).
@@ -371,9 +371,9 @@ void AttackEngine::apply(AttackRecord& rec, int day, const DayWindowPlan& plan,
       std::max<std::uint64_t>(1, static_cast<std::uint64_t>(pps * duration));
 
   // Pass 1: per-amplifier offered volume (bounded by each amplifier's
-  // uplink). Monitor-table evidence is *buffered* as a per-server delta —
-  // the spoofed triggers always arrive regardless of what the victim can
-  // absorb — and applied on the calling thread during the ordered merge.
+  // uplink). The monitor-table evidence of the delivered triggers (they
+  // arrive regardless of what the victim can absorb) is not written here:
+  // consume_day() rebuilds it from the record on the apply lanes.
   struct AmpEmission {
     const ntp::NtpServer* server = nullptr;
     std::uint64_t bytes = 0;
@@ -390,22 +390,12 @@ void AttackEngine::apply(AttackRecord& rec, int day, const DayWindowPlan& plan,
   std::uint64_t total_delivered_triggers = 0;
   const World& world = world_;  // const view: workers never mutate the world
   for (const auto amp_index : rec.amplifiers) {
-    // Spoofed triggers cross a lossy network too: only the delivered ones
-    // leave monitor-table evidence or elicit a response.
     const std::uint64_t delivered_triggers =
-        impairment_.enabled()
-            ? impairment_.delivered_requests(amp_index, week,
-                                             rec.triggers_per_amplifier)
-            : rec.triggers_per_amplifier;
+        triggers_reaching(impairment_, rec, amp_index, week);
     total_delivered_triggers += delivered_triggers;
     if (delivered_triggers == 0) continue;
     const auto* server = world.detailed(amp_index);
     if (server == nullptr) continue;
-    shard.delta_for(amp_index)
-        .push_back(ntp::MonitorObservation{
-            rec.victim, rec.victim_port,
-            static_cast<std::uint8_t>(ntp::Mode::kPrivate), ntp::kNtpVersion,
-            delivered_triggers, rec.start, rec.end});
 
     // Non-primed dumps return however many entries the table holds; the
     // shard estimates that as the window-start snapshot plus the distinct
@@ -699,29 +689,6 @@ AttackEngine::DayShardResult AttackEngine::simulate_day(
 
 void AttackEngine::consume_day(DayShardResult& result,
                                ShardedExecutor::Lanes& lanes) {
-  // Monitor deltas leave for the apply lanes (DESIGN.md §3d rule 4), one
-  // batch per lane per day: a server always maps to the same lane and days
-  // are posted in ascending order, so each table sees its deltas in the
-  // sequential engine's chronological order. Nothing reads a table until
-  // the caller joins the lanes; the bus events and record folds below
-  // touch disjoint state (collectors, engine totals).
-  std::array<MonitorBatch, ShardedExecutor::kLanes> batches;
-  for (auto& entry : result.monitor_deltas) {
-    batches[entry.first % ShardedExecutor::kLanes].push_back(std::move(entry));
-  }
-  result.monitor_deltas.clear();
-  for (std::size_t lane = 0; lane < batches.size(); ++lane) {
-    if (batches[lane].empty()) continue;
-    MonitorBatch batch = std::move(batches[lane]);
-    lanes.post(lane, [this, deltas = std::move(batch)] {
-      for (const auto& [server_index, delta] : deltas) {
-        if (auto* server = world_.detailed(server_index)) {
-          server->monitor().apply_delta(delta);
-        }
-      }
-    });
-  }
-  result.events.replay_into(*sink_);
   for (std::size_t i = 0; i < result.records.size(); ++i) {
     const auto& rec = result.records[i];
     ++totals_.ntp_attacks;
@@ -733,6 +700,38 @@ void AttackEngine::consume_day(DayShardResult& result,
       ++attacks_per_booter_[rec.booter_id];
     }
   }
+  // The day's monitor writes are derived from its records on the apply
+  // lanes (DESIGN.md §3d rule 4). Each lane walks every record in order,
+  // and each record's amplifiers in order, and writes only the servers on
+  // that lane: a server always maps to the same lane and days are posted
+  // in ascending order, so each table sees the sequential engine's
+  // chronological order. The lanes are posted before the replay so their
+  // writes overlap it; nothing reads a table until the caller joins the
+  // lanes, and the replay touches disjoint state (collectors).
+  if (!result.records.empty()) {
+    auto records = std::make_shared<const std::vector<AttackRecord>>(
+        std::move(result.records));
+    const int week = week_of_day(result.day);
+    for (std::size_t lane = 0; lane < ShardedExecutor::kLanes; ++lane) {
+      lanes.post(lane, [this, records, week, lane] {
+        for (const auto& rec : *records) {
+          for (const auto amp_index : rec.amplifiers) {
+            if (amp_index % ShardedExecutor::kLanes != lane) continue;
+            const std::uint64_t delivered =
+                triggers_reaching(impairment_, rec, amp_index, week);
+            if (delivered == 0) continue;
+            if (auto* server = world_.detailed(amp_index)) {
+              server->monitor().observe_many(
+                  rec.victim, rec.victim_port,
+                  static_cast<std::uint8_t>(ntp::Mode::kPrivate),
+                  ntp::kNtpVersion, delivered, rec.start, rec.end);
+            }
+          }
+        }
+      });
+    }
+  }
+  result.events.replay_into(*sink_);
 }
 
 std::vector<AttackRecord> AttackEngine::run_day(int day) {

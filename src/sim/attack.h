@@ -13,10 +13,10 @@
 //
 // Parallel execution (DESIGN.md §3d): every day is a pure function of
 // (seed, day) — its RNG is a splitmix substream derived from the day index,
-// and all its bus emissions and monitor-table mutations are buffered into a
-// DayShardResult on the worker, then merged on the calling thread in
-// ascending day order: events replay into the sink there, and each day's
-// monitor deltas go to the executor's apply lanes, keyed by server.
+// and its records and bus emissions are buffered into a DayShardResult on
+// the worker, then merged on the calling thread in ascending day order:
+// events replay into the sink there, and the executor's apply lanes, keyed
+// by server, derive each day's monitor-table writes from its records.
 // run_days() fans whole days out over a ShardedExecutor; output is
 // bit-identical for any --jobs value.
 #pragma once
@@ -25,7 +25,6 @@
 #include <utility>
 #include <vector>
 
-#include "ntp/monlist.h"
 #include "sim/impairment.h"
 #include "sim/sharded_executor.h"
 #include "sim/world.h"
@@ -177,9 +176,9 @@ class AttackEngine {
 
   /// Runs days [from, to) as independent day shards. With a (multi-job)
   /// `executor`, days simulate in parallel on workers — each buffering its
-  /// bus emissions and monitor-table deltas — and merge on the calling
-  /// thread in ascending day order, bit-identical to the inline path for
-  /// any job count. When `scans` is given, each day's scan traffic joins
+  /// records and bus emissions — and merge on the calling thread in
+  /// ascending day order, bit-identical to the inline path for any job
+  /// count. When `scans` is given, each day's scan traffic joins
   /// that day's shard (events ordered after the attack events, matching the
   /// sequential per-day interleave); `darknet_geometry`/`vantage_geometry`
   /// are consulted for geometry only, as in ScanTraffic::run_day.
@@ -212,18 +211,16 @@ class AttackEngine {
 
  private:
   /// Everything one day shard produced on a worker thread: ground-truth
-  /// records (scripted prefix first), buffered bus events and buffered
-  /// monitor-table deltas (per amplifier, first-touch order).
+  /// records (scripted prefix first) and buffered bus events.
   /// consume_day() folds it into the engine on the calling thread and hands
-  /// the deltas to the apply lanes.
-  using MonitorBatch =
-      std::vector<std::pair<std::uint32_t, ntp::MonitorDelta>>;
+  /// the records to the apply lanes, which derive the day's monitor-table
+  /// writes from them (each record leaves its victim in every amplifier
+  /// its triggers reach).
   struct DayShardResult {
     int day = 0;
     std::size_t scripted_count = 0;  ///< scripted prefix of `records`
     std::vector<AttackRecord> records;
     study::EventBuffer events;
-    MonitorBatch monitor_deltas;
   };
 
   /// Shared inputs every day shard in a window reads; immutable while the
@@ -247,9 +244,9 @@ class AttackEngine {
   /// Pure in (seed, day, plan): the worker-side half of a day.
   [[nodiscard]] DayShardResult simulate_day(int day,
                                             const DayWindowPlan& plan) const;
-  /// Calling-thread half: posts the deltas to `lanes` (keyed by server),
-  /// replays events, merges state. The caller joins `lanes` before any
-  /// monitor table is read.
+  /// Calling-thread half: merges state, posts the records' monitor writes
+  /// to `lanes` (keyed by server), replays events. Consumes the records.
+  /// The caller joins `lanes` before any monitor table is read.
   void consume_day(DayShardResult& result, ShardedExecutor::Lanes& lanes);
 
   std::uint32_t pick_booter(util::Rng& rng) const;

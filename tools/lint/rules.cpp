@@ -450,11 +450,11 @@ void rule_worker_capture(SourceFile& f, Sink& sink) {
 /// shard-mutation: a write through a by-reference capture inside a worker
 /// lambda, where the captured variable is not one of the sanctioned
 /// shard-result types. Workers must buffer their output (EventBuffer,
-/// MonitorDelta, DayShardResult) and hand it to the calling thread; any
-/// other shared write is a determinism race waiting for a second job.
+/// DayShardResult) and hand it to the calling thread; any other shared
+/// write is a determinism race waiting for a second job.
 void rule_shard_mutation(SourceFile& f, Sink& sink) {
-  static const std::set<std::string> kSanctioned = {
-      "EventBuffer", "MonitorDelta", "DayShardResult"};
+  static const std::set<std::string> kSanctioned = {"EventBuffer",
+                                                    "DayShardResult"};
   const std::set<std::string> sanctioned_names =
       names_with_declared_type(f, kSanctioned);
   static const char* const kMutators =
@@ -488,8 +488,8 @@ void rule_shard_mutation(SourceFile& f, Sink& sink) {
             "shard-mutation",
             "worker lambda writes through by-reference capture '" + name +
                 "'; shard output must be buffered in EventBuffer/"
-                "MonitorDelta/DayShardResult and merged on the calling "
-                "thread (DESIGN.md §3d rule 2)");
+                "DayShardResult and merged on the calling thread "
+                "(DESIGN.md §3d rule 2)");
       }
     }
   }
