@@ -24,7 +24,7 @@
 #      A regional leg does the same for a fig13 --scale 40 window.
 #   8. Compaction gate: the fig03 --quick --scale 4 artifact must fit an
 #      absolute byte budget, with replay stdout byte-identical to the live
-#      run at --jobs 1 and 3 (DESIGN.md §3i).
+#      run (DESIGN.md §3i).
 #
 # Usage: scripts/check.sh [--fast]
 #   --fast   skip the sanitizer passes (release build + tests + lint only)
@@ -151,9 +151,10 @@ replay_leg() {
 # Compaction gate (runs in --fast mode too): the fig03 --quick --scale 4
 # artifact must stay within an absolute byte budget — 60% of the
 # 925,992,536 B the same study took in the retired uncompressed v2 format
-# — and replaying it at --jobs 1 and --jobs 3 must reproduce the live
-# stdout byte-for-byte: the format is pure compaction, never a semantic
-# change (DESIGN.md §3i).
+# — and replaying it must reproduce the live stdout byte-for-byte: the
+# format is pure compaction, never a semantic change (DESIGN.md §3i). One
+# replay suffices: a replay is one streaming decode that never uses the
+# --jobs pool, so a second --jobs value would re-run identical code.
 compaction_gate() {
   echo "== [compaction] fig03 --scale 4 artifact byte budget + replay gate =="
   local work
@@ -167,17 +168,14 @@ compaction_gate() {
     echo "check.sh: FAIL — fig03 artifact exceeds its byte budget" >&2
     exit 1
   fi
-  local j
-  for j in 1 3; do
-    ./build/release/bench/fig03_amplifier_counts --quick --scale 4 \
-      --replay "$work/v3.study" --jobs "$j" >"$work/replay$j.txt"
-    if ! cmp -s "$work/live.txt" "$work/replay$j.txt"; then
-      echo "check.sh: FAIL — replay at --jobs $j differs from the live" \
-           "stdout (see $work)" >&2
-      exit 1
-    fi
-  done
-  echo "   replay stdout byte-identical to live at --jobs 1 and 3"
+  ./build/release/bench/fig03_amplifier_counts --quick --scale 4 \
+    --replay "$work/v3.study" >"$work/replay.txt"
+  if ! cmp -s "$work/live.txt" "$work/replay.txt"; then
+    echo "check.sh: FAIL — replay stdout differs from the live stdout" \
+         "(see $work)" >&2
+    exit 1
+  fi
+  echo "   replay stdout byte-identical to live"
   rm -rf "$work"
 }
 
