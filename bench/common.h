@@ -159,6 +159,12 @@ struct StudyPipeline {
     return shape_;
   }
 
+  /// The executor run() shards on under --jobs N (N > 1); null otherwise.
+  /// Post-run probers take it through Prober::set_executor.
+  [[nodiscard]] sim::ShardedExecutor* executor() const noexcept {
+    return executor_.get();
+  }
+
  private:
   StudyPipeline(const study::StudyHeader& shape, const Options& opt);
   void simulate(study::EventBus& bus,

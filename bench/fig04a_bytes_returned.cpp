@@ -23,6 +23,7 @@ int run(const bench::Options& opt) {
 
   // Version pass: aggregate per-IP bytes over the nine version samples.
   scan::Prober vprober(*pipeline.world, net::Ipv4Address(198, 51, 100, 7));
+  vprober.set_executor(pipeline.executor());
   std::map<std::uint32_t, std::pair<std::uint64_t, std::uint32_t>> vbytes;
   const int vweeks = opt.quick ? 3 : 9;
   for (int vweek = 0; vweek < vweeks; ++vweek) {

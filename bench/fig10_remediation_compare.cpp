@@ -29,6 +29,7 @@ int run(const bench::Options& opt) {
     monlist_counts.push_back(row.ips);
   }
   scan::Prober vprober(*pipeline.world, net::Ipv4Address(198, 51, 100, 7));
+  vprober.set_executor(pipeline.executor());
   std::vector<std::uint64_t> version_counts;
   for (int vweek = 0; vweek < (opt.quick ? 4 : 9); ++vweek) {
     version_counts.push_back(

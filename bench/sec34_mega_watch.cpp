@@ -44,6 +44,7 @@ int run(const bench::Options& opt) {
 
   // Twice-daily probes April 2 (day 152) - June 13 (day 224).
   scan::Prober watcher(*pipeline.world, net::Ipv4Address(198, 51, 100, 9));
+  watcher.set_executor(pipeline.executor());
   util::TextTable table({"date", "responders", "mega replies (>5MB)"});
   std::map<std::uint32_t, std::uint64_t> big_repliers;  // server -> max bytes
   std::map<std::uint32_t, int> big_reply_samples;

@@ -10,9 +10,10 @@
 #      the crash-safety paths — torn writes, CRC-failed and truncated loads
 #      refused with a diagnosis, injected shard failures — exercise exactly
 #      the error-handling branches sanitizers are best at auditing.
-#   5. TSan build of the engine/thread-pool tests; the sharded executor's
-#      worker-thread discipline (DESIGN.md §3d) is vetted under
-#      ThreadSanitizer even on hosts where thread speedup is impossible.
+#   5. TSan build of the engine/thread-pool tests and the sharded prober
+#      passes (rate budget included); the sharded executor's worker-thread
+#      discipline (DESIGN.md §3d) is vetted under ThreadSanitizer even on
+#      hosts where thread speedup is impossible.
 #   6. Memory gate: fig03 at --scale 40, failing when its peak RSS
 #      regresses >10% against the latest fig03 peak_rss_kb recorded in
 #      BENCH_engine.json (scripts/bench.sh writes it). Skipped with a note
@@ -198,7 +199,7 @@ ctest --preset asan-ubsan -j "$jobs"
 echo "== [4/6] fault-injection suite under ASan+UBSan =="
 ctest --test-dir build/asan-ubsan -L fault --output-on-failure
 
-echo "== [5/6] TSan build + engine/thread-pool tests =="
+echo "== [5/6] TSan build + engine/thread-pool/prober tests =="
 cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j "$jobs"
 ctest --preset tsan -j "$jobs"

@@ -5,10 +5,10 @@
 // levels, which requires longest-prefix matching over the synthetic registry.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <vector>
 
 #include "net/ipv4.h"
 
@@ -48,59 +48,14 @@ class PrefixTrie {
     return best;
   }
 
-  /// The most specific covering *prefix* itself (with its value).
-  [[nodiscard]] std::optional<std::pair<Prefix, T>> lookup_entry(
-      Ipv4Address addr) const {
-    const Node* node = root_.get();
-    std::optional<std::pair<Prefix, T>> best;
-    if (node->value.has_value()) best = {Prefix{addr, 0}, *node->value};
-    const std::uint32_t bits = addr.value();
-    for (int depth = 0; depth < 32 && node; ++depth) {
-      const int bit = (bits >> (31 - depth)) & 1;
-      node = node->children[bit].get();
-      if (node && node->value.has_value())
-        best = {Prefix{addr, depth + 1}, *node->value};
-    }
-    return best;
-  }
-
-  /// Exact-prefix value; nullopt unless that exact prefix was inserted.
-  [[nodiscard]] std::optional<T> exact(const Prefix& prefix) const {
-    const Node* node = root_.get();
-    const std::uint32_t bits = prefix.base().value();
-    for (int depth = 0; depth < prefix.length(); ++depth) {
-      const int bit = (bits >> (31 - depth)) & 1;
-      node = node->children[bit].get();
-      if (!node) return std::nullopt;
-    }
-    return node->value;
-  }
-
   /// Number of distinct prefixes stored.
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
-
-  /// Visits every (prefix, value) pair in lexicographic (DFS) order.
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    walk(root_.get(), 0u, 0, fn);
-  }
 
  private:
   struct Node {
     std::optional<T> value;
     std::unique_ptr<Node> children[2];
   };
-
-  template <typename Fn>
-  static void walk(const Node* node, std::uint32_t bits, int depth, Fn& fn) {
-    if (!node) return;
-    if (node->value.has_value()) {
-      fn(Prefix{Ipv4Address{bits}, depth}, *node->value);
-    }
-    if (depth == 32) return;
-    walk(node->children[0].get(), bits, depth + 1, fn);
-    walk(node->children[1].get(), bits | (1u << (31 - depth)), depth + 1, fn);
-  }
 
   std::unique_ptr<Node> root_;
   std::size_t size_ = 0;

@@ -69,14 +69,15 @@ Prober::Prober(sim::World& world, net::Ipv4Address source,
 void Prober::roll_window(int week) {
   if (week == window_week_) return;
   window_week_ = week;
-  responses_used_.clear();
+  if (impairment_.enabled() &&
+      impairment_.config().rate_limit_per_window != 0) {
+    responses_used_.assign(world_.servers().size(), 0);
+  }
 }
 
 bool Prober::consume_rate_budget(std::uint32_t server_index) {
-  if (!impairment_.enabled() ||
-      impairment_.config().rate_limit_per_window == 0) {
-    return false;
-  }
+  // True only when the layer is on and sets a window: roll_window sized the
+  // slots.
   if (!impairment_.is_rate_limiter(server_index)) return false;
   auto& used = responses_used_[server_index];
   if (impairment_.rate_limited(server_index, used)) return true;
@@ -195,27 +196,20 @@ template <class Observation, class Targets, class Summary, class ProbeOne,
           class Visit>
 void Prober::probe_indices(const Targets& targets, Summary& summary,
                            ProbeOne probe_one, const Visit& visit) {
-  // The rate-limit window is the one piece of shared mutable state in a
-  // pass (responses_used_); those passes stay on the sequential loop.
-  const bool shared_window =
-      impairment_.enabled() && impairment_.config().rate_limit_per_window != 0;
-  if (executor_ == nullptr || executor_->jobs() <= 1 || shared_window) {
-    Observation obs;  // reused across visits
-    for (const auto index : targets) {
-      if (probe_one(index, summary, obs)) visit(obs);
-    }
-    return;
-  }
   // Chunks are a fixed size regardless of job count, each target touches
-  // only its own server, and chunk results are consumed on this thread in
-  // ascending order — so visit order, summary, and every server's state
-  // come out bit-identical to the sequential loop.
+  // only its own server (its monitor table and its rate-budget slot), and
+  // chunk results are consumed on this thread in ascending order — so visit
+  // order, summary, and every server's state come out bit-identical for any
+  // job count, inline included.
   struct ChunkResult {
     Summary partial;
     std::vector<Observation> observations;
   };
   constexpr std::size_t kProbeChunk = 512;
-  executor_->run_ordered(
+  sim::ShardedExecutor inline_executor(nullptr);
+  sim::ShardedExecutor& exec =
+      executor_ != nullptr ? *executor_ : inline_executor;
+  exec.run_ordered(
       static_cast<std::size_t>(targets.size()), kProbeChunk,
       [&targets, &probe_one](std::size_t begin, std::size_t end) {
         ChunkResult r;

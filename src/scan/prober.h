@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "net/packet.h"
@@ -146,21 +145,20 @@ class Prober {
   /// follow-up methodology (twice-daily probes of the ~250K IPs that were
   /// monlist amplifiers in any March sample). `week` selects the
   /// remediation state; `now` stamps the probes. Weeks must be
-  /// non-decreasing across calls.
+  /// non-decreasing across calls, and no index may repeat in one call.
   MonlistSampleSummary probe_targets(
       const std::vector<std::uint32_t>& server_indices, int week,
       util::SimTime now, const MonlistVisitor& visit);
 
   [[nodiscard]] net::Ipv4Address source() const noexcept { return source_; }
 
-  /// Optional parallel engine for every pass, monlist and version alike.
-  /// Each target only mutates its own server's state (monitor-table
-  /// bookkeeping, the identity its first READVAR renders), so fixed-size
-  /// target chunks probe independently on workers while the visitor runs on
-  /// the calling thread in ascending target order — output is bit-identical
-  /// for any job count. Passes that need the shared rate-limit window
-  /// (impairment with rate_limit_per_window > 0) run inline instead. Null
-  /// clears the executor.
+  /// Optional parallel engine for every pass, monlist and version alike,
+  /// rate-limited or not. Each target only mutates its own server's state
+  /// (monitor-table bookkeeping, the identity its first READVAR renders, its
+  /// rate-budget slot), so fixed-size target chunks probe independently on
+  /// workers while the visitor runs on the calling thread in ascending
+  /// target order — output is bit-identical for any job count. Null clears
+  /// the executor: passes then run the same chunks inline.
   void set_executor(sim::ShardedExecutor* executor) noexcept {
     executor_ = executor;
   }
@@ -190,10 +188,12 @@ class Prober {
   /// nothing can dump it after that.
   void apply_due_remediation(int week);
   /// The pass driver: runs `probe_one(index, summary, obs)` over `targets`
-  /// and visits each target it returns true for, in target order. Chunked
-  /// on the executor (DESIGN.md §3d) unless the pass needs the shared
-  /// rate-limit window; each chunk probes with its own copy of
+  /// and visits each target it returns true for, in target order. One
+  /// `run_ordered` over 512-target chunks (DESIGN.md §3d), on the executor
+  /// or inline when none is set; each chunk probes with its own copy of
   /// `probe_one`, which carries the pass's datagram and reply scratch.
+  /// `targets` must not repeat an index: a server's state belongs to the
+  /// one chunk that probes it.
   template <class Observation, class Targets, class Summary, class ProbeOne,
             class Visit>
   void probe_indices(const Targets& targets, Summary& summary,
@@ -202,7 +202,7 @@ class Prober {
   /// handle(), restriction, silence, rate budget, damage and retry, with
   /// `reply(attempt, probe, response, damage)` deciding kAnswered, kRefused
   /// or kLost. Counts retries, rate_limited and probes_lost; touches only
-  /// this target's server and the rate window.
+  /// this target's server and its rate-budget slot.
   template <class Summary, class ReplyStep>
   Outcome run_attempts(std::uint32_t server_index, int week, util::SimTime now,
                        int salt, ntp::NtpServer& server, net::UdpPacket& probe,
@@ -211,7 +211,8 @@ class Prober {
   /// source address and port to the NTP port; destination and time unset.
   [[nodiscard]] net::UdpPacket make_probe(
       std::vector<std::uint8_t> request_wire) const;
-  /// Resets the rate-limit window when the pass moves to a new week.
+  /// Resets the rate-limit window when the pass moves to a new week: sizes
+  /// and zeroes `responses_used_` when the impairment sets a window.
   void roll_window(int week);
   /// True when the server's response budget for this window is spent;
   /// consumes one unit otherwise (no-op unless the server rate limits).
@@ -225,10 +226,12 @@ class Prober {
   sim::ShardedExecutor* executor_ = nullptr;
   int remediation_applied_week_ = -1;
   // Rate-limit window state: responses each limiting server has answered
-  // this window (a sample week). The prober tracks this client-side the way
-  // the real ONP would infer it — the oracle itself is stateless.
+  // this window (a sample week), one slot per server, empty unless the
+  // impairment sets a window. The prober tracks this client-side the way
+  // the real ONP would infer it — the oracle itself is stateless. A slot is
+  // written only by the chunk that probes its server.
   int window_week_ = -1 << 30;
-  std::unordered_map<std::uint32_t, std::uint32_t> responses_used_;
+  std::vector<std::uint32_t> responses_used_;
 };
 
 }  // namespace gorilla::scan

@@ -8,9 +8,7 @@ namespace gorilla::telemetry {
 
 FlowCollector::FlowCollector(std::string name,
                              std::vector<net::Prefix> local_prefixes)
-    : name_(std::move(name)), prefixes_(std::move(local_prefixes)) {
-  for (const auto& p : prefixes_) local_.insert(p, true);
-}
+    : name_(std::move(name)), prefixes_(std::move(local_prefixes)) {}
 
 Direction FlowCollector::direction(const FlowRecord& f) const {
   const bool src_local = is_local(f.src);

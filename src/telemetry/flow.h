@@ -6,13 +6,13 @@
 // reports — the raw material of Figures 11-16 and Tables 5-6.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
 
 #include "net/ipv4.h"
-#include "net/prefix_trie.h"
 #include "util/time.h"
 
 namespace gorilla::telemetry {
@@ -63,8 +63,11 @@ class FlowCollector {
     return prefixes_;
   }
 
+  /// True when a local prefix covers `a`. Every vantage covers one prefix
+  /// or a few, so a scan beats a trie walk.
   [[nodiscard]] bool is_local(net::Ipv4Address a) const {
-    return local_.lookup(a).value_or(false);
+    return std::ranges::any_of(
+        prefixes_, [a](const net::Prefix& p) { return p.contains(a); });
   }
 
   [[nodiscard]] Direction direction(const FlowRecord& f) const;
@@ -92,7 +95,6 @@ class FlowCollector {
  private:
   std::string name_;
   std::vector<net::Prefix> prefixes_;
-  net::PrefixTrie<bool> local_;
   std::vector<FlowRecord> flows_;
 };
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "util/rng.h"
 
 namespace gorilla::net {
@@ -51,38 +54,6 @@ TEST(PrefixTrieTest, HostRoute) {
   trie.insert(Prefix(Ipv4Address(8, 8, 8, 8), 32), 7);
   EXPECT_EQ(trie.lookup(Ipv4Address(8, 8, 8, 8)), 7);
   EXPECT_FALSE(trie.lookup(Ipv4Address(8, 8, 8, 9)));
-}
-
-TEST(PrefixTrieTest, LookupEntryReportsPrefixLength) {
-  PrefixTrie<int> trie;
-  trie.insert(Prefix(Ipv4Address(10, 0, 0, 0), 8), 1);
-  trie.insert(Prefix(Ipv4Address(10, 1, 0, 0), 16), 2);
-  const auto entry = trie.lookup_entry(Ipv4Address(10, 1, 2, 3));
-  ASSERT_TRUE(entry);
-  EXPECT_EQ(entry->first.length(), 16);
-  EXPECT_EQ(entry->second, 2);
-}
-
-TEST(PrefixTrieTest, ExactRequiresExactPrefix) {
-  PrefixTrie<int> trie;
-  trie.insert(Prefix(Ipv4Address(10, 0, 0, 0), 8), 1);
-  EXPECT_EQ(trie.exact(Prefix(Ipv4Address(10, 0, 0, 0), 8)), 1);
-  EXPECT_FALSE(trie.exact(Prefix(Ipv4Address(10, 0, 0, 0), 9)));
-  EXPECT_FALSE(trie.exact(Prefix(Ipv4Address(10, 0, 0, 0), 7)));
-}
-
-TEST(PrefixTrieTest, ForEachVisitsAllInOrder) {
-  PrefixTrie<int> trie;
-  trie.insert(Prefix(Ipv4Address(10, 1, 0, 0), 16), 2);
-  trie.insert(Prefix(Ipv4Address(10, 0, 0, 0), 8), 1);
-  trie.insert(Prefix(Ipv4Address(192, 168, 0, 0), 16), 3);
-  std::vector<std::pair<Prefix, int>> visited;
-  trie.for_each([&](const Prefix& p, int v) { visited.emplace_back(p, v); });
-  ASSERT_EQ(visited.size(), 3u);
-  // DFS order: parent 10/8 before child 10.1/16, both before 192.168/16.
-  EXPECT_EQ(visited[0].second, 1);
-  EXPECT_EQ(visited[1].second, 2);
-  EXPECT_EQ(visited[2].second, 3);
 }
 
 TEST(PrefixTrieTest, DisjointSiblings) {

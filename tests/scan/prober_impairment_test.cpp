@@ -383,54 +383,67 @@ TEST(ProberImpairmentTest, VersionPassRetriesRepliesDestroyedInTransit) {
 TEST(ProberImpairmentTest, ImpairedPassesKeepTheirBytes) {
   // Every fate at once, on a monlist pass and the version pass of the same
   // week (so the two share one rate-limit window), once with a KoD limiter
-  // and once with a silent one. The constants pin every observation field
-  // and every summary counter.
+  // and once with a silent one, inline and on a 4-thread executor: both
+  // passes span many 512-target chunks, so the rate budget is spent on
+  // worker threads. The constants pin every observation field and every
+  // summary counter, for either executor.
   struct Pin {
     bool kod;
     std::uint32_t monlist_crc;
     std::uint32_t version_crc;
   };
-  for (const Pin pin : {Pin{true, 0x9841aad8u, 0x990354bcu},
-                        Pin{false, 0x2f9dce67u, 0xf2127d67u}}) {
-    sim::ImpairmentConfig cfg;
-    cfg.seed = 23;
-    cfg.request_loss = 0.08;
-    cfg.icmp_unreachable_rate = 0.04;
-    cfg.transient_silence_rate = 0.06;
-    cfg.response_packet_loss = 0.1;
-    cfg.response_truncate_rate = 0.05;
-    cfg.response_garble_rate = 0.05;
-    cfg.rate_limiter_fraction = 0.3;
-    cfg.rate_limit_per_window = 1;
-    cfg.rate_limit_kod = pin.kod;
-    sim::World world(tiny_config());
-    Prober prober(world, kProbeSource, ntp::Implementation::kXntpd, cfg);
+  util::ThreadPool pool(4);
+  sim::ShardedExecutor executor(&pool);
+  sim::ShardedExecutor* const executors[] = {nullptr, &executor};
+  for (auto* exec : executors) {
+    for (const Pin pin : {Pin{true, 0x9841aad8u, 0x990354bcu},
+                          Pin{false, 0x2f9dce67u, 0xf2127d67u}}) {
+      sim::ImpairmentConfig cfg;
+      cfg.seed = 23;
+      cfg.request_loss = 0.08;
+      cfg.icmp_unreachable_rate = 0.04;
+      cfg.transient_silence_rate = 0.06;
+      cfg.response_packet_loss = 0.1;
+      cfg.response_truncate_rate = 0.05;
+      cfg.response_garble_rate = 0.05;
+      cfg.rate_limiter_fraction = 0.3;
+      cfg.rate_limit_per_window = 1;
+      cfg.rate_limit_kod = pin.kod;
+      sim::World world(tiny_config());
+      Prober prober(world, kProbeSource, ntp::Implementation::kXntpd, cfg);
+      prober.set_executor(exec);
 
-    Fingerprint monlist;
-    const auto ms = prober.run_monlist_sample(
-        6, [&](const AmplifierObservation& obs) { monlist.add(obs); });
-    monlist.add(ms);
-    Fingerprint version;
-    const auto vs = prober.run_version_sample(
-        0, [&](const VersionObservation& obs) { version.add(obs); });
-    version.add(vs);
+      Fingerprint monlist;
+      const auto ms = prober.run_monlist_sample(
+          6, [&](const AmplifierObservation& obs) { monlist.add(obs); });
+      monlist.add(ms);
+      Fingerprint version;
+      const auto vs = prober.run_version_sample(
+          0, [&](const VersionObservation& obs) { version.add(obs); });
+      version.add(vs);
 
-    EXPECT_GT(ms.retries, 0u);
-    EXPECT_GT(ms.probes_lost, 0u);
-    EXPECT_GT(ms.truncated_tables, 0u);
-    EXPECT_GT(ms.rate_limited, 0u);
-    EXPECT_GT(vs.retries, 0u);
-    EXPECT_GT(vs.probes_lost, 0u);
-    EXPECT_GT(vs.truncated_tables, 0u);
-    EXPECT_GT(vs.rate_limited, 0u);
-    EXPECT_EQ(monlist.value(), pin.monlist_crc) << "kod=" << pin.kod;
-    EXPECT_EQ(version.value(), pin.version_crc) << "kod=" << pin.kod;
+      // Many chunks per pass, so the sharded run spreads the budget.
+      EXPECT_GT(ms.probes_sent, 4u * 512u);
+      EXPECT_GT(ms.retries, 0u);
+      EXPECT_GT(ms.probes_lost, 0u);
+      EXPECT_GT(ms.truncated_tables, 0u);
+      EXPECT_GT(ms.rate_limited, 0u);
+      EXPECT_GT(vs.retries, 0u);
+      EXPECT_GT(vs.probes_lost, 0u);
+      EXPECT_GT(vs.truncated_tables, 0u);
+      EXPECT_GT(vs.rate_limited, 0u);
+      EXPECT_EQ(monlist.value(), pin.monlist_crc)
+          << "kod=" << pin.kod << " sharded=" << (exec != nullptr);
+      EXPECT_EQ(version.value(), pin.version_crc)
+          << "kod=" << pin.kod << " sharded=" << (exec != nullptr);
+    }
   }
 }
 
 TEST(ProberImpairmentTest, VersionPassIsJobCountInvariant) {
-  // No rate limiter, so the pass may run chunked on the executor; the
-  // visit order and the summary must match the inline run exactly.
+  // A clean and a lossy config, neither with a rate limiter (the test
+  // above shards a rate-limited pass): the visit order and the summary on
+  // the executor must match the inline run exactly.
   sim::ImpairmentConfig lossy;
   lossy.seed = 5;
   lossy.request_loss = 0.1;
