@@ -5,7 +5,11 @@
 #include <array>
 #include <cmath>
 #include <set>
+#include <span>
+#include <string_view>
 
+#include "scan/prober.h"
+#include "sim/scanner.h"
 #include "sim/sharded_executor.h"
 #include "study/bus.h"
 #include "study/collector_sink.h"
@@ -22,32 +26,43 @@ WorldConfig tiny_config() {
   return cfg;
 }
 
+/// Feeds `v` to `crc` as four little-endian bytes.
+void feed(util::Crc32& crc, std::uint32_t v) {
+  const std::array<std::uint8_t, 4> le{
+      static_cast<std::uint8_t>(v), static_cast<std::uint8_t>(v >> 8),
+      static_cast<std::uint8_t>(v >> 16), static_cast<std::uint8_t>(v >> 24)};
+  crc.update(le);
+}
+
+/// Feeds `text` to `crc`, length first.
+void feed(util::Crc32& crc, std::string_view text) {
+  feed(crc, static_cast<std::uint32_t>(text.size()));
+  crc.update(std::span(reinterpret_cast<const std::uint8_t*>(text.data()),
+                       text.size()));
+}
+
+/// Feeds one monitor-table row: address, times, count, port, mode, version.
+void feed(util::Crc32& crc, const ntp::MonitorEntry& e) {
+  for (const std::uint32_t v :
+       {e.address.value(), e.avg_interval, e.last_seen, e.count,
+        std::uint32_t{e.port}, std::uint32_t{e.mode},
+        std::uint32_t{e.version}}) {
+    feed(crc, v);
+  }
+}
+
 /// CRC-32 over every detailed server's monitor table, dumped at a fixed
 /// time: holds each table's entries, counts and times byte for byte.
 std::uint32_t monitor_tables_crc(const World& world) {
   constexpr util::SimTime kDumpAt = 110 * util::kSecondsPerDay;
   util::Crc32 crc;
-  auto feed = [&crc](std::uint32_t v) {
-    const std::array<std::uint8_t, 4> le{
-        static_cast<std::uint8_t>(v), static_cast<std::uint8_t>(v >> 8),
-        static_cast<std::uint8_t>(v >> 16), static_cast<std::uint8_t>(v >> 24)};
-    crc.update(le);
-  };
   for (std::uint32_t i = 0; i < world.servers().size(); ++i) {
     const ntp::NtpServer* server = world.detailed(i);
     if (server == nullptr) continue;
     const auto entries = server->monitor().dump(kDumpAt, net::Ipv4Address{});
-    feed(i);
-    feed(static_cast<std::uint32_t>(entries.size()));
-    for (const auto& e : entries) {
-      feed(e.address.value());
-      feed(e.avg_interval);
-      feed(e.last_seen);
-      feed(e.count);
-      feed(e.port);
-      feed(e.mode);
-      feed(e.version);
-    }
+    feed(crc, i);
+    feed(crc, static_cast<std::uint32_t>(entries.size()));
+    for (const auto& e : entries) feed(crc, e);
   }
   return crc.value();
 }
@@ -277,6 +292,71 @@ TEST_F(AttackEngineTest, ImpairedWindowMonitorTablesArePinned) {
   util::ThreadPool pool(4);
   EXPECT_EQ(run(nullptr), kPinnedCrc);
   EXPECT_EQ(run(&pool), kPinnedCrc);
+}
+
+TEST_F(AttackEngineTest, WindowMonitorWritesSettleAtEveryReader) {
+  // The impaired window of ImpairedWindowMonitorTablesArePinned, read three
+  // ways on fresh worlds: a const table read, monitor seeding followed by a
+  // monlist pass, and a version pass (whose remediation clears tables).
+  // Each constant holds what its reader saw, inline and on a 4-thread
+  // executor alike; the engine is gone before seeding and the passes run.
+  constexpr std::uint32_t kPinnedCrc = 0x00ab8401u;
+  constexpr std::uint32_t kSeededMonlistCrc = 0x69ef5709u;
+  constexpr std::uint32_t kVersionPassCrc = 0x0117175au;
+  constexpr int kWeek = 5;  // the window's last sample week
+  const net::Ipv4Address probe_source(198, 51, 100, 7);
+  AttackEngineConfig cfg;
+  cfg.impairment.seed = 0x1d5eedULL;
+  cfg.impairment.request_loss = 0.3;
+  util::ThreadPool pool(4);
+  for (util::ThreadPool* threads : {static_cast<util::ThreadPool*>(nullptr),
+                                    &pool}) {
+    ShardedExecutor executor(threads);
+    auto run_window = [&cfg, &executor, this](World& world) {
+      AttackEngine engine(world, cfg, no_sinks_);
+      engine.run_days(98, 106, &executor);
+    };
+    {
+      World world(tiny_config());
+      run_window(world);
+      EXPECT_EQ(monitor_tables_crc(world), kPinnedCrc);
+    }
+    {
+      World world(tiny_config());
+      run_window(world);
+      ScanTraffic scans(world, ScanTrafficConfig{});
+      scans.seed_monitor_tables(kWeek, &executor);
+      scan::Prober prober(world, probe_source);
+      prober.set_executor(&executor);
+      util::Crc32 crc;
+      const auto summary = prober.run_monlist_sample(
+          kWeek, [&crc](const scan::AmplifierObservation& obs) {
+            feed(crc, obs.server_index);
+            feed(crc, static_cast<std::uint32_t>(obs.response_wire_bytes));
+            feed(crc, static_cast<std::uint32_t>(obs.table.size()));
+            for (const auto& e : obs.table) feed(crc, e);
+          });
+      feed(crc, static_cast<std::uint32_t>(summary.responders));
+      EXPECT_EQ(crc.value(), kSeededMonlistCrc);
+    }
+    {
+      World world(tiny_config());
+      run_window(world);
+      scan::Prober prober(world, probe_source);
+      prober.set_executor(&executor);
+      util::Crc32 crc;
+      const auto summary = prober.run_version_sample(
+          0, [&crc](const scan::VersionObservation& obs) {
+            feed(crc, obs.server_index);
+            feed(crc, static_cast<std::uint32_t>(obs.response_wire_bytes));
+            feed(crc, obs.system);
+            feed(crc, obs.version);
+          });
+      feed(crc, static_cast<std::uint32_t>(summary.responders_detailed));
+      feed(crc, monitor_tables_crc(world));
+      EXPECT_EQ(crc.value(), kVersionPassCrc);
+    }
+  }
 }
 
 TEST_F(AttackEngineTest, OvhVictimsStayInsideTheAnalogueBlocks) {
