@@ -10,8 +10,9 @@
 #      the crash-safety paths — torn writes, CRC-failed and truncated loads
 #      refused with a diagnosis, injected shard failures — exercise exactly
 #      the error-handling branches sanitizers are best at auditing.
-#   5. TSan build of the engine/thread-pool tests and the sharded prober
-#      passes (rate budget included); the sharded executor's worker-thread
+#   5. TSan build of the engine/thread-pool tests, the sharded prober
+#      passes (rate budget included) and the settling of attack-day monitor
+#      writes on apply lanes; the sharded executor's worker-thread
 #      discipline (DESIGN.md §3d) is vetted under ThreadSanitizer even on
 #      hosts where thread speedup is impossible.
 #   6. Memory gate: fig03 at --scale 40, failing when its peak RSS
@@ -199,7 +200,7 @@ ctest --preset asan-ubsan -j "$jobs"
 echo "== [4/6] fault-injection suite under ASan+UBSan =="
 ctest --test-dir build/asan-ubsan -L fault --output-on-failure
 
-echo "== [5/6] TSan build + engine/thread-pool/prober tests =="
+echo "== [5/6] TSan build + engine/thread-pool/prober/monitor-settle tests =="
 cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j "$jobs"
 ctest --preset tsan -j "$jobs"

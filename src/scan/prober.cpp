@@ -93,6 +93,9 @@ util::SimTime Prober::sample_time(int week) noexcept {
 }
 
 void Prober::apply_due_remediation(int week) {
+  // Every pass starts here, so pending attack-day writes land on the
+  // pass's executor before any table is probed or cleared.
+  world_.settle_monitors(executor_);
   if (week <= remediation_applied_week_) return;
   for (const auto ai : world_.amplifier_indices()) {
     auto* server = world_.detailed(ai);

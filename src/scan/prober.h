@@ -183,9 +183,10 @@ class Prober {
     kRestricted,  ///< the server answers no such request: no retry helps
   };
 
-  /// Turns off monlist and mode 6 on every detailed amplifier whose fix
-  /// week has come. A table is cleared once, when its monlist turns off:
-  /// nothing can dump it after that.
+  /// Settles the World's pending monitor writes on `executor_`, then turns
+  /// off monlist and mode 6 on every detailed amplifier whose fix week has
+  /// come. A table is cleared once, when its monlist turns off: nothing can
+  /// dump it after that.
   void apply_due_remediation(int week);
   /// The pass driver: runs `probe_one(index, summary, obs)` over `targets`
   /// and visits each target it returns true for, in target order. One

@@ -38,7 +38,8 @@ double lerp(double a, double b, double t) noexcept {
 
 /// The spoofed triggers of `rec` that reach amplifier `amp_index` in
 /// `week`: lost ones leave no monitor-table evidence and elicit no
-/// response. Pure, so the apply lanes recompute what apply() computed.
+/// response. Pure, so the logged monitor writes recompute what apply()
+/// computed.
 std::uint64_t triggers_reaching(const ImpairmentLayer& impairment,
                                 const AttackRecord& rec,
                                 std::uint32_t amp_index, int week) noexcept {
@@ -373,9 +374,9 @@ void AttackEngine::apply(AttackRecord& rec, int day, const DayWindowPlan& plan,
   // Pass 1: per-amplifier offered volume (bounded by each amplifier's
   // uplink). The monitor-table evidence of the delivered triggers (they
   // arrive regardless of what the victim can absorb) is not written here:
-  // consume_day() rebuilds it from the record on the apply lanes.
+  // consume_day() logs it with the World, rebuilt from the record.
   struct AmpEmission {
-    const ntp::NtpServer* server = nullptr;
+    const ntp::NtpServerConfig* amp_config = nullptr;
     std::uint64_t bytes = 0;
     std::uint64_t packets = 0;
     std::uint64_t payload = 0;
@@ -388,14 +389,14 @@ void AttackEngine::apply(AttackRecord& rec, int day, const DayWindowPlan& plan,
   const double response_delivery = impairment_.response_delivery_fraction();
   double peak_bps = 0.0;
   std::uint64_t total_delivered_triggers = 0;
-  const World& world = world_;  // const view: workers never mutate the world
   for (const auto amp_index : rec.amplifiers) {
     const std::uint64_t delivered_triggers =
         triggers_reaching(impairment_, rec, amp_index, week);
     total_delivered_triggers += delivered_triggers;
     if (delivered_triggers == 0) continue;
-    const auto* server = world.detailed(amp_index);
-    if (server == nullptr) continue;
+    // Configs only: a worker must never settle the pending monitor log.
+    const auto* amp_config = world_.server_config(amp_index);
+    if (amp_config == nullptr) continue;
 
     // Non-primed dumps return however many entries the table holds; the
     // shard estimates that as the window-start snapshot plus the distinct
@@ -412,7 +413,7 @@ void AttackEngine::apply(AttackRecord& rec, int day, const DayWindowPlan& plan,
     // steady streams from megas, §3.4).
     const std::uint64_t dump_wire = ntp::monlist_dump_wire_bytes(entries);
     const std::uint64_t dump_packets = ntp::monlist_dump_packets(entries);
-    std::uint64_t loop = std::uint64_t{server->config().loop_repeat} + 1;
+    std::uint64_t loop = std::uint64_t{amp_config->loop_repeat} + 1;
     if (loop > 1) {
       const double duration_s =
           static_cast<double>(std::max<util::SimTime>(1, rec.end - rec.start));
@@ -433,7 +434,7 @@ void AttackEngine::apply(AttackRecord& rec, int day, const DayWindowPlan& plan,
     // A mode 7 rate limit (Merit's interim mitigation) answers only a
     // fraction of the trigger stream.
     const std::uint32_t rate_limit =
-        server->config().mode7_responses_per_minute;
+        amp_config->mode7_responses_per_minute;
     const double answered_fraction =
         rate_limit > 0 && pps > 0.0
             ? std::min(1.0, (static_cast<double>(rate_limit) / 60.0) / pps)
@@ -458,7 +459,7 @@ void AttackEngine::apply(AttackRecord& rec, int day, const DayWindowPlan& plan,
     // Response packets cross the lossy network back to the victim; a 1.0
     // delivery fraction multiplies exactly, so the clean path is unchanged.
     AmpEmission emission;
-    emission.server = server;
+    emission.amp_config = amp_config;
     emission.delivered_triggers = delivered_triggers;
     emission.bytes = static_cast<std::uint64_t>(offered_bytes * emit_fraction *
                                                 response_delivery);
@@ -501,15 +502,15 @@ void AttackEngine::apply(AttackRecord& rec, int day, const DayWindowPlan& plan,
 
     // Flows at any vantage that can see them (collectors drop transit).
     if (events.wants_flows()) {
-      const auto amp_addr = emission.server->config().address;
+      const auto amp_addr = emission.amp_config->address;
       telemetry::FlowRecord response;
       response.src = amp_addr;
       response.dst = rec.victim;
       response.src_port = net::kNtpPort;
       response.dst_port = rec.victim_port;
       response.ttl = static_cast<std::uint8_t>(
-          emission.server->config().initial_ttl > 12
-              ? emission.server->config().initial_ttl - 12
+          emission.amp_config->initial_ttl > 12
+              ? emission.amp_config->initial_ttl - 12
               : 1);
       response.packets = amp_packets;
       response.bytes = amp_bytes;
@@ -687,8 +688,7 @@ AttackEngine::DayShardResult AttackEngine::simulate_day(
   return std::move(shard.result);
 }
 
-void AttackEngine::consume_day(DayShardResult& result,
-                               ShardedExecutor::Lanes& lanes) {
+void AttackEngine::consume_day(DayShardResult& result) {
   for (std::size_t i = 0; i < result.records.size(); ++i) {
     const auto& rec = result.records[i];
     ++totals_.ntp_attacks;
@@ -700,46 +700,45 @@ void AttackEngine::consume_day(DayShardResult& result,
       ++attacks_per_booter_[rec.booter_id];
     }
   }
-  // The day's monitor writes are derived from its records on the apply
+  // The day's monitor writes are derived from its records, and the World
+  // holds them as one pending job until a reader settles it on the apply
   // lanes (DESIGN.md §3d rule 4). Each lane walks every record in order,
   // and each record's amplifiers in order, and writes only the servers on
-  // that lane: a server always maps to the same lane and days are posted
+  // that lane: a server always maps to the same lane and days are logged
   // in ascending order, so each table sees the sequential engine's
-  // chronological order. The lanes are posted before the replay so their
-  // writes overlap it; nothing reads a table until the caller joins the
-  // lanes, and the replay touches disjoint state (collectors).
+  // chronological order. The job owns everything it reads (records, week,
+  // impairment), never this engine: a reader may come after it is gone.
   if (!result.records.empty()) {
     auto records = std::make_shared<const std::vector<AttackRecord>>(
         std::move(result.records));
-    const int week = week_of_day(result.day);
-    for (std::size_t lane = 0; lane < ShardedExecutor::kLanes; ++lane) {
-      lanes.post(lane, [this, records, week, lane] {
-        for (const auto& rec : *records) {
-          for (const auto amp_index : rec.amplifiers) {
-            if (amp_index % ShardedExecutor::kLanes != lane) continue;
-            const std::uint64_t delivered =
-                triggers_reaching(impairment_, rec, amp_index, week);
-            if (delivered == 0) continue;
-            if (auto* server = world_.detailed(amp_index)) {
-              server->monitor().observe_many(
-                  rec.victim, rec.victim_port,
-                  static_cast<std::uint8_t>(ntp::Mode::kPrivate),
-                  ntp::kNtpVersion, delivered, rec.start, rec.end);
-            }
+    world_.log_monitor_write([records, week = week_of_day(result.day),
+                              impairment = impairment_,
+                              world = &world_](std::size_t lane) {
+      for (const auto& rec : *records) {
+        for (const auto amp_index : rec.amplifiers) {
+          if (amp_index % ShardedExecutor::kLanes != lane) continue;
+          const std::uint64_t delivered =
+              triggers_reaching(impairment, rec, amp_index, week);
+          if (delivered == 0) continue;
+          if (auto* server = world->detailed(amp_index)) {
+            server->monitor().observe_many(
+                rec.victim, rec.victim_port,
+                static_cast<std::uint8_t>(ntp::Mode::kPrivate),
+                ntp::kNtpVersion, delivered, rec.start, rec.end);
           }
         }
-      });
-    }
+      }
+    });
   }
   result.events.replay_into(*sink_);
 }
 
 std::vector<AttackRecord> AttackEngine::run_day(int day) {
+  world_.settle_monitors();
   const DayWindowPlan plan = make_window_plan(day, day + 1);
   DayShardResult result = simulate_day(day, plan);
   std::vector<AttackRecord> records = result.records;
-  ShardedExecutor::Lanes lanes{ShardedExecutor(nullptr)};
-  consume_day(result, lanes);
+  consume_day(result);
   return records;
 }
 
@@ -749,6 +748,9 @@ void AttackEngine::run_days(int from, int to, ShardedExecutor* executor,
                             const std::vector<telemetry::FlowCollector*>*
                                 vantage_geometry) {
   if (to <= from) return;
+  // The window's plan snapshots monitor sizes, so earlier windows' writes
+  // land first, on this executor's lanes.
+  world_.settle_monitors(executor);
   const DayWindowPlan plan = make_window_plan(from, to);
   static const std::vector<telemetry::FlowCollector*> kNoVantages;
   const auto& vantages =
@@ -757,9 +759,6 @@ void AttackEngine::run_days(int from, int to, ShardedExecutor* executor,
   // path IS the sequential engine — DESIGN.md §3d).
   ShardedExecutor inline_executor(nullptr);
   ShardedExecutor& exec = executor != nullptr ? *executor : inline_executor;
-  // Declared before the fan-out, so an aborting shard unwinds through the
-  // lanes' destructor, which waits for every started monitor apply.
-  ShardedExecutor::Lanes lanes(exec);
   exec.run_ordered(
       static_cast<std::size_t>(to - from), /*chunk_size=*/1,
       [this, from, &plan, scans, darknet_geometry,
@@ -773,8 +772,7 @@ void AttackEngine::run_days(int from, int to, ShardedExecutor* executor,
         }
         return result;
       },
-      [this, &lanes](DayShardResult result) { consume_day(result, lanes); });
-  lanes.join();
+      [this](DayShardResult result) { consume_day(result); });
 }
 
 }  // namespace gorilla::sim

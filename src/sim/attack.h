@@ -15,9 +15,11 @@
 // (seed, day) — its RNG is a splitmix substream derived from the day index,
 // and its records and bus emissions are buffered into a DayShardResult on
 // the worker, then merged on the calling thread in ascending day order:
-// events replay into the sink there, and the executor's apply lanes, keyed
-// by server, derive each day's monitor-table writes from its records.
-// run_days() fans whole days out over a ShardedExecutor; output is
+// events replay into the sink there, and each day's monitor-table writes,
+// derived from its records, join the World's pending log. The first reader
+// of a table (the next window's plan, seeding, a probe pass) settles the
+// log on apply lanes keyed by server; a window nothing reads writes no
+// table. run_days() fans whole days out over a ShardedExecutor; output is
 // bit-identical for any --jobs value.
 #pragma once
 
@@ -181,7 +183,9 @@ class AttackEngine {
   /// count. When `scans` is given, each day's scan traffic joins
   /// that day's shard (events ordered after the attack events, matching the
   /// sequential per-day interleave); `darknet_geometry`/`vantage_geometry`
-  /// are consulted for geometry only, as in ScanTraffic::run_day.
+  /// are consulted for geometry only, as in ScanTraffic::run_day. Pending
+  /// monitor writes settle on `executor` first; the window's own stay
+  /// pending in the World until a reader settles them.
   void run_days(int from, int to, ShardedExecutor* executor = nullptr,
                 ScanTraffic* scans = nullptr,
                 const telemetry::DarknetTelescope* darknet_geometry = nullptr,
@@ -212,10 +216,10 @@ class AttackEngine {
  private:
   /// Everything one day shard produced on a worker thread: ground-truth
   /// records (scripted prefix first) and buffered bus events.
-  /// consume_day() folds it into the engine on the calling thread and hands
-  /// the records to the apply lanes, which derive the day's monitor-table
-  /// writes from them (each record leaves its victim in every amplifier
-  /// its triggers reach).
+  /// consume_day() folds it into the engine on the calling thread and logs
+  /// the records with the World, whose readers derive the day's
+  /// monitor-table writes from them (each record leaves its victim in every
+  /// amplifier its triggers reach).
   struct DayShardResult {
     int day = 0;
     std::size_t scripted_count = 0;  ///< scripted prefix of `records`
@@ -244,10 +248,11 @@ class AttackEngine {
   /// Pure in (seed, day, plan): the worker-side half of a day.
   [[nodiscard]] DayShardResult simulate_day(int day,
                                             const DayWindowPlan& plan) const;
-  /// Calling-thread half: merges state, posts the records' monitor writes
-  /// to `lanes` (keyed by server), replays events. Consumes the records.
-  /// The caller joins `lanes` before any monitor table is read.
-  void consume_day(DayShardResult& result, ShardedExecutor::Lanes& lanes);
+  /// Calling-thread half: merges state, logs the records' monitor writes
+  /// with the World as one job that owns its inputs (World::settle_monitors
+  /// runs it, maybe after this engine is gone), replays events. Consumes
+  /// the records.
+  void consume_day(DayShardResult& result);
 
   std::uint32_t pick_booter(util::Rng& rng) const;
   net::Ipv4Address pick_victim(int day, util::Rng& rng,

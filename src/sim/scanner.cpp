@@ -1,6 +1,7 @@
 #include "sim/scanner.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <utility>
 
@@ -191,7 +192,7 @@ void ScanTraffic::plan_seed_observations(int week, util::Rng& rng,
   }
 
   for (const auto ai : world_.amplifier_indices()) {
-    begin_server();
+    begin_server(ai);
     auto* server = world_.detailed(ai);
     if (server == nullptr) continue;
     // This week's pass disables a monlist fixed by now before any dump:
@@ -253,11 +254,14 @@ void ScanTraffic::seed_monitor_tables(int week, ShardedExecutor* executor) {
       config_.seed, (std::uint64_t{1} << 32) +
                         static_cast<std::uint64_t>(
                             static_cast<std::uint32_t>(week)));
-  // The plan is drawn here in one RNG order; each 256-server chunk goes to
-  // an apply lane as soon as it is drawn (DESIGN.md §3d rule 4), so the
-  // table writes overlap the rest of the draw. A chunk owns whole servers
-  // and a server is in one chunk, so every table sees its observations in
-  // plan order. Inline (--jobs 1) each chunk applies as it is posted.
+  // Every write goes to the lane of its server (DESIGN.md §3d rule 4):
+  // first the World's pending attack-day writes, then the plan, which is
+  // drawn here in one RNG order. Each lane's chunk is posted once it holds
+  // 256 servers, so the table writes overlap the rest of the draw, with no
+  // join between the two. A server's writes all land on its one lane, in
+  // that order, so every table sees the attack days and then its
+  // observations in plan order. Inline (--jobs 1) each job applies as it
+  // is posted.
   struct Planned {
     ntp::NtpServer* server = nullptr;
     net::Ipv4Address address;
@@ -265,36 +269,44 @@ void ScanTraffic::seed_monitor_tables(int week, ShardedExecutor* executor) {
     std::uint8_t mode = 0;
     util::SimTime when = 0;
   };
+  struct LaneChunk {
+    std::vector<Planned> planned;
+    std::size_t servers = 0;
+  };
   constexpr std::size_t kChunkServers = 256;
   ShardedExecutor inline_executor(nullptr);
   ShardedExecutor::Lanes lanes(executor != nullptr ? *executor
                                                    : inline_executor);
-  std::vector<Planned> chunk;
-  std::size_t chunk_index = 0;
-  std::size_t chunk_servers = 0;
-  const auto post_chunk = [&lanes, &chunk, &chunk_index, &chunk_servers] {
-    const std::size_t planned_size = chunk.size();
-    lanes.post(chunk_index++, [planned = std::move(chunk)] {
+  world_.settle_monitors(lanes);
+  std::array<LaneChunk, ShardedExecutor::kLanes> chunks;
+  const auto post_chunk = [&lanes, &chunks](std::size_t lane) {
+    auto& chunk = chunks[lane];
+    const std::size_t planned_size = chunk.planned.size();
+    lanes.post(lane, [planned = std::move(chunk.planned)] {
       for (const auto& p : planned) {
         p.server->monitor().observe(p.address, p.port, p.mode,
                                     ntp::kNtpVersion, p.when);
       }
     });
-    chunk = {};
-    chunk.reserve(planned_size);  // neighbouring chunks plan alike
-    chunk_servers = 0;
+    chunk.planned = {};
+    chunk.planned.reserve(planned_size);  // neighbouring chunks plan alike
+    chunk.servers = 0;
   };
+  std::size_t lane = 0;
   plan_seed_observations(
       week, rng,
-      [&post_chunk, &chunk_servers] {
-        if (chunk_servers == kChunkServers) post_chunk();
-        ++chunk_servers;
+      [&post_chunk, &chunks, &lane](std::uint32_t server_index) {
+        lane = server_index % ShardedExecutor::kLanes;
+        if (chunks[lane].servers == kChunkServers) post_chunk(lane);
+        ++chunks[lane].servers;
       },
-      [&chunk](ntp::NtpServer* server, net::Ipv4Address address,
-               std::uint16_t port, std::uint8_t mode, util::SimTime when) {
-        chunk.push_back(Planned{server, address, port, mode, when});
+      [&chunks, &lane](ntp::NtpServer* server, net::Ipv4Address address,
+                       std::uint16_t port, std::uint8_t mode,
+                       util::SimTime when) {
+        chunks[lane].planned.push_back(
+            Planned{server, address, port, mode, when});
       });
-  post_chunk();
+  for (std::size_t l = 0; l < ShardedExecutor::kLanes; ++l) post_chunk(l);
   lanes.join();
 }
 

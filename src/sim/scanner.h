@@ -87,11 +87,13 @@ class ScanTraffic {
   /// pure (seed, week) substream, independent of the day streams. Tables
   /// whose monlist is fixed by `week` are left alone.
   ///
-  /// The RNG plan is always drawn on the calling thread, in one order; each
-  /// 256-server chunk of monitor-table writes is posted to the executor's
-  /// apply lanes as soon as it is drawn and joined before returning. A
-  /// server is owned by one chunk, so the result is bit-identical for any
-  /// job count (a null or 1-job executor applies each chunk inline).
+  /// The World's pending monitor writes are posted to the executor's apply
+  /// lanes first, keyed by server, and the plan's writes follow on the same
+  /// lanes. The RNG plan is always drawn on the calling thread, in one
+  /// order; each lane's chunk of writes is posted once it holds 256 servers,
+  /// and the lanes join before returning. A server's writes all go to one
+  /// lane, so the result is bit-identical for any job count (a null or
+  /// 1-job executor applies each job inline).
   void seed_monitor_tables(int week, ShardedExecutor* executor = nullptr);
 
   [[nodiscard]] const std::vector<ScanActor>& actors() const noexcept {
@@ -103,8 +105,8 @@ class ScanTraffic {
       const ScanActor& actor, const telemetry::DarknetTelescope& t) const;
 
   /// The single source of the seed_monitor_tables() RNG stream: walks every
-  /// amplifier slot, calling `begin_server()` once per slot (before any
-  /// draws) and `emit(server, address, port, mode, when)` per planned
+  /// amplifier slot, calling `begin_server(server_index)` once per slot
+  /// (before any draws) and `emit(server, address, port, mode, when)` per planned
   /// monitor-table observation. A server whose monlist is fixed by `week`
   /// gets its draws but no emits: no probe can dump its table again.
   template <typename BeginServer, typename Emit>

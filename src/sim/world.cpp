@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <utility>
 
 #include "ntp/sysinfo.h"
 #include "sim/remediation.h"
@@ -345,13 +347,42 @@ void World::assign_detail_tier(util::Rng& rng) {
 }
 
 ntp::NtpServer* World::detailed(std::uint32_t server_index) {
+  if (!monitor_log_.empty()) settle_monitors();
   const auto di = traits_[server_index].detailed_index;
   return di == ServerTraits::kNoDetail ? nullptr : &detailed_[di];
 }
 
 const ntp::NtpServer* World::detailed(std::uint32_t server_index) const {
+  if (!monitor_log_.empty()) settle_monitors();
   const auto di = traits_[server_index].detailed_index;
   return di == ServerTraits::kNoDetail ? nullptr : &detailed_[di];
+}
+
+const ntp::NtpServerConfig* World::server_config(
+    std::uint32_t server_index) const {
+  const auto di = traits_[server_index].detailed_index;
+  return di == ServerTraits::kNoDetail ? nullptr : &detailed_[di].config();
+}
+
+void World::settle_monitors(ShardedExecutor* executor) const {
+  if (monitor_log_.empty()) return;
+  ShardedExecutor inline_executor(nullptr);
+  ShardedExecutor::Lanes lanes(executor != nullptr ? *executor
+                                                   : inline_executor);
+  settle_monitors(lanes);
+  lanes.join();
+}
+
+void World::settle_monitors(ShardedExecutor::Lanes& lanes) const {
+  // Taken out before anything runs: the writes reach their tables through
+  // detailed(), which must find nothing left to settle. Each write is
+  // shared by its sixteen lane jobs, which may outlive this call.
+  for (auto& write : std::exchange(monitor_log_, {})) {
+    const auto shared = std::make_shared<const MonitorWrite>(std::move(write));
+    for (std::size_t lane = 0; lane < ShardedExecutor::kLanes; ++lane) {
+      lanes.post(lane, [shared, lane] { (*shared)(lane); });
+    }
+  }
 }
 
 double World::stable_uniform(std::uint32_t server_index, int week,

@@ -13,17 +13,26 @@
 // Weekly availability, DHCP churn, and remediation are *deterministic
 // functions of (seed, server, week)*, so any experiment can query any week
 // without global mutable state and runs reproduce bit-for-bit.
+//
+// Monitor-table writes may arrive as a pending log (DESIGN.md §3d): the
+// attack engine logs each day's writes instead of applying them, and the
+// first reader settles the log on apply lanes before it fans out. A window
+// that nothing reads — a §7 regional view — never writes a table.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "net/ipv4.h"
 #include "net/pbl.h"
 #include "net/registry.h"
 #include "ntp/server.h"
+#include "sim/sharded_executor.h"
 #include "util/arena.h"
 #include "util/rng.h"
 #include "util/time.h"
@@ -135,8 +144,37 @@ class World {
   }
 
   /// Detailed ntpd instance for a server, or nullptr outside the tier.
+  /// Settles pending monitor writes inline first, so every table reads as
+  /// if they had been applied; worker threads reach it only once the log
+  /// is settled.
   [[nodiscard]] ntp::NtpServer* detailed(std::uint32_t server_index);
   [[nodiscard]] const ntp::NtpServer* detailed(std::uint32_t server_index) const;
+
+  /// The detailed instance's configuration, or nullptr outside the tier.
+  /// Never settles: day shards read it on workers while the calling thread
+  /// logs writes.
+  [[nodiscard]] const ntp::NtpServerConfig* server_config(
+      std::uint32_t server_index) const;
+
+  /// One logged batch of monitor writes, run once per apply lane with the
+  /// lane index: it writes only servers whose index % kLanes is that lane.
+  using MonitorWrite = std::function<void(std::size_t lane)>;
+
+  /// Appends `write` to the pending log (calling thread only).
+  void log_monitor_write(MonitorWrite write) {
+    monitor_log_.push_back(std::move(write));
+  }
+
+  /// Runs every pending write: each one is posted to every lane of one
+  /// ShardedExecutor::Lanes on `executor` (inline when null), in log order,
+  /// then joined. A server maps to one lane, so each table sees its writes
+  /// in log order for any job count. A no-op when nothing is pending.
+  /// Readers call it on the calling thread before they fan out.
+  void settle_monitors(ShardedExecutor* executor = nullptr) const;
+  /// Posts every pending write to `lanes` the same way, without joining: a
+  /// reader may post its own writes, keyed by server, after them, and joins
+  /// before any table is read.
+  void settle_monitors(ShardedExecutor::Lanes& lanes) const;
 
   /// The server's address during sample week `week` (DHCP churn rehomes end
   /// hosts within their routed block).
@@ -208,6 +246,9 @@ class World {
   /// Declared before detailed_ so the tables die before their storage.
   util::Arena monitor_arena_;
   std::vector<ntp::NtpServer> detailed_;
+  /// Monitor writes not yet applied, in log order: a lazily applied cache,
+  /// so const readers settle it too.
+  mutable std::vector<MonitorWrite> monitor_log_;
 };
 
 }  // namespace gorilla::sim

@@ -1,4 +1,6 @@
-// An NTP client — the ordinary mode 3/4 exchange and offset arithmetic.
+// An NTP client — the ordinary mode 3/4 exchange and offset arithmetic. A
+// test helper: the study itself never syncs a clock, so only the client and
+// Kiss-of-Death tests use it against the simulated server.
 //
 // The study is about servers being abused, but the reason those servers
 // exist is time synchronization; §3.3's finding that 19% of them report

@@ -1,4 +1,4 @@
-#include "ntp/client.h"
+#include "client.h"
 
 #include <gtest/gtest.h>
 

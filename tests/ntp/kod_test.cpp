@@ -2,8 +2,8 @@
 // "RATE" packet; clients recognize it and never mistake it for time.
 #include <gtest/gtest.h>
 
+#include "client.h"
 #include "net/ethernet.h"
-#include "ntp/client.h"
 #include "ntp/server.h"
 
 namespace gorilla::ntp {

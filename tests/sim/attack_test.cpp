@@ -14,6 +14,7 @@
 #include "study/bus.h"
 #include "study/collector_sink.h"
 #include "util/crc32.h"
+#include "util/mem_stats.h"
 #include "util/thread_pool.h"
 
 namespace gorilla::sim {
@@ -295,7 +296,8 @@ TEST_F(AttackEngineTest, ImpairedWindowMonitorTablesArePinned) {
 }
 
 TEST_F(AttackEngineTest, WindowMonitorWritesSettleAtEveryReader) {
-  // The impaired window of ImpairedWindowMonitorTablesArePinned, read three
+  // The impaired window of ImpairedWindowMonitorTablesArePinned only logs
+  // its monitor writes: no table grows while it runs. It is then read three
   // ways on fresh worlds: a const table read, monitor seeding followed by a
   // monlist pass, and a version pass (whose remediation clears tables).
   // Each constant holds what its reader saw, inline and on a 4-thread
@@ -313,8 +315,12 @@ TEST_F(AttackEngineTest, WindowMonitorWritesSettleAtEveryReader) {
                                     &pool}) {
     ShardedExecutor executor(threads);
     auto run_window = [&cfg, &executor, this](World& world) {
+      const auto& monitor_bytes =
+          util::MemStats::instance().counter("ntp.monitor");
+      const std::uint64_t before = monitor_bytes.live();
       AttackEngine engine(world, cfg, no_sinks_);
       engine.run_days(98, 106, &executor);
+      EXPECT_EQ(monitor_bytes.live(), before);
     };
     {
       World world(tiny_config());
