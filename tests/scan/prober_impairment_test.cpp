@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/amplifiers.h"
+#include "sim/scanner.h"
 #include "sim/sharded_executor.h"
 #include "util/crc32.h"
 #include "util/thread_pool.h"
@@ -107,6 +108,27 @@ class Fingerprint {
                          s.responders_detailed, s.probes_lost, s.retries,
                          s.truncated_tables, s.rate_limited}) {
       add(n);
+    }
+  }
+  /// Every detailed server's monitor table, dumped at a fixed time through
+  /// the const World: each table's entries, counts and times.
+  void add_tables(const sim::World& world) {
+    constexpr util::SimTime kDumpAt = 110 * util::kSecondsPerDay;
+    for (std::uint32_t i = 0; i < world.servers().size(); ++i) {
+      const ntp::NtpServer* server = world.detailed(i);
+      if (server == nullptr) continue;
+      const auto entries = server->monitor().dump(kDumpAt, net::Ipv4Address{});
+      add(i);
+      add(entries.size());
+      for (const auto& e : entries) {
+        add(e.address.value());
+        add(e.avg_interval);
+        add(e.last_seen);
+        add(e.count);
+        add(e.port);
+        add(e.mode);
+        add(e.version);
+      }
     }
   }
   [[nodiscard]] std::uint32_t value() const { return crc_.value(); }
@@ -474,6 +496,78 @@ TEST(ProberImpairmentTest, VersionPassIsJobCountInvariant) {
     EXPECT_FALSE(inline_run.first.empty());
     EXPECT_EQ(inline_run.first, sharded_run.first);
     EXPECT_EQ(inline_run.second, sharded_run.second);
+  }
+}
+
+/// A study's shape on a fresh world: a campaign prober probes the last
+/// sample week (so its remediation is applied), then a second prober, with
+/// lossy requests and transient silence, runs version weeks 0 and 1. The
+/// loss makes retries, so a server sees a pass's request at several attempt
+/// offsets.
+struct VersionStudy {
+  static constexpr int kLastWeek = 14;
+
+  explicit VersionStudy(sim::ShardedExecutor& executor)
+      : versions(world, kProbeSource, ntp::Implementation::kXntpd, lossy()) {
+    campaign.set_executor(&executor);
+    versions.set_executor(&executor);
+    campaign.run_monlist_sample(kLastWeek, [](const AmplifierObservation&) {});
+    for (const int vweek : {0, 1}) {
+      const auto summary =
+          versions.run_version_sample(vweek, [](const VersionObservation&) {});
+      EXPECT_GT(summary.retries, 0u);
+    }
+  }
+
+  static sim::ImpairmentConfig lossy() {
+    sim::ImpairmentConfig cfg;
+    cfg.seed = 11;
+    cfg.request_loss = 0.2;
+    cfg.transient_silence_rate = 0.1;
+    return cfg;
+  }
+
+  sim::World world{tiny_config()};
+  Prober campaign{world, kProbeSource};
+  Prober versions;
+};
+
+TEST(ProberImpairmentTest, VersionPassMonitorWritesReachEveryReader) {
+  // After two version passes the tables are read three ways, each on a
+  // fresh VersionStudy: a const dump, monitor seeding followed by a monlist
+  // pass, and a third version pass. Each constant holds what its reader
+  // saw, inline and on a 4-thread executor alike.
+  constexpr std::uint32_t kTablesCrc = 0xb2e8f498u;
+  constexpr std::uint32_t kSeededMonlistCrc = 0x526f69bfu;
+  constexpr std::uint32_t kThirdPassCrc = 0x9e82d516u;
+  util::ThreadPool pool(4);
+  for (util::ThreadPool* threads : {static_cast<util::ThreadPool*>(nullptr),
+                                    &pool}) {
+    sim::ShardedExecutor executor(threads);
+    {
+      const VersionStudy study(executor);
+      Fingerprint f;
+      f.add_tables(study.world);
+      EXPECT_EQ(f.value(), kTablesCrc);
+    }
+    {
+      VersionStudy study(executor);
+      sim::ScanTraffic scans(study.world, sim::ScanTrafficConfig{});
+      scans.seed_monitor_tables(VersionStudy::kLastWeek, &executor);
+      Fingerprint f;
+      f.add(study.campaign.run_monlist_sample(
+          VersionStudy::kLastWeek,
+          [&f](const AmplifierObservation& obs) { f.add(obs); }));
+      EXPECT_EQ(f.value(), kSeededMonlistCrc);
+    }
+    {
+      VersionStudy study(executor);
+      Fingerprint f;
+      f.add(study.versions.run_version_sample(
+          2, [&f](const VersionObservation& obs) { f.add(obs); }));
+      f.add_tables(study.world);
+      EXPECT_EQ(f.value(), kThirdPassCrc);
+    }
   }
 }
 
