@@ -385,9 +385,10 @@ void BM_WeeklyMonlistSample(benchmark::State& state) {
 BENCHMARK(BM_WeeklyMonlistSample)->Unit(benchmark::kMillisecond);
 
 void BM_WeeklyVersionSample(benchmark::State& state) {
-  // The serial mode 6 pass: per responder, one READVAR round trip through
-  // the server (fragments cut from its stored identity text) and the
-  // prober's reassembly and three-variable read.
+  // The serial mode 6 pass: per responder, one READVAR reply (fragments
+  // cut from its stored identity text) and the prober's reassembly and
+  // three-variable read. Each pass logs its monitor writes with the World,
+  // a bit per server, and nothing here settles them.
   sim::WorldConfig cfg;
   cfg.scale = 400;
   cfg.registry.num_ases = 2000;

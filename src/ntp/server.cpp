@@ -44,21 +44,22 @@ void emit_copies(ResponseSummary& summary,
   summary.truncated = summary.packets.size() < summary.total_packets;
 }
 
-}  // namespace
-
-net::UdpPacket NtpServer::make_reply(const net::UdpPacket& request,
-                                     std::vector<std::uint8_t> payload,
-                                     util::SimTime now) const {
+net::UdpPacket make_reply(const NtpServerConfig& config,
+                          const net::UdpPacket& request,
+                          std::vector<std::uint8_t> payload,
+                          util::SimTime now) {
   net::UdpPacket reply;
-  reply.src = config_.address;
+  reply.src = config.address;
   reply.dst = request.src;  // to the (possibly spoofed) source — reflection
   reply.src_port = net::kNtpPort;
   reply.dst_port = request.src_port;
-  reply.ttl = config_.initial_ttl;
+  reply.ttl = config.initial_ttl;
   reply.timestamp = now;
   reply.payload = std::move(payload);
   return reply;
 }
+
+}  // namespace
 
 ResponseSummary NtpServer::handle(const net::UdpPacket& request,
                                   util::SimTime now,
@@ -80,7 +81,8 @@ ResponseSummary NtpServer::handle(const net::UdpPacket& request,
     case Mode::kControl: {
       const auto parsed = parse_control_view(request.payload);
       if (!parsed || parsed->response) return {};
-      return respond_readvar(request, *parsed, now, materialize_cap);
+      observe_control(request.src, request.src_port, now);
+      return readvar_reply(config_, request, *parsed, now, materialize_cap);
     }
     default:
       // Symmetric/broadcast modes: monitored but unanswered in this model.
@@ -103,7 +105,8 @@ ResponseSummary NtpServer::respond_time(const net::UdpPacket& request,
   reply.receive_ts = ntp_timestamp(now);
   reply.transmit_ts = ntp_timestamp(now);
   ResponseSummary summary;
-  summary.packets.push_back(make_reply(request, serialize(reply), now));
+  summary.packets.push_back(
+      make_reply(config_, request, serialize(reply), now));
   account(summary, summary.packets.back(), 1);
   return summary;
 }
@@ -130,7 +133,8 @@ ResponseSummary NtpServer::respond_monlist(const net::UdpPacket& request,
     kod.leap = 3;
     kod.reference_id = 0x52415445;  // "RATE"
     ResponseSummary summary;
-    summary.packets.push_back(make_reply(request, serialize(kod), now));
+    summary.packets.push_back(
+        make_reply(config_, request, serialize(kod), now));
     account(summary, summary.packets.back(), 1);
     return summary;
   }
@@ -141,7 +145,8 @@ ResponseSummary NtpServer::respond_monlist(const net::UdpPacket& request,
     // Wrong implementation number: a tiny error reply, no amplification.
     const auto err = make_mode7_error(Mode7Error::kImplMismatch,
                                       config_.accepted_impl, parsed.request);
-    summary.packets.push_back(make_reply(request, serialize(err), now));
+    summary.packets.push_back(
+        make_reply(config_, request, serialize(err), now));
     account(summary, summary.packets.back(), 1);
     return summary;
   }
@@ -152,7 +157,8 @@ ResponseSummary NtpServer::respond_monlist(const net::UdpPacket& request,
       parsed.request != RequestCode::kMonGetList) {
     const auto err = make_mode7_error(Mode7Error::kReqUnknown,
                                       config_.accepted_impl, parsed.request);
-    summary.packets.push_back(make_reply(request, serialize(err), now));
+    summary.packets.push_back(
+        make_reply(config_, request, serialize(err), now));
     account(summary, summary.packets.back(), 1);
     return summary;
   }
@@ -167,14 +173,14 @@ ResponseSummary NtpServer::respond_monlist(const net::UdpPacket& request,
   if (parsed.request == RequestCode::kMonGetList) {
     for (const auto& wp :
          make_legacy_monlist_response(entries, config_.accepted_impl)) {
-      one_dump.push_back(make_reply(request, serialize(wp), now));
+      one_dump.push_back(make_reply(config_, request, serialize(wp), now));
     }
   } else {
     const std::uint64_t datagrams = monlist_dump_packets(entries.size());
     one_dump.reserve(datagrams);
     for (std::size_t k = 0; k < datagrams; ++k) {
       one_dump.push_back(make_reply(
-          request,
+          config_, request,
           serialize_monlist_packet(entries, k, config_.accepted_impl), now));
     }
   }
@@ -216,34 +222,38 @@ ResponseSummary NtpServer::respond_peer_list(const net::UdpPacket& request,
   const auto wire_packets =
       make_peer_list_response(config_.peers, config_.accepted_impl);
   for (const auto& wp : wire_packets) {
-    summary.packets.push_back(make_reply(request, serialize(wp), now));
+    summary.packets.push_back(make_reply(config_, request, serialize(wp), now));
     account(summary, summary.packets.back(), 1);
   }
   return summary;
 }
 
-ResponseSummary NtpServer::respond_readvar(const net::UdpPacket& request,
-                                           const ControlView& parsed,
-                                           util::SimTime now,
-                                           std::size_t materialize_cap) {
-  const std::uint64_t sends = std::uint64_t{config_.loop_repeat} + 1;
-  monitor_.observe_many(request.src, request.src_port,
+void NtpServer::observe_control(net::Ipv4Address src, std::uint16_t src_port,
+                                util::SimTime now) {
+  monitor_.observe_many(src, src_port,
                         static_cast<std::uint8_t>(Mode::kControl), kNtpVersion,
-                        sends, now, now);
+                        std::uint64_t{config_.loop_repeat} + 1, now, now);
+}
 
-  if (!config_.mode6_enabled) return {};
+ResponseSummary readvar_reply(const NtpServerConfig& config,
+                              const net::UdpPacket& request,
+                              const ControlHeader& parsed, util::SimTime now,
+                              std::size_t materialize_cap) {
+  if (!config.mode6_enabled) return {};
   if (parsed.opcode != ControlOp::kReadVariables) return {};
 
   // Fragments are cut from the stored text straight onto the wire; a
   // world-drawn identity renders here, at its first READVAR.
-  const std::string_view text = readvar();
+  const std::uint64_t sends = std::uint64_t{config.loop_repeat} + 1;
+  const std::string_view text = config.identity.readvar();
   const std::size_t fragments = readvar_fragment_count(text.size());
   std::vector<net::UdpPacket> one_send;
   one_send.reserve(fragments);
   std::uint64_t send_udp = 0, send_wire = 0;
   for (std::size_t i = 0; i < fragments; ++i) {
     one_send.push_back(make_reply(
-        request, serialize_readvar_fragment(text, i, parsed.sequence), now));
+        config, request, serialize_readvar_fragment(text, i, parsed.sequence),
+        now));
     send_udp += one_send.back().payload.size();
     send_wire += one_send.back().on_wire_bytes();
   }

@@ -7,6 +7,11 @@
 //   - mode 3 client queries with a mode 4 time packet,
 //   - mode 7 MON_GETLIST_1 with its monitor table (unless `noquery`),
 //   - mode 6 READVAR with fragments cut from its identity text.
+// handle() records every request in the monitor table and then replies. A
+// mode 6 request's write (observe_control) and reply (readvar_reply) are
+// also reachable apart: the prober's version pass takes only the reply and
+// logs the write with sim::World, whose first table reader settles it
+// (DESIGN.md §3d).
 // Two fault knobs model the paper's §3.4 mega amplifiers: a response-loop
 // repeat count (routing/switching-loop analogue that re-triggers the whole
 // dump) applied to mode 7 and mode 6 responses.
@@ -88,15 +93,22 @@ class NtpServer {  // LINT-COMPACT
 
   /// Handles one datagram addressed to this server at time `now`. Every
   /// request — even a dropped one — is recorded in the monitor table, which
-  /// is what turns amplifiers into attack witnesses.
+  /// is what turns amplifiers into attack witnesses. A mode 6 request is
+  /// observe_control() and then readvar_reply(); the prober's version pass
+  /// makes the same write later, through the World's pending monitor log.
   ResponseSummary handle(const net::UdpPacket& request, util::SimTime now,
                          std::size_t materialize_cap = 4096);
+
+  /// The monitor write a mode 6 request from `src`:`src_port` at `now`
+  /// makes: one observation per send of the (possibly looping) reply.
+  void observe_control(net::Ipv4Address src, std::uint16_t src_port,
+                       util::SimTime now);
 
   [[nodiscard]] const NtpServerConfig& config() const noexcept {
     return config_;
   }
   /// The READVAR text this server replies with, rendered on first use.
-  [[nodiscard]] const std::string& readvar() {
+  [[nodiscard]] const std::string& readvar() const {
     return config_.identity.readvar();
   }
   [[nodiscard]] MonitorTable& monitor() noexcept { return monitor_; }
@@ -128,20 +140,24 @@ class NtpServer {  // LINT-COMPACT
                                     util::SimTime now);
   /// Token-bucket check for the mode 7 rate limiter; true = may respond.
   bool mode7_rate_allows(util::SimTime now);
-  ResponseSummary respond_readvar(const net::UdpPacket& request,
-                                  const ControlView& parsed,
-                                  util::SimTime now,
-                                  std::size_t materialize_cap);
-
-  net::UdpPacket make_reply(const net::UdpPacket& request,
-                            std::vector<std::uint8_t> payload,
-                            util::SimTime now) const;
-
   NtpServerConfig config_;
   MonitorTable monitor_;
   // Rate-limiter window state (minute bucket start + responses used).
   util::SimTime rate_window_start_ = 0;
   std::uint32_t rate_window_used_ = 0;
 };
+
+/// The reply a server configured as `config` sends to the mode 6 request
+/// `request` (header `parsed`) at `now`, without the monitor write:
+/// fragments cut from the identity text, which renders here at its first
+/// READVAR, sent loop_repeat + 1 times. Empty when mode 6 is restricted or
+/// the opcode is not READVAR. Touches nothing but the identity's text
+/// cache, so a reader that owns the server may call it while the server's
+/// monitor writes are still pending.
+[[nodiscard]] ResponseSummary readvar_reply(const NtpServerConfig& config,
+                                            const net::UdpPacket& request,
+                                            const ControlHeader& parsed,
+                                            util::SimTime now,
+                                            std::size_t materialize_cap = 4096);
 
 }  // namespace gorilla::ntp

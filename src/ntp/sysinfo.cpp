@@ -281,7 +281,7 @@ ServerIdentity::~ServerIdentity() {
   if (!text_.empty()) identity_bytes().sub(text_.size());
 }
 
-const std::string& ServerIdentity::readvar() {
+const std::string& ServerIdentity::readvar() const {
   if (!rendered()) {
     util::Rng rng = draws_;
     text_ = make_system_variables(

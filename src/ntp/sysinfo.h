@@ -74,8 +74,9 @@ struct IdentityDraw {
 /// mode 4 replies carry, and its READVAR variable list. A hand-built
 /// identity (SystemVariables::identity()) holds its text from the start. A
 /// world-drawn one holds its IdentityDraw and renders the text the first
-/// time readvar() is called, then keeps it. readvar() is the only way to
-/// the text, so no reader sees an identity before it is rendered. Not
+/// time readvar() is called, then keeps it: the text is a lazily computed
+/// cache, so a const identity renders too. readvar() is the only way to the
+/// text, so no reader sees an identity before it is rendered. Not
 /// synchronized: a server has one owner at a time (DESIGN.md §3d).
 ///
 /// The MemStats counter `ntp.identity` holds the bytes of text that live
@@ -93,7 +94,7 @@ class ServerIdentity {
   ~ServerIdentity();
 
   /// The READVAR variable list, rendered from the draw on the first call.
-  [[nodiscard]] const std::string& readvar();
+  [[nodiscard]] const std::string& readvar() const;
 
   /// False only for a world-drawn identity whose text no call has needed.
   [[nodiscard]] bool rendered() const noexcept {
@@ -101,7 +102,7 @@ class ServerIdentity {
   }
 
  private:
-  std::string text_;
+  mutable std::string text_;  ///< rendered by the first readvar()
   // The draw, flattened so the stratum below packs into its tail.
   util::Rng draws_;
   std::uint16_t compile_year_ = 0;  ///< 0: no draw (hand-built)

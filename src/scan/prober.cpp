@@ -1,5 +1,7 @@
 #include "scan/prober.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <optional>
 #include <ranges>
@@ -56,6 +58,50 @@ void add_counts(VersionSampleSummary& into, const VersionSampleSummary& part) {
 
 }  // namespace
 
+/// Every request one version pass delivered, as one lane-major bitset per
+/// attempt: bit k of lane L's words stands for server k * kLanes + L, so a
+/// lane's settle walks only its own servers and a clean pass costs one bit
+/// per server. The rest of each write is the pass's: the prober's source,
+/// mode 6 and the attempt's send time. Its send count is the server's
+/// loop_repeat + 1, which observe_control() reads at settle: a config
+/// changes only through World::detailed(), which settles first.
+struct Prober::VersionWrites {
+  static constexpr std::size_t kLanes = sim::ShardedExecutor::kLanes;
+
+  explicit VersionWrites(std::size_t servers)
+      : lane_words((servers + kLanes * 64 - 1) / (kLanes * 64)) {}
+
+  void add(const Reached& r) {
+    if (r.attempt >= by_attempt.size()) by_attempt.resize(r.attempt + 1);
+    auto& bits = by_attempt[r.attempt];
+    if (bits.empty()) bits.assign(kLanes * lane_words, 0);
+    const std::size_t k = r.server / kLanes;
+    bits[r.server % kLanes * lane_words + k / 64] |= std::uint64_t{1}
+                                                     << (k % 64);
+  }
+
+  /// Calls fn(server, attempt) for each of lane `lane`'s requests, one
+  /// attempt after the other, so each server sees its requests in send
+  /// order.
+  template <class Fn>
+  void for_each(std::size_t lane, const Fn& fn) const {
+    for (std::uint32_t attempt = 0; attempt < by_attempt.size(); ++attempt) {
+      const auto& bits = by_attempt[attempt];
+      if (bits.empty()) continue;
+      for (std::size_t w = 0; w < lane_words; ++w) {
+        for (std::uint64_t word = bits[lane * lane_words + w]; word != 0;
+             word &= word - 1) {
+          const std::size_t k = w * 64 + std::countr_zero(word);
+          fn(static_cast<std::uint32_t>(k * kLanes + lane), attempt);
+        }
+      }
+    }
+  }
+
+  std::size_t lane_words;  ///< 64-bit words per lane
+  std::vector<std::vector<std::uint64_t>> by_attempt;
+};
+
 Prober::Prober(sim::World& world, net::Ipv4Address source,
                ntp::Implementation probe_impl,
                const sim::ImpairmentConfig& impairment,
@@ -93,22 +139,31 @@ util::SimTime Prober::sample_time(int week) noexcept {
 }
 
 void Prober::apply_due_remediation(int week) {
-  // Every pass starts here, so pending attack-day writes land on the
-  // pass's executor before any table is probed or cleared.
-  world_.settle_monitors(executor_);
   if (week <= remediation_applied_week_) return;
-  for (const auto ai : world_.amplifier_indices()) {
-    auto* server = world_.detailed(ai);
-    if (server == nullptr) continue;
+  const auto due = [this, week](std::uint32_t ai) {
+    const auto* config = world_.server_config(ai);
+    if (config == nullptr) return false;
     const auto& t = world_.servers()[ai];
-    if (!t.monlist_live(week) && server->config().monlist_enabled) {
-      // No probe can dump this table again: release it once, at the
-      // transition. Later passes only add their own probe entries, and
-      // clearing those every week would re-allocate each table again.
-      server->set_monlist_enabled(false);
-      server->monitor().clear();
+    return (!t.monlist_live(week) && config->monlist_enabled) ||
+           (!t.version_live(week) && config->mode6_enabled);
+  };
+  if (std::ranges::any_of(world_.amplifier_indices(), due)) {
+    // A table clear must follow the writes logged before it: they land on
+    // the pass's executor, so detailed() below finds nothing to settle.
+    world_.settle_monitors(executor_);
+    for (const auto ai : world_.amplifier_indices()) {
+      if (!due(ai)) continue;
+      auto* server = world_.detailed(ai);
+      const auto& t = world_.servers()[ai];
+      if (!t.monlist_live(week) && server->config().monlist_enabled) {
+        // No probe can dump this table again: release it once, at the
+        // transition. Later passes only add their own probe entries, and
+        // clearing those every week would re-allocate each table again.
+        server->set_monlist_enabled(false);
+        server->monitor().clear();
+      }
+      if (!t.version_live(week)) server->set_mode6_enabled(false);
     }
-    if (!t.version_live(week)) server->set_mode6_enabled(false);
   }
   remediation_applied_week_ = week;
 }
@@ -141,11 +196,11 @@ net::UdpPacket Prober::make_probe(std::vector<std::uint8_t> request_wire) const 
   return probe;
 }
 
-template <class Summary, class ReplyStep>
+template <class Summary, class Deliver, class ReplyStep>
 Prober::Outcome Prober::run_attempts(std::uint32_t server_index, int week,
                                      util::SimTime now, int salt,
-                                     ntp::NtpServer& server,
                                      net::UdpPacket& probe, Summary& summary,
+                                     const Deliver& deliver,
                                      const ReplyStep& reply) {
   probe.dst = world_.address_at(server_index, week);
   // In a clean network every target gets exactly one packet (the original
@@ -166,7 +221,7 @@ Prober::Outcome Prober::run_attempts(std::uint32_t server_index, int week,
       continue;
     }
 
-    auto response = server.handle(probe, probe.timestamp);
+    auto response = deliver(attempt, probe);
     if (response.total_packets == 0) {
       // Genuine restriction: deterministic, retrying is pointless.
       outcome = Outcome::kRestricted;
@@ -198,15 +253,17 @@ Prober::Outcome Prober::run_attempts(std::uint32_t server_index, int week,
 template <class Observation, class Targets, class Summary, class ProbeOne,
           class Visit>
 void Prober::probe_indices(const Targets& targets, Summary& summary,
-                           ProbeOne probe_one, const Visit& visit) {
+                           ProbeOne probe_one, const Visit& visit,
+                           VersionWrites* writes) {
   // Chunks are a fixed size regardless of job count, each target touches
-  // only its own server (its monitor table and its rate-budget slot), and
-  // chunk results are consumed on this thread in ascending order — so visit
-  // order, summary, and every server's state come out bit-identical for any
-  // job count, inline included.
+  // only its own server (its monitor table or identity, and its rate-budget
+  // slot), and chunk results are consumed on this thread in ascending
+  // order — so visit order, summary, logged writes and every server's
+  // state come out bit-identical for any job count, inline included.
   struct ChunkResult {
     Summary partial;
     std::vector<Observation> observations;
+    std::vector<Reached> reached;
   };
   constexpr std::size_t kProbeChunk = 512;
   sim::ShardedExecutor inline_executor(nullptr);
@@ -219,14 +276,17 @@ void Prober::probe_indices(const Targets& targets, Summary& summary,
         Observation obs;
         auto chunk_probe_one = probe_one;  // own datagram and scratch
         for (std::size_t i = begin; i < end; ++i) {
-          if (chunk_probe_one(targets[i], r.partial, obs)) {
+          if (chunk_probe_one(targets[i], r.partial, obs, r.reached)) {
             r.observations.push_back(std::move(obs));
           }
         }
         return r;
       },
-      [&summary, &visit](ChunkResult r) {
+      [&summary, &visit, writes](ChunkResult r) {
         add_counts(summary, r.partial);
+        if (writes != nullptr) {
+          for (const auto& reached : r.reached) writes->add(reached);
+        }
         for (const auto& obs : r.observations) visit(obs);
       });
 }
@@ -234,6 +294,8 @@ void Prober::probe_indices(const Targets& targets, Summary& summary,
 MonlistSampleSummary Prober::probe_targets(
     const std::vector<std::uint32_t>& server_indices, int week,
     util::SimTime now, const MonlistVisitor& visit) {
+  // The pass dumps tables: pending writes land first, on its executor.
+  world_.settle_monitors(executor_);
   apply_due_remediation(week);
   roll_window(week);
   MonlistSampleSummary summary;
@@ -248,7 +310,8 @@ MonlistSampleSummary Prober::probe_targets(
   auto probe_one = [this, week, now, probe,
                     views = std::vector<ntp::Mode7View>()](
                        std::uint32_t ai, MonlistSampleSummary& partial,
-                       AmplifierObservation& obs) mutable {
+                       AmplifierObservation& obs,
+                       std::vector<Reached>& /*reached*/) mutable {
     ++partial.probes_sent;
     // Offline / churned-away targets never see the probe.
     if (!world_.servers()[ai].ever_amplifier) return false;
@@ -326,11 +389,16 @@ MonlistSampleSummary Prober::probe_targets(
       ++partial.responders;
       return Outcome::kAnswered;
     };
-    return run_attempts(ai, week, now, /*salt=*/0, *server, probe, partial,
+    // The probe writes the table it then dumps.
+    const auto deliver = [server](int /*attempt*/, const net::UdpPacket& sent) {
+      return server->handle(sent, sent.timestamp);
+    };
+    return run_attempts(ai, week, now, /*salt=*/0, probe, partial, deliver,
                         reply) == Outcome::kAnswered;
   };
   probe_indices<AmplifierObservation>(server_indices, summary,
-                                      std::move(probe_one), visit);
+                                      std::move(probe_one), visit,
+                                      /*writes=*/nullptr);
   return summary;
 }
 
@@ -344,20 +412,31 @@ VersionSampleSummary Prober::run_version_sample(int vweek,
   summary.week = vweek;
   summary.date = util::date_from_sim_time(now);
 
-  // One datagram per pass, and the reply scratch: the parsed fragments
-  // (read in place) and the reassembled variable list.
+  // One datagram per pass, its parsed header, and the reply scratch: the
+  // parsed fragments (read in place) and the reassembled variable list.
   net::UdpPacket probe =
       make_probe(ntp::serialize(ntp::make_version_request(/*sequence=*/1)));
-  auto probe_one = [this, week, now, probe,
+  const ntp::ControlHeader header = *ntp::parse_control_view(probe.payload);
+  auto probe_one = [this, week, now, probe, header,
                     fragments = std::vector<ntp::ControlView>(),
-                    text = std::string()](std::uint32_t i,
-                                          VersionSampleSummary& partial,
-                                          VersionObservation& obs) mutable {
+                    text = std::string()](
+                       std::uint32_t i, VersionSampleSummary& partial,
+                       VersionObservation& obs,
+                       std::vector<Reached>& reached) mutable {
     ++partial.probes_sent;
     if (!world_.responds_version(i, week)) return false;
     ++partial.responders_total;
-    auto* server = world_.detailed(i);
-    if (server == nullptr) return false;  // population-tier: counted only
+    // Read without settling: earlier passes' writes may still be pending,
+    // and only the calling thread settles them.
+    const auto* config = world_.server_config(i);
+    if (config == nullptr) return false;  // population-tier: counted only
+
+    // handle()'s mode 6 reply, without its monitor write: the request is
+    // listed, and the pass logs the write once every chunk has run.
+    const auto deliver = [&](int attempt, const net::UdpPacket& sent) {
+      reached.push_back({i, static_cast<std::uint32_t>(attempt)});
+      return ntp::readvar_reply(*config, sent, header, sent.timestamp);
+    };
 
     const auto reply = [&](int /*attempt*/, const net::UdpPacket& sent,
                            const ntp::ResponseSummary& response,
@@ -409,17 +488,32 @@ VersionSampleSummary Prober::run_version_sample(int vweek,
       return Outcome::kAnswered;
     };
     // Decorrelated from the monlist pass's attempts via the salt offset.
-    const auto outcome = run_attempts(i, week, now, /*salt=*/0x100, *server,
-                                      probe, partial, reply);
+    const auto outcome = run_attempts(i, week, now, /*salt=*/0x100, probe,
+                                      partial, deliver, reply);
     if (outcome == Outcome::kRestricted) --partial.responders_total;
     return outcome == Outcome::kAnswered;
   };
   // Every server is a target, iterated as a range: an index list would
   // cost 4 bytes per server.
+  VersionWrites writes(world_.servers().size());
   probe_indices<VersionObservation>(
       std::views::iota(std::uint32_t{0},
                        static_cast<std::uint32_t>(world_.servers().size())),
-      summary, std::move(probe_one), visit);
+      summary, std::move(probe_one), visit, &writes);
+  // The pass read no table, so its writes join the World's pending log for
+  // the first reader to settle (DESIGN.md §3d). The job owns what it
+  // reads, never this prober, which may be gone by then.
+  if (!writes.by_attempt.empty()) {
+    world_.log_monitor_write([writes = std::move(writes), source = source_,
+                              now, policy = policy_,
+                              world = &world_](std::size_t lane) {
+      writes.for_each(lane, [&](std::uint32_t server, std::uint32_t attempt) {
+        world->detailed(server)->observe_control(
+            source, kProbeSourcePort,
+            now + policy.attempt_offset(static_cast<int>(attempt)));
+      });
+    });
+  }
   return summary;
 }
 

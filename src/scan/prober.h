@@ -154,11 +154,12 @@ class Prober {
 
   /// Optional parallel engine for every pass, monlist and version alike,
   /// rate-limited or not. Each target only mutates its own server's state
-  /// (monitor-table bookkeeping, the identity its first READVAR renders, its
-  /// rate-budget slot), so fixed-size target chunks probe independently on
-  /// workers while the visitor runs on the calling thread in ascending
-  /// target order — output is bit-identical for any job count. Null clears
-  /// the executor: passes then run the same chunks inline.
+  /// (a monlist probe's monitor-table bookkeeping, the identity its first
+  /// READVAR renders, its rate-budget slot), so fixed-size target chunks
+  /// probe independently on workers while the visitor runs on the calling
+  /// thread in ascending target order — output is bit-identical for any job
+  /// count. Null clears the executor: passes then run the same chunks
+  /// inline.
   void set_executor(sim::ShardedExecutor* executor) noexcept {
     executor_ = executor;
   }
@@ -183,31 +184,47 @@ class Prober {
     kRestricted,  ///< the server answers no such request: no retry helps
   };
 
-  /// Settles the World's pending monitor writes on `executor_`, then turns
-  /// off monlist and mode 6 on every detailed amplifier whose fix week has
-  /// come. A table is cleared once, when its monlist turns off: nothing can
-  /// dump it after that.
+  /// Turns off monlist and mode 6 on every detailed amplifier whose fix
+  /// week has come. A table is cleared once, when its monlist turns off:
+  /// nothing can dump it after that. The changes are found on the traits
+  /// and server_config(), which never settle; only when one is due are the
+  /// World's pending monitor writes settled on `executor_`, before the
+  /// first clear. A version pass reads no table, so its writes stay pending
+  /// unless this clears one; the monlist passes settle themselves.
   void apply_due_remediation(int week);
-  /// The pass driver: runs `probe_one(index, summary, obs)` over `targets`
-  /// and visits each target it returns true for, in target order. One
-  /// `run_ordered` over 512-target chunks (DESIGN.md §3d), on the executor
-  /// or inline when none is set; each chunk probes with its own copy of
-  /// `probe_one`, which carries the pass's datagram and reply scratch.
-  /// `targets` must not repeat an index: a server's state belongs to the
-  /// one chunk that probes it.
+  /// A request that reached `server` on attempt `attempt` without writing
+  /// its monitor table: the version pass's, which it logs instead.
+  struct Reached {
+    std::uint32_t server;
+    std::uint32_t attempt;
+  };
+  /// The monitor writes one version pass owes, bucketed by apply lane.
+  struct VersionWrites;
+  /// The pass driver: runs `probe_one(index, summary, obs, reached)` over
+  /// `targets` and visits each target it returns true for, in target order.
+  /// One `run_ordered` over 512-target chunks (DESIGN.md §3d), on the
+  /// executor or inline when none is set; each chunk probes with its own
+  /// copy of `probe_one`, which carries the pass's datagram and reply
+  /// scratch. A chunk lists in `reached` the requests it did not write;
+  /// the calling thread adds them to `writes` in target order (a monlist
+  /// pass writes as it probes, lists none and passes null). `targets` must
+  /// not repeat an index: a server's state belongs to the one chunk that
+  /// probes it.
   template <class Observation, class Targets, class Summary, class ProbeOne,
             class Visit>
   void probe_indices(const Targets& targets, Summary& summary,
-                     ProbeOne probe_one, const Visit& visit);
+                     ProbeOne probe_one, const Visit& visit,
+                     VersionWrites* writes);
   /// The attempt loop both passes share: fate (drawn at `attempt + salt`),
-  /// handle(), restriction, silence, rate budget, damage and retry, with
-  /// `reply(attempt, probe, response, damage)` deciding kAnswered, kRefused
-  /// or kLost. Counts retries, rate_limited and probes_lost; touches only
-  /// this target's server and its rate-budget slot.
-  template <class Summary, class ReplyStep>
+  /// `deliver(attempt, probe)` for the server's response, restriction,
+  /// silence, rate budget, damage and retry, with `reply(attempt, probe,
+  /// response, damage)` deciding kAnswered, kRefused or kLost. Counts
+  /// retries, rate_limited and probes_lost; touches only this target's
+  /// server (through `deliver`) and its rate-budget slot.
+  template <class Summary, class Deliver, class ReplyStep>
   Outcome run_attempts(std::uint32_t server_index, int week, util::SimTime now,
-                       int salt, ntp::NtpServer& server, net::UdpPacket& probe,
-                       Summary& summary, const ReplyStep& reply);
+                       int salt, net::UdpPacket& probe, Summary& summary,
+                       const Deliver& deliver, const ReplyStep& reply);
   /// The pass's probe datagram carrying `request_wire`, from this prober's
   /// source address and port to the NTP port; destination and time unset.
   [[nodiscard]] net::UdpPacket make_probe(

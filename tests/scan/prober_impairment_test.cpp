@@ -17,6 +17,7 @@
 #include "sim/scanner.h"
 #include "sim/sharded_executor.h"
 #include "util/crc32.h"
+#include "util/mem_stats.h"
 #include "util/thread_pool.h"
 
 namespace gorilla::scan {
@@ -503,7 +504,9 @@ TEST(ProberImpairmentTest, VersionPassIsJobCountInvariant) {
 /// sample week (so its remediation is applied), then a second prober, with
 /// lossy requests and transient silence, runs version weeks 0 and 1. The
 /// loss makes retries, so a server sees a pass's request at several attempt
-/// offsets.
+/// offsets. Neither version pass writes a table: the `ntp.monitor` arena
+/// counter holds still across each, and the second runs with the first's
+/// writes pending.
 struct VersionStudy {
   static constexpr int kLastWeek = 14;
 
@@ -512,10 +515,14 @@ struct VersionStudy {
     campaign.set_executor(&executor);
     versions.set_executor(&executor);
     campaign.run_monlist_sample(kLastWeek, [](const AmplifierObservation&) {});
+    const auto& monitor_bytes =
+        util::MemStats::instance().counter("ntp.monitor");
     for (const int vweek : {0, 1}) {
+      const std::uint64_t before = monitor_bytes.live();
       const auto summary =
           versions.run_version_sample(vweek, [](const VersionObservation&) {});
       EXPECT_GT(summary.retries, 0u);
+      EXPECT_EQ(monitor_bytes.live(), before);
     }
   }
 
