@@ -320,8 +320,8 @@ using Readers = std::array<util::ColumnReader, kColumnCount>;
 
 template <std::size_t... I>
 Readers open_columns(const util::ColumnArchive& archive,
-                     std::index_sequence<I...>) {
-  return {archive.column(kColumnNames[I])...};
+                     util::ThreadPool& codec, std::index_sequence<I...>) {
+  return {archive.column(kColumnNames[I], codec)...};
 }
 
 /// Decodes one event of type `tag` and hands it to `sink`. False on damage
@@ -401,7 +401,9 @@ const char* missing_section(const util::ColumnArchive& archive) {
 }  // namespace
 
 Recorder::Recorder(const StudyHeader& header) : header_(header) {
-  for (util::ColumnWriter& col : columns_) col = util::ColumnWriter::sealing();
+  for (util::ColumnWriter& col : columns_) {
+    col = util::ColumnWriter::sealing(codec_);
+  }
 }
 
 void Recorder::tag(std::uint8_t t) {
@@ -461,17 +463,17 @@ void Recorder::on_monlist_summary(const scan::MonlistSampleSummary& summary) {
 void Recorder::on_sample_end(int week) {
   tag(kTagEnd);
   code_end(columns_, transforms_, week);
-  // Week boundary: report what the columns hold into the memory registry
-  // (gauge; sealing a block shrinks it, so its peak is the high-water
-  // mark).
-  static auto& gauge = util::MemStats::instance().counter("study.recorder");
-  gauge.observe(column_bytes());
-}
-
-std::size_t Recorder::column_bytes() const noexcept {
-  std::size_t bytes = 0;
-  for (const util::ColumnWriter& col : columns_) bytes += col.held_bytes();
-  return bytes;
+  // Week boundary: report what the columns hold, sealed frames plus raw
+  // tails, into the memory registry (gauge; sealing a block shrinks it, so
+  // its peak is the high-water mark). The frames of blocks still being
+  // compressed are counted on the codec worker, behind those blocks, so
+  // the week never waits for them and the count never depends on timing.
+  util::HeldBytes held;
+  for (const util::ColumnWriter& col : columns_) held += col.held();
+  observed_ = codec_.post([held = std::move(held)] {
+    static auto& gauge = util::MemStats::instance().counter("study.recorder");
+    gauge.observe(held.total());
+  });
 }
 
 util::ColumnArchive Recorder::to_archive() {
@@ -483,6 +485,7 @@ util::ColumnArchive Recorder::to_archive() {
   for (std::size_t i = 0; i < kColumnCount; ++i) {
     archive.add_column(kColumnNames[i], columns_[i]);
   }
+  if (observed_.valid()) observed_.get();  // the gauge has seen every week
   return archive;
 }
 
@@ -559,8 +562,12 @@ std::string Replayer::describe_load_failure(const std::string& path) {
 bool Replayer::replay(EventSink& sink, int max_weeks) const {
   // Walks the tape run by run, decoding each event out of its column with
   // the transform state advanced in tape order. Stops after `max_weeks`
-  // complete weeks (-1 = unlimited) or at the first damage.
-  Readers c = open_columns(archive_, std::make_index_sequence<kColumnCount>{});
+  // complete weeks (-1 = unlimited) or at the first damage. The readers
+  // are destroyed before the codec worker, each waiting for its
+  // read-ahead.
+  util::ThreadPool codec(1);
+  Readers c = open_columns(archive_, codec,
+                           std::make_index_sequence<kColumnCount>{});
   util::ColumnReader& tape = c[kTape];
   Transforms t;
   scan::AmplifierObservation obs;  // its table is reused across events

@@ -16,6 +16,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <future>
 #include <string>
 
 #include "study/events.h"
@@ -70,10 +71,11 @@ struct StreamTransforms {
 /// Each event's cells and their transforms (delta-coded addresses and
 /// monotone timestamps, frame-of-reference week ids) are defined once, in
 /// per-event coders that the Replayer decodes with too. Each column is a
-/// sealing ColumnWriter: every 64 KiB block is compressed as it fills,
-/// into the frames a save-time compression of the whole column would
-/// write (GORCOLv3). The recorder holds those frames plus one raw tail per
-/// column; to_archive() compresses the tails.
+/// sealing ColumnWriter: every 64 KiB block goes to the recorder's codec
+/// worker as it fills, and comes back as the frames a save-time
+/// compression of the whole column would write (GORCOLv3). The recorder
+/// holds those frames plus one raw tail per column; to_archive() joins the
+/// worker and compresses the tails.
 class Recorder final : public EventSink {
  public:
   explicit Recorder(const StudyHeader& header);
@@ -109,9 +111,6 @@ class Recorder final : public EventSink {
  private:
   void tag(std::uint8_t t);
   void flush_run();
-  /// Bytes held across every column: sealed frames plus raw tails (the
-  /// recorder's footprint).
-  [[nodiscard]] std::size_t column_bytes() const noexcept;
 
   StudyHeader header_;
   /// Every column, in section order.
@@ -119,6 +118,12 @@ class Recorder final : public EventSink {
   detail::StreamTransforms transforms_;
   std::uint8_t run_tag_ = 0;
   std::uint64_t run_len_ = 0;
+  /// The codec worker: compresses the columns' blocks, and counts each
+  /// week's footprint behind them. Not the --jobs pool. Its jobs own what
+  /// they use; it is joined before the columns go.
+  util::ThreadPool codec_{1};
+  /// The latest week's footprint count, posted to codec_.
+  std::future<void> observed_;
 };
 
 /// What Replayer::load_prefix() saw: `clean` means the artifact loaded,
@@ -154,7 +159,8 @@ class Replayer {
   /// Dispatches the stream into `sink` in recorded order, in one pass:
   /// all of it, or when `max_weeks` >= 0 only the events up to the
   /// `max_weeks`-th on_sample_end. Every column streams block by block
-  /// from the loaded archive's stored bytes; none is inflated whole. To
+  /// from the loaded archive's stored bytes, each decoded one block ahead
+  /// on a codec worker that the call owns; none is inflated whole. To
   /// feed several sinks, replay once into an EventBus of them. False when
   /// the stream turns out internally inconsistent (the sink may have
   /// received a prefix of it by then).

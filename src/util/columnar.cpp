@@ -156,19 +156,91 @@ void write_section_frame(ByteWriter& w, const std::string& name) {
 
 }  // namespace
 
+HeldBytes& HeldBytes::operator+=(const HeldBytes& other) {
+  known_ += other.known_;
+  in_flight_.insert(in_flight_.end(), other.in_flight_.begin(),
+                    other.in_flight_.end());
+  return *this;
+}
+
+std::size_t HeldBytes::total() const {
+  std::size_t bytes = known_;
+  for (const auto& frame : in_flight_) bytes += frame.get().size();
+  return bytes;
+}
+
+HeldBytes ColumnWriter::held() const {
+  HeldBytes held;
+  held.known_ = sealed_.size() + buf_.size();
+  held.in_flight_.assign(in_flight_.begin(), in_flight_.end());
+  return held;
+}
+
 void ColumnWriter::seal_block() {
-  block_compress_append(
-      std::span<const std::uint8_t>(buf_).first(kBlockRawSize), sealed_);
-  buf_.erase(buf_.begin(),
-             buf_.begin() + static_cast<std::ptrdiff_t>(kBlockRawSize));
+  if (in_flight_.size() == kBlocksInFlight) collect_oldest();
+  // The block leaves with buf_'s storage; only the few bytes put past it
+  // are copied, into a buffer sized for the next block.
+  std::vector<std::uint8_t> block = std::exchange(buf_, {});
+  buf_.reserve(kBlockRawSize + 16);
+  buf_.assign(block.begin() + static_cast<std::ptrdiff_t>(kBlockRawSize),
+              block.end());
+  block.resize(kBlockRawSize);
+  in_flight_.push_back(
+      codec_->post([block = std::move(block)] { return block_compress(block); })
+          .share());
   sealed_raw_ += kBlockRawSize;
 }
 
+void ColumnWriter::collect_oldest() {
+  const std::vector<std::uint8_t>& frame = in_flight_.front().get();
+  sealed_.insert(sealed_.end(), frame.begin(), frame.end());
+  in_flight_.pop_front();
+}
+
 std::vector<std::uint8_t> ColumnWriter::take_blocks() {
+  while (!in_flight_.empty()) collect_oldest();
   block_compress_append(buf_, sealed_);
   buf_ = {};
   sealed_raw_ = 0;
   return std::exchange(sealed_, {});
+}
+
+ColumnReader::ColumnReader(std::span<const std::uint8_t> stored,
+                           ThreadPool& codec)
+    : codec_(&codec), more_(!stored.empty()) {
+  if (more_) read_ahead(BlockCursor(stored), {});
+}
+
+ColumnReader::~ColumnReader() {
+  if (ahead_.valid()) ahead_.wait();
+}
+
+void ColumnReader::read_ahead(BlockCursor cursor,
+                              std::vector<std::uint8_t> out) {
+  // The job owns its cursor and buffer and borrows only the stored bytes,
+  // so it never touches the reader, which may move meanwhile.
+  ahead_ = codec_->post([cursor, out = std::move(out)]() mutable {
+    out.resize(kCarry);
+    const bool ok = cursor.next(out);
+    return Ahead{std::move(out), cursor, ok};
+  });
+}
+
+bool ColumnReader::refill() noexcept {
+  // No read-ahead: a flat reader, the stream's end, or damage already met.
+  if (!ahead_.valid()) return false;
+  Ahead next = ahead_.get();
+  if (!next.ok) return false;  // damaged: more_ stays set
+  const std::span<const std::uint8_t> tail = win_.subspan(pos_);
+  const std::size_t start = kCarry - tail.size();
+  std::copy(tail.begin(), tail.end(),
+            next.bytes.begin() + static_cast<std::ptrdiff_t>(start));
+  buf_.swap(next.bytes);
+  win_ = std::span<const std::uint8_t>(buf_).subspan(start);
+  pos_ = 0;
+  more_ = !next.cursor.exhausted();
+  if (more_) read_ahead(next.cursor, std::move(next.bytes));
+  return true;
 }
 
 void ColumnArchive::add_column(std::string name, ColumnWriter& col) {
@@ -192,13 +264,14 @@ const ColumnArchive::Section* ColumnArchive::find(
   return nullptr;
 }
 
-ColumnReader ColumnArchive::column(std::string_view name) const noexcept {
+ColumnReader ColumnArchive::column(std::string_view name,
+                                   ThreadPool& codec) const {
   const Section* section = find(name);
   if (section == nullptr) {
     return ColumnReader(std::span<const std::uint8_t>{});
   }
   if (section->storage == SectionStorage::kBlocks) {
-    return {ColumnReader::BlocksTag{}, section->bytes};
+    return {section->bytes, codec};
   }
   return ColumnReader(std::span<const std::uint8_t>(section->bytes));
 }

@@ -8,17 +8,26 @@
 // wire parsers: a short or corrupt file reads as !ok(), never as garbage.
 //
 // GORCOLv3 adds an in-repo block codec (util/block_codec.h): section
-// payloads are stored as independently framed 64 KiB compressed blocks,
-// and ColumnReader decodes them block-by-block from the borrowed stored
-// bytes. That is the only read path: a file or section is never inflated
-// whole (a parallel whole-section inflate was measured and bought no
-// speed for ~60% more peak memory; DESIGN.md §3i). On the write side a
-// sealing ColumnWriter compresses each block as it fills, so a long column
-// is never held raw.
+// payloads are stored as independently framed 64 KiB compressed blocks.
+// Blocks are compressed and decoded on a codec worker, a one-thread
+// util::ThreadPool that the caller owns and lends in, while the calling
+// thread goes on writing or reading:
+// - A sealing ColumnWriter hands each full block to the worker to compress
+//   and goes on writing, so a long column is never held raw. At most
+//   ColumnWriter::kBlocksInFlight blocks per column are out at once, and
+//   the frames are kept in submission order.
+// - A ColumnReader over a blocks section borrows the stored bytes and has
+//   the worker decode the column's next block while the caller reads the
+//   current one: one block ahead, so peak decode memory is two blocks per
+//   column. That is the only read path: a file or section is never
+//   inflated whole (a parallel whole-section inflate was measured and
+//   bought no speed for ~60% more peak memory; DESIGN.md §3i).
 #pragma once
 
 #include <bit>
 #include <cstdint>
+#include <deque>
+#include <future>
 #include <istream>
 #include <limits>
 #include <optional>
@@ -31,6 +40,7 @@
 
 #include "util/block_codec.h"
 #include "util/bytes.h"
+#include "util/thread_pool.h"
 
 namespace gorilla::util {
 
@@ -45,20 +55,43 @@ namespace gorilla::util {
   return static_cast<std::int64_t>((v >> 1) ^ (~(v & 1) + 1));
 }
 
+/// What sealing writers hold at one moment, counted later: the frames and
+/// raw tails known then, plus the frames of the blocks then in flight,
+/// which count once they land. A value, so the count can be finished on
+/// another thread; it reads the same whenever it is finished.
+class HeldBytes {
+ public:
+  HeldBytes& operator+=(const HeldBytes& other);
+  /// The byte count. Waits for the blocks in flight.
+  [[nodiscard]] std::size_t total() const;
+
+ private:
+  friend class ColumnWriter;
+  std::size_t known_ = 0;
+  std::vector<std::shared_future<std::vector<std::uint8_t>>> in_flight_;
+};
+
 /// Append-only typed column. Owns its byte buffer; freely movable.
 ///
 /// A plain writer holds the whole column raw. A sealing writer holds only
 /// the unfinished block raw: each time the column completes a
-/// kBlockRawSize block, counted from its first byte, the block is
-/// compressed (block_compress_append) and only its frame is kept. Blocks
-/// are compressed independently, so the sealed frames are exactly the
-/// frames block_compress() would make of the whole column.
+/// kBlockRawSize block, counted from its first byte, the block goes to the
+/// codec worker, which compresses it (block_compress) while the writer
+/// goes on. Blocks are compressed independently and their frames are kept
+/// in submission order, so they are exactly the frames block_compress()
+/// would make of the whole column.
 class ColumnWriter {
  public:
+  /// Blocks one sealing writer may have on the codec worker at once; the
+  /// next seal waits for the oldest.
+  static constexpr std::size_t kBlocksInFlight = 2;
+
   ColumnWriter() = default;
-  /// A writer that seals each block as it fills.
-  [[nodiscard]] static ColumnWriter sealing() noexcept {
+  /// A writer that seals each block as it fills, compressing it on
+  /// `codec`, which must outlive the writer.
+  [[nodiscard]] static ColumnWriter sealing(ThreadPool& codec) noexcept {
     ColumnWriter w;
+    w.codec_ = &codec;
     w.seal_at_ = kBlockRawSize;
     return w;
   }
@@ -100,10 +133,11 @@ class ColumnWriter {
   [[nodiscard]] std::size_t size() const noexcept {
     return sealed_raw_ + buf_.size();
   }
-  /// Bytes the writer holds: sealed frames plus the raw tail.
-  [[nodiscard]] std::size_t held_bytes() const noexcept {
-    return sealed_.size() + buf_.size();
-  }
+  /// Bytes the writer holds: sealed frames plus the raw tail. Waits for
+  /// the blocks in flight.
+  [[nodiscard]] std::size_t held_bytes() const { return held().total(); }
+  /// held_bytes() as of now, to be counted later.
+  [[nodiscard]] HeldBytes held() const;
   /// The raw bytes not yet sealed: the whole column for a plain writer.
   [[nodiscard]] const std::vector<std::uint8_t>& buffer() const noexcept {
     return buf_;
@@ -114,22 +148,27 @@ class ColumnWriter {
   [[nodiscard]] std::vector<std::uint8_t> take_buffer() noexcept {
     return std::move(buf_);
   }
-  /// Moves the column out as one block stream, compressing the raw tail
-  /// now: exactly block_compress() of every byte put. The writer is empty
-  /// afterwards.
+  /// Moves the column out as one block stream: waits for the blocks in
+  /// flight and compresses the raw tail now, giving exactly
+  /// block_compress() of every byte put. The writer is empty afterwards.
   [[nodiscard]] std::vector<std::uint8_t> take_blocks();
 
  private:
   void seal_if_full() {
     if (buf_.size() >= seal_at_) seal_block();
   }
-  /// Compresses the first kBlockRawSize raw bytes into sealed_.
+  /// Posts the first kBlockRawSize raw bytes to the codec worker.
   void seal_block();
+  /// Appends the oldest block's frame to sealed_, waiting for it.
+  void collect_oldest();
 
   std::vector<std::uint8_t> buf_;
   std::vector<std::uint8_t> sealed_;
+  /// Frames still being compressed, oldest first.
+  std::deque<std::shared_future<std::vector<std::uint8_t>>> in_flight_;
   std::size_t sealed_raw_ = 0;
   std::size_t seal_at_ = std::numeric_limits<std::size_t>::max();
+  ThreadPool* codec_ = nullptr;
 };
 
 /// Forward-only typed reads over one column. Failure is sticky: after any
@@ -137,31 +176,35 @@ class ColumnWriter {
 /// further get returns 0.
 ///
 /// Two sources: a flat borrowed span (a raw section, or any plain bytes
-/// such as an artifact header), or a block stream decoded one block at a
-/// time into an internal scratch window — the streaming path borrows the
-/// stored bytes and never materializes the whole section. Values split
-/// across a block boundary are handled by carrying the unread tail (at most
-/// a few bytes) into the next window.
+/// such as an artifact header), or a block stream. A streaming reader
+/// borrows the stored bytes and never materializes the whole section: the
+/// codec worker decodes the next block while the current one is read, and
+/// a refill swaps it in behind the unread tail of the current one (at most
+/// a few bytes, for a value split across the boundary). A damaged block
+/// fails the read that needs it, after every byte before it was read.
 class ColumnReader {
  public:
   explicit ColumnReader(std::span<const std::uint8_t> data) noexcept
       : win_(data) {}
 
-  struct BlocksTag {};
-  /// Streaming reader over block-compressed stored bytes (borrowed).
-  ColumnReader(BlocksTag, std::span<const std::uint8_t> stored) noexcept
-      : cursor_(stored), streaming_(true) {}
+  /// Streaming reader over block-compressed stored bytes, which must
+  /// outlive it; blocks are decoded on `codec`, one ahead of the reads.
+  ColumnReader(std::span<const std::uint8_t> stored, ThreadPool& codec);
 
-  // The scratch window is self-referential: moving is safe (vector storage
-  // is stable across moves), copying would alias another reader's scratch.
+  /// Waits for a read-ahead in flight, which borrows the stored bytes.
+  ~ColumnReader();
+
+  // The window points into the reader's own buffer: moving is safe (vector
+  // storage is stable across moves), copying would alias it, and assigning
+  // over a reader would drop its read-ahead without waiting for it.
   ColumnReader(const ColumnReader&) = delete;
   ColumnReader& operator=(const ColumnReader&) = delete;
   ColumnReader(ColumnReader&&) noexcept = default;
-  ColumnReader& operator=(ColumnReader&&) noexcept = default;
+  ColumnReader& operator=(ColumnReader&&) = delete;
 
   [[nodiscard]] bool ok() const noexcept { return !bad_; }
   [[nodiscard]] bool at_end() const noexcept {
-    return win_.size() - pos_ == 0 && (!streaming_ || cursor_.exhausted());
+    return win_.size() - pos_ == 0 && !more_;
   }
 
   std::uint8_t get_u8() noexcept {
@@ -210,6 +253,19 @@ class ColumnReader {
   }
 
  private:
+  /// Headroom in front of each decoded block for the unread tail carried
+  /// into it. A refill runs only while fewer bytes remain than the widest
+  /// value (a 10-byte varint), so the tail always fits.
+  static constexpr std::size_t kCarry = 16;
+
+  /// One block decoded ahead: its bytes behind kCarry bytes of headroom,
+  /// the cursor past it, and whether it decoded.
+  struct Ahead {
+    std::vector<std::uint8_t> bytes;
+    BlockCursor cursor;
+    bool ok = false;
+  };
+
   std::uint8_t fail() noexcept {
     bad_ = true;
     return 0;
@@ -226,30 +282,24 @@ class ColumnReader {
     return true;
   }
 
-  /// Carries the unread tail to the front of the scratch buffer and
-  /// decodes the next block behind it. False at stream end or damage.
-  bool refill() noexcept {
-    if (!streaming_ || bad_) return false;
-    if (win_.data() == scratch_.data()) {
-      scratch_.erase(scratch_.begin(),
-                     scratch_.begin() + static_cast<std::ptrdiff_t>(pos_));
-    } else {
-      // First refill: the window is still the (empty) constructor span.
-      scratch_.assign(win_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                      win_.end());
-    }
-    pos_ = 0;
-    const std::size_t before = scratch_.size();
-    const bool got = cursor_.next(scratch_);
-    win_ = scratch_;
-    return got && scratch_.size() > before;
-  }
+  /// Posts the decode of the block at `cursor` to the codec worker, into
+  /// `out` (a spent window buffer, reused for its capacity).
+  void read_ahead(BlockCursor cursor, std::vector<std::uint8_t> out);
+
+  /// Waits for the block decoded ahead, posts the one after it, and makes
+  /// the unread tail plus the new block the window. False at the stream's
+  /// end or on damage.
+  bool refill() noexcept;
 
   std::span<const std::uint8_t> win_;
   std::size_t pos_ = 0;
-  std::vector<std::uint8_t> scratch_;
-  BlockCursor cursor_{std::span<const std::uint8_t>{}};
-  bool streaming_ = false;
+  /// The window's storage once a block has been read.
+  std::vector<std::uint8_t> buf_;
+  std::future<Ahead> ahead_;
+  ThreadPool* codec_ = nullptr;
+  /// Stored bytes remain that the window has not taken in: blocks still to
+  /// decode, or a damaged one.
+  bool more_ = false;
   bool bad_ = false;
 };
 
@@ -307,9 +357,11 @@ struct ColumnArchive {
   [[nodiscard]] const Section* find(std::string_view name) const noexcept;
 
   /// Typed reader over a section's payload: flat for raw sections,
-  /// streaming block-by-block for compressed ones. Absent name reads as an
-  /// empty column.
-  [[nodiscard]] ColumnReader column(std::string_view name) const noexcept;
+  /// streaming block by block, decoded ahead on `codec`, for compressed
+  /// ones. Absent name reads as an empty column. The archive must outlive
+  /// the reader.
+  [[nodiscard]] ColumnReader column(std::string_view name,
+                                    ThreadPool& codec) const;
 
   /// Serializes as GORCOLv3; false when the sink fails mid-write (the
   /// stream then holds an undefined partial prefix — discard it).

@@ -7,17 +7,22 @@
 // chunk order — the pool only supplies the concurrency.
 //
 // parallel_for() is the blocking join every "submit N jobs and wait"
-// caller uses: archive inflation, lint's per-file phases and
-// gorilla_replay's sink passes. Each index runs at most once and no job is
-// ever retried.
+// caller uses: lint's per-file phases and gorilla_replay's sink passes.
+// Each index runs at most once and no job is ever retried. post() is the
+// one-job form with a result: the GORCOLv3 codec worker, a one-thread pool,
+// compresses and decodes blocks through it (util/columnar.h).
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <functional>
+#include <future>
+#include <memory>
 #include <mutex>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace gorilla::util {
@@ -35,6 +40,18 @@ class ThreadPool {
 
   /// Enqueues a job; runs on some worker after all earlier jobs started.
   void submit(std::function<void()> job);
+
+  /// submit() for a job with a result, returned through the future. The
+  /// future does not wait when it is destroyed: a caller that lends the
+  /// job anything must wait for it before the loan ends.
+  template <class Fn>
+  [[nodiscard]] std::future<std::invoke_result_t<Fn&>> post(Fn job) {
+    using Result = std::invoke_result_t<Fn&>;
+    auto task = std::make_shared<std::packaged_task<Result()>>(std::move(job));
+    std::future<Result> result = task->get_future();
+    submit([task] { (*task)(); });
+    return result;
+  }
 
   /// Runs fn(i) for every i in [0, n) and blocks until all of them have
   /// finished; inline on the calling thread when size() <= 1. When jobs

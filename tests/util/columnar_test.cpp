@@ -2,13 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "util/crc32.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace gorilla::util {
 namespace {
@@ -225,7 +231,8 @@ TEST(ColumnArchiveV3Test, CompressedSectionRoundTripsAndShrinks) {
   EXPECT_EQ(tiny->storage, ColumnArchive::SectionStorage::kRaw);
 
   // Streaming reads reproduce every value without inflating the section.
-  ColumnReader r = loaded->column("big");
+  ThreadPool codec(1);
+  ColumnReader r = loaded->column("big", codec);
   for (std::uint64_t i = 0; i < 60000; ++i) {
     ASSERT_EQ(r.get_varint(), i % 50) << i;
     ASSERT_EQ(r.get_zigzag(), -static_cast<std::int64_t>(i % 31)) << i;
@@ -245,7 +252,8 @@ TEST(ColumnArchiveV3Test, StreamingReaderFailsStickyOnDamagedBlock) {
   auto& stored = archive.sections[0].bytes;
   ASSERT_GT(stored.size(), 1000u);
   stored[stored.size() - 50] ^= 0x01;
-  ColumnReader r = archive.column("big");
+  ThreadPool codec(1);
+  ColumnReader r = archive.column("big", codec);
   bool failed = false;
   for (std::uint64_t i = 0; i < 60000 && !failed; ++i) {
     const std::uint64_t a = r.get_varint();
@@ -265,8 +273,11 @@ TEST(ColumnArchiveV3Test, StreamingReaderFailsStickyOnDamagedBlock) {
 
 // ---- Sealing writers: blocks compressed as they fill, same frames ----
 
+// Up to 40 blocks: well past the ColumnWriter::kBlocksInFlight bound, so
+// sealing writers wait for their oldest block many times over.
 constexpr std::size_t kSealLengths[] = {
-    0, 1, 63, 64, 65535, 65536, 65537, 3 * kBlockRawSize + 17};
+    0, 1, 63, 64, 65535, 65536, 65537, 3 * kBlockRawSize + 17,
+    8 * kBlockRawSize, 9 * kBlockRawSize + 1, 40 * kBlockRawSize + 1234};
 
 /// Puts exactly `len` bytes into `w` with every value width mixed in, so
 /// values straddle block boundaries. Stretches of small repeating values
@@ -299,10 +310,11 @@ void fill_column(ColumnWriter& w, std::size_t len) {
 }
 
 TEST(SealingColumnTest, FramesEqualWholeColumnCompression) {
+  ThreadPool codec(1);
   for (const std::size_t len : kSealLengths) {
     ColumnWriter plain;
     fill_column(plain, len);
-    ColumnWriter sealing = ColumnWriter::sealing();
+    ColumnWriter sealing = ColumnWriter::sealing(codec);
     fill_column(sealing, len);
     ASSERT_EQ(plain.size(), len);
     ASSERT_EQ(sealing.size(), len);
@@ -313,25 +325,55 @@ TEST(SealingColumnTest, FramesEqualWholeColumnCompression) {
   }
 }
 
+/// Compressed size of the first `blocks` whole blocks of `raw`.
+std::size_t frames_of(const std::vector<std::uint8_t>& raw,
+                      std::size_t blocks) {
+  return block_compress(
+             std::span<const std::uint8_t>(raw).first(blocks * kBlockRawSize))
+      .size();
+}
+
 TEST(SealingColumnTest, HeldBytesAreFramesPlusTail) {
   constexpr std::size_t kLen = 3 * kBlockRawSize + 17;
-  ColumnWriter sealing = ColumnWriter::sealing();
+  ThreadPool codec(1);
+  ColumnWriter sealing = ColumnWriter::sealing(codec);
   fill_column(sealing, kLen);
   ColumnWriter plain;
   fill_column(plain, kLen);
-  const std::size_t frames =
-      block_compress(std::span<const std::uint8_t>(plain.buffer())
-                         .first(3 * kBlockRawSize))
-          .size();
+  const std::size_t frames = frames_of(plain.buffer(), 3);
   EXPECT_EQ(sealing.held_bytes(), frames + 17);
   EXPECT_LT(sealing.held_bytes(), sealing.size());
 }
 
+TEST(SealingColumnTest, HeldCountsTheMomentItWasTaken) {
+  // Taken while blocks are in flight and finished after the writer has
+  // sealed many more: the count is still the one for the moment it was
+  // taken, frames plus tail, summed across writers.
+  constexpr std::size_t kLen = 3 * kBlockRawSize + 17;
+  ThreadPool codec(1);
+  ColumnWriter a = ColumnWriter::sealing(codec);
+  ColumnWriter b = ColumnWriter::sealing(codec);
+  fill_column(a, kLen);
+  fill_column(b, kLen + kBlockRawSize);
+  HeldBytes held = a.held();
+  held += b.held();
+  for (std::size_t i = 0; i < 20 * kBlockRawSize; ++i) {
+    a.put_u8(static_cast<std::uint8_t>(i));
+  }
+  ColumnWriter plain_a;
+  fill_column(plain_a, kLen);
+  ColumnWriter plain_b;
+  fill_column(plain_b, kLen + kBlockRawSize);
+  EXPECT_EQ(held.total(), frames_of(plain_a.buffer(), 3) + 17 +
+                              frames_of(plain_b.buffer(), 4) + 17);
+}
+
 TEST(SealingColumnTest, ArchiveSavesTheBytesOfTheRawColumn) {
+  ThreadPool codec(1);
   for (const std::size_t len : kSealLengths) {
     ColumnWriter plain;
     fill_column(plain, len);
-    ColumnWriter sealing = ColumnWriter::sealing();
+    ColumnWriter sealing = ColumnWriter::sealing(codec);
     fill_column(sealing, len);
     const std::vector<std::uint8_t> raw = plain.buffer();
 
@@ -355,11 +397,127 @@ TEST(SealingColumnTest, ArchiveSavesTheBytesOfTheRawColumn) {
 
     auto loaded = ColumnArchive::load(b);
     ASSERT_TRUE(loaded.has_value());
-    ColumnReader r = loaded->column("c");
+    ColumnReader r = loaded->column("c", codec);
     std::vector<std::uint8_t> read(len);
     for (std::uint8_t& byte : read) byte = r.get_u8();
     EXPECT_TRUE(r.ok() && r.at_end()) << len;
     EXPECT_EQ(read, raw) << len;
+  }
+}
+
+// ---- Streaming readers: one block decoded ahead on the codec worker ----
+
+constexpr std::size_t kStreamBlocks = 6;
+
+/// A column of kStreamBlocks whole blocks and a partial one, stored as a
+/// block stream, with where each frame starts.
+struct StoredColumn {
+  std::vector<std::uint8_t> raw;
+  std::vector<std::uint8_t> stored;
+  std::vector<std::size_t> frames;
+};
+
+StoredColumn make_stored_column() {
+  StoredColumn c;
+  ColumnWriter w;
+  fill_column(w, kStreamBlocks * kBlockRawSize + 999);
+  c.raw = w.take_buffer();
+  c.stored = block_compress(c.raw);
+  for (std::size_t off = 0; off < c.stored.size();) {
+    c.frames.push_back(off);
+    off += kBlockHeaderSize + *load_u32le(c.stored, off + 4);
+  }
+  return c;
+}
+
+/// Breaks block `k`'s LZ body so that it cannot decode (every byte 0xff
+/// asks for an endless literal run) and re-seals its CRC, so the damage
+/// reaches the decoder rather than the checksum.
+void break_lz_body(StoredColumn& c, std::size_t k) {
+  const std::size_t at = c.frames[k];
+  ASSERT_EQ(c.stored[at + 12], 1) << "block " << k << " is not LZ";
+  const std::size_t body_len = *load_u32le(c.stored, at + 4);
+  const auto body = std::span<std::uint8_t>(c.stored).subspan(
+      at + kBlockHeaderSize, body_len);
+  std::fill(body.begin(), body.end(), std::uint8_t{0xff});
+  std::vector<std::uint8_t> crc;
+  ByteWriter(crc).u32le(crc32(body));
+  std::copy(crc.begin(), crc.end(), c.stored.begin() +
+                                        static_cast<std::ptrdiff_t>(at + 8));
+}
+
+/// Reads `c.stored` a byte at a time until the reader fails: it must
+/// yield exactly the bytes of the blocks before `k`, as block_decompress
+/// does, then fail sticky.
+void expect_fails_at_block(const StoredColumn& c, std::size_t k) {
+  std::vector<std::uint8_t> prefix;
+  EXPECT_FALSE(block_decompress(c.stored, prefix));
+  ASSERT_EQ(prefix.size(), k * kBlockRawSize);
+
+  ThreadPool codec(1);
+  ColumnReader r(c.stored, codec);
+  std::vector<std::uint8_t> read;
+  for (;;) {
+    const std::uint8_t byte = r.get_u8();
+    if (!r.ok()) break;
+    read.push_back(byte);
+  }
+  EXPECT_EQ(read.size(), prefix.size());
+  EXPECT_EQ(read, prefix);
+  EXPECT_EQ(r.get_u8(), 0);
+  EXPECT_FALSE(r.ok());
+  EXPECT_FALSE(r.at_end());
+
+  // Word reads meet the damage at the same place: the read that needs the
+  // block fails, not the read-ahead that decoded it.
+  ColumnReader words(c.stored, codec);
+  std::size_t words_read = 0;
+  for (;;) {
+    (void)words.get_u32();
+    if (!words.ok()) break;
+    ++words_read;
+  }
+  EXPECT_EQ(4 * words_read, prefix.size());
+}
+
+TEST(ColumnReaderStreamingTest, BrokenCrcFailsAfterTheBlocksBeforeIt) {
+  for (const std::size_t k : {std::size_t{0}, std::size_t{3}, kStreamBlocks}) {
+    StoredColumn c = make_stored_column();
+    ASSERT_EQ(c.frames.size(), kStreamBlocks + 1);
+    c.stored[c.frames[k] + kBlockHeaderSize + 5] ^= 0x40;
+    SCOPED_TRACE(k);
+    expect_fails_at_block(c, k);
+  }
+}
+
+TEST(ColumnReaderStreamingTest, BrokenLzBodyFailsAfterTheBlocksBeforeIt) {
+  for (const std::size_t k : {std::size_t{0}, std::size_t{1}, std::size_t{4}}) {
+    StoredColumn c = make_stored_column();
+    SCOPED_TRACE(k);
+    break_lz_body(c, k);
+    expect_fails_at_block(c, k);
+  }
+}
+
+TEST(ColumnReaderStreamingTest, DestroyedWithAReadAheadInFlight) {
+  // The worker is held busy, so each reader is destroyed while its
+  // read-ahead is still queued; the archive is freed right after. The
+  // reader must wait for the job, which borrows the archive's bytes (a
+  // sanitizer build reports a use after free otherwise).
+  ThreadPool codec(1);
+  for (int reads = 0; reads < 3; ++reads) {
+    auto archive = std::make_unique<ColumnArchive>();
+    archive->sections.emplace_back("c", make_stored_column().stored);
+    archive->sections.back().storage = ColumnArchive::SectionStorage::kBlocks;
+    codec.submit(
+        [] { std::this_thread::sleep_for(std::chrono::milliseconds(20)); });
+    {
+      ColumnReader r = archive->column("c", codec);
+      for (int i = 0; i < reads; ++i) (void)r.get_u32();
+      ColumnReader moved(std::move(r));
+      EXPECT_TRUE(moved.ok());
+    }
+    archive.reset();
   }
 }
 

@@ -90,6 +90,19 @@ TEST(ThreadPoolTest, JobsMayOutliveTheirCaptures) {
   EXPECT_EQ(sum.load(), 55);
 }
 
+TEST(ThreadPoolTest, PostReturnsEachJobsResultOrException) {
+  // Each future carries its own job's result, a move-only one included,
+  // or the exception the job threw.
+  ThreadPool pool(1);
+  auto first = pool.post([] { return std::make_unique<int>(41); });
+  auto second = pool.post([v = std::vector<int>{1, 2, 3}] { return v.size(); });
+  EXPECT_EQ(*first.get(), 41);
+  EXPECT_EQ(second.get(), 3u);
+  auto thrown =
+      pool.post([]() -> int { throw std::runtime_error("job failed"); });
+  EXPECT_THROW((void)thrown.get(), std::runtime_error);
+}
+
 TEST(ThreadPoolTest, ParallelForRunsEveryIndexExactlyOnce) {
   for (const int threads : {1, 2, 7}) {
     ThreadPool pool(threads);
