@@ -412,7 +412,7 @@ void BM_SeedMonitorTables(benchmark::State& state) {
   // drawn); the 1-job run applies each chunk inline through the same path,
   // so the pair reads as the lanes' scaling. Tables are
   // emptied between iterations, as the probe-time restart expiry mostly
-  // does, so every iteration regrows them from the arena.
+  // does, so every iteration regrows their vectors from the heap.
   sim::WorldConfig cfg;
   cfg.scale = 100;
   cfg.registry.num_ases = 2000;

@@ -21,23 +21,23 @@ namespace {
 
 }  // namespace
 
-// --- chunked slab ----------------------------------------------------------
+// --- slot storage ----------------------------------------------------------
 //
-// Slot i lives in the dense chunk sequence 8 + 24 + 32 + 32 + ...; the
-// irregular head keeps one-entry scanner-only tables at a 256-byte
-// footprint while everything past slot 32 is uniform 1 KB chunks.
+// The ladder's 8-slot head keeps one-entry scanner-only tables at a
+// 256-byte slot footprint; past it, storage moves in uniform 1 KB steps.
 
-MonitorTable::Node& MonitorTable::node(std::uint32_t i) noexcept {
-  if (i < kHeadChunkSlots) return chunks_[0][i];
-  if (i < kHeadChunkSlots + kSecondChunkSlots) {
-    return chunks_[1][i - kHeadChunkSlots];
-  }
-  const std::uint32_t rest = i - kHeadChunkSlots - kSecondChunkSlots;
-  return chunks_[2 + rest / kChunkSlots][rest % kChunkSlots];
+util::MemStats::Counter& MonitorTable::monitor_bytes() {
+  static util::MemStats::Counter& counter =
+      util::MemStats::instance().counter("ntp.monitor");
+  return counter;
 }
 
-const MonitorTable::Node& MonitorTable::node(std::uint32_t i) const noexcept {
-  return const_cast<MonitorTable*>(this)->node(i);
+std::uint32_t MonitorTable::slots_for(std::uint32_t live) const noexcept {
+  if (live == 0) return 0;
+  const std::uint32_t ladder =
+      live <= kHeadSlots ? kHeadSlots
+                         : (live + kStepSlots - 1) / kStepSlots * kStepSlots;
+  return std::min(ladder, capacity_);
 }
 
 std::uint32_t MonitorTable::index_entries_for(std::uint32_t entries) noexcept {
@@ -46,160 +46,94 @@ std::uint32_t MonitorTable::index_entries_for(std::uint32_t entries) noexcept {
   return out;
 }
 
-void MonitorTable::reserve_directory(std::uint32_t want) {
-  if (want <= dir_cap_) return;
-  // The directory tops out at 20 pointers (600-slot capacity); doubling
-  // from 4 keeps it in three tiny arena classes.
-  const std::uint32_t max_dir = chunks_for(capacity_);
-  std::uint32_t grown_cap = dir_cap_ == 0 ? 4 : dir_cap_ * 2;
-  while (grown_cap < want) grown_cap *= 2;
-  if (grown_cap > max_dir) grown_cap = max_dir;
-  Node** grown = allocate_array<Node*>(grown_cap);
-  std::copy_n(chunks_, chunk_count_, grown);
-  release_array(chunks_, dir_cap_);
-  chunks_ = grown;
-  dir_cap_ = grown_cap;
-}
-
-void MonitorTable::reserve_one() {
-  if (size_ < chunk_capacity(chunk_count_)) return;
-  reserve_directory(chunk_count_ + 1);
-  chunks_[chunk_count_] = allocate_array<Node>(chunk_slots(chunk_count_));
-  ++chunk_count_;
-}
-
 void MonitorTable::swap_remove(std::uint32_t at) noexcept {
-  const std::uint32_t last = size_ - 1;
-  if (at != last) {
-    node(at) = node(last);
-    index_update(node(at).address, at);
+  if (at + 1 != slots_.size()) {
+    slots_[at] = slots_.back();
+    index_update(slots_[at].address, at);
   }
-  --size_;
+  slots_.pop_back();
 }
 
-void MonitorTable::release_tail_chunks() noexcept {
-  while (chunk_count_ > chunks_for(size_)) {
-    --chunk_count_;
-    release_array(chunks_[chunk_count_], chunk_slots(chunk_count_));
-    chunks_[chunk_count_] = nullptr;
-  }
-}
-
-void MonitorTable::release_all_storage() noexcept {
-  for (std::uint32_t c = 0; c < chunk_count_; ++c) {
-    release_array(chunks_[c], chunk_slots(c));
-  }
-  release_array(chunks_, dir_cap_);
-  release_array(index_, index_mask_ == 0 ? 0 : index_mask_ + 1);
-  chunks_ = nullptr;
-  chunk_count_ = 0;
-  dir_cap_ = 0;
-  index_ = nullptr;
-  index_mask_ = 0;
-}
-
-MonitorTable::~MonitorTable() { release_all_storage(); }
-
-MonitorTable::MonitorTable(MonitorTable&& other) noexcept {
-  *this = std::move(other);
-}
-
-MonitorTable& MonitorTable::operator=(MonitorTable&& other) noexcept {
-  if (this == &other) return *this;
-  release_all_storage();
-  arena_ = other.arena_;
-  capacity_ = other.capacity_;
-  size_ = other.size_;
-  chunk_count_ = other.chunk_count_;
-  dir_cap_ = other.dir_cap_;
-  stamp_ = other.stamp_;
-  chunks_ = other.chunks_;
-  index_ = other.index_;
-  index_mask_ = other.index_mask_;
-  private_bytes_ = other.private_bytes_;
-  other.size_ = 0;
-  other.chunk_count_ = 0;
-  other.dir_cap_ = 0;
-  other.chunks_ = nullptr;
-  other.index_ = nullptr;
-  other.index_mask_ = 0;
-  other.private_bytes_ = 0;
-  return *this;
+void MonitorTable::shrink_slots() {
+  const std::uint32_t want = slots_for(static_cast<std::uint32_t>(size()));
+  if (slots_.capacity() <= want) return;
+  Slots fewer;
+  fewer.reserve(want);
+  fewer.assign(slots_.begin(), slots_.end());
+  slots_.swap(fewer);
 }
 
 // --- open-addressing index -------------------------------------------------
 
 std::uint32_t MonitorTable::lookup(std::uint32_t key) const noexcept {
-  if (index_ == nullptr) return kNil;
-  std::uint32_t at = hash_key(key) & index_mask_;
+  if (index_.empty()) return kNil;
+  const std::uint32_t mask = index_mask();
+  std::uint32_t at = hash_key(key) & mask;
   while (index_[at] != 0) {
     const std::uint32_t i = index_[at] - 1;
-    if (node(i).address == key) return i;
-    at = (at + 1) & index_mask_;
+    if (slots_[i].address == key) return i;
+    at = (at + 1) & mask;
   }
   return kNil;
 }
 
 void MonitorTable::index_insert(std::uint32_t key, std::uint32_t slot_pos) {
-  if (index_ == nullptr) {
-    index_ = allocate_array<std::uint32_t>(kInitialIndexEntries);
-    index_mask_ = kInitialIndexEntries - 1;
-  } else if ((size_ + 1) * 4 > (index_mask_ + 1) * 3) {
-    rebuild_index((index_mask_ + 1) * 2);
+  if (index_.empty()) {
+    index_ = Index(kInitialIndexEntries, 0u);
+  } else if ((slot_pos + 1) * 4 > index_.size() * 3) {
+    rebuild_index(static_cast<std::uint32_t>(index_.size()) * 2);
   }
-  std::uint32_t at = hash_key(key) & index_mask_;
-  while (index_[at] != 0) at = (at + 1) & index_mask_;
+  const std::uint32_t mask = index_mask();
+  std::uint32_t at = hash_key(key) & mask;
+  while (index_[at] != 0) at = (at + 1) & mask;
   index_[at] = slot_pos + 1;
 }
 
 void MonitorTable::index_update(std::uint32_t key,
                                 std::uint32_t slot_pos) noexcept {
-  std::uint32_t at = hash_key(key) & index_mask_;
-  while (node(index_[at] - 1).address != key) at = (at + 1) & index_mask_;
+  const std::uint32_t mask = index_mask();
+  std::uint32_t at = hash_key(key) & mask;
+  while (slots_[index_[at] - 1].address != key) at = (at + 1) & mask;
   index_[at] = slot_pos + 1;
 }
 
 void MonitorTable::index_remove(std::uint32_t key) noexcept {
-  std::uint32_t at = hash_key(key) & index_mask_;
+  const std::uint32_t mask = index_mask();
+  std::uint32_t at = hash_key(key) & mask;
   while (index_[at] != 0) {
-    if (node(index_[at] - 1).address == key) break;
-    at = (at + 1) & index_mask_;
+    if (slots_[index_[at] - 1].address == key) break;
+    at = (at + 1) & mask;
   }
   if (index_[at] == 0) return;  // absent (callers never remove a missing key)
   // Backward-shift deletion keeps probe chains tombstone-free.
   std::uint32_t hole = at;
-  std::uint32_t scan = (at + 1) & index_mask_;
+  std::uint32_t scan = (at + 1) & mask;
   while (index_[scan] != 0) {
-    const std::uint32_t home =
-        hash_key(node(index_[scan] - 1).address) & index_mask_;
+    const std::uint32_t home = hash_key(slots_[index_[scan] - 1].address) & mask;
     // Move scan into the hole unless its probe path starts after the hole.
-    const bool movable =
-        ((scan - home) & index_mask_) >= ((scan - hole) & index_mask_);
+    const bool movable = ((scan - home) & mask) >= ((scan - hole) & mask);
     if (movable) {
       index_[hole] = index_[scan];
       hole = scan;
     }
-    scan = (scan + 1) & index_mask_;
+    scan = (scan + 1) & mask;
   }
   index_[hole] = 0;
 }
 
 void MonitorTable::rebuild_index(std::uint32_t entries) {
-  const std::uint32_t old_entries = index_mask_ == 0 ? 0 : index_mask_ + 1;
-  std::uint32_t* old = nullptr;
-  if (entries == old_entries) {
-    std::fill_n(index_, entries, 0u);  // same size: refill in place
+  if (entries == index_.size()) {
+    std::fill(index_.begin(), index_.end(), 0u);  // same size: refill in place
   } else {
-    old = index_;
-    index_ = allocate_array<std::uint32_t>(entries);
-    index_mask_ = entries - 1;
+    index_ = Index(entries, 0u);
   }
-  for (std::uint32_t i = 0; i < size_; ++i) {
-    std::uint32_t at = hash_key(node(i).address) & index_mask_;
-    while (index_[at] != 0) at = (at + 1) & index_mask_;
+  const std::uint32_t mask = index_mask();
+  const auto live = static_cast<std::uint32_t>(size());
+  for (std::uint32_t i = 0; i < live; ++i) {
+    std::uint32_t at = hash_key(slots_[i].address) & mask;
+    while (index_[at] != 0) at = (at + 1) & mask;
     index_[at] = i + 1;
   }
-  release_array(old, old_entries);
 }
 
 // --- public semantics ------------------------------------------------------
@@ -217,37 +151,27 @@ void MonitorTable::observe_many(net::Ipv4Address address, std::uint16_t port,
   if (packet_count == 0 || capacity_ == 0) return;
   const std::uint32_t i = lookup(address.value());
   if (i == kNil) {
-    if (size_ >= capacity_) {
+    if (size() >= capacity_) {
       // Recycle the least-recently-seen slot (ntpd's mon_getmoremem path):
       // minimum last_seen, oldest recency stamp breaking ties. The scan is
       // linear but only runs once the table is actually full.
-      std::uint32_t victim = 0;
-      for (std::uint32_t at = 1; at < size_; ++at) {
-        const Node& n = node(at);
-        const Node& v = node(victim);
-        if (n.last < v.last || (n.last == v.last && n.stamp < v.stamp)) {
-          victim = at;
-        }
-      }
-      index_remove(node(victim).address);
-      swap_remove(victim);
+      const auto victim = std::min_element(
+          slots_.begin(), slots_.end(), [](const Node& n, const Node& v) {
+            return n.last < v.last || (n.last == v.last && n.stamp < v.stamp);
+          });
+      index_remove(victim->address);
+      swap_remove(static_cast<std::uint32_t>(victim - slots_.begin()));
     }
-    reserve_one();
-    const std::uint32_t pos = size_;
-    Node& n = node(pos);
-    n.count = packet_count;
-    n.address = address.value();
-    n.first = static_cast<std::uint32_t>(first);
-    n.last = static_cast<std::uint32_t>(std::max(first, last));
-    n.stamp = ++stamp_;
-    n.port = port;
-    n.mode = mode;
-    n.version = version;
+    const auto pos = static_cast<std::uint32_t>(size());
+    if (pos == slots_.capacity()) slots_.reserve(slots_for(pos + 1));
     index_insert(address.value(), pos);
-    ++size_;
+    slots_.push_back(Node{packet_count, address.value(),
+                          static_cast<std::uint32_t>(first),
+                          static_cast<std::uint32_t>(std::max(first, last)),
+                          ++stamp_, port, mode, version});
     return;
   }
-  Node& n = node(i);
+  Node& n = slots_[i];
   n.port = port;
   n.mode = mode;
   n.version = version;
@@ -268,20 +192,20 @@ std::vector<MonitorEntry> MonitorTable::dump(util::SimTime now,
   // break ties), not by the emitted age: future-dated slots all clamp to
   // age 0, but still rank ahead of older slots exactly as the recency-list
   // implementation dumped them.
-  std::vector<std::uint32_t> order(size_);
+  std::vector<std::uint32_t> order(size());
   std::iota(order.begin(), order.end(), 0u);
   std::sort(order.begin(), order.end(),
             [this](std::uint32_t a, std::uint32_t b) {
-              const Node& na = node(a);
-              const Node& nb = node(b);
+              const Node& na = slots_[a];
+              const Node& nb = slots_[b];
               if (na.last != nb.last) return na.last > nb.last;
               return na.address < nb.address;
             });
   std::vector<MonitorEntry> out;
-  out.reserve(size_);
+  out.reserve(size());
   constexpr std::uint64_t u32max = std::numeric_limits<std::uint32_t>::max();
   for (const std::uint32_t i : order) {
-    const Node& n = node(i);
+    const Node& n = slots_[i];
     MonitorEntry e;
     e.address = net::Ipv4Address{n.address};
     e.local_address = local;
@@ -304,34 +228,34 @@ std::vector<MonitorEntry> MonitorTable::dump(util::SimTime now,
 }
 
 void MonitorTable::expire_before(util::SimTime cutoff) {
-  // One sweep: survivors slide down over the expired slots. Slab order is
+  // One sweep: survivors slide down over the expired slots. Slot order is
   // not observable — dump() sorts, and eviction takes the unique minimum
   // (last_seen, stamp) — so compacting in place of per-slot swap-removes
   // changes nothing but the cost.
-  std::uint32_t kept = 0;
-  for (std::uint32_t at = 0; at < size_; ++at) {
-    if (static_cast<util::SimTime>(node(at).last) < cutoff) continue;
-    if (kept != at) node(kept) = node(at);
-    ++kept;
-  }
-  if (kept == size_) return;
-  size_ = kept;
-  if (size_ == 0) {
-    release_all_storage();
+  const auto kept = std::remove_if(
+      slots_.begin(), slots_.end(), [cutoff](const Node& n) {
+        return static_cast<util::SimTime>(n.last) < cutoff;
+      });
+  if (kept == slots_.end()) return;
+  slots_.erase(kept, slots_.end());
+  if (slots_.empty()) {
+    slots_ = Slots();
+    index_ = Index();
     return;
   }
-  release_tail_chunks();
+  shrink_slots();
   // Survivors moved, so the index is rebuilt once: into a smaller array
   // when it is now oversized, otherwise in place.
-  const std::uint32_t entries = index_mask_ + 1;
-  const std::uint32_t want = index_entries_for(size_);
+  const auto entries = static_cast<std::uint32_t>(index_.size());
+  const std::uint32_t want =
+      index_entries_for(static_cast<std::uint32_t>(size()));
   rebuild_index(want * 2 <= entries ? want : entries);
 }
 
 std::optional<MonitorSlot> MonitorTable::find(net::Ipv4Address address) const {
   const std::uint32_t i = lookup(address.value());
   if (i == kNil) return std::nullopt;
-  const Node& n = node(i);
+  const Node& n = slots_[i];
   MonitorSlot slot;
   slot.address = net::Ipv4Address{n.address};
   slot.port = n.port;
@@ -344,20 +268,14 @@ std::optional<MonitorSlot> MonitorTable::find(net::Ipv4Address address) const {
 }
 
 void MonitorTable::clear() {
-  release_all_storage();
-  size_ = 0;
+  slots_ = Slots();
+  index_ = Index();
   stamp_ = 0;
 }
 
 std::size_t MonitorTable::footprint_bytes() const noexcept {
-  std::size_t bytes = static_cast<std::size_t>(dir_cap_) * sizeof(Node*);
-  for (std::uint32_t c = 0; c < chunk_count_; ++c) {
-    bytes += static_cast<std::size_t>(chunk_slots(c)) * sizeof(Node);
-  }
-  if (index_ != nullptr) {
-    bytes += static_cast<std::size_t>(index_mask_ + 1) * sizeof(std::uint32_t);
-  }
-  return bytes;
+  return slots_.capacity() * sizeof(Node) +
+         index_.capacity() * sizeof(std::uint32_t);
 }
 
 }  // namespace gorilla::ntp

@@ -6,21 +6,16 @@
 // ("Victimology") is built on. This module implements the table semantics;
 // serialization to mode 7 items lives in mode7.h.
 //
-// Storage spine (DESIGN.md §3g): the §4 victimology analyses materialize
-// one of these tables per detailed server — hundreds of thousands at
-// --scale 40, millions at --scale 1 — so slots are packed 32-byte records
-// in a dense chunked slab (one 8-slot head chunk, one 24-slot chunk, then
-// 32-slot chunks) plus an open-addressing index, all drawn from an
-// optional util::Arena (sim::World owns one arena for the whole
-// population) with a private-heap fallback for standalone tables. Fixed
-// chunk sizes mean every table draws from the same three arena size
-// classes, so one table's post-restart shrink feeds any other table's
-// attack-day growth byte for byte — the population's footprint tracks the
-// *live* entry count, not the sum of per-table high-water marks, and a
-// non-moving allocator has nothing to fragment. The slab stays dense
-// (eviction swap-removes; an expiry sweep compacts the survivors in one
-// pass and rebuilds the index once), releases chunks when an expiry sweep
-// empties them, and growth appends a chunk without ever copying slots.
+// Storage (DESIGN.md §3g): the §4 victimology analyses materialize one of
+// these tables per detailed server — hundreds of thousands at --scale 40,
+// millions at --scale 1 — so slots are packed 32-byte records in one dense
+// vector, found through an open-addressing index in a second,
+// power-of-two vector. Slot storage grows and shrinks along a fixed
+// ladder (8 slots, then multiples of 32, never past the capacity), so a
+// table's footprint tracks its live entry count. Eviction swap-removes; an
+// expiry sweep compacts the survivors in one pass, rebuilds the index once
+// and shrinks both vectors; an emptied or cleared table owns no storage.
+// Both vectors charge the `ntp.monitor` MemStats counter, byte for byte.
 //
 // There is no recency list: dump() (weekly, per probed server) sorts its
 // output, eviction (only when a table actually fills) scans for the
@@ -29,13 +24,15 @@
 // simulation's clock fits comfortably ([0, 2^32) seconds is ~136 years).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
 #include "net/ipv4.h"
 #include "ntp/mode7.h"
-#include "util/arena.h"
+#include "util/mem_stats.h"
 #include "util/time.h"
 
 namespace gorilla::ntp {
@@ -62,18 +59,14 @@ struct MonitorSlot {
 /// implementation did.
 class MonitorTable {  // LINT-COMPACT
  public:
-  /// A table drawing slab storage from `arena` (shared, outlives the
-  /// table) — or from its own heap when null. A fresh table owns no
-  /// storage at all until the first observe().
-  explicit MonitorTable(std::size_t capacity = kMonlistMaxEntries,
-                        util::Arena* arena = nullptr)
-      : arena_(arena), capacity_(static_cast<std::uint32_t>(capacity)) {}
+  /// A fresh table owns no storage until the first observe().
+  explicit MonitorTable(std::size_t capacity = kMonlistMaxEntries)
+      : capacity_(static_cast<std::uint32_t>(capacity)) {}
 
-  MonitorTable(MonitorTable&& other) noexcept;
-  MonitorTable& operator=(MonitorTable&& other) noexcept;
+  MonitorTable(MonitorTable&&) noexcept = default;
+  MonitorTable& operator=(MonitorTable&&) noexcept = default;
   MonitorTable(const MonitorTable&) = delete;
   MonitorTable& operator=(const MonitorTable&) = delete;
-  ~MonitorTable();
 
   /// Records one packet from `address`. Existing entries update count,
   /// port/mode/version (last packet wins) and last_seen; new entries evict
@@ -98,13 +91,14 @@ class MonitorTable {  // LINT-COMPACT
   [[nodiscard]] std::vector<MonitorEntry> dump(util::SimTime now,
                                                net::Ipv4Address local) const;
 
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] std::size_t size() const noexcept { return slots_.size(); }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
   /// Drops every slot last seen before `cutoff` — what an ntpd restart does
   /// to its monitor table (clients still active simply re-appear). The §4.2
   /// observation window exists because real servers restart regularly.
-  /// Shrinks the slab back down the ladder when most of it empties.
+  /// Shrinks the slot vector back down the ladder, and the index when it
+  /// is oversized.
   void expire_before(util::SimTime cutoff);
 
   /// The slot for an address, or nullopt (for tests/forensics).
@@ -114,14 +108,13 @@ class MonitorTable {  // LINT-COMPACT
   /// Empties the table and returns every byte of storage.
   void clear();
 
-  /// Bytes of slab + index storage this table currently claims (arena
-  /// storage it holds, or private-heap bytes). Diagnostic for the memory
-  /// spine.
+  /// Bytes of slot + index storage this table currently owns: what it
+  /// charges to the `ntp.monitor` counter.
   [[nodiscard]] std::size_t footprint_bytes() const noexcept;
 
  private:
-  /// A packed slab slot. Times are 32-bit sim-seconds; `stamp` is the
-  /// recency tie-break for eviction.
+  /// A packed slot. Times are 32-bit sim-seconds; `stamp` is the recency
+  /// tie-break for eviction.
   struct Node {
     std::uint64_t count;
     std::uint32_t address;
@@ -134,102 +127,76 @@ class MonitorTable {  // LINT-COMPACT
   };
   static_assert(sizeof(Node) == 32, "slot layout is part of the mem budget");
 
+  /// std::allocator that charges every byte to the `ntp.monitor` counter.
+  template <typename T>
+  struct Counted {
+    using value_type = T;
+    Counted() = default;
+    template <typename U>
+    Counted(const Counted<U>&) noexcept {}
+    [[nodiscard]] T* allocate(std::size_t n) {
+      T* p = std::allocator<T>{}.allocate(n);
+      monitor_bytes().add(n * sizeof(T));
+      return p;
+    }
+    void deallocate(T* p, std::size_t n) noexcept {
+      monitor_bytes().sub(n * sizeof(T));
+      std::allocator<T>{}.deallocate(p, n);
+    }
+    friend bool operator==(const Counted&, const Counted&) noexcept {
+      return true;
+    }
+  };
+  using Slots = std::vector<Node, Counted<Node>>;
+  using Index = std::vector<std::uint32_t, Counted<std::uint32_t>>;
+
   static constexpr std::uint32_t kNil = 0xffffffffu;
-  static constexpr std::uint32_t kHeadChunkSlots = 8;
-  static constexpr std::uint32_t kSecondChunkSlots = 24;
-  static constexpr std::uint32_t kChunkSlots = 32;
+  static constexpr std::uint32_t kHeadSlots = 8;
+  static constexpr std::uint32_t kStepSlots = 32;
   static constexpr std::uint32_t kInitialIndexEntries = 16;
 
-  /// Slots chunk `c` holds: 8, 24, 32, 32, ...
-  [[nodiscard]] static constexpr std::uint32_t chunk_slots(
-      std::uint32_t c) noexcept {
-    return c == 0 ? kHeadChunkSlots : (c == 1 ? kSecondChunkSlots
-                                              : kChunkSlots);
-  }
-  /// Chunks needed to hold `slots` dense slots.
-  [[nodiscard]] static constexpr std::uint32_t chunks_for(
-      std::uint32_t slots) noexcept {
-    if (slots == 0) return 0;
-    if (slots <= kHeadChunkSlots) return 1;
-    if (slots <= kHeadChunkSlots + kSecondChunkSlots) return 2;
-    const std::uint32_t rest = slots - kHeadChunkSlots - kSecondChunkSlots;
-    return 2 + (rest + kChunkSlots - 1) / kChunkSlots;
-  }
-  /// Total slots `chunks` chunks hold.
-  [[nodiscard]] static constexpr std::uint32_t chunk_capacity(
-      std::uint32_t chunks) noexcept {
-    if (chunks == 0) return 0;
-    if (chunks == 1) return kHeadChunkSlots;
-    return kHeadChunkSlots + kSecondChunkSlots + (chunks - 2) * kChunkSlots;
-  }
+  [[nodiscard]] static util::MemStats::Counter& monitor_bytes();
 
-  [[nodiscard]] Node& node(std::uint32_t i) noexcept;
-  [[nodiscard]] const Node& node(std::uint32_t i) const noexcept;
-
+  /// Slot storage reserved for `live` slots: 8, then the next multiple of
+  /// 32, never past the capacity.
+  [[nodiscard]] std::uint32_t slots_for(std::uint32_t live) const noexcept;
   /// Smallest index entry count (power of two) keeping `entries` under
   /// the 3/4 load factor.
   [[nodiscard]] static std::uint32_t index_entries_for(
       std::uint32_t entries) noexcept;
+  [[nodiscard]] std::uint32_t index_mask() const noexcept {
+    return static_cast<std::uint32_t>(index_.size()) - 1;
+  }
 
-  /// Ensures the slab can hold one more slot; appends a chunk (and grows
-  /// the chunk directory) when full.
-  void reserve_one();
-  /// Removes the slot at slab position `at` (index entry already gone):
-  /// the last slot swaps into the hole and its index entry is rewritten.
+  /// Removes the slot at position `at` (index entry already gone): the
+  /// last slot moves into the hole and its index entry is rewritten.
   void swap_remove(std::uint32_t at) noexcept;
-  /// Releases chunks beyond those the live slots need.
-  void release_tail_chunks() noexcept;
+  /// Moves the live slots into storage of the ladder size they need, when
+  /// the slot vector holds more.
+  void shrink_slots();
 
-  /// Index lookup: slab position for `key`, or kNil.
+  /// Index lookup: slot position for `key`, or kNil.
   [[nodiscard]] std::uint32_t lookup(std::uint32_t key) const noexcept;
   /// Inserts `slot_pos` under `key` (key must be absent), growing the
-  /// index when its load factor crosses 3/4.
+  /// index when its load factor crosses 3/4. Called before the slot is
+  /// appended.
   void index_insert(std::uint32_t key, std::uint32_t slot_pos);
-  /// Rewrites the slab position stored for existing `key`.
+  /// Rewrites the slot position stored for existing `key`.
   void index_update(std::uint32_t key, std::uint32_t slot_pos) noexcept;
   /// Removes `key` with backward-shift deletion (no tombstones).
   void index_remove(std::uint32_t key) noexcept;
   /// Replaces the index with one of `entries` slots, reinserting all live
-  /// keys. Recycles the old array, or refills it in place when `entries`
-  /// is its current size.
+  /// keys. Refills it in place when `entries` is its current size.
   void rebuild_index(std::uint32_t entries);
-
-  /// Array storage from the arena, or private heap when arena_ is null.
-  template <typename T>
-  [[nodiscard]] T* allocate_array(std::uint32_t count) {
-    if (arena_ != nullptr) return arena_->allocate_array<T>(count);
-    private_bytes_ += sizeof(T) * count;
-    return new T[count]();
-  }
-  template <typename T>
-  void release_array(T* ptr, std::uint32_t count) noexcept {
-    if (ptr == nullptr) return;
-    if (arena_ != nullptr) {
-      arena_->recycle_array(ptr, count);
-    } else {
-      private_bytes_ -= sizeof(T) * count;
-      delete[] ptr;
-    }
-  }
-
-  /// Grows the chunk directory to hold at least `want` chunk pointers.
-  void reserve_directory(std::uint32_t want);
-  void release_all_storage() noexcept;
 
   /// White-box access for the differential tests, which keep the
   /// superseded per-slot expiry loop as a reference.
   friend struct MonitorTableTestAccess;
 
-  util::Arena* arena_ = nullptr;
   std::uint32_t capacity_ = 0;
-  std::uint32_t size_ = 0;        ///< live slots == dense slab prefix length
-  std::uint32_t chunk_count_ = 0; ///< chunks currently allocated
-  std::uint32_t dir_cap_ = 0;     ///< chunk pointers chunks_ can hold
-  std::uint32_t stamp_ = 0;       ///< recency clock (bumped per last_seen set)
-  Node** chunks_ = nullptr;         ///< chunk directory
-  std::uint32_t* index_ = nullptr;  ///< open addressing, slab position + 1
-  std::uint32_t index_mask_ = 0;    ///< entries - 1 (power of two)
-  std::size_t private_bytes_ = 0;   ///< heap bytes when arena_ == nullptr
+  std::uint32_t stamp_ = 0;  ///< recency clock (bumped per last_seen set)
+  Slots slots_;              ///< live slots, dense
+  Index index_;  ///< open addressing, slot position + 1; empty or 2^k
 };
 
 }  // namespace gorilla::ntp

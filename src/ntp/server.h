@@ -83,13 +83,9 @@ struct ResponseSummary {
 
 class NtpServer {  // LINT-COMPACT
  public:
-  /// `monitor_arena` (optional) backs the monitor table's slab storage;
-  /// sim::World passes one shared arena for the whole detailed population
-  /// so hundreds of thousands of tables stay dense (DESIGN.md §3g).
-  explicit NtpServer(NtpServerConfig config,
-                     util::Arena* monitor_arena = nullptr)
-      : config_(std::move(config)),
-        monitor_(kMonlistMaxEntries, monitor_arena) {}
+  /// A server with an empty monitor table of ntpd's 600-slot capacity;
+  /// the table owns no storage until its first write (DESIGN.md §3g).
+  explicit NtpServer(NtpServerConfig config) : config_(std::move(config)) {}
 
   /// Handles one datagram addressed to this server at time `now`. Every
   /// request — even a dropped one — is recorded in the monitor table, which

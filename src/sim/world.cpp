@@ -7,7 +7,6 @@
 
 #include "ntp/sysinfo.h"
 #include "sim/remediation.h"
-#include "util/mem_stats.h"
 
 namespace gorilla::sim {
 
@@ -53,10 +52,7 @@ net::RegistryConfig scaled_registry_config(const WorldConfig& config) {
 World::World(const WorldConfig& config)
     : config_(config),
       registry_(scaled_registry_config(config)),
-      pbl_(registry_),
-      monitor_arena_(&util::MemStats::instance().counter("ntp.monitor"),
-                     util::Arena::kDefaultBlockBytes,
-                     &util::MemStats::instance().counter("ntp.monitor.live")) {
+      pbl_(registry_) {
   util::Rng rng(config_.seed ^ 0x3017ULL);
   build_population(rng);
   assign_detail_tier(rng);
@@ -342,7 +338,7 @@ void World::assign_detail_tier(util::Rng& rng) {
       ++mega_rank;
     }
     t.detailed_index = static_cast<std::uint32_t>(detailed_.size());
-    detailed_.emplace_back(std::move(cfg), &monitor_arena_);
+    detailed_.emplace_back(std::move(cfg));
   }
 }
 

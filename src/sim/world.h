@@ -33,7 +33,6 @@
 #include "net/registry.h"
 #include "ntp/server.h"
 #include "sim/sharded_executor.h"
-#include "util/arena.h"
 #include "util/rng.h"
 #include "util/time.h"
 
@@ -242,9 +241,6 @@ class World {
   std::vector<std::uint32_t> merit_amplifiers_;
   std::vector<std::uint32_t> csu_amplifiers_;
   std::vector<std::uint32_t> frgp_amplifiers_;
-  /// Backs every detailed server's monitor-table slabs (DESIGN.md §3g).
-  /// Declared before detailed_ so the tables die before their storage.
-  util::Arena monitor_arena_;
   std::vector<ntp::NtpServer> detailed_;
   /// Monitor writes not yet applied, in log order: a lazily applied cache,
   /// so const readers settle it too.

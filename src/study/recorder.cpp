@@ -7,6 +7,7 @@
 #include <type_traits>
 #include <utility>
 
+#include "ntp/mode7.h"
 #include "scan/prober.h"
 #include "util/mem_stats.h"
 
@@ -40,10 +41,6 @@ constexpr const char* kColumnNames[] = {
     "tbl.count", "tbl.port", "tbl.mode", "tbl.ver"};
 static_assert(kColumnCount == detail::kStreamColumns);
 static_assert(std::size(kColumnNames) == kColumnCount);
-
-/// A monitor table longer than this is damage, not data: refuse it before
-/// anything is sized by it.
-constexpr std::uint64_t kMaxTableEntries = 1u << 24;
 
 using Transforms = detail::StreamTransforms;
 
@@ -119,6 +116,13 @@ void zigzag(util::ColumnReader& r, T& v) {
 void f64(util::ColumnWriter& w, double v) { w.put_f64(v); }
 void f64(util::ColumnReader& r, double& v) { v = r.get_f64(); }
 
+/// `a + b` wrapping modulo 2^64. A damaged cell may hold any int64, and the
+/// sum must not overflow a signed integer; a valid artifact never wraps.
+std::int64_t wrapping_add(std::int64_t a, std::int64_t b) noexcept {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
+                                   static_cast<std::uint64_t>(b));
+}
+
 /// Delta against the previous value of the same cell.
 void delta(util::ColumnWriter& w, std::int64_t& prev, const auto& v) {
   const std::int64_t x = to_int(v);
@@ -127,7 +131,7 @@ void delta(util::ColumnWriter& w, std::int64_t& prev, const auto& v) {
 }
 template <class T>
 void delta(util::ColumnReader& r, std::int64_t& prev, T& v) {
-  prev += r.get_zigzag();
+  prev = wrapping_add(prev, r.get_zigzag());
   v = from_int<T>(prev);
 }
 
@@ -137,7 +141,7 @@ void offset(util::ColumnWriter& w, std::int64_t base, const auto& v) {
 }
 template <class T>
 void offset(util::ColumnReader& r, std::int64_t base, T& v) {
-  v = from_int<T>(base + r.get_zigzag());
+  v = from_int<T>(wrapping_add(base, r.get_zigzag()));
 }
 
 /// Frame of reference: the first week id on the tape anchors the frame
@@ -151,7 +155,7 @@ void week(util::ColumnWriter& w, Transforms& t, int v) {
   }
 }
 void week(util::ColumnReader& r, Transforms& t, int& v) {
-  const std::int64_t x = t.week_base + r.get_zigzag();
+  const std::int64_t x = wrapping_add(t.week_base, r.get_zigzag());
   v = static_cast<int>(x);
   if (!t.week_base_set) {
     t.week_base = x;
@@ -160,7 +164,9 @@ void week(util::ColumnReader& r, Transforms& t, int& v) {
 }
 
 /// The monitor-table length. Decoding checks the column so far and the
-/// length cap before it sizes the table, which is reused across events.
+/// protocol's cap (no monlist reassembly yields more than
+/// ntp::kMonlistMaxEntries) before it sizes the table, which is reused
+/// across events.
 bool table_size(util::ColumnWriter& w,
                 const std::vector<ntp::MonitorEntry>& table) {
   w.put_varint(table.size());
@@ -168,7 +174,7 @@ bool table_size(util::ColumnWriter& w,
 }
 bool table_size(util::ColumnReader& r, std::vector<ntp::MonitorEntry>& table) {
   const std::uint64_t n = r.get_varint();
-  if (!r.ok() || n > kMaxTableEntries) return false;
+  if (!r.ok() || n > ntp::kMonlistMaxEntries) return false;
   table.clear();
   table.resize(static_cast<std::size_t>(n));
   return true;

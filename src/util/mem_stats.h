@@ -2,12 +2,13 @@
 //
 // The ROADMAP's full-population run is bounded by memory, not CPU, so the
 // memory trajectory has to be observable the way the perf trajectory is:
-// every subsystem that owns bulk storage (the monitor-table arena, the
-// study event buffers, the recorder columns) reports into a named counter
-// here, and benches print the registry (plus the process peak RSS) under
-// --mem-report. Accounting is cheap by construction — the arena charges
-// one relaxed atomic add per *chunk*, not per entry, and gauge-style
-// subsystems observe their footprint at natural batch boundaries.
+// every subsystem that owns bulk storage (the monitor tables, the study
+// event buffers, the recorder columns) reports into a named counter here,
+// and benches print the registry (plus the process peak RSS) under
+// --mem-report. Accounting is cheap by construction — the monitor tables'
+// allocator charges one relaxed atomic add per *allocation*, not per
+// entry, and gauge-style subsystems observe their footprint at natural
+// batch boundaries.
 #pragma once
 
 #include <atomic>

@@ -3,8 +3,8 @@
 // Builds the paper-scale world — every NTP server, every detailed monitor
 // table — seeds week 0's scanner entries into the tables, and spot-checks
 // the result. This is the ROADMAP's "scale=1" memory ceiling in miniature:
-// it proves the arena-backed monitor spine actually holds the full
-// population, without paying for a full 15-week study in CI.
+// it proves the flat monitor tables actually hold the full population,
+// without paying for a full 15-week study in CI.
 //
 // Exits 2 (ctest SKIP) with a clear message when the host lacks the
 // memory headroom; exits 1 on real failures.
@@ -37,9 +37,9 @@ std::uint64_t available_bytes() {
 }  // namespace
 
 int main() {
-  // Empirical peak RSS of this test is ~4.0 GB (the detailed tier, of
-  // which the monitor arena is 2.9 GB; identities are not rendered); require
-  // a margin over that so the run can't push the host into swap.
+  // Empirical peak RSS of this test is ~4.3 GB (the detailed tier, of
+  // which the monitor tables own 2.8 GB; identities are not rendered);
+  // require a margin over that so the run can't push the host into swap.
   constexpr std::uint64_t kRequiredBytes = std::uint64_t{8} << 30;
   const std::uint64_t avail = available_bytes();
   if (avail != 0 && avail < kRequiredBytes) {

@@ -17,33 +17,34 @@
 
 #include "net/ipv4.h"
 #include "ntp/monlist.h"
-#include "util/arena.h"
 #include "util/rng.h"
 
 namespace gorilla::ntp {
 
 /// The per-slot expiry loop (backward-shift index delete plus swap-remove
-/// for every expired slot, then a tail-chunk and oversized-index shrink)
+/// for every expired slot, then a slot-ladder and oversized-index shrink)
 /// that MonitorTable::expire_before's single compaction sweep replaced,
-/// kept verbatim as the reference the sweep must agree with.
+/// kept as the reference the sweep must agree with.
 struct MonitorTableTestAccess {
   static void legacy_expire_before(MonitorTable& t, util::SimTime cutoff) {
     std::uint32_t at = 0;
-    while (at < t.size_) {
-      if (static_cast<util::SimTime>(t.node(at).last) < cutoff) {
-        t.index_remove(t.node(at).address);
+    while (at < t.slots_.size()) {
+      if (static_cast<util::SimTime>(t.slots_[at].last) < cutoff) {
+        t.index_remove(t.slots_[at].address);
         t.swap_remove(at);  // the swapped-in slot is examined next
       } else {
         ++at;
       }
     }
-    if (t.size_ == 0) {
-      t.release_all_storage();
+    if (t.slots_.empty()) {
+      t.slots_ = MonitorTable::Slots();
+      t.index_ = MonitorTable::Index();
       return;
     }
-    t.release_tail_chunks();
-    const std::uint32_t want = MonitorTable::index_entries_for(t.size_);
-    if (t.index_ != nullptr && want * 2 <= t.index_mask_ + 1) {
+    t.shrink_slots();
+    const std::uint32_t want = MonitorTable::index_entries_for(
+        static_cast<std::uint32_t>(t.slots_.size()));
+    if (!t.index_.empty() && want * 2 <= t.index_.size()) {
       t.rebuild_index(want);
     }
   }
@@ -234,15 +235,15 @@ TEST(MonlistDifferentialTest, HeapBackedAgreesWithReference) {
   run_differential(table, 0xd1ff001ull);
 }
 
+// Once the arena-backed storage path; tables have one storage path now, so
+// this runs the same differential on a second, independent seed.
 TEST(MonlistDifferentialTest, ArenaBackedAgreesWithReference) {
-  util::Arena arena;
-  MonitorTable table(48, &arena);
+  MonitorTable table(48);
   run_differential(table, 0xd1ff002ull);
 }
 
 TEST(MonlistDifferentialTest, SurvivesClearAndReuse) {
-  util::Arena arena;
-  MonitorTable table(48, &arena);
+  MonitorTable table(48);
   run_differential(table, 0xd1ff003ull);
   table.clear();
   EXPECT_EQ(table.size(), 0u);
@@ -341,11 +342,11 @@ TEST(MonlistDifferentialTest, SingleSweepExpiryMatchesPerSlotLoop) {
 }
 
 TEST(MonlistDifferentialTest, SingleSweepExpiryMatchesPerSlotLoopInArena) {
-  // Full ntpd capacity: chunk releases and index halvings at every size.
-  util::Arena arena;
+  // Full ntpd capacity: ladder shrinks and index halvings at every size.
+  // Once run on arena storage; tables have one storage path now.
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    MonitorTable fast(kMonlistMaxEntries, &arena);
-    MonitorTable legacy(kMonlistMaxEntries, &arena);
+    MonitorTable fast(kMonlistMaxEntries);
+    MonitorTable legacy(kMonlistMaxEntries);
     run_expiry_differential(fast, legacy, 900, 0xe5f0 + seed);
   }
 }

@@ -1,6 +1,14 @@
 #include "ntp/monlist.h"
 
+#include <algorithm>
+#include <cstdint>
+#include <thread>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "util/mem_stats.h"
 
 namespace gorilla::ntp {
 namespace {
@@ -176,6 +184,105 @@ TEST(MonitorTableTest, DeterministicTieBreakOnEqualLastSeen) {
   const auto entries = table.dump(100, kLocal);
   ASSERT_EQ(entries.size(), 2u);
   EXPECT_LT(entries[0].address, entries[1].address);
+}
+
+TEST(MonitorTableTest, StorageFollowsTheSlotLadder) {
+  // Slots grow to 8, then in steps of 32, never past the capacity; the
+  // index is the smallest power of two (from 16) under a 3/4 load.
+  constexpr std::size_t kSlot = 32;
+  constexpr std::size_t kEntry = 4;
+  MonitorTable table;
+  EXPECT_EQ(table.footprint_bytes(), 0u);
+  const auto fill_to = [&table](std::uint32_t n) {
+    for (std::uint32_t k = static_cast<std::uint32_t>(table.size()); k < n;
+         ++k) {
+      table.observe(net::Ipv4Address{0x0b000000u + k}, 123, 3, 4, 100 + k);
+    }
+  };
+  fill_to(1);
+  EXPECT_EQ(table.footprint_bytes(), 8 * kSlot + 16 * kEntry);
+  fill_to(9);
+  EXPECT_EQ(table.footprint_bytes(), 32 * kSlot + 16 * kEntry);
+  fill_to(33);
+  EXPECT_EQ(table.footprint_bytes(), 64 * kSlot + 64 * kEntry);
+  fill_to(600);
+  EXPECT_EQ(table.footprint_bytes(), 600 * kSlot + 1024 * kEntry);
+  // Expiry keeps the last 40 (last_seen 660..699): back to 64 slots and
+  // a 64-entry index.
+  table.expire_before(660);
+  ASSERT_EQ(table.size(), 40u);
+  EXPECT_EQ(table.footprint_bytes(), 64 * kSlot + 64 * kEntry);
+  table.expire_before(1000);
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(table.footprint_bytes(), 0u);
+  fill_to(3);
+  table.clear();
+  EXPECT_EQ(table.footprint_bytes(), 0u);
+}
+
+TEST(MonitorTableTest, ChargesItsFootprintToTheMonitorCounter) {
+  const auto& counter = util::MemStats::instance().counter("ntp.monitor");
+  const std::uint64_t before = counter.live();
+  {
+    MonitorTable table;
+    for (std::uint32_t k = 0; k < 700; ++k) {
+      table.observe(net::Ipv4Address{0x0c000000u + k % 650}, 1, 3, 4, k);
+      ASSERT_EQ(counter.live() - before, table.footprint_bytes()) << k;
+    }
+    table.expire_before(690);
+    EXPECT_EQ(counter.live() - before, table.footprint_bytes());
+    MonitorTable moved(std::move(table));
+    EXPECT_EQ(counter.live() - before, moved.footprint_bytes());
+    moved.clear();
+    EXPECT_EQ(counter.live(), before);
+    moved.observe(net::Ipv4Address{0x0c000000u}, 1, 3, 4, 1);
+    EXPECT_GT(counter.live(), before);
+  }
+  EXPECT_EQ(counter.live(), before);
+}
+
+TEST(MonitorTableTest, CrossThreadChurnKeepsAccountingExact) {
+  // Tables grow on one thread and shrink, clear or die on another, as
+  // seeding lanes and the parallel probe's expiry do: the counter ends at
+  // exactly the bytes the survivors own.
+  constexpr int kThreads = 4;
+  constexpr std::uint32_t kTablesPerThread = 64;
+  const auto& counter = util::MemStats::instance().counter("ntp.monitor");
+  const std::uint64_t before = counter.live();
+  std::vector<MonitorTable> tables(kThreads * kTablesPerThread);
+  const auto on_threads = [&tables](auto&& work) {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&tables, &work, t] {
+        for (std::uint32_t i = 0; i < kTablesPerThread; ++i) {
+          work(tables[static_cast<std::size_t>(t) * kTablesPerThread + i],
+               static_cast<std::uint32_t>(t) * kTablesPerThread + i);
+        }
+      });
+    }
+    for (auto& thread : threads) thread.join();
+  };
+  on_threads([](MonitorTable& table, std::uint32_t id) {
+    for (std::uint32_t k = 0; k < 40 + id % 300; ++k) {
+      table.observe(net::Ipv4Address{(id << 12) | k}, 1, 3, 4, k);
+    }
+  });
+  // The second pass hands each thread another thread's tables.
+  std::reverse(tables.begin(), tables.end());
+  on_threads([](MonitorTable& table, std::uint32_t id) {
+    if (id % 3 == 0) {
+      table.clear();
+    } else if (id % 3 == 1) {
+      table.expire_before(30);
+    } else {
+      const MonitorTable gone(std::move(table));
+    }
+  });
+  std::uint64_t owned = 0;
+  for (const MonitorTable& table : tables) owned += table.footprint_bytes();
+  EXPECT_EQ(counter.live() - before, owned);
+  tables.clear();
+  EXPECT_EQ(counter.live(), before);
 }
 
 }  // namespace

@@ -504,9 +504,9 @@ TEST(ProberImpairmentTest, VersionPassIsJobCountInvariant) {
 /// sample week (so its remediation is applied), then a second prober, with
 /// lossy requests and transient silence, runs version weeks 0 and 1. The
 /// loss makes retries, so a server sees a pass's request at several attempt
-/// offsets. Neither version pass writes a table: the `ntp.monitor` arena
-/// counter holds still across each, and the second runs with the first's
-/// writes pending.
+/// offsets. Neither version pass writes a table: the `ntp.monitor` counter
+/// (the bytes every table owns) holds still across each, and the second
+/// runs with the first's writes pending.
 struct VersionStudy {
   static constexpr int kLastWeek = 14;
 

@@ -4,12 +4,14 @@
 
 #include "scan/prober.h"
 #include "sim/attack.h"
+#include "sim/sharded_executor.h"
 #include "study/bus.h"
 #include "study/events.h"
 #include "telemetry/darknet.h"
 #include "telemetry/flow.h"
 #include "util/bytes.h"
 #include "util/crc32.h"
+#include "util/thread_pool.h"
 
 namespace gorilla::sim {
 namespace {
@@ -231,28 +233,30 @@ TEST_F(ScanTrafficTest, FixedTableIsClearedOnlyAtTheTransition) {
 }
 
 /// Weeks 0..5 of the study loop on a tiny world (attack days up to each
-/// sample day, then seeding, then the monlist pass), and a CRC-32 over the
-/// dump of every amplifier whose monlist is still live at week 5: what any
-/// later probe of this world could read out of its monitor tables.
+/// sample day, then seeding, then the monlist pass), each on `executor`,
+/// and a CRC-32 over the dump of every amplifier whose monlist is still
+/// live at week 5: what any later probe of this world could read out of
+/// its monitor tables.
 struct LiveTables {
   std::uint32_t crc = 0;
   std::size_t fixed = 0;    ///< amplifiers remediated by week 5
   std::size_t entries = 0;  ///< dumped entries across the live tables
 };
 
-LiveTables live_tables_after_six_weeks() {
+LiveTables live_tables_after_six_weeks(ShardedExecutor& executor) {
   World world(tiny_config());
   study::EventBus no_sinks;
   AttackEngine attacks(world, AttackEngineConfig{}, no_sinks);
   ScanTraffic scans(world, scan_config());
   scan::Prober prober(world, kProberSource);
+  prober.set_executor(&executor);
   constexpr int kLastWeek = 5;
   int day = 0;
   for (int week = 0; week <= kLastWeek; ++week) {
     const int sample_day = util::onp_sample_day(week);
-    attacks.run_days(day, sample_day + 1);
+    attacks.run_days(day, sample_day + 1, &executor);
     day = sample_day + 1;
-    scans.seed_monitor_tables(week);
+    scans.seed_monitor_tables(week, &executor);
     (void)prober.run_monlist_sample(week,
                                     [](const scan::AmplifierObservation&) {});
   }
@@ -291,12 +295,19 @@ LiveTables live_tables_after_six_weeks() {
 }
 
 TEST(ScanTrafficPinTest, LiveMonitorTablesAfterSixWeeksArePinned) {
-  const LiveTables live = live_tables_after_six_weeks();
-  ASSERT_GT(live.fixed, 0u);
-  ASSERT_GT(live.entries, 0u);
-  // Captured before remediated tables left the seeding and probe paths:
-  // releasing what no dump can see must leave every dumpable byte alone.
-  EXPECT_EQ(live.crc, 0x1E8EB4D0u);
+  // Inline, then on four threads: there, tables grow on the attack-day
+  // and seeding lanes and shrink in the probe's expiry on other workers.
+  util::ThreadPool pool(4);
+  for (util::ThreadPool* threads : {static_cast<util::ThreadPool*>(nullptr),
+                                    &pool}) {
+    ShardedExecutor executor(threads);
+    const LiveTables live = live_tables_after_six_weeks(executor);
+    ASSERT_GT(live.fixed, 0u);
+    ASSERT_GT(live.entries, 0u);
+    // Captured before remediated tables left the seeding and probe paths:
+    // releasing what no dump can see must leave every dumpable byte alone.
+    EXPECT_EQ(live.crc, 0x1E8EB4D0u) << (threads ? "4 threads" : "inline");
+  }
 }
 
 }  // namespace

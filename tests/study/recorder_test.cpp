@@ -5,13 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "ntp/mode7.h"
 #include "scan/prober.h"
 #include "study/events.h"
 #include "telemetry/flow.h"
@@ -377,6 +381,118 @@ TEST(ReplayerTest, UnknownTagFailsReplay) {
   ASSERT_TRUE(replayer.load_archive(std::move(archive)));
   EventSink null_sink;
   EXPECT_FALSE(replayer.replay(null_sink));
+}
+
+TEST(ReplayerTest, TableLongerThanTheProtocolCapIsRefused) {
+  // No monlist reassembly yields more than 600 entries, so a longer
+  // recorded length is damage: the replay refuses it before sizing the
+  // table, and dispatches nothing for it.
+  for (const std::size_t entries :
+       {ntp::kMonlistMaxEntries, ntp::kMonlistMaxEntries + 1}) {
+    Recorder recorder(test_header());
+    scan::AmplifierObservation obs;
+    obs.server_index = 7;
+    obs.table.resize(entries);
+    for (std::size_t i = 0; i < entries; ++i) {
+      obs.table[i].address =
+          net::Ipv4Address(0x0a000000u + static_cast<std::uint32_t>(i));
+      obs.table[i].count = 1;
+    }
+    recorder.on_sample_begin(0, util::Date{2014, 1, 10});
+    recorder.on_probe_observation(0, obs);
+    recorder.on_sample_end(0);
+    Replayer replayer;
+    ASSERT_TRUE(replayer.load_archive(recorder.to_archive()));
+    JournalSink journal;
+    const bool replayed = replayer.replay(journal);
+    EXPECT_EQ(replayed, entries <= ntp::kMonlistMaxEntries) << entries;
+    const auto obs_lines = std::count_if(
+        journal.lines.begin(), journal.lines.end(),
+        [](const std::string& line) { return line.starts_with("obs "); });
+    EXPECT_EQ(obs_lines, replayed ? 1 : 0) << entries;
+  }
+}
+
+TEST(ReplayerTest, DamagedDeltaCellsWrapInsteadOfOverflowing) {
+  // Cells that drive a delta (server_index, probe_time, flow first), an
+  // offset (flow last) and the week base past INT64_MAX. The decode wraps
+  // modulo 2^64 instead of overflowing a signed integer, and the events
+  // carry the wrapped values.
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  Recorder recorder(test_header());
+  recorder.on_sample_begin(0, util::Date{2014, 1, 10});
+  recorder.on_probe_observation(0, scan::AmplifierObservation{});
+  recorder.on_probe_observation(0, scan::AmplifierObservation{});
+  recorder.on_flow(telemetry::FlowRecord{}, 1);
+  recorder.on_sample_end(0);
+  util::ColumnArchive archive = recorder.to_archive();
+
+  // The same events, with damaged cells in three columns.
+  util::ColumnWriter begin;
+  begin.put_zigzag(kMax);  // anchors the week base at INT64_MAX
+  begin.put_zigzag(2014);
+  begin.put_u8(1);
+  begin.put_u8(10);
+  util::ColumnWriter observations;
+  for (const std::int64_t step : {kMax, std::int64_t{1}}) {
+    observations.put_zigzag(step == kMax ? 0 : 1);  // week: base, base + 1
+    observations.put_zigzag(step);                  // server_index
+    observations.put_zigzag(0);                     // address
+    for (int i = 0; i < 3; ++i) observations.put_varint(0);
+    observations.put_zigzag(step);  // probe_time
+    observations.put_u8(0);         // table_partial
+    observations.put_zigzag(1);     // attempts
+    observations.put_varint(0);     // table length
+  }
+  util::ColumnWriter flow;
+  flow.put_zigzag(1);  // vantage
+  flow.put_u32(0);
+  flow.put_u32(0);
+  flow.put_u16(0);
+  flow.put_u16(0);
+  flow.put_u8(17);
+  flow.put_u8(64);
+  for (int i = 0; i < 3; ++i) flow.put_varint(0);
+  flow.put_zigzag(kMax);  // first
+  flow.put_zigzag(1);     // last - first
+  for (auto& section : archive.sections) {
+    util::ColumnWriter* crafted = section.name == "begin" ? &begin
+                                  : section.name == "obs" ? &observations
+                                  : section.name == "flow" ? &flow
+                                                           : nullptr;
+    if (crafted != nullptr) {
+      section = util::ColumnArchive::Section(section.name,
+                                             crafted->take_buffer());
+    }
+  }
+
+  struct Capture final : EventSink {
+    std::vector<std::pair<int, scan::AmplifierObservation>> observations;
+    std::vector<telemetry::FlowRecord> flows;
+    [[nodiscard]] bool wants_flows() const override { return true; }
+    void on_flow(const telemetry::FlowRecord& f, int /*vantage*/) override {
+      flows.push_back(f);
+    }
+    void on_probe_observation(
+        int week, const scan::AmplifierObservation& obs) override {
+      observations.emplace_back(week, obs);
+    }
+  };
+  Replayer replayer;
+  ASSERT_TRUE(replayer.load_archive(std::move(archive)));
+  Capture got;
+  ASSERT_TRUE(replayer.replay(got));
+  ASSERT_EQ(got.observations.size(), 2u);
+  EXPECT_EQ(got.observations[0].first, static_cast<int>(kMax));
+  EXPECT_EQ(got.observations[0].second.server_index, 0xffffffffu);
+  EXPECT_EQ(got.observations[0].second.probe_time, kMax);
+  EXPECT_EQ(got.observations[1].first, static_cast<int>(kMin));
+  EXPECT_EQ(got.observations[1].second.server_index, 0u);
+  EXPECT_EQ(got.observations[1].second.probe_time, kMin);
+  ASSERT_EQ(got.flows.size(), 1u);
+  EXPECT_EQ(got.flows[0].first, kMax);
+  EXPECT_EQ(got.flows[0].last, kMin);
 }
 
 TEST(ReplayerTest, TruncatedFileRejected) {
