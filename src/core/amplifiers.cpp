@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "ntp/sysinfo.h"
-#include "util/det.h"
 
 namespace gorilla::core {
 
@@ -19,9 +18,8 @@ void AmplifierCensus::begin_sample(int week, util::Date date) {
   current_ = AmplifierSampleRow{};
   current_.week = week;
   current_.date = date;
-  cur_slash24s_.clear();
-  cur_blocks_.clear();
-  cur_asns_.clear();
+  cur_hits_.clear();
+  cur_routes_.clear();
   cur_baf_.clear();
   cur_bytes_.clear();
 }
@@ -30,15 +28,10 @@ void AmplifierCensus::add(const scan::AmplifierObservation& obs) {
   if (!sample_open_)
     throw std::logic_error("AmplifierCensus: no open sample");
   ++current_.ips;
-  cur_slash24s_.insert(obs.address.value() >> 8);
-  if (const auto block = registry_.block_index_of(obs.address)) {
-    cur_blocks_.insert(*block);
-  }
-  if (const auto asn = registry_.asn_of(obs.address)) {
-    cur_asns_.insert(*asn);
-  }
-  if (const auto cont = registry_.continent_of(obs.address)) {
-    ++current_.by_continent[static_cast<std::size_t>(*cont)];
+  cur_hits_.push_back(Hit{obs.address.value(), obs.response_wire_bytes});
+  if (const auto where = registry_.attribute(obs.address)) {
+    cur_routes_.push_back(std::uint64_t{where->asn} << 32 | where->block_index);
+    ++current_.by_continent[static_cast<std::size_t>(where->continent)];
   }
   if (pbl_.is_end_host(obs.address)) ++current_.end_hosts;
 
@@ -47,20 +40,25 @@ void AmplifierCensus::add(const scan::AmplifierObservation& obs) {
   cur_baf_.add(bytes / kBafDenominatorBytes);
   if (obs.response_wire_bytes > kMegaThresholdBytes) ++current_.mega_count;
   if (obs.table_partial) ++current_.partial_tables;
-
-  auto& per_ip = per_ip_[obs.address.value()];
-  per_ip.total_bytes += obs.response_wire_bytes;
-  per_ip.max_bytes = std::max(per_ip.max_bytes, obs.response_wire_bytes);
-  ++per_ip.samples_seen;
-  if (rows_.empty()) per_ip.seen_first_sample = true;
 }
 
 void AmplifierCensus::end_sample() {
   if (!sample_open_)
     throw std::logic_error("AmplifierCensus: no open sample");
-  current_.slash24s = cur_slash24s_.size();
-  current_.routed_blocks = cur_blocks_.size();
-  current_.asns = cur_asns_.size();
+  std::sort(cur_hits_.begin(), cur_hits_.end(),
+            [](const Hit& a, const Hit& b) { return a.address < b.address; });
+  std::uint64_t slash24s = 0;
+  for (std::size_t i = 0; i < cur_hits_.size(); ++i) {
+    if (i == 0 ||
+        cur_hits_[i].address >> 8 != cur_hits_[i - 1].address >> 8) {
+      ++slash24s;
+    }
+  }
+  current_.slash24s = slash24s;
+  const auto routes = distinct_routes(cur_routes_);
+  current_.routed_blocks = routes.blocks;
+  current_.asns = routes.asns;
+  merge_per_ip();
   current_.end_host_pct =
       current_.ips ? 100.0 * static_cast<double>(current_.end_hosts) /
                          static_cast<double>(current_.ips)
@@ -78,32 +76,66 @@ void AmplifierCensus::end_sample() {
   sample_open_ = false;
 }
 
+void AmplifierCensus::merge_per_ip() {
+  // Both sides are address-sorted: fold each of the sample's address runs
+  // into its closed record in place, collect first sightings, then merge
+  // those in from the back.
+  const bool first_sample = rows_.empty();
+  std::vector<PerIp> fresh;
+  std::size_t closed = 0;
+  for (std::size_t i = 0; i < cur_hits_.size();) {
+    PerIp run;
+    run.address = cur_hits_[i].address;
+    run.seen_first_sample = first_sample;
+    for (; i < cur_hits_.size() && cur_hits_[i].address == run.address; ++i) {
+      run.total_bytes += cur_hits_[i].wire_bytes;
+      run.max_bytes = std::max(run.max_bytes, cur_hits_[i].wire_bytes);
+      ++run.samples_seen;
+    }
+    while (closed < per_ip_.size() && per_ip_[closed].address < run.address) {
+      ++closed;
+    }
+    if (closed < per_ip_.size() && per_ip_[closed].address == run.address) {
+      PerIp& into = per_ip_[closed];
+      into.total_bytes += run.total_bytes;
+      into.max_bytes = std::max(into.max_bytes, run.max_bytes);
+      into.samples_seen += run.samples_seen;
+    } else {
+      fresh.push_back(run);
+    }
+  }
+  std::size_t old = per_ip_.size();
+  std::size_t add = fresh.size();
+  per_ip_.resize(old + add);
+  for (std::size_t out = old + add; add > 0;) {
+    if (old > 0 && per_ip_[old - 1].address > fresh[add - 1].address) {
+      per_ip_[--out] = per_ip_[--old];
+    } else {
+      per_ip_[--out] = fresh[--add];
+    }
+  }
+}
+
 double AmplifierCensus::first_sample_fraction() const {
   if (per_ip_.empty()) return 0.0;
-  std::uint64_t first = 0;
-  // Order-independent count over the roster.
-  for (const auto& [_, info] : per_ip_) {  // NOLINT(unordered-iter)
-    if (info.seen_first_sample) ++first;
-  }
+  const auto first = std::count_if(
+      per_ip_.begin(), per_ip_.end(),
+      [](const PerIp& info) { return info.seen_first_sample; });
   return static_cast<double>(first) / static_cast<double>(per_ip_.size());
 }
 
 double AmplifierCensus::seen_once_fraction() const {
   if (per_ip_.empty()) return 0.0;
-  std::uint64_t once = 0;
-  // Order-independent count over the roster.
-  for (const auto& [_, info] : per_ip_) {  // NOLINT(unordered-iter)
-    if (info.samples_seen == 1) ++once;
-  }
+  const auto once = std::count_if(
+      per_ip_.begin(), per_ip_.end(),
+      [](const PerIp& info) { return info.samples_seen == 1; });
   return static_cast<double>(once) / static_cast<double>(per_ip_.size());
 }
 
 std::vector<double> AmplifierCensus::bytes_rank_curve() const {
   std::vector<double> curve;
   curve.reserve(per_ip_.size());
-  // The sort below erases the visit order (equal doubles are
-  // indistinguishable), so the hash-order walk cannot reach the output.
-  for (const auto& [_, info] : per_ip_) {  // NOLINT(unordered-iter)
+  for (const auto& info : per_ip_) {
     curve.push_back(static_cast<double>(info.total_bytes) /
                     static_cast<double>(info.samples_seen));
   }
@@ -113,12 +145,12 @@ std::vector<double> AmplifierCensus::bytes_rank_curve() const {
 
 std::vector<std::pair<net::Ipv4Address, std::uint64_t>>
 AmplifierCensus::mega_roster() const {
-  // Address-sorted items + stable_sort = rank by peak response size with
+  // Address-sorted roster + stable_sort = rank by peak response size with
   // the address as deterministic tie-break.
   std::vector<std::pair<net::Ipv4Address, std::uint64_t>> roster;
-  for (const auto& [addr, info] : util::sorted_items(per_ip_)) {
+  for (const auto& info : per_ip_) {
     if (info.max_bytes > kMegaThresholdBytes) {
-      roster.emplace_back(net::Ipv4Address{addr}, info.max_bytes);
+      roster.emplace_back(net::Ipv4Address{info.address}, info.max_bytes);
     }
   }
   std::stable_sort(

@@ -13,8 +13,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/stats.h"
@@ -60,7 +58,10 @@ class AmplifierCensus {
                   const net::PolicyBlockList& pbl);
 
   /// Streaming interface: begin_sample, add() for every observation the
-  /// prober visits, end_sample to close the row.
+  /// prober visits, end_sample to close the row. add() only appends to the
+  /// open sample's vectors; end_sample() sorts and folds them, so the churn
+  /// views below (unique_ips() through mega_roster()) cover closed samples
+  /// only.
   void begin_sample(int week, util::Date date);
   void add(const scan::AmplifierObservation& obs);
   void end_sample();
@@ -94,22 +95,32 @@ class AmplifierCensus {
   struct PerIp {
     std::uint64_t total_bytes = 0;
     std::uint64_t max_bytes = 0;
+    std::uint32_t address = 0;
     std::uint32_t samples_seen = 0;
     bool seen_first_sample = false;
   };
+  /// One observation of the open sample.
+  struct Hit {
+    std::uint32_t address = 0;
+    std::uint64_t wire_bytes = 0;
+  };
+
+  /// Folds the open sample's address-sorted hits into per_ip_.
+  void merge_per_ip();
 
   const net::Registry& registry_;
   const net::PolicyBlockList& pbl_;
 
   std::vector<AmplifierSampleRow> rows_;
-  std::unordered_map<std::uint32_t, PerIp> per_ip_;
+  /// Every amplifier address of the closed samples, sorted by address.
+  std::vector<PerIp> per_ip_;
 
   // Open-sample state.
   bool sample_open_ = false;
   AmplifierSampleRow current_;
-  std::unordered_set<std::uint32_t> cur_slash24s_;
-  std::unordered_set<std::uint32_t> cur_blocks_;
-  std::unordered_set<std::uint32_t> cur_asns_;
+  std::vector<Hit> cur_hits_;
+  /// (origin AS << 32 | block index) of each allocated observation.
+  std::vector<std::uint64_t> cur_routes_;
   SampleAccumulator cur_baf_;
   SampleAccumulator cur_bytes_;
 };

@@ -4,14 +4,6 @@
 
 namespace gorilla::core {
 
-ClientClass classify_client(const ntp::MonitorEntry& entry) noexcept {
-  if (entry.mode < 6) return ClientClass::kNonVictim;
-  if (entry.count < 3 || entry.avg_interval > 3600) {
-    return ClientClass::kScannerOrLowVolume;
-  }
-  return ClientClass::kVictim;
-}
-
 std::optional<WitnessedAttack> derive_attack(const ntp::MonitorEntry& entry,
                                              util::SimTime probe_time,
                                              net::Ipv4Address amplifier)

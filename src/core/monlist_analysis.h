@@ -25,8 +25,14 @@ enum class ClientClass : std::uint8_t {
 /// §4.2's filter, verbatim: modes below 6 are non-victims; mode 6/7 clients
 /// that sent fewer than 3 packets or averaged more than an hour between
 /// packets are scanners/low-volume; the rest are victims.
-[[nodiscard]] ClientClass classify_client(const ntp::MonitorEntry& entry)
-    noexcept;
+[[nodiscard]] inline ClientClass classify_client(
+    const ntp::MonitorEntry& entry) noexcept {
+  if (entry.mode < 6) return ClientClass::kNonVictim;
+  if (entry.count < 3 || entry.avg_interval > 3600) {
+    return ClientClass::kScannerOrLowVolume;
+  }
+  return ClientClass::kVictim;
+}
 
 /// An attack on one victim as witnessed by one amplifier's table.
 struct WitnessedAttack {

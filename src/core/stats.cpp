@@ -29,11 +29,11 @@ double mean(std::span<const double> values) {
   return sum / static_cast<double>(values.size());
 }
 
-BoxplotSummary boxplot(std::span<const double> values) {
+namespace {
+
+BoxplotSummary boxplot_sorted(std::span<const double> sorted) {
   BoxplotSummary s;
-  if (values.empty()) return s;
-  std::vector<double> sorted(values.begin(), values.end());
-  std::sort(sorted.begin(), sorted.end());
+  if (sorted.empty()) return s;
   s.min = sorted.front();
   s.q1 = quantile_sorted(sorted, 0.25);
   s.median = quantile_sorted(sorted, 0.5);
@@ -41,6 +41,14 @@ BoxplotSummary boxplot(std::span<const double> values) {
   s.max = sorted.back();
   s.count = sorted.size();
   return s;
+}
+
+}  // namespace
+
+BoxplotSummary boxplot(std::span<const double> values) {
+  std::vector<double> sorted(values.begin(), values.end());
+  std::sort(sorted.begin(), sorted.end());
+  return boxplot_sorted(sorted);
 }
 
 std::vector<CdfPoint> concentration_cdf(
@@ -67,14 +75,35 @@ double top_k_share(std::span<const double> contributions, std::size_t k) {
   return k == 0 ? 0.0 : cdf[idx].cumulative;
 }
 
+RouteCounts distinct_routes(std::vector<std::uint64_t>& routes) {
+  std::sort(routes.begin(), routes.end());
+  RouteCounts out;
+  for (std::size_t i = 0; i < routes.size(); ++i) {
+    const std::uint64_t route = routes[i];
+    const std::uint64_t prev = i > 0 ? routes[i - 1] : ~route;
+    if (route == prev) continue;
+    ++out.blocks;
+    if ((route >> 32) != (prev >> 32)) ++out.asns;
+  }
+  return out;
+}
+
 double SampleAccumulator::mean() const { return core::mean(values_); }
 
+const std::vector<double>& SampleAccumulator::sorted() const {
+  if (sorted_.size() != values_.size()) {
+    sorted_.assign(values_.begin(), values_.end());
+    std::sort(sorted_.begin(), sorted_.end());
+  }
+  return sorted_;
+}
+
 double SampleAccumulator::quantile(double q) const {
-  return core::quantile(values_, q);
+  return quantile_sorted(sorted(), q);
 }
 
 BoxplotSummary SampleAccumulator::boxplot() const {
-  return core::boxplot(values_);
+  return boxplot_sorted(sorted());
 }
 
 }  // namespace gorilla::core

@@ -41,12 +41,28 @@ struct CdfPoint {
 [[nodiscard]] std::vector<CdfPoint> concentration_cdf(
     std::span<const double> contributions);
 
+/// Distinct routed blocks and origin ASes among a sample's addresses.
+struct RouteCounts {
+  std::uint64_t blocks = 0;
+  std::uint64_t asns = 0;
+};
+
+/// Counts `routes`, each `asn << 32 | block index`, with one sort: a block
+/// has one origin AS, so equal blocks are adjacent and ASes form runs.
+[[nodiscard]] RouteCounts distinct_routes(std::vector<std::uint64_t>& routes);
+
 /// Fraction of the total carried by the top `k` contributors.
 [[nodiscard]] double top_k_share(std::span<const double> contributions,
                                  std::size_t k);
 
 /// Streaming accumulator: keeps every value (analyses are bounded by the
 /// per-sample amplifier count) and answers summary queries at end-of-sample.
+///
+/// The first quantile() or boxplot() after an add() sorts a copy of the
+/// values once; later queries read that copy until the next add() or
+/// clear(). mean() and values() keep insertion order, so mean() sums in the
+/// order the values arrived. Queries fill the cache, so concurrent const
+/// calls on one accumulator need outside synchronization.
 class SampleAccumulator {
  public:
   void add(double v) { values_.push_back(v); }
@@ -55,13 +71,21 @@ class SampleAccumulator {
   [[nodiscard]] double mean() const;
   [[nodiscard]] double quantile(double q) const;
   [[nodiscard]] BoxplotSummary boxplot() const;
-  void clear() { values_.clear(); }
+  void clear() {
+    values_.clear();
+    sorted_.clear();
+  }
   [[nodiscard]] const std::vector<double>& values() const noexcept {
     return values_;
   }
 
  private:
+  /// The values in ascending order. add() only appends, so the cache is
+  /// current exactly when it holds as many values as values_.
+  const std::vector<double>& sorted() const;
+
   std::vector<double> values_;
+  mutable std::vector<double> sorted_;
 };
 
 }  // namespace gorilla::core

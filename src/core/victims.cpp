@@ -9,7 +9,7 @@ namespace gorilla::core {
 
 VictimAnalysis::VictimAnalysis(const net::Registry& registry,
                                const net::PolicyBlockList& pbl)
-    : registry_(registry), pbl_(pbl) {}
+    : registry_(registry), pbl_(pbl), port_pairs_(std::size_t{1} << 16) {}
 
 void VictimAnalysis::begin_sample(int week, util::Date date) {
   if (sample_open_) throw std::logic_error("VictimAnalysis: sample open");
@@ -17,7 +17,7 @@ void VictimAnalysis::begin_sample(int week, util::Date date) {
   current_ = VictimSampleRow{};
   current_.week = week;
   current_.date = date;
-  cur_victims_.clear();
+  cur_hits_.clear();
   cur_windows_.clear();
   cur_durations_.clear();
   cur_scanner_mode6_ = cur_scanner_total_ = 0;
@@ -26,9 +26,10 @@ void VictimAnalysis::begin_sample(int week, util::Date date) {
 
 void VictimAnalysis::add(const scan::AmplifierObservation& obs) {
   if (!sample_open_) throw std::logic_error("VictimAnalysis: no open sample");
-  const auto amp_asn = registry_.asn_of(obs.address);
 
   std::uint32_t largest_last_seen = 0;
+  bool witnessed = false;  // the table holds at least one attack
+  std::uint64_t obs_packets = 0;
   for (const auto& entry : obs.table) {
     largest_last_seen = std::max(largest_last_seen, entry.last_seen);
     const ClientClass cls = classify_client(entry);
@@ -44,59 +45,73 @@ void VictimAnalysis::add(const scan::AmplifierObservation& obs) {
     const auto attack = derive_attack(entry, obs.probe_time, obs.address);
     if (!attack) continue;
 
-    auto& v = cur_victims_[entry.address.value()];
-    v.packets += attack->packets;
-    ++v.amplifiers;
-    v.starts.push_back(attack->start_time);
-
-    total_packets_ += attack->packets;
-    victim_ever_.insert(entry.address.value());
+    cur_hits_.push_back(
+        Hit{entry.address.value(), attack->packets, attack->start_time});
+    witnessed = true;
+    obs_packets += attack->packets;
     ++port_pairs_[entry.port];
     ++port_pairs_total_;
-    if (const auto vas = registry_.asn_of(entry.address)) {
-      packets_by_victim_as_[*vas] += attack->packets;
-    }
-    if (amp_asn) {
-      packets_by_amplifier_as_[*amp_asn] += attack->packets;
-    }
     cur_durations_.add(static_cast<double>(attack->duration));
   }
   if (!obs.table.empty()) {
     cur_windows_.add(static_cast<double>(largest_last_seen));
+  }
+  total_packets_ += obs_packets;
+  if (witnessed) {
+    if (const auto amp_asn = registry_.asn_of(obs.address)) {
+      packets_by_amplifier_as_[*amp_asn] += obs_packets;
+    }
   }
 }
 
 void VictimAnalysis::end_sample() {
   if (!sample_open_) throw std::logic_error("VictimAnalysis: no open sample");
 
-  std::unordered_set<std::uint32_t> victim_blocks;
-  std::unordered_set<net::Asn> victim_asns;
+  // One sort puts each victim's witnesses in one run, in address order
+  // (the row is serialized output, so the fold order is fixed) and by start
+  // within the run.
+  std::sort(cur_hits_.begin(), cur_hits_.end(), [](const Hit& a, const Hit& b) {
+    return a.victim != b.victim ? a.victim < b.victim : a.start < b.start;
+  });
+  std::vector<std::uint32_t> victims;
+  std::vector<std::uint64_t> routes;
   SampleAccumulator packets;
   double amp_sum = 0.0;
-  // Visit victims in address order: the per-victim folds below are
-  // order-independent, but the row is serialized output, so the walk order
-  // must not be left to the hash table.
-  for (const std::uint32_t ip_value : util::sorted_keys(cur_victims_)) {
-    const auto& v = cur_victims_.at(ip_value);
+  for (std::size_t i = 0; i < cur_hits_.size();) {
+    const std::size_t run_begin = i;
+    const std::uint32_t ip_value = cur_hits_[i].victim;
+    std::uint64_t victim_packets = 0;
+    for (; i < cur_hits_.size() && cur_hits_[i].victim == ip_value; ++i) {
+      victim_packets += cur_hits_[i].packets;
+    }
+    const std::size_t amplifiers = i - run_begin;
     const net::Ipv4Address ip{ip_value};
     ++current_.ips;
-    if (const auto b = registry_.block_index_of(ip)) victim_blocks.insert(*b);
-    if (const auto a = registry_.asn_of(ip)) victim_asns.insert(*a);
+    victims.push_back(ip_value);
+    if (const auto where = registry_.attribute(ip)) {
+      routes.push_back(std::uint64_t{where->asn} << 32 | where->block_index);
+      packets_by_victim_as_[where->asn] += victim_packets;
+    }
     if (pbl_.is_end_host(ip)) ++current_.end_hosts;
-    packets.add(static_cast<double>(v.packets));
-    amp_sum += static_cast<double>(v.amplifiers);
+    packets.add(static_cast<double>(victim_packets));
+    amp_sum += static_cast<double>(amplifiers);
 
     // One attack per victim per sample (the paper's simplification); its
-    // start is the median start across witnessing amplifiers.
-    std::vector<util::SimTime> starts = v.starts;
-    std::nth_element(starts.begin(), starts.begin() + starts.size() / 2,
-                     starts.end());
-    const util::SimTime start = starts[starts.size() / 2];
+    // start is the median start across witnessing amplifiers: the upper
+    // median of the run's sorted starts.
+    const util::SimTime start = cur_hits_[run_begin + amplifiers / 2].start;
     const std::int64_t hour = start / util::kSecondsPerHour;
     ++attacks_per_hour_[hour];
   }
-  current_.routed_blocks = victim_blocks.size();
-  current_.asns = victim_asns.size();
+  const auto closed = static_cast<std::ptrdiff_t>(victim_ever_.size());
+  victim_ever_.insert(victim_ever_.end(), victims.begin(), victims.end());
+  std::inplace_merge(victim_ever_.begin(), victim_ever_.begin() + closed,
+                     victim_ever_.end());
+  victim_ever_.erase(std::unique(victim_ever_.begin(), victim_ever_.end()),
+                     victim_ever_.end());
+  const auto route_counts = distinct_routes(routes);
+  current_.routed_blocks = route_counts.blocks;
+  current_.asns = route_counts.asns;
   current_.end_host_pct =
       current_.ips ? 100.0 * static_cast<double>(current_.end_hosts) /
                          static_cast<double>(current_.ips)
@@ -128,9 +143,14 @@ void VictimAnalysis::end_sample() {
 
 std::vector<std::pair<std::uint16_t, double>> VictimAnalysis::top_ports(
     std::size_t n) const {
-  // Key-sorted items + stable_sort = rank by count with the port number as
-  // deterministic tie-break.
-  auto counted = util::sorted_items(port_pairs_);
+  // Port-ordered tallies + stable_sort = rank by count with the port number
+  // as deterministic tie-break.
+  std::vector<std::pair<std::uint16_t, std::uint64_t>> counted;
+  for (std::size_t port = 0; port < port_pairs_.size(); ++port) {
+    if (port_pairs_[port] > 0) {
+      counted.emplace_back(static_cast<std::uint16_t>(port), port_pairs_[port]);
+    }
+  }
   std::stable_sort(
       counted.begin(), counted.end(),
       [](const auto& a, const auto& b) { return a.second > b.second; });

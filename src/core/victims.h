@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <map>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/monlist_analysis.h"
@@ -52,6 +51,10 @@ class VictimAnalysis {
   VictimAnalysis(const net::Registry& registry,
                  const net::PolicyBlockList& pbl);
 
+  /// add() appends each witnessed attack to the open sample's flat vector;
+  /// end_sample() sorts it once by (victim, start) and folds each victim's
+  /// run. So unique_victims() and the per-AS packet totals below are
+  /// complete only after end_sample(): read them between samples.
   void begin_sample(int week, util::Date date);
   void add(const scan::AmplifierObservation& obs);
   void end_sample();
@@ -105,19 +108,22 @@ class VictimAnalysis {
   }
 
  private:
-  struct PerVictim {
+  /// One attack of the open sample, as one amplifier's table witnessed it.
+  struct Hit {
+    std::uint32_t victim = 0;
     std::uint64_t packets = 0;
-    std::uint32_t amplifiers = 0;
-    std::vector<util::SimTime> starts;
+    util::SimTime start = 0;
   };
 
   const net::Registry& registry_;
   const net::PolicyBlockList& pbl_;
 
   std::vector<VictimSampleRow> rows_;
-  std::unordered_set<std::uint32_t> victim_ever_;
+  /// Every victim address of the closed samples, sorted.
+  std::vector<std::uint32_t> victim_ever_;
   std::uint64_t total_packets_ = 0;
-  std::map<std::uint16_t, std::uint64_t> port_pairs_;
+  /// Amplifier/victim pairs by attacked port, indexed by port number.
+  std::vector<std::uint64_t> port_pairs_;
   std::uint64_t port_pairs_total_ = 0;
   std::unordered_map<net::Asn, std::uint64_t> packets_by_victim_as_;
   std::unordered_map<net::Asn, std::uint64_t> packets_by_amplifier_as_;
@@ -127,7 +133,7 @@ class VictimAnalysis {
   // Open-sample state.
   bool sample_open_ = false;
   VictimSampleRow current_;
-  std::unordered_map<std::uint32_t, PerVictim> cur_victims_;
+  std::vector<Hit> cur_hits_;
   SampleAccumulator cur_windows_;
   SampleAccumulator cur_durations_;
   std::uint64_t cur_scanner_mode6_ = 0, cur_scanner_total_ = 0;

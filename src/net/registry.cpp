@@ -194,6 +194,13 @@ std::optional<Continent> Registry::continent_of(Ipv4Address a) const {
   return as_info(*asn).continent;
 }
 
+std::optional<Attribution> Registry::attribute(Ipv4Address a) const {
+  const auto idx = block_trie_.lookup(a);
+  if (!idx) return std::nullopt;
+  const Asn asn = blocks_[*idx].asn;
+  return Attribution{*idx, asn, as_info(asn).continent};
+}
+
 std::uint32_t Registry::weighted_block_sample(util::Rng& rng) const {
   const std::uint64_t u = rng.uniform(total_addresses_);
   const auto it =

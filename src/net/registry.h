@@ -91,6 +91,14 @@ struct NamedNetworks {
   Prefix csu_space;           ///< CSU covering prefix (inside frgp_space)
 };
 
+/// Where an address sits in the registry: its routed block, that block's
+/// origin AS and the AS's continent.
+struct Attribution {
+  std::uint32_t block_index = 0;  ///< index into Registry::blocks()
+  Asn asn = 0;
+  Continent continent = Continent::kNorthAmerica;
+};
+
 /// Deterministic synthetic registry; all lookups are O(32) trie walks.
 class Registry {
  public:
@@ -114,6 +122,10 @@ class Registry {
 
   /// Continent of the AS owning an address (nullopt if unallocated).
   [[nodiscard]] std::optional<Continent> continent_of(Ipv4Address a) const;
+
+  /// Block, AS and continent of an address from one trie walk, for callers
+  /// that need more than one of them (nullopt if unallocated).
+  [[nodiscard]] std::optional<Attribution> attribute(Ipv4Address a) const;
 
   /// Draws a uniformly random allocated address whose block satisfies `pred`;
   /// at most `max_tries` rejections before giving up (nullopt).

@@ -108,6 +108,78 @@ TEST(SampleAccumulatorTest, Lifecycle) {
   EXPECT_EQ(acc.count(), 0u);
 }
 
+// The accumulator sorts once per batch of adds and serves every quantile()
+// and boxplot() from that sort; mean() still sums in insertion order.
+TEST(SampleAccumulatorTest, MeanSumsInInsertionOrderAfterAQuantile) {
+  // 1e16 + 1 rounds back to 1e16, so the double sum depends on the order:
+  // insertion order gives 3 / 5, ascending order 4 / 5.
+  const std::array<double, 5> v = {1e16, 1.0, 1.0, -1e16, 3.0};
+  SampleAccumulator acc;
+  for (const double x : v) acc.add(x);
+  ASSERT_EQ(mean(v), 0.6);
+  EXPECT_EQ(acc.quantile(0.5), 1.0);
+  EXPECT_EQ(acc.boxplot().min, -1e16);
+  EXPECT_EQ(acc.mean(), 0.6);
+  EXPECT_EQ(acc.values().front(), 1e16);  // values() keeps insertion order
+}
+
+TEST(SampleAccumulatorTest, AddAfterAQuantileIsSeenByTheNextOne) {
+  SampleAccumulator acc;
+  for (const double x : {5.0, 1.0, 3.0}) acc.add(x);
+  EXPECT_EQ(acc.quantile(1.0), 5.0);
+  EXPECT_EQ(acc.quantile(0.5), 3.0);
+  acc.add(9.0);
+  EXPECT_EQ(acc.quantile(1.0), 9.0);
+  EXPECT_EQ(acc.quantile(0.5), 4.0);
+  EXPECT_EQ(acc.boxplot().count, 4u);
+  acc.clear();
+  EXPECT_EQ(acc.quantile(0.5), 0.0);
+  EXPECT_EQ(acc.boxplot().count, 0u);
+  acc.add(2.0);
+  EXPECT_EQ(acc.quantile(0.0), 2.0);
+}
+
+TEST(SampleAccumulatorTest, AgreesWithTheFreeFunctions) {
+  std::vector<double> v;
+  std::uint64_t x = 0x9e3779b97f4a7c15u;
+  SampleAccumulator acc;
+  for (int i = 0; i < 301; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    v.push_back(static_cast<double>(x % 100000) / 7.0);
+    acc.add(v.back());
+    if (i % 50 != 0) continue;
+    // Interleave queries with adds: each must see every value so far.
+    for (const double q : {0.0, 0.05, 0.25, 0.5, 0.75, 0.95, 1.0}) {
+      EXPECT_EQ(acc.quantile(q), quantile(v, q)) << i << " q=" << q;
+    }
+    const auto a = acc.boxplot();
+    const auto b = boxplot(v);
+    EXPECT_EQ(a.min, b.min);
+    EXPECT_EQ(a.q1, b.q1);
+    EXPECT_EQ(a.median, b.median);
+    EXPECT_EQ(a.q3, b.q3);
+    EXPECT_EQ(a.max, b.max);
+    EXPECT_EQ(a.count, b.count);
+    EXPECT_EQ(acc.mean(), mean(v));
+  }
+}
+
+TEST(DistinctRoutesTest, CountsBlocksAndAsesWithOneSort) {
+  auto route = [](std::uint64_t asn, std::uint64_t block) {
+    return asn << 32 | block;
+  };
+  std::vector<std::uint64_t> routes = {route(7, 3), route(2, 9), route(7, 3),
+                                       route(7, 4), route(2, 9), route(5, 1)};
+  const auto counts = distinct_routes(routes);
+  EXPECT_EQ(counts.blocks, 4u);
+  EXPECT_EQ(counts.asns, 3u);
+  std::vector<std::uint64_t> none;
+  EXPECT_EQ(distinct_routes(none).blocks, 0u);
+  EXPECT_EQ(distinct_routes(none).asns, 0u);
+}
+
 // Property sweep: quantile is monotone in q for arbitrary data.
 class QuantileMonotonic : public ::testing::TestWithParam<int> {};
 

@@ -1,11 +1,15 @@
 // Replay mutation fuzz. A small recording's block bodies are mutated and
 // each block's CRC re-sealed (save() re-seals the section CRCs), so the
 // damage passes both checksums and reaches the block decoder, the
-// streaming readers and the column decoders. Every case must end in a
-// refusal or a replay result, never a crash: the asan-ubsan preset runs it
+// streaming readers and the column decoders. Each case replays into an
+// event log, the §3/§4 analyses (census and victims over a small World's
+// registry and PBL) and the collectors, so damaged tables and addresses
+// also reach the analyses' folds. Every case must end in a refusal or a
+// replay result, never a crash: the asan-ubsan preset runs it
 // instrumented. Where every block still decodes, the streaming replay
-// must dispatch exactly the events that a replay of the same archive with
-// its sections inflated to raw does. Fixed seed, bounded case count.
+// must dispatch exactly the events, and render exactly the analyses and
+// collectors, that a replay of the same archive with its sections inflated
+// to raw does. Fixed seed, bounded case count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,12 +19,22 @@
 #include <optional>
 #include <span>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "core/amplifiers.h"
+#include "core/victims.h"
 #include "scan/prober.h"
+#include "sim/world.h"
+#include "study/analysis_sink.h"
+#include "study/bus.h"
+#include "study/collector_sink.h"
 #include "study/events.h"
 #include "study/recorder.h"
+#include "telemetry/darknet.h"
+#include "telemetry/flow.h"
+#include "telemetry/traffic.h"
 #include "util/block_codec.h"
 #include "util/bytes.h"
 #include "util/columnar.h"
@@ -88,7 +102,10 @@ void emit_recording(EventSink& sink) {
       obs.attempts = 1 + static_cast<int>(s % 3);
       for (std::uint32_t i = 0; i < 24; ++i) {
         ntp::MonitorEntry entry;
-        entry.address = net::Ipv4Address(static_cast<std::uint32_t>(rng.next()));
+        // 512 victim candidates spread over the address space, so victims
+        // recur across amplifiers and samples.
+        entry.address = net::Ipv4Address(
+            static_cast<std::uint32_t>(rng.next() % 512) * 8388593u);
         entry.local_address = obs.address;
         entry.avg_interval = static_cast<std::uint32_t>(rng.next() % 5000);
         entry.last_seen = i * 60 + s % 60;
@@ -159,6 +176,129 @@ struct EventLog final : EventSink {
   void on_sample_end(int week) override { put(8, week); }
 };
 
+/// Days the recording's collector events cover.
+constexpr int kRecordedDays = 14;
+
+/// The world whose registry and PBL the analyses attribute addresses with.
+/// 6000 ASes (scale 400 would auto-size 900) allocate past 11.0.0.0/12,
+/// where the recording's amplifiers sit.
+const sim::World& fuzz_world() {
+  static const sim::World world = [] {
+    sim::WorldConfig cfg;
+    cfg.scale = 400;
+    cfg.registry.num_ases = 6000;
+    return sim::World(cfg);
+  }();
+  return world;
+}
+
+/// One replay's subscribers: the event log, the census and victim analyses
+/// and the collectors, in that dispatch order.
+struct Fanout {
+  Fanout()
+      : census(fuzz_world().registry(), fuzz_world().pbl()),
+        victims(fuzz_world().registry(), fuzz_world().pbl()),
+        global(kRecordedDays, 1.0e12),
+        merit("Merit", {fuzz_world().registry().named().merit_space}),
+        frgp("FRGP", {fuzz_world().registry().named().frgp_space}),
+        csu("CSU", {fuzz_world().registry().named().csu_space}),
+        darknet(telemetry::DarknetConfig{}) {
+    analyses.census = &census;
+    analyses.victims = &victims;
+    analyses.summaries = &summaries;
+    collectors.global = &global;
+    collectors.labels = &labels;
+    collectors.vantages = {&merit, &frgp, &csu};
+    collectors.darknet = &darknet;
+    bus.subscribe(&log);
+    bus.subscribe(&analyses);
+    bus.subscribe(&collectors);
+  }
+  Fanout(const Fanout&) = delete;
+  Fanout& operator=(const Fanout&) = delete;
+
+  bool replay(const Replayer& replayer) { return replayer.replay(bus); }
+
+  /// Every closed census and victim row and accumulated view, exactly,
+  /// except the hourly attack series (see expect_same_outputs).
+  [[nodiscard]] std::string analyses_text() const {
+    std::ostringstream out;
+    out.precision(17);
+    for (const auto& r : census.rows()) {
+      out << r.week << ' ' << r.ips << ' ' << r.slash24s << ' '
+          << r.routed_blocks << ' ' << r.asns << ' ' << r.end_hosts << ' '
+          << r.ips_per_block << ' ' << r.baf.q1 << ' ' << r.baf.median << ' '
+          << r.baf.q3 << ' ' << r.bytes_p95 << ' ' << r.mega_count << ' '
+          << r.partial_tables;
+      for (const auto n : r.by_continent) out << ' ' << n;
+      out << '\n';
+    }
+    out << census.unique_ips() << ' ' << census.first_sample_fraction() << ' '
+        << census.seen_once_fraction() << '\n';
+    for (const auto& [addr, bytes] : census.mega_roster()) {
+      out << addr.value() << '@' << bytes << ' ';
+    }
+    for (const auto& r : victims.rows()) {
+      out << r.week << ' ' << r.ips << ' ' << r.routed_blocks << ' ' << r.asns
+          << ' ' << r.end_hosts << ' ' << r.packets_mean << ' '
+          << r.packets_median << ' ' << r.packets_p95 << ' '
+          << r.amplifiers_per_victim << ' ' << r.median_window_seconds << ' '
+          << r.scanner_mode6_share << ' ' << r.victim_mode6_share << '\n';
+    }
+    out << victims.unique_victims() << ' ' << victims.total_packets() << '\n';
+    for (const auto& [port, share] : victims.top_ports(8)) {
+      out << port << '=' << share << ' ';
+    }
+    for (const auto& [asn, packets] : victims.top_victim_ases(8)) {
+      out << asn << ':' << packets << ' ';
+    }
+    for (const auto& [asn, packets] : victims.amplifier_as_breakdown()) {
+      out << asn << '~' << packets << ' ';
+    }
+    for (const auto& [median, p95] : victims.duration_median_p95_by_sample()) {
+      out << median << '/' << p95 << ' ';
+    }
+    return out.str();
+  }
+
+  [[nodiscard]] std::string collectors_text() const {
+    std::ostringstream out;
+    out.precision(17);
+    for (int day = 0; day < kRecordedDays; ++day) {
+      out << global.bytes(day, telemetry::ProtocolClass::kNtp) << ' ';
+    }
+    for (const auto& a : labels.attacks()) out << a.start << ' ' << a.peak_bps;
+    for (const auto* v : {&merit, &frgp, &csu}) {
+      out << ' ' << v->flows().size() << ' '
+          << v->total_bytes([](const telemetry::FlowRecord&) { return true; });
+    }
+    out << ' ' << darknet.total_packets() << ' ' << darknet.scanners().size();
+    return out.str();
+  }
+
+  EventLog log;
+  core::AmplifierCensus census;
+  core::VictimAnalysis victims;
+  std::vector<scan::MonlistSampleSummary> summaries;
+  AnalysisSink analyses;
+  telemetry::GlobalTrafficCollector global;
+  telemetry::AttackLabelStore labels;
+  telemetry::FlowCollector merit, frgp, csu;
+  telemetry::DarknetTelescope darknet;
+  CollectorSink collectors;
+  EventBus bus;
+};
+
+/// Two replays dispatched the same events and left the analyses and
+/// collectors with the same outputs. The hourly attack series, the largest
+/// one, is compared as a map rather than rendered.
+void expect_same_outputs(const Fanout& a, const Fanout& b) {
+  EXPECT_EQ(a.log.cells, b.log.cells);
+  EXPECT_EQ(a.analyses_text(), b.analyses_text());
+  EXPECT_TRUE(a.victims.attacks_per_hour() == b.victims.attacks_per_hour());
+  EXPECT_EQ(a.collectors_text(), b.collectors_text());
+}
+
 /// Where each block frame of a block stream starts.
 std::vector<std::size_t> frame_offsets(const std::vector<std::uint8_t>& stored) {
   std::vector<std::size_t> at;
@@ -212,16 +352,22 @@ TEST(ReplayFuzzTest, MutatedBlockBodiesReplayOrRefuseNeverCrash) {
   ASSERT_GE(block_sections.size(), 12u);
   ASSERT_GE(multi_block, 3u);
 
-  // The intact recording replays the same both ways.
+  // The intact recording replays the same both ways, and its tables reach
+  // the analyses: attributed victims and amplifiers, and scanner entries.
   Replayer intact;
   ASSERT_TRUE(intact.load_archive(base));
-  EventLog intact_log;
-  ASSERT_TRUE(intact.replay(intact_log));
+  Fanout intact_out;
+  ASSERT_TRUE(intact_out.replay(intact));
   Replayer intact_flat;
   ASSERT_TRUE(intact_flat.load_archive(*inflated(base)));
-  EventLog intact_flat_log;
-  ASSERT_TRUE(intact_flat.replay(intact_flat_log));
-  EXPECT_EQ(intact_flat_log.cells, intact_log.cells);
+  Fanout intact_flat_out;
+  ASSERT_TRUE(intact_flat_out.replay(intact_flat));
+  expect_same_outputs(intact_flat_out, intact_out);
+  ASSERT_EQ(intact_out.census.rows().size(), 2u);
+  EXPECT_GT(intact_out.census.rows()[0].routed_blocks, 0u);
+  EXPECT_GT(intact_out.victims.rows()[0].routed_blocks, 0u);
+  EXPECT_GT(intact_out.victims.amplifier_as_count(), 0u);
+  EXPECT_GT(intact_out.victims.unique_victims(), 0u);
 
   util::Rng rng(kFuzzSeed);
   int replayed = 0, refused = 0, compared = 0, failed = 0;
@@ -257,8 +403,8 @@ TEST(ReplayFuzzTest, MutatedBlockBodiesReplayOrRefuseNeverCrash) {
       ++refused;
       continue;
     }
-    EventLog streamed;
-    const bool streamed_ok = replayer.replay(streamed);
+    Fanout streamed;
+    const bool streamed_ok = streamed.replay(replayer);
     ++replayed;
     if (!streamed_ok) ++failed;
 
@@ -269,9 +415,9 @@ TEST(ReplayFuzzTest, MutatedBlockBodiesReplayOrRefuseNeverCrash) {
     }
     Replayer flat;
     ASSERT_TRUE(flat.load_archive(*raw));
-    EventLog flat_log;
-    EXPECT_EQ(flat.replay(flat_log), streamed_ok);
-    EXPECT_EQ(flat_log.cells, streamed.cells);
+    Fanout flat_out;
+    EXPECT_EQ(flat_out.replay(flat), streamed_ok);
+    expect_same_outputs(flat_out, streamed);
     ++compared;
   }
   // Every mutant passes the checksums, and the mix is not degenerate: some
