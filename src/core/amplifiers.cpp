@@ -80,13 +80,11 @@ void AmplifierCensus::merge_per_ip() {
   // Both sides are address-sorted: fold each of the sample's address runs
   // into its closed record in place, collect first sightings, then merge
   // those in from the back.
-  const bool first_sample = rows_.empty();
   std::vector<PerIp> fresh;
   std::size_t closed = 0;
   for (std::size_t i = 0; i < cur_hits_.size();) {
     PerIp run;
     run.address = cur_hits_[i].address;
-    run.seen_first_sample = first_sample;
     for (; i < cur_hits_.size() && cur_hits_[i].address == run.address; ++i) {
       run.total_bytes += cur_hits_[i].wire_bytes;
       run.max_bytes = std::max(run.max_bytes, cur_hits_[i].wire_bytes);
@@ -104,6 +102,8 @@ void AmplifierCensus::merge_per_ip() {
       fresh.push_back(run);
     }
   }
+  // Every address of the first sample is a first sighting.
+  if (rows_.empty()) first_sample_ips_ = fresh.size();
   std::size_t old = per_ip_.size();
   std::size_t add = fresh.size();
   per_ip_.resize(old + add);
@@ -118,10 +118,8 @@ void AmplifierCensus::merge_per_ip() {
 
 double AmplifierCensus::first_sample_fraction() const {
   if (per_ip_.empty()) return 0.0;
-  const auto first = std::count_if(
-      per_ip_.begin(), per_ip_.end(),
-      [](const PerIp& info) { return info.seen_first_sample; });
-  return static_cast<double>(first) / static_cast<double>(per_ip_.size());
+  return static_cast<double>(first_sample_ips_) /
+         static_cast<double>(per_ip_.size());
 }
 
 double AmplifierCensus::seen_once_fraction() const {

@@ -97,7 +97,6 @@ class AmplifierCensus {
     std::uint64_t max_bytes = 0;
     std::uint32_t address = 0;
     std::uint32_t samples_seen = 0;
-    bool seen_first_sample = false;
   };
   /// One observation of the open sample.
   struct Hit {
@@ -114,6 +113,8 @@ class AmplifierCensus {
   std::vector<AmplifierSampleRow> rows_;
   /// Every amplifier address of the closed samples, sorted by address.
   std::vector<PerIp> per_ip_;
+  /// Distinct addresses of the first closed sample.
+  std::uint64_t first_sample_ips_ = 0;
 
   // Open-sample state.
   bool sample_open_ = false;

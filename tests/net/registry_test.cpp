@@ -95,6 +95,22 @@ TEST_F(RegistryTest, ContinentLookup) {
             Continent::kEurope);
 }
 
+TEST_F(RegistryTest, AttributeMatchesTheSingleFieldLookups) {
+  util::Rng rng(11);
+  for (int i = 0; i < 2000; ++i) {
+    const Ipv4Address a = i % 4 == 0
+                              ? Ipv4Address(static_cast<std::uint32_t>(rng.next()))
+                              : registry_.random_address(rng);
+    const auto where = registry_.attribute(a);
+    ASSERT_EQ(where.has_value(), registry_.block_index_of(a).has_value());
+    if (!where) continue;
+    EXPECT_EQ(where->block_index, *registry_.block_index_of(a));
+    EXPECT_EQ(where->asn, registry_.asn_of(a));
+    EXPECT_EQ(where->continent, registry_.continent_of(a));
+  }
+  EXPECT_FALSE(registry_.attribute(registry_.named().darknet.base()));
+}
+
 TEST_F(RegistryTest, AsInfoRejectsUnknownAsn) {
   EXPECT_THROW(static_cast<void>(registry_.as_info(0)), std::out_of_range);
   EXPECT_THROW(static_cast<void>(registry_.as_info(999999)),
