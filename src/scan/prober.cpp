@@ -1,6 +1,5 @@
 #include "scan/prober.h"
 
-#include <algorithm>
 #include <bit>
 #include <cstdlib>
 #include <optional>
@@ -138,36 +137,6 @@ util::SimTime Prober::sample_time(int week) noexcept {
          12 * util::kSecondsPerHour;
 }
 
-void Prober::apply_due_remediation(int week) {
-  if (week <= remediation_applied_week_) return;
-  const auto due = [this, week](std::uint32_t ai) {
-    const auto* config = world_.server_config(ai);
-    if (config == nullptr) return false;
-    const auto& t = world_.servers()[ai];
-    return (!t.monlist_live(week) && config->monlist_enabled) ||
-           (!t.version_live(week) && config->mode6_enabled);
-  };
-  if (std::ranges::any_of(world_.amplifier_indices(), due)) {
-    // A table clear must follow the writes logged before it: they land on
-    // the pass's executor, so detailed() below finds nothing to settle.
-    world_.settle_monitors(executor_);
-    for (const auto ai : world_.amplifier_indices()) {
-      if (!due(ai)) continue;
-      auto* server = world_.detailed(ai);
-      const auto& t = world_.servers()[ai];
-      if (!t.monlist_live(week) && server->config().monlist_enabled) {
-        // No probe can dump this table again: release it once, at the
-        // transition. Later passes only add their own probe entries, and
-        // clearing those every week would re-allocate each table again.
-        server->set_monlist_enabled(false);
-        server->monitor().clear();
-      }
-      if (!t.version_live(week)) server->set_mode6_enabled(false);
-    }
-  }
-  remediation_applied_week_ = week;
-}
-
 MonlistSampleSummary Prober::run_monlist_sample(int week,
                                                 const MonlistVisitor& visit) {
   return probe_targets(world_.amplifier_indices(), week, sample_time(week),
@@ -296,7 +265,7 @@ MonlistSampleSummary Prober::probe_targets(
     util::SimTime now, const MonlistVisitor& visit) {
   // The pass dumps tables: pending writes land first, on its executor.
   world_.settle_monitors(executor_);
-  apply_due_remediation(week);
+  world_.release_fixed_monitors(week, executor_);
   roll_window(week);
   MonlistSampleSummary summary;
   summary.week = week;
@@ -313,9 +282,8 @@ MonlistSampleSummary Prober::probe_targets(
                        AmplifierObservation& obs,
                        std::vector<Reached>& /*reached*/) mutable {
     ++partial.probes_sent;
-    // Offline / churned-away targets never see the probe.
-    if (!world_.servers()[ai].ever_amplifier) return false;
-    if (!world_.reachable(ai, week)) return false;
+    // Offline and remediated targets never answer: the probe is not sent.
+    if (!world_.responds_monlist(ai, week)) return false;
     auto* server = world_.detailed(ai);
     if (server == nullptr) return false;
 
@@ -405,7 +373,9 @@ MonlistSampleSummary Prober::probe_targets(
 VersionSampleSummary Prober::run_version_sample(int vweek,
                                                 const VersionVisitor& visit) {
   const int week = vweek + 6;  // version passes began 2014-02-21
-  apply_due_remediation(week);
+  // Settles the World's pending writes only when a table is due: the pass
+  // reads no table, so its own writes stay pending.
+  world_.release_fixed_monitors(week, executor_);
   roll_window(week);
   const util::SimTime now = sample_time(week);
   VersionSampleSummary summary;

@@ -124,9 +124,9 @@ class Prober {
   using MonlistVisitor = std::function<void(const AmplifierObservation&)>;
   using VersionVisitor = std::function<void(const VersionObservation&)>;
 
-  /// Runs the weekly monlist pass for sample week `week` (0 = 2014-01-10).
-  /// Applies due remediation to the detailed tier first; visits every
-  /// responding amplifier. Weeks must be probed in non-decreasing order.
+  /// Runs the weekly monlist pass for sample week `week` (0 = 2014-01-10):
+  /// probes every amplifier that responds that week
+  /// (World::responds_monlist) and visits each reply.
   MonlistSampleSummary run_monlist_sample(int week,
                                           const MonlistVisitor& visit);
 
@@ -143,9 +143,8 @@ class Prober {
 
   /// Probes an explicit target set at an arbitrary time — the §3.4
   /// follow-up methodology (twice-daily probes of the ~250K IPs that were
-  /// monlist amplifiers in any March sample). `week` selects the
-  /// remediation state; `now` stamps the probes. Weeks must be
-  /// non-decreasing across calls, and no index may repeat in one call.
+  /// monlist amplifiers in any March sample). `week` selects who responds;
+  /// `now` stamps the probes. No index may repeat in one call.
   MonlistSampleSummary probe_targets(
       const std::vector<std::uint32_t>& server_indices, int week,
       util::SimTime now, const MonlistVisitor& visit);
@@ -184,14 +183,6 @@ class Prober {
     kRestricted,  ///< the server answers no such request: no retry helps
   };
 
-  /// Turns off monlist and mode 6 on every detailed amplifier whose fix
-  /// week has come. A table is cleared once, when its monlist turns off:
-  /// nothing can dump it after that. The changes are found on the traits
-  /// and server_config(), which never settle; only when one is due are the
-  /// World's pending monitor writes settled on `executor_`, before the
-  /// first clear. A version pass reads no table, so its writes stay pending
-  /// unless this clears one; the monlist passes settle themselves.
-  void apply_due_remediation(int week);
   /// A request that reached `server` on attempt `attempt` without writing
   /// its monitor table: the version pass's, which it logs instead.
   struct Reached {
@@ -242,7 +233,6 @@ class Prober {
   sim::ImpairmentLayer impairment_;
   ProbePolicy policy_;
   sim::ShardedExecutor* executor_ = nullptr;
-  int remediation_applied_week_ = -1;
   // Rate-limit window state: responses each limiting server has answered
   // this window (a sample week), one slot per server, empty unless the
   // impairment sets a window. The prober tracks this client-side the way

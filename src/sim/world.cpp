@@ -381,6 +381,23 @@ void World::settle_monitors(ShardedExecutor::Lanes& lanes) const {
   }
 }
 
+void World::release_fixed_monitors(int week, ShardedExecutor* executor) {
+  if (week <= monitors_released_week_) return;
+  const auto due = [this, week](std::uint32_t ai) {
+    const ServerTraits& t = traits_[ai];
+    return t.detailed_index != ServerTraits::kNoDetail &&
+           !t.monlist_live(week) && t.monlist_live(monitors_released_week_);
+  };
+  if (std::ranges::any_of(amplifier_indices_, due)) {
+    // A clear must follow the writes logged before it.
+    settle_monitors(executor);
+    for (const auto ai : amplifier_indices_) {
+      if (due(ai)) detailed_[traits_[ai].detailed_index].monitor().clear();
+    }
+  }
+  monitors_released_week_ = week;
+}
+
 double World::stable_uniform(std::uint32_t server_index, int week,
                              std::uint64_t salt) const noexcept {
   const std::uint64_t h =

@@ -175,6 +175,14 @@ class World {
   /// before any table is read.
   void settle_monitors(ShardedExecutor::Lanes& lanes) const;
 
+  /// Releases, once, the monitor table of every amplifier whose monlist is
+  /// fixed by sample week `week` but was not by the latest week already
+  /// released: from its fix week on no probe reaches it (responds_monlist),
+  /// so nothing can dump it again. Only frees memory, and a week at or
+  /// before the latest releases nothing. Pending writes are settled on
+  /// `executor` first, and only when a table is due.
+  void release_fixed_monitors(int week, ShardedExecutor* executor);
+
   /// The server's address during sample week `week` (DHCP churn rehomes end
   /// hosts within their routed block).
   [[nodiscard]] net::Ipv4Address address_at(std::uint32_t server_index,
@@ -245,6 +253,7 @@ class World {
   /// Monitor writes not yet applied, in log order: a lazily applied cache,
   /// so const readers settle it too.
   mutable std::vector<MonitorWrite> monitor_log_;
+  int monitors_released_week_ = -1;  ///< latest release_fixed_monitors week
 };
 
 }  // namespace gorilla::sim

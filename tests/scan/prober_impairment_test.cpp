@@ -539,6 +539,46 @@ struct VersionStudy {
   Prober versions;
 };
 
+TEST(ProberImpairmentTest, VersionPassReadsRemediationOffItsOwnWeek) {
+  // A version pass at vweek 0 (monlist week 6) on a World whose campaign
+  // has probed through week 10 sees exactly what it sees on a fresh World:
+  // amplifiers whose mode 6 is fixed in weeks 7-10 still answer it. Clean
+  // and lossy alike, so the retry paths read the week too.
+  constexpr int kCampaignWeeks = 10;
+  const auto version_pass = [](sim::World& world,
+                               const sim::ImpairmentConfig& cfg) {
+    Prober prober(world, kProbeSource, ntp::Implementation::kXntpd, cfg);
+    Fingerprint f;
+    const auto summary = prober.run_version_sample(
+        0, [&f](const VersionObservation& obs) { f.add(obs); });
+    return std::make_pair(f.value(), summary.responders_total);
+  };
+  for (const auto& cfg : {sim::ImpairmentConfig{}, VersionStudy::lossy()}) {
+    sim::World fresh(tiny_config());
+    const auto expected = version_pass(fresh, cfg);
+
+    sim::World studied(tiny_config());
+    std::size_t fixed_later = 0;  // the servers the property is about
+    for (const auto ai : studied.amplifier_indices()) {
+      const auto& t = studied.servers()[ai];
+      if (t.version_fix_week > 6 && t.version_fix_week <= kCampaignWeeks &&
+          studied.server_config(ai) != nullptr &&
+          studied.responds_version(ai, 6)) {
+        ++fixed_later;
+      }
+    }
+    ASSERT_GT(fixed_later, 0u);
+    Prober campaign(studied, kProbeSource);
+    for (int week = 0; week <= kCampaignWeeks; ++week) {
+      (void)campaign.run_monlist_sample(week,
+                                        [](const AmplifierObservation&) {});
+    }
+    const auto seen = version_pass(studied, cfg);
+    EXPECT_EQ(seen.first, expected.first) << "lossy=" << cfg.any();
+    EXPECT_EQ(seen.second, expected.second) << "lossy=" << cfg.any();
+  }
+}
+
 TEST(ProberImpairmentTest, VersionPassMonitorWritesReachEveryReader) {
   // After two version passes the tables are read three ways, each on a
   // fresh VersionStudy: a const dump, monitor seeding followed by a monlist
