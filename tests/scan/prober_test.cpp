@@ -117,9 +117,8 @@ TEST_F(ProberTest, PoolShrinksAcrossWeeks) {
   EXPECT_LT(reduction, 0.97);
 }
 
-TEST_F(ProberTest, RemediatedServersStillWitnessProbes) {
-  // Probe a server before and after its fix week: afterwards it is silent,
-  // but its monitor table keeps recording (§6's witnessing remark).
+TEST_F(ProberTest, RemediatedServersFallSilent) {
+  // Probe a server before and after its fix week: afterwards it is silent.
   prober_.run_monlist_sample(0, [](const AmplifierObservation&) {});
   // Pick an amplifier fixed at week 1+.
   std::optional<std::uint32_t> target;
