@@ -158,8 +158,6 @@ Options parse_options(int argc, char** argv, std::uint32_t default_scale) {
         std::exit(2);
       }
       util::FaultPlan::install(*plan);
-    } else if (arg.rfind("--benchmark", 0) == 0) {
-      // google-benchmark flags pass through untouched.
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
           "usage: %s [--scale N] [--seed N] [--quick] [--jobs N]\n"
@@ -365,8 +363,7 @@ void StudyPipeline::simulate(
   scan_cfg.impairment = impairment;
   sim::ScanTraffic scans(*world, scan_cfg);
   scan::Prober prober(*world, net::Ipv4Address(198, 51, 100, 7),
-                      ntp::Implementation::kXntpd, impairment,
-                      probe_policy);
+                      ntp::Implementation::kXntpd, impairment);
   prober.set_executor(executor_.get());
 
   // Attack + scan days fan out as day shards on the executor (buffered

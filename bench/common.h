@@ -58,8 +58,7 @@ bool maybe_write_csv(const Options& opt, const std::string& name,
                      const util::CsvDocument& doc);
 
 /// Parses the shared bench flags. An unknown argument, a missing value or
-/// a malformed number is refused with one stderr line and exit 2;
-/// google-benchmark `--benchmark*` flags pass through untouched.
+/// a malformed number is refused with one stderr line and exit 2.
 [[nodiscard]] Options parse_options(int argc, char** argv,
                                     std::uint32_t default_scale = 40);
 
@@ -71,9 +70,9 @@ bool maybe_write_csv(const Options& opt, const std::string& name,
                                          std::uint32_t default_scale);
 
 /// parse_options for the harness benches whose output depends on more
-/// than their recording holds: post-run probes of `pipeline.world`, which a
-/// replay never simulates, or impairment settings the header does not
-/// carry. --replay is refused with one line and exit 2, and so is --record
+/// than their recording holds: post-run monlist probes of `pipeline.world`,
+/// which dump monitor tables a replay never fills, or impairment settings
+/// the header does not carry. --replay is refused with one line and exit 2, and so is --record
 /// when `refuse_record` (several pipelines would write one path).
 [[nodiscard]] Options live_only_options(int argc, char** argv,
                                         std::uint32_t default_scale,
@@ -124,9 +123,6 @@ struct StudyPipeline {
   /// the pristine network — every figure reproduces the seed bit-for-bit.
   /// Set fields BEFORE calling run().
   sim::ImpairmentConfig impairment;
-  /// Prober retry/timeout/backoff policy (only consulted when the
-  /// impairment layer is enabled).
-  scan::ProbePolicy probe_policy;
 
   std::unique_ptr<sim::World> world;
   std::unique_ptr<core::AmplifierCensus> census;

@@ -101,5 +101,5 @@ int run(const bench::Options& opt) {
 }  // namespace gorilla
 
 int main(int argc, char** argv) {
-  return gorilla::run(gorilla::bench::live_only_options(argc, argv, 40));
+  return gorilla::run(gorilla::bench::parse_options(argc, argv, 40));
 }

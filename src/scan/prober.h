@@ -67,6 +67,8 @@ struct MonlistSampleSummary {
   std::uint64_t error_replies = 0;    ///< tiny impl-mismatch replies
   /// Targets that would have answered but were lost to impairment even
   /// after every retry (distinct from offline/restricted non-responders).
+  /// Like `retries`, it counts only targets that answer at this week: a
+  /// probe of an offline or remediated target is neither retried nor lost.
   std::uint64_t probes_lost = 0;
   std::uint64_t retries = 0;          ///< extra attempts beyond the first
   /// Responders whose reply arrived with datagrams missing or truncated.
@@ -84,7 +86,9 @@ struct VersionSampleSummary {
   std::uint64_t responders_total = 0;
   /// Responders materialized and delivered to the visitor.
   std::uint64_t responders_detailed = 0;
-  std::uint64_t probes_lost = 0;    ///< lost to impairment after all retries
+  /// Lost to impairment after all retries; like `retries`, counted only
+  /// over servers that answer mode 6 at this week.
+  std::uint64_t probes_lost = 0;
   std::uint64_t retries = 0;
   std::uint64_t truncated_tables = 0;  ///< degraded-but-parsed replies
   std::uint64_t rate_limited = 0;
