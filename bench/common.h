@@ -72,8 +72,9 @@ bool maybe_write_csv(const Options& opt, const std::string& name,
 /// parse_options for the harness benches whose output depends on more
 /// than their recording holds: post-run monlist probes of `pipeline.world`,
 /// which dump monitor tables a replay never fills, or impairment settings
-/// the header does not carry. --replay is refused with one line and exit 2, and so is --record
-/// when `refuse_record` (several pipelines would write one path).
+/// the header does not carry. --replay is refused with one line and exit 2,
+/// and so is --record when `refuse_record` (several pipelines would write
+/// one path).
 [[nodiscard]] Options live_only_options(int argc, char** argv,
                                         std::uint32_t default_scale,
                                         bool refuse_record = false);

@@ -282,7 +282,7 @@ MonlistSampleSummary Prober::probe_targets(
                        AmplifierObservation& obs,
                        std::vector<Reached>& /*reached*/) mutable {
     ++partial.probes_sent;
-    // Offline and remediated targets never answer: the probe is not sent.
+    // Offline and remediated targets stay silent, their tables untouched.
     if (!world_.responds_monlist(ai, week)) return false;
     auto* server = world_.detailed(ai);
     if (server == nullptr) return false;

@@ -178,9 +178,10 @@ class World {
   /// Releases, once, the monitor table of every amplifier whose monlist is
   /// fixed by sample week `week` but was not by the latest week already
   /// released: from its fix week on no probe reaches it (responds_monlist),
-  /// so nothing can dump it again. Only frees memory, and a week at or
-  /// before the latest releases nothing. Pending writes are settled on
-  /// `executor` first, and only when a table is due.
+  /// so no pass of that week or later can dump it. A week at or before the
+  /// latest releases nothing; a pass for such a week may find a table
+  /// released at a later one. Pending writes are settled on `executor`
+  /// first, and only when a table is due.
   void release_fixed_monitors(int week, ShardedExecutor* executor);
 
   /// The server's address during sample week `week` (DHCP churn rehomes end
