@@ -175,27 +175,20 @@ for bench in "${benches[@]}"; do
       \"identical_stdout\": true }"
 done
 
-# Lint timing: the v2 analyzer over the build's src+tools, cold cache then
-# warm cache (warm hits skip lexing and per-file rules; only the graph
-# passes re-run). Rides in the same run object so analyzer throughput is
-# tracked alongside engine throughput.
+# Lint timing: one scan of the build's src+tools by the v2 analyzer. Rides
+# in the same run object so analyzer throughput is tracked alongside engine
+# throughput.
 lint_bin="$build_dir/tools/gorilla_lint/gorilla_lint"
 lint_json="null"
 if [[ -x "$lint_bin" ]]; then
   echo "== gorilla_lint =="
-  rm -f "$work/lint.cache"
-  lint_cold_s=$(time_to "$work/lint.cold.txt" \
-    "$lint_bin" --jobs "$jobs" --cache "$work/lint.cache" "$root/src" \
-    "$root/tools")
-  echo "   cold cache      ${lint_cold_s}s"
-  lint_warm_s=$(time_to "$work/lint.warm.txt" \
-    "$lint_bin" --jobs "$jobs" --cache "$work/lint.cache" "$root/src" \
-    "$root/tools")
-  echo "   warm cache      ${lint_warm_s}s"
+  lint_s=$(time_to "$work/lint.txt" \
+    "$lint_bin" --jobs "$jobs" "$root/src" "$root/tools")
+  echo "   tree scan       ${lint_s}s"
   lint_files=$(grep -o 'in [0-9]* files' "$work/stderr.log" |
     tail -1 | grep -o '[0-9]*' || echo 0)
   lint_json="{ \"files\": ${lint_files:-0}, \"jobs\": $jobs,
-      \"cold_s\": $lint_cold_s, \"warm_s\": $lint_warm_s }"
+      \"s\": $lint_s }"
 fi
 
 # Multi-backend replay timing: the fig03 artifact recorded above replayed

@@ -48,14 +48,9 @@ ctest --preset release -j "$jobs"
 
 echo "== [2/6] gorilla_lint (tree + self-test) =="
 # Parallel analysis over the whole tree first — the summary line on stderr
-# reports wall time, cache hits, and the job count; the DOT artifact and
-# warm cache land in build/release for inspection. Then the ctest battery
-# (self-test fixtures, layering mini-trees) on top.
-./build/release/tools/gorilla_lint/gorilla_lint \
-  --jobs "$jobs" \
-  --cache build/release/gorilla_lint.cache \
-  --dot build/release/include_graph.dot \
-  src tools
+# reports wall time and the job count. Then the ctest battery (self-test
+# fixtures, layering mini-trees, CLI refusals) on top.
+./build/release/tools/gorilla_lint/gorilla_lint --jobs "$jobs" src tools
 ctest --test-dir build/release -L lint --output-on-failure
 
 # The memory gate runs in --fast mode too: RSS regressions are exactly the

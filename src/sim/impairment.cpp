@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/rng.h"
+
 namespace gorilla::sim {
 
 namespace {
@@ -20,12 +22,7 @@ constexpr std::uint64_t kSaltRateLimiter = 0x2a7e;
 constexpr std::uint64_t kSaltAggRequest = 0xa662;
 constexpr std::uint64_t kSaltAggResponse = 0xa663;
 
-std::uint64_t mix64(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
+using util::mix64;
 
 }  // namespace
 

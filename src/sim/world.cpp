@@ -7,6 +7,7 @@
 
 #include "ntp/sysinfo.h"
 #include "sim/remediation.h"
+#include "util/rng.h"
 
 namespace gorilla::sim {
 
@@ -16,12 +17,7 @@ constexpr std::uint64_t kSaltAvailability = 0xa11;
 constexpr std::uint64_t kSaltRehomeRoll = 0xd4c9;
 constexpr std::uint64_t kSaltRehomeAddr = 0xadd6;
 
-std::uint64_t mix64(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
+using util::mix64;
 
 std::uint8_t initial_ttl_for_system(const std::string& system) noexcept {
   if (system == "cisco") return 255;

@@ -2,18 +2,13 @@
 
 #include <algorithm>
 
+#include "util/rng.h"
+
 namespace gorilla::telemetry {
 
 namespace {
 
-// splitmix64 finalizer — the same stateless-hash idiom the sim's impairment
-// layer uses, duplicated here because telemetry cannot link against sim.
-std::uint64_t mix64(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
+using util::mix64;
 
 /// Deterministic thinning of `offered` packets by `loss`: floor of the
 /// expectation, with the fractional remainder resolved by one hash draw.

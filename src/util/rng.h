@@ -15,6 +15,20 @@
 
 namespace gorilla::util {
 
+/// The splitmix64 increment (2^64 / golden ratio, rounded to odd).
+inline constexpr std::uint64_t kSplitmixGamma = 0x9e3779b97f4a7c15ULL;
+
+/// One splitmix64 step from state `x`: advance by kSplitmixGamma, then
+/// finalize. A stateless 64-bit hash, used both to seed
+/// Rng and for the pure per-(seed, id, day) draws in sim and telemetry.
+/// Inline: World::stable_uniform calls it once per probe target.
+[[nodiscard]] constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
+  x += kSplitmixGamma;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 /// xoshiro256** 1.0 (Blackman & Vigna), seeded via splitmix64.
 class Rng {
  public:
@@ -23,15 +37,11 @@ class Rng {
   /// Default seed shared by tests and benches ("800 lb" in hex-ish homage).
   static constexpr std::uint64_t kDefaultSeed = 0x800'1b;
 
+  /// State word i is mix64(seed + i * kSplitmixGamma): the splitmix64
+  /// sequence from `seed`.
   void reseed(std::uint64_t seed) noexcept {
-    std::uint64_t x = seed;
-    for (auto& s : state_) {
-      // splitmix64 step
-      x += 0x9e3779b97f4a7c15ULL;
-      std::uint64_t z = x;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-      s = z ^ (z >> 31);
+    for (std::uint64_t i = 0; i < state_.size(); ++i) {
+      state_[i] = mix64(seed + i * kSplitmixGamma);
     }
   }
 
@@ -126,12 +136,12 @@ class Rng {
   /// Forks an independent stream for a named sub-component; deterministic in
   /// (parent seed, tag). Lets modules draw without perturbing one another.
   [[nodiscard]] Rng fork(std::uint64_t tag) noexcept {
-    Rng child(state_[0] ^ (tag * 0x9e3779b97f4a7c15ULL) ^ rotl(state_[3], 13));
+    Rng child(state_[0] ^ (tag * kSplitmixGamma) ^ rotl(state_[3], 13));
     return child;
   }
 
   /// A *pure* substream: deterministic in (seed, tag) alone — unlike
-  /// fork(), which depends on the parent's current position. One splitmix64
+  /// fork(), which depends on the parent's current position. One mix64
   /// step folds the tag into the seed (the same stateless idiom
   /// sim::ImpairmentLayer uses for hash draws); reseed() then splitmixes the
   /// result again, so nearby tags land on unrelated streams. Day/week
@@ -140,10 +150,7 @@ class Rng {
   /// contract (DESIGN.md §3d).
   [[nodiscard]] static Rng substream(std::uint64_t seed,
                                      std::uint64_t tag) noexcept {
-    std::uint64_t z = seed + (tag + 1) * 0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return Rng(z ^ (z >> 31));
+    return Rng(mix64(seed + tag * kSplitmixGamma));
   }
 
  private:

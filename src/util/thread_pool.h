@@ -6,8 +6,8 @@
 // fixed-size chunks and merges results on the calling thread in canonical
 // chunk order — the pool only supplies the concurrency.
 //
-// parallel_for() is the blocking join every "submit N jobs and wait"
-// caller uses: lint's per-file phases and gorilla_replay's sink passes.
+// parallel_for() is the blocking "submit N jobs and wait" join; its one
+// caller is gorilla_lint's two per-file phases.
 // Each index runs at most once and no job is ever retried. post() is the
 // one-job form with a result: the GORCOLv3 codec worker, a one-thread pool,
 // compresses and decodes blocks through it (util/columnar.h).

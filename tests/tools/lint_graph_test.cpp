@@ -1,6 +1,5 @@
 // Unit tests for the gorilla-lint include-graph pass: layer-DAG rank
-// checks, waivers, LINT-LAYER directives, cycle rejection, and the DOT
-// artifact.
+// checks, waivers, LINT-LAYER directives, and cycle rejection.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -81,22 +80,6 @@ TEST(LayerCycle, RankViolatingEdgesAreExcludedFromCycleGraph) {
                  "#include \"study/events.h\"  // NOLINT(layer-break): bus\n"},
        SourceDoc{"src/study/events.h", "#include \"sim/attack.h\"\n"}});
   EXPECT_TRUE(r.findings.empty());
-}
-
-TEST(Dot, ArtifactListsLayersAndEdges) {
-  const AnalysisResult r = run(
-      {SourceDoc{"src/sim/engine.h", "#include \"util/clock.h\"\n"},
-       SourceDoc{"src/util/clock.h", "struct Clock {};\n"}});
-  EXPECT_NE(r.dot.find("digraph layers"), std::string::npos);
-  EXPECT_NE(r.dot.find("\"sim\" -> \"util\""), std::string::npos);
-  EXPECT_NE(r.dot.find("rank 2"), std::string::npos);
-}
-
-TEST(Dot, ViolationEdgeIsRed) {
-  const AnalysisResult r = run(
-      {SourceDoc{"src/util/clock.h", "#include \"study/driver.h\"\n"},
-       SourceDoc{"src/study/driver.h", "struct Driver {};\n"}});
-  EXPECT_NE(r.dot.find("color=red"), std::string::npos);
 }
 
 }  // namespace

@@ -16,6 +16,13 @@ TEST(RngTest, DeterministicForSameSeed) {
   }
 }
 
+TEST(RngTest, Mix64MatchesSplitmix64Reference) {
+  // The first outputs of the splitmix64 reference generator seeded 0 and 1.
+  static_assert(mix64(0) == 0xe220a8397b1dcdafULL);
+  EXPECT_EQ(mix64(0), 0xe220a8397b1dcdafULL);
+  EXPECT_EQ(mix64(1), 0x910a2dec89025cc1ULL);
+}
+
 TEST(RngTest, DifferentSeedsDiverge) {
   Rng a(1), b(2);
   int equal = 0;

@@ -1,21 +1,19 @@
 // gorilla-lint v2 — the analysis driver.
 //
 // analyze() is the deterministic pipeline over in-memory documents:
-// parallel lex+summary, global container-name pooling, parallel rules
-// (both phases cacheable by content hash), then the serial graph and
-// stale-waiver passes, and sorted findings. The result is byte-identical
-// for any --jobs value because every mutation is per-file and the merge
-// walks files in input order.
+// parallel lex+summary, global container-name pooling, parallel rules,
+// then the serial graph and stale-waiver passes, and sorted findings. The
+// result is byte-identical for any --jobs value because every mutation is
+// per-file and the merge walks files in input order.
 //
-// run_cli() wraps that in the tree walk, the content-hash cache file, the
-// artifact writers, and the --self-test harness.
+// run_cli() wraps that in the tree walk and the --self-test harness.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <functional>
-#include <map>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -29,10 +27,9 @@ namespace gorilla::lint {
 
 namespace {
 
-constexpr const char* kToolVersion = "gorilla-lint v2.0";
-constexpr const char* kCacheMagic = "gorilla-lint-cache 2";
+constexpr long kMaxJobs = 1 << 10;
 
-/// All rules, for self-test coverage accounting and cache context hashing.
+/// All rules, for self-test coverage accounting.
 const std::vector<std::string>& all_rules() {
   static const std::vector<std::string> kRules = {
       "raw-decode",   "wall-clock",     "unordered-iter", "float-eq",
@@ -54,201 +51,9 @@ void parallel_each(std::size_t n, int jobs,
   pool.parallel_for(n, fn);
 }
 
-// --- cache -----------------------------------------------------------------
-
-struct CacheEntry {
-  std::uint64_t content_hash = 0;
-  FileSummary summary;
-  bool has_results = false;
-  std::uint64_t context_hash = 0;
-  FileResults results;
-};
-
-using CacheMap = std::map<std::string, CacheEntry>;
-
-std::string hex(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::string cur;
-  for (const char c : s) {
-    if (c == sep) {
-      out.push_back(cur);
-      cur.clear();
-    } else {
-      cur.push_back(c);
-    }
-  }
-  out.push_back(cur);
-  return out;
-}
-
-CacheMap load_cache(const std::string& path) {
-  CacheMap out;
-  std::ifstream in(path);
-  if (!in) return out;
-  std::string line;
-  if (!std::getline(in, line) || line != kCacheMagic) return out;
-  CacheEntry* cur = nullptr;
-  std::string cur_path;
-  const auto to_u64 = [](const std::string& s) {
-    return std::strtoull(s.c_str(), nullptr, 16);
-  };
-  const auto to_line = [](const std::string& s) {
-    return static_cast<std::size_t>(std::strtoull(s.c_str(), nullptr, 10));
-  };
-  while (std::getline(in, line)) {
-    if (line.size() < 2 || line[1] != ' ') continue;
-    const char tag = line[0];
-    const std::string rest = line.substr(2);
-    if (tag == 'F') {
-      const std::size_t sp = rest.find(' ');
-      if (sp == std::string::npos) {
-        cur = nullptr;
-        continue;
-      }
-      cur_path = rest.substr(sp + 1);
-      cur = &out[cur_path];
-      cur->content_hash = to_u64(rest.substr(0, sp));
-      continue;
-    }
-    if (cur == nullptr) continue;
-    switch (tag) {
-      case 'N':
-        cur->summary.unordered_names.push_back(rest);
-        break;
-      case 'I': {
-        const std::vector<std::string> p = split(rest, ' ');
-        if (p.size() < 3) break;
-        std::string target = p[2];
-        for (std::size_t i = 3; i < p.size(); ++i) target += " " + p[i];
-        cur->summary.includes.push_back(
-            IncludeDirective{to_line(p[0]), target, p[1] == "1"});
-        break;
-      }
-      case 'W': {
-        const std::vector<std::string> p = split(rest, ' ');
-        if (p.size() == 2) cur->summary.waivers[to_line(p[0])].insert(p[1]);
-        break;
-      }
-      case 'L':
-        cur->summary.directives.layer = rest;
-        break;
-      case 'E': {
-        const std::vector<std::string> p = split(rest, ' ');
-        if (p.size() == 2) {
-          cur->summary.directives.expects.push_back({to_line(p[0]), p[1]});
-        }
-        break;
-      }
-      case 'R':
-        cur->has_results = true;
-        cur->context_hash = to_u64(rest);
-        break;
-      case 'X': {
-        const std::vector<std::string> p = split(rest, '\x1f');
-        if (p.size() == 4) {
-          cur->results.findings.push_back(
-              Finding{cur_path, to_line(p[0]), p[1], p[2], p[3]});
-        }
-        break;
-      }
-      case 'U': {
-        const std::vector<std::string> p = split(rest, ' ');
-        if (p.size() == 2) {
-          cur->results.used_waivers.insert({to_line(p[0]), p[1]});
-        }
-        break;
-      }
-      default:
-        break;
-    }
-  }
-  return out;
-}
-
-void save_cache(const std::string& path, const std::vector<SourceFile>& files,
-                std::uint64_t context_hash) {
-  // Regenerable tool state, not a study artifact — the crash-safe
-  // ColumnArchive path would be overkill here.
-  std::ofstream out(path, std::ios::trunc);  // NOLINT(raw-ofstream)
-  if (!out) return;
-  out << kCacheMagic << "\n";
-  for (const SourceFile& f : files) {
-    out << "F " << hex(f.content_hash) << " " << f.path << "\n";
-    for (const auto& n : f.summary.unordered_names) out << "N " << n << "\n";
-    for (const auto& inc : f.summary.includes) {
-      out << "I " << inc.line << " " << (inc.angled ? 1 : 0) << " "
-          << inc.target << "\n";
-    }
-    for (const auto& [line, rules] : f.summary.waivers) {
-      for (const auto& r : rules) out << "W " << line << " " << r << "\n";
-    }
-    if (!f.summary.directives.layer.empty()) {
-      out << "L " << f.summary.directives.layer << "\n";
-    }
-    for (const auto& [line, rule] : f.summary.directives.expects) {
-      out << "E " << line << " " << rule << "\n";
-    }
-    out << "R " << hex(context_hash) << "\n";
-    for (const Finding& fd : f.results.findings) {
-      out << "X " << fd.line << '\x1f' << fd.rule << '\x1f' << fd.message
-          << '\x1f' << fd.snippet << "\n";
-    }
-    for (const auto& [line, rule] : f.results.used_waivers) {
-      out << "U " << line << " " << rule << "\n";
-    }
-  }
-}
-
 // --- output ----------------------------------------------------------------
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
-void print_findings(const AnalysisResult& result, bool json) {
-  if (json) {
-    std::ostringstream out;
-    out << "{\n  \"tool\": \"" << kToolVersion << "\",\n  \"files\": "
-        << result.file_count << ",\n  \"cache_hits\": " << result.cache_hits
-        << ",\n  \"findings\": [";
-    for (std::size_t i = 0; i < result.findings.size(); ++i) {
-      const Finding& f = result.findings[i];
-      out << (i == 0 ? "" : ",") << "\n    {\"path\": \""
-          << json_escape(f.path) << "\", \"line\": " << f.line
-          << ", \"rule\": \"" << json_escape(f.rule) << "\", \"message\": \""
-          << json_escape(f.message) << "\", \"snippet\": \""
-          << json_escape(f.snippet) << "\"}";
-    }
-    out << (result.findings.empty() ? "]" : "\n  ]") << "\n}\n";
-    std::fputs(out.str().c_str(), stdout);
-    return;
-  }
+void print_findings(const AnalysisResult& result) {
   for (const Finding& f : result.findings) {
     std::printf("%s:%zu: [%s] %s\n", f.path.c_str(), f.line, f.rule.c_str(),
                 f.message.c_str());
@@ -401,11 +206,19 @@ int usage() {
       "usage: gorilla_lint [options] <path>...\n"
       "       gorilla_lint --self-test <fixture-dir>\n"
       "options:\n"
-      "  --jobs N              worker threads (default: hardware)\n"
-      "  --format text|json    findings output format\n"
-      "  --dot FILE            write the include-graph DOT artifact\n"
-      "  --cache FILE          per-file content-hash result cache\n");
+      "  --jobs N              worker threads, 1..1024 (default: hardware)\n");
   return 2;
+}
+
+/// Strict --jobs read (whole string, bounds checked), as gorilla_replay
+/// does: a malformed value is refused rather than run as one job.
+std::optional<int> parse_jobs(const std::string& text) {
+  char* end = nullptr;
+  const long v = std::strtol(text.c_str(), &end, 10);
+  if (end == text.c_str() || *end != '\0' || v < 1 || v > kMaxJobs) {
+    return std::nullopt;
+  }
+  return static_cast<int>(v);
 }
 
 }  // namespace
@@ -416,58 +229,26 @@ AnalysisResult analyze(std::vector<SourceDoc> docs, const Options& options) {
   for (std::size_t i = 0; i < docs.size(); ++i) {
     files[i].path = docs[i].path;
     files[i].raw = std::move(docs[i].content);
-    files[i].content_hash = fnv1a(files[i].raw);
   }
   result.file_count = files.size();
 
-  CacheMap cache;
-  if (!options.cache_path.empty()) cache = load_cache(options.cache_path);
+  // Phase 1 (parallel): lex + per-file summary.
+  parallel_each(files.size(), options.jobs,
+                [&files](std::size_t i) { build_summary(files[i]); });
 
-  // Phase 1 (parallel): lex + per-file summary. The lex always runs — the
-  // serial passes need line text for snippets — but summary extraction is
-  // skipped on a content-hash hit.
-  parallel_each(files.size(), options.jobs, [&files, &cache](std::size_t i) {
-    SourceFile& f = files[i];
-    ensure_lexed(f);
-    const auto it = cache.find(f.path);
-    if (it != cache.end() && it->second.content_hash == f.content_hash) {
-      f.summary = it->second.summary;
-      f.summary_from_cache = true;
-    } else {
-      build_summary(f);
-    }
-  });
-
-  // The global container-name pool (members are declared in headers and
-  // iterated in .cpp files) doubles as the rules' context hash: when any
-  // file adds or removes a name, every cached result is invalidated.
+  // The global container-name pool: members are declared in headers and
+  // iterated in .cpp files, so phase 2 needs every file's names.
   std::set<std::string> unordered_names;
   for (const SourceFile& f : files) {
     unordered_names.insert(f.summary.unordered_names.begin(),
                            f.summary.unordered_names.end());
   }
-  std::string context_blob = std::string(kToolVersion) + "\n";
-  for (const std::string& n : unordered_names) context_blob += n + "\n";
-  const std::uint64_t context_hash = fnv1a(context_blob);
 
-  // Phase 2 (parallel): every single-file rule, cacheable on
-  // (content, context).
+  // Phase 2 (parallel): every single-file rule.
   parallel_each(files.size(), options.jobs,
-                [&files, &cache, &unordered_names,
-                 context_hash](std::size_t i) {
-    SourceFile& f = files[i];
-    const auto it = cache.find(f.path);
-    if (it != cache.end() && it->second.content_hash == f.content_hash &&
-        it->second.has_results && it->second.context_hash == context_hash) {
-      f.results = it->second.results;
-      f.results_from_cache = true;
-    } else {
-      run_file_rules(f, unordered_names);
-    }
-  });
-  for (const SourceFile& f : files) {
-    result.cache_hits += f.results_from_cache ? 1 : 0;
-  }
+                [&files, &unordered_names](std::size_t i) {
+                  run_file_rules(files[i], unordered_names);
+                });
 
   // Serial passes, then a canonical ordering regardless of jobs.
   std::vector<Finding> findings;
@@ -475,17 +256,13 @@ AnalysisResult analyze(std::vector<SourceDoc> docs, const Options& options) {
     findings.insert(findings.end(), f.results.findings.begin(),
                     f.results.findings.end());
   }
-  result.dot = run_graph_pass(files, findings);
+  run_graph_pass(files, findings);
   run_stale_waiver_pass(files, findings);
   std::sort(findings.begin(), findings.end(),
             [](const Finding& a, const Finding& b) {
               return std::tie(a.path, a.line, a.rule, a.message) <
                      std::tie(b.path, b.line, b.rule, b.message);
             });
-
-  if (!options.cache_path.empty()) {
-    save_cache(options.cache_path, files, context_hash);
-  }
   result.findings = std::move(findings);
   return result;
 }
@@ -507,19 +284,15 @@ int run_cli(const std::vector<std::string>& args) {
     } else if (a == "--jobs") {
       const std::string* v = need_value();
       if (v == nullptr) return usage();
-      options.jobs = std::max(1, std::atoi(v->c_str()));
-    } else if (a == "--format") {
-      const std::string* v = need_value();
-      if (v == nullptr || (*v != "text" && *v != "json")) return usage();
-      options.json = *v == "json";
-    } else if (a == "--dot") {
-      const std::string* v = need_value();
-      if (v == nullptr) return usage();
-      options.dot_path = *v;
-    } else if (a == "--cache") {
-      const std::string* v = need_value();
-      if (v == nullptr) return usage();
-      options.cache_path = *v;
+      const std::optional<int> jobs = parse_jobs(*v);
+      if (!jobs) {
+        std::fprintf(stderr,
+                     "gorilla-lint: invalid value for --jobs: '%s' (expected "
+                     "an integer in [1, %ld])\n",
+                     v->c_str(), kMaxJobs);
+        return 2;
+      }
+      options.jobs = *jobs;
     } else if (!a.empty() && a[0] == '-') {
       return usage();
     } else {
@@ -549,20 +322,12 @@ int run_cli(const std::vector<std::string>& args) {
   const double ms =
       std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
 
-  if (!options.dot_path.empty()) {
-    // Regenerable artifact; see the cache writer note.
-    std::ofstream out(options.dot_path,  // NOLINT(raw-ofstream)
-                      std::ios::trunc);
-    out << result.dot;
-  }
-
-  print_findings(result, options.json);
+  print_findings(result);
   std::fprintf(stderr,
-               "gorilla-lint: %zu finding%s in %zu files, %.1f ms "
-               "(jobs=%d, cache hits %zu)\n",
+               "gorilla-lint: %zu finding%s in %zu files, %.1f ms (jobs=%d)\n",
                result.findings.size(),
                result.findings.size() == 1 ? "" : "s", result.file_count, ms,
-               options.jobs, result.cache_hits);
+               options.jobs);
   return result.findings.empty() ? 0 : 1;
 }
 

@@ -1,6 +1,6 @@
 // gorilla-lint v2 — the include-graph pass.
 //
-// Three checks over the project include graph plus the DOT artifact:
+// Three checks over the project include graph:
 //
 //   layer-break  an #include whose target sits in a higher-ranked layer
 //                than the including file (the DESIGN §3f DAG). Same-rank
@@ -11,12 +11,9 @@
 //                excluded: they are already layer-break findings (waived or
 //                not), and counting them twice would make a justified
 //                downward-interface waiver unsatisfiable.
-//   DOT          the graph artifact: one cluster per layer, edges colored
-//                by verdict (violations red, waived orange).
 #include <algorithm>
 #include <map>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -26,7 +23,7 @@ namespace gorilla::lint {
 
 namespace {
 
-/// Known layer directories, in rank order for the DOT clusters.
+/// Known layer directories and their DAG ranks.
 const std::vector<std::pair<std::string, int>>& layer_table() {
   static const std::vector<std::pair<std::string, int>> kTable = {
       {"util", 0},  {"net", 1},       {"ntp", 1},   {"dns", 1},
@@ -160,8 +157,8 @@ std::string include_layer(const std::string& target) {
   return {};
 }
 
-std::string run_graph_pass(std::vector<SourceFile>& files,
-                           std::vector<Finding>& findings) {
+void run_graph_pass(std::vector<SourceFile>& files,
+                    std::vector<Finding>& findings) {
   struct Edge {
     std::size_t from_file;
     std::size_t line;
@@ -169,7 +166,6 @@ std::string run_graph_pass(std::vector<SourceFile>& files,
     std::string from_layer;
     std::string to_layer;
     bool violation = false;  ///< upward under the DAG
-    bool waived = false;
   };
   std::vector<Edge> edges;
 
@@ -181,7 +177,7 @@ std::string run_graph_pass(std::vector<SourceFile>& files,
       if (inc.angled) continue;  // system/stdlib headers are out of scope
       const std::string to = include_layer(inc.target);
       if (to.empty()) continue;  // not a project-layer include
-      Edge e{fi, inc.line, inc.target, from, to, false, false};
+      Edge e{fi, inc.line, inc.target, from, to, false};
       const int to_rank = layer_rank(to);
       if (from_rank >= 0 && to_rank > from_rank) {
         e.violation = true;
@@ -189,7 +185,6 @@ std::string run_graph_pass(std::vector<SourceFile>& files,
         const auto wit = f.summary.waivers.find(inc.line);
         if (wit != f.summary.waivers.end() &&
             wit->second.count("layer-break") != 0) {
-          e.waived = true;
           f.graph_used_waivers.insert(key);
         } else {
           findings.push_back(Finding{
@@ -275,51 +270,6 @@ std::string run_graph_pass(std::vector<SourceFile>& files,
       break;
     }
   }
-
-  // DOT artifact: one cluster per layer present, edges deduplicated at
-  // layer granularity, colored by verdict.
-  std::ostringstream dot;
-  dot << "// gorilla-lint include-graph artifact\n";
-  dot << "// layer DAG: " << kLayerDag << "\n";
-  dot << "digraph layers {\n  rankdir=BT;\n  node [shape=box];\n";
-  std::set<std::string> present;
-  for (const Edge& e : edges) {
-    if (!e.from_layer.empty()) present.insert(e.from_layer);
-    if (!e.to_layer.empty()) present.insert(e.to_layer);
-  }
-  for (const auto& [name, rank] : layer_table()) {
-    if (present.count(name) == 0) continue;
-    dot << "  \"" << name << "\" [label=\"" << name << " (rank " << rank
-        << ")\"];\n";
-  }
-  struct LayerEdge {
-    bool violation = false;
-    bool waived = false;
-    std::size_t count = 0;
-  };
-  std::map<std::pair<std::string, std::string>, LayerEdge> layer_edges;
-  for (const Edge& e : edges) {
-    if (e.from_layer.empty() || e.to_layer.empty() ||
-        e.from_layer == e.to_layer) {
-      continue;
-    }
-    LayerEdge& le = layer_edges[{e.from_layer, e.to_layer}];
-    ++le.count;
-    le.violation = le.violation || (e.violation && !e.waived);
-    le.waived = le.waived || (e.violation && e.waived);
-  }
-  for (const auto& [key, le] : layer_edges) {
-    dot << "  \"" << key.first << "\" -> \"" << key.second << "\" [label=\""
-        << le.count << "\"";
-    if (le.violation) {
-      dot << ", color=red, penwidth=2";
-    } else if (le.waived) {
-      dot << ", color=orange, style=dashed";
-    }
-    dot << "];\n";
-  }
-  dot << "}\n";
-  return dot.str();
 }
 
 void run_stale_waiver_pass(std::vector<SourceFile>& files,

@@ -1,7 +1,6 @@
 // Shared internals of the gorilla-lint analysis passes (not installed API).
 #pragma once
 
-#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
@@ -12,16 +11,6 @@
 #include "tools/lint/lint.h"
 
 namespace gorilla::lint {
-
-/// FNV-1a 64-bit — the content/context hash the file cache is keyed on.
-inline std::uint64_t fnv1a(std::string_view data,
-                           std::uint64_t h = 0xcbf29ce484222325ULL) {
-  for (const char c : data) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 /// Self-test / fixture directives read from comments:
 ///   LINT-LAYER: <name>     assigns a layer to a file outside src/<layer>/
@@ -35,7 +24,7 @@ struct FileDirectives {
   std::vector<std::size_t> compact_marks;  ///< lines with a compact-type mark
 };
 
-/// Context-free per-file facts; cacheable keyed on the content hash alone.
+/// Context-free per-file facts.
 struct FileSummary {
   std::vector<std::string> unordered_names;  ///< declared unordered_{map,set}s
   std::vector<IncludeDirective> includes;
@@ -43,7 +32,7 @@ struct FileSummary {
   FileDirectives directives;
 };
 
-/// Per-file rule output; cacheable keyed on (content hash, context hash).
+/// Per-file rule output.
 struct FileResults {
   std::vector<Finding> findings;  ///< post-waiver single-file findings
   std::set<std::pair<std::size_t, std::string>> used_waivers;
@@ -53,36 +42,29 @@ struct FileResults {
 struct SourceFile {
   std::string path;
   std::string raw;
-  std::uint64_t content_hash = 0;
   bool lexed = false;
   LexedSource lex;
   std::string scrubbed;
   FileSummary summary;
   FileResults results;
   /// Waivers consumed by the cross-file passes (layer-break, layer-cycle);
-  /// recomputed every run, merged with results.used_waivers for stale-waiver.
+  /// merged with results.used_waivers for stale-waiver.
   std::set<std::pair<std::size_t, std::string>> graph_used_waivers;
-  bool summary_from_cache = false;
-  bool results_from_cache = false;
 };
 
-/// Ensures `f.lex`/`f.scrubbed` are populated (idempotent).
-void ensure_lexed(SourceFile& f);
-
-/// Builds FileSummary from the lexed source (waivers, directives, includes,
-/// unordered-container names).
+/// Lexes the file (once) and builds FileSummary from it (waivers,
+/// directives, includes, unordered-container names).
 void build_summary(SourceFile& f);
 
 /// Runs every single-file rule plus unordered-iter against the global
 /// container-name set; fills f.results.
 void run_file_rules(SourceFile& f, const std::set<std::string>& unordered_names);
 
-/// The include-graph pass: per-include layer-DAG rank checks, file-level
-/// and directory-level cycle rejection, and the DOT artifact. Appends
-/// findings (already waiver-filtered; usage recorded in
-/// graph_used_waivers) and returns the DOT text.
-std::string run_graph_pass(std::vector<SourceFile>& files,
-                           std::vector<Finding>& findings);
+/// The include-graph pass: per-include layer-DAG rank checks and
+/// file-level and directory-level cycle rejection. Appends findings
+/// (already waiver-filtered; usage recorded in graph_used_waivers).
+void run_graph_pass(std::vector<SourceFile>& files,
+                    std::vector<Finding>& findings);
 
 /// stale-waiver: every (line, rule) waiver no pass consumed.
 void run_stale_waiver_pass(std::vector<SourceFile>& files,

@@ -717,14 +717,15 @@ std::vector<std::string> collect_unordered_names(const SourceFile& f) {
   return {names.begin(), names.end()};
 }
 
-}  // namespace
-
+/// Populates `f.lex`/`f.scrubbed` once; the summary and the rules share it.
 void ensure_lexed(SourceFile& f) {
   if (f.lexed) return;
   f.lex = lex(f.raw);
   f.scrubbed = scrub(f.lex);
   f.lexed = true;
 }
+
+}  // namespace
 
 void build_summary(SourceFile& f) {
   ensure_lexed(f);
