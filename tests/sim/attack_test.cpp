@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cmath>
 #include <set>
 #include <span>
@@ -67,6 +68,64 @@ std::uint32_t monitor_tables_crc(const World& world) {
   }
   return crc.value();
 }
+
+/// Feeds `v` as two little-endian words, low word first.
+void feed(util::Crc32& crc, std::uint64_t v) {
+  feed(crc, static_cast<std::uint32_t>(v));
+  feed(crc, static_cast<std::uint32_t>(v >> 32));
+}
+
+/// Feeds `v` bit for bit.
+void feed(util::Crc32& crc, double v) {
+  feed(crc, std::bit_cast<std::uint64_t>(v));
+}
+
+/// Feeds one record's victim, amplifiers, response volume and peak rate.
+void feed(util::Crc32& crc, const AttackRecord& rec) {
+  feed(crc, rec.victim.value());
+  feed(crc, static_cast<std::uint32_t>(rec.amplifiers.size()));
+  for (const auto amp : rec.amplifiers) feed(crc, amp);
+  feed(crc, rec.response_packets);
+  feed(crc, rec.response_bytes);
+  feed(crc, rec.peak_bps);
+}
+
+/// Folds every traffic event of an attack run into one CRC-32: each flow
+/// field by field with its vantage, each global-bytes report and each
+/// label, rates and volumes bit for bit.
+class StreamCrcSink : public study::EventSink {
+ public:
+  [[nodiscard]] bool wants_flows() const override { return true; }
+  [[nodiscard]] bool wants_labels() const override { return true; }
+  void on_global_bytes(int day, telemetry::ProtocolClass p,
+                       double bytes) override {
+    feed(crc, static_cast<std::uint32_t>(day));
+    feed(crc, static_cast<std::uint32_t>(p));
+    feed(crc, bytes);
+  }
+  void on_attack_label(const telemetry::LabeledAttack& label) override {
+    feed(crc, static_cast<std::uint64_t>(label.start));
+    feed(crc, static_cast<std::uint32_t>(label.vector));
+    feed(crc, label.peak_bps);
+  }
+  void on_flow(const telemetry::FlowRecord& f, int vantage) override {
+    feed(crc, static_cast<std::uint32_t>(vantage));
+    for (const std::uint32_t v :
+         {f.src.value(), f.dst.value(), std::uint32_t{f.src_port},
+          std::uint32_t{f.dst_port}, std::uint32_t{f.protocol},
+          std::uint32_t{f.ttl}}) {
+      feed(crc, v);
+    }
+    for (const std::uint64_t v :
+         {f.packets, f.bytes, f.payload_bytes,
+          static_cast<std::uint64_t>(f.first),
+          static_cast<std::uint64_t>(f.last)}) {
+      feed(crc, v);
+    }
+  }
+
+  util::Crc32 crc;
+};
 
 TEST(AttackIntensityTest, FollowsPaperArc) {
   // Trickle in November, explosive growth through mid-February, decline.
@@ -293,6 +352,64 @@ TEST_F(AttackEngineTest, ImpairedWindowMonitorTablesArePinned) {
   util::ThreadPool pool(4);
   EXPECT_EQ(run(nullptr), kPinnedCrc);
   EXPECT_EQ(run(&pool), kPinnedCrc);
+}
+
+TEST_F(AttackEngineTest, WindowRecordsArePinned) {
+  // What a day shard reads of its amplifiers reaches every record's volume
+  // and peak rate and every flow: dump sizes estimated from the window-start
+  // snapshot plus the shard's distinct same-day (server, victim) keys, a
+  // mega's loop count, a mode 7 rate limit. Days 90-96 fill the tables the
+  // window [97, 105) snapshots; between the two, one FRGP amplifier (every
+  // scripted OVH day 101-103 lists it) is rate-limited through detailed().
+  // kDailyCrc holds the records and events of run_day() over those days.
+  // kWindowCrc holds the events, the scripted records and the totals of the
+  // two run_days() windows, inline and on a 4-thread executor alike.
+  constexpr std::uint32_t kDailyCrc = 0x1d8dbe0eu;
+  constexpr std::uint32_t kWindowCrc = 0x5c87ad8au;
+  constexpr int kFirst = 90, kFrom = 97, kTo = 105;
+  constexpr std::uint32_t kRateLimit = 600;  // responses per minute
+  const std::uint32_t limited = world_.frgp_amplifiers().front();
+  {
+    World world(tiny_config());
+    StreamCrcSink sink;
+    AttackEngine engine(world, AttackEngineConfig{}, sink);
+    for (int day = kFirst; day < kFrom; ++day) (void)engine.run_day(day);
+    world.detailed(limited)->set_mode7_rate_limit(kRateLimit);
+    std::size_t repeat_keys = 0, mega_uses = 0, limited_uses = 0;
+    for (int day = kFrom; day < kTo; ++day) {
+      std::set<std::uint64_t> keys;
+      for (const auto& rec : engine.run_day(day)) {
+        feed(sink.crc, rec);
+        for (const auto amp : rec.amplifiers) {
+          const std::uint64_t key =
+              (std::uint64_t{amp} << 32) | rec.victim.value();
+          if (!keys.insert(key).second) ++repeat_keys;
+          if (world.detailed(amp)->config().loop_repeat > 0) ++mega_uses;
+          if (amp == limited) ++limited_uses;
+        }
+      }
+    }
+    EXPECT_GT(repeat_keys, 0u);
+    EXPECT_GT(mega_uses, 0u);
+    EXPECT_GT(limited_uses, 0u);
+    EXPECT_EQ(sink.crc.value(), kDailyCrc);
+  }
+  util::ThreadPool pool(4);
+  for (util::ThreadPool* threads : {static_cast<util::ThreadPool*>(nullptr),
+                                    &pool}) {
+    World world(tiny_config());
+    StreamCrcSink sink;
+    AttackEngine engine(world, AttackEngineConfig{}, sink);
+    ShardedExecutor executor(threads);
+    engine.run_days(kFirst, kFrom, &executor);
+    world.detailed(limited)->set_mode7_rate_limit(kRateLimit);
+    engine.run_days(kFrom, kTo, &executor);
+    for (const auto& rec : engine.scripted_events()) feed(sink.crc, rec);
+    feed(sink.crc, engine.totals().ntp_attacks);
+    feed(sink.crc, engine.totals().response_packets);
+    feed(sink.crc, engine.totals().response_bytes);
+    EXPECT_EQ(sink.crc.value(), kWindowCrc);
+  }
 }
 
 TEST_F(AttackEngineTest, WindowMonitorWritesSettleAtEveryReader) {
