@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
-#include <unordered_map>
 
 #include "net/ethernet.h"
 #include "sim/scanner.h"
@@ -13,6 +12,7 @@
 #include "telemetry/darknet.h"  // NOLINT(layer-break)
 #include "telemetry/flow.h"     // NOLINT(layer-break)
 #include "telemetry/traffic.h"  // NOLINT(layer-break)
+#include "util/flat_map.h"
 
 namespace gorilla::sim {
 
@@ -54,13 +54,15 @@ std::uint64_t triggers_reaching(const ImpairmentLayer& impairment,
 /// Mutable worker-side state for one simulated day. Everything here is
 /// owned by the shard: its RNG substream, its result, and the bookkeeping
 /// that replaces live reads of shared mutable state (monitor sizes).
-struct AttackEngine::DayShard {
+struct AttackEngine::DayShard {  // LINT-COMPACT
   util::Rng rng;
   DayShardResult result;
-  /// Distinct (server, victim) keys observed this day, and the per-server
-  /// count of them — the shard-local overlay on the snapshot size.
-  std::unordered_map<std::uint64_t, char> seen_keys;
-  std::unordered_map<std::uint32_t, std::uint32_t> new_keys;
+  /// Distinct (server, victim) keys observed this day, and per server the
+  /// count of them — the shard-local overlay on the snapshot size. Flat
+  /// tables: a peak day notes ~32K keys, and a node per key cost as much
+  /// as the rest of the shard.
+  util::FlatMap64 seen_keys;  ///< value unused
+  util::FlatMap64 new_keys;   ///< server index -> distinct keys added
 
   explicit DayShard(util::Rng day_rng) : rng(day_rng) {}
 
@@ -70,8 +72,9 @@ struct AttackEngine::DayShard {
                          std::uint32_t snapshot_size) {
     const std::uint64_t key =
         (static_cast<std::uint64_t>(server_index) << 32) | victim_key;
-    if (seen_keys.try_emplace(key, '\0').second) ++new_keys[server_index];
-    return snapshot_size + new_keys[server_index];
+    std::uint32_t& added = new_keys.try_emplace(server_index).first;
+    if (seen_keys.try_emplace(key).second) ++added;
+    return snapshot_size + added;
   }
 };
 
@@ -182,17 +185,26 @@ AttackEngine::DayWindowPlan AttackEngine::make_window_plan(int from,
       if (world_.servers()[ai].monlist_live(week)) pool.push_back(ai);
     }
   }
-  // Snapshot monitor sizes once per window, on the calling thread: shards
+  // Snapshot each amplifier once per window, on the calling thread: shards
   // estimate non-primed dump sizes from snapshot + their own additions, so
   // the estimate depends only on (window start state, seed, day) — never
-  // on what sibling shards are concurrently writing.
-  plan.monitor_sizes.assign(world_.servers().size(), 0);
+  // on what sibling shards are concurrently writing — and they read one
+  // compact record per amplifier instead of its NtpServer.
+  static_assert(sizeof(ServerSnapshot) == 16, "one snapshot per 16 bytes");
+  plan.servers.assign(world_.servers().size(), ServerSnapshot{});
   const World& world = world_;
   for (const auto ai : world_.amplifier_indices()) {
-    if (const auto* server = world.detailed(ai)) {
-      plan.monitor_sizes[ai] =
-          static_cast<std::uint32_t>(server->monitor().size());
-    }
+    const auto* server = world.detailed(ai);
+    if (server == nullptr) continue;
+    const ntp::NtpServerConfig& config = server->config();
+    ServerSnapshot& snap = plan.servers[ai];
+    snap.address = config.address;
+    snap.loop_repeat = config.loop_repeat;
+    snap.mode7_responses_per_minute = config.mode7_responses_per_minute;
+    snap.monitor_size = static_cast<std::uint16_t>(
+        std::min(server->monitor().size(), ntp::kMonlistMaxEntries));
+    snap.initial_ttl = config.initial_ttl;
+    snap.detailed = true;
   }
   plan.wants_flows = sink_->wants_flows();
   plan.wants_labels = sink_->wants_labels();
@@ -376,7 +388,7 @@ void AttackEngine::apply(AttackRecord& rec, int day, const DayWindowPlan& plan,
   // arrive regardless of what the victim can absorb) is not written here:
   // consume_day() logs it with the World, rebuilt from the record.
   struct AmpEmission {
-    const ntp::NtpServerConfig* amp_config = nullptr;
+    const ServerSnapshot* amp = nullptr;
     std::uint64_t bytes = 0;
     std::uint64_t packets = 0;
     std::uint64_t payload = 0;
@@ -394,15 +406,14 @@ void AttackEngine::apply(AttackRecord& rec, int day, const DayWindowPlan& plan,
         triggers_reaching(impairment_, rec, amp_index, week);
     total_delivered_triggers += delivered_triggers;
     if (delivered_triggers == 0) continue;
-    // Configs only: a worker must never settle the pending monitor log.
-    const auto* amp_config = world_.server_config(amp_index);
-    if (amp_config == nullptr) continue;
+    const ServerSnapshot& amp = plan.servers[amp_index];
+    if (!amp.detailed) continue;
 
     // Non-primed dumps return however many entries the table holds; the
     // shard estimates that as the window-start snapshot plus the distinct
     // victims it has itself added to this server today.
-    const std::uint32_t estimated_size = shard.note_key(
-        amp_index, rec.victim.value(), plan.monitor_sizes[amp_index]);
+    const std::uint32_t estimated_size =
+        shard.note_key(amp_index, rec.victim.value(), amp.monitor_size);
     const std::size_t entries =
         rec.primed ? ntp::kMonlistMaxEntries
                    : std::min<std::size_t>(ntp::kMonlistMaxEntries,
@@ -413,7 +424,7 @@ void AttackEngine::apply(AttackRecord& rec, int day, const DayWindowPlan& plan,
     // steady streams from megas, §3.4).
     const std::uint64_t dump_wire = ntp::monlist_dump_wire_bytes(entries);
     const std::uint64_t dump_packets = ntp::monlist_dump_packets(entries);
-    std::uint64_t loop = std::uint64_t{amp_config->loop_repeat} + 1;
+    std::uint64_t loop = std::uint64_t{amp.loop_repeat} + 1;
     if (loop > 1) {
       const double duration_s =
           static_cast<double>(std::max<util::SimTime>(1, rec.end - rec.start));
@@ -433,8 +444,7 @@ void AttackEngine::apply(AttackRecord& rec, int day, const DayWindowPlan& plan,
 
     // A mode 7 rate limit (Merit's interim mitigation) answers only a
     // fraction of the trigger stream.
-    const std::uint32_t rate_limit =
-        amp_config->mode7_responses_per_minute;
+    const std::uint32_t rate_limit = amp.mode7_responses_per_minute;
     const double answered_fraction =
         rate_limit > 0 && pps > 0.0
             ? std::min(1.0, (static_cast<double>(rate_limit) / 60.0) / pps)
@@ -459,7 +469,7 @@ void AttackEngine::apply(AttackRecord& rec, int day, const DayWindowPlan& plan,
     // Response packets cross the lossy network back to the victim; a 1.0
     // delivery fraction multiplies exactly, so the clean path is unchanged.
     AmpEmission emission;
-    emission.amp_config = amp_config;
+    emission.amp = &amp;
     emission.delivered_triggers = delivered_triggers;
     emission.bytes = static_cast<std::uint64_t>(offered_bytes * emit_fraction *
                                                 response_delivery);
@@ -502,16 +512,15 @@ void AttackEngine::apply(AttackRecord& rec, int day, const DayWindowPlan& plan,
 
     // Flows at any vantage that can see them (collectors drop transit).
     if (events.wants_flows()) {
-      const auto amp_addr = emission.amp_config->address;
+      const auto amp_addr = emission.amp->address;
       telemetry::FlowRecord response;
       response.src = amp_addr;
       response.dst = rec.victim;
       response.src_port = net::kNtpPort;
       response.dst_port = rec.victim_port;
       response.ttl = static_cast<std::uint8_t>(
-          emission.amp_config->initial_ttl > 12
-              ? emission.amp_config->initial_ttl - 12
-              : 1);
+          emission.amp->initial_ttl > 12 ? emission.amp->initial_ttl - 12
+                                         : 1);
       response.packets = amp_packets;
       response.bytes = amp_bytes;
       response.payload_bytes = amp_payload;

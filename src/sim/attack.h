@@ -227,16 +227,32 @@ class AttackEngine {
     study::EventBuffer events;
   };
 
+  /// What a day shard reads of one server, snapshotted at window start on
+  /// the calling thread: its monitor-table size and the configuration
+  /// fields apply() uses. Configs change only on the calling thread,
+  /// between windows, so the snapshot reads what a live read would.
+  struct ServerSnapshot {
+    net::Ipv4Address address;
+    std::uint32_t loop_repeat = 0;
+    std::uint32_t mode7_responses_per_minute = 0;
+    /// Table size, saturated at the 600-entry dump cap: apply() clamps its
+    /// estimate there, so no larger size changes a record.
+    std::uint16_t monitor_size = 0;
+    std::uint8_t initial_ttl = 0;
+    bool detailed = false;  ///< false: outside the detailed tier, skipped
+  };
+
   /// Shared inputs every day shard in a window reads; immutable while the
   /// window runs, so workers may read it freely (contract rule 2).
   struct DayWindowPlan {
     int base_week = 0;
     /// Live amplifier pool per week covered by the window.
     std::vector<std::vector<std::uint32_t>> live_pools;
-    /// Monitor-table sizes snapshotted at window start (per server index);
-    /// day shards estimate non-primed dump sizes from snapshot + their own
-    /// same-day additions instead of reading the live tables.
-    std::vector<std::uint32_t> monitor_sizes;
+    /// One snapshot per server index (filled for the amplifiers, the only
+    /// servers an attack lists). Day shards estimate non-primed dump sizes
+    /// from the snapshot plus their own same-day additions instead of
+    /// reading the live tables, and never read a server's configuration.
+    std::vector<ServerSnapshot> servers;
     bool wants_flows = false;
     bool wants_labels = false;
   };

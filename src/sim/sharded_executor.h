@@ -38,7 +38,6 @@
 #include <future>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -57,12 +56,21 @@ class ShardedExecutor {
     return pool_ == nullptr ? 1 : pool_->size();
   }
 
+  /// Shards run_ordered() keeps in flight on a multi-job pool, the one
+  /// being consumed included: one per worker plus two, so the workers stay
+  /// busy while the calling thread consumes, and at most this many results
+  /// are held at once, finished or not, when consume() is the slower side.
+  [[nodiscard]] std::size_t window() const noexcept {
+    return static_cast<std::size_t>(jobs()) + 2;
+  }
+
   /// Ordered map/reduce over [0, n): produce(begin, end) runs on workers,
-  /// consume(result) runs on the calling thread in ascending shard order.
-  /// Each shard runs exactly once. A throwing shard aborts the run: the
-  /// earliest failed shard's exception re-throws here, and only after every
-  /// in-flight task has finished (they reference `produce` and its
-  /// captures, which must outlive them).
+  /// consume(result) runs on the calling thread in ascending shard order,
+  /// with at most window() shards in flight. Each shard runs exactly once.
+  /// A throwing shard or consume aborts the run: the first failure in
+  /// shard order re-throws here, and only after every in-flight task has
+  /// finished (they reference `produce` and its captures, which must
+  /// outlive them).
   template <typename Produce, typename Consume>
   void run_ordered(std::size_t n, std::size_t chunk_size, Produce produce,
                    Consume consume) {
@@ -75,9 +83,7 @@ class ShardedExecutor {
       }
       return;
     }
-    // Bounded in-flight window: keeps every worker busy while capping the
-    // buffered results the ordered merge may have to hold.
-    const auto window = static_cast<std::size_t>(jobs()) * 3;
+    const std::size_t limit = window();
     std::deque<std::future<Result>> inflight;
     std::size_t next = 0;
     const auto submit_one = [&] {
@@ -89,28 +95,29 @@ class ShardedExecutor {
       inflight.push_back(task->get_future());
       pool_->submit([task] { (*task)(); });
     };
-    while (next < n && inflight.size() < window) submit_one();
+    while (next < n && inflight.size() < limit) submit_one();
     while (!inflight.empty()) {
-      std::optional<Result> result;
+      std::future<Result> front = std::move(inflight.front());
+      inflight.pop_front();
       std::exception_ptr error;
       try {
-        result.emplace(inflight.front().get());
+        consume(front.get());
       } catch (...) {
         error = std::current_exception();
       }
-      inflight.pop_front();
       if (error != nullptr) {
         // Drain every in-flight task before unwinding: workers still hold
         // references to `produce` and its captures, which live on this
         // stack frame — rethrowing with tasks in flight is a use-after-
-        // scope on the worker threads. The earliest shard's exception wins
-        // (shard order); later failures die with their futures.
+        // scope on the worker threads. The earliest failure wins (shard
+        // order); later failures die with their futures.
         for (auto& pending : inflight) pending.wait();
         inflight.clear();
         std::rethrow_exception(error);
       }
-      if (next < n) submit_one();  // refill before the (serial) consume
-      consume(std::move(*result));
+      // Refill only once the result is consumed, so that no more than
+      // window() results exist at any time.
+      if (next < n) submit_one();
     }
   }
 

@@ -150,8 +150,8 @@ class World {
   [[nodiscard]] const ntp::NtpServer* detailed(std::uint32_t server_index) const;
 
   /// The detailed instance's configuration, or nullptr outside the tier.
-  /// Never settles: day shards read it on workers while the calling thread
-  /// logs writes.
+  /// Never settles: version-pass chunks read it on workers while earlier
+  /// passes' writes are still pending.
   [[nodiscard]] const ntp::NtpServerConfig* server_config(
       std::uint32_t server_index) const;
 

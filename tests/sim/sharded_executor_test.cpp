@@ -179,6 +179,61 @@ TEST(ShardedExecutorTest, ExceptionDrainsInFlightShardsBeforeRethrow) {
   EXPECT_GE(started.load(), 1);
 }
 
+TEST(ShardedExecutorTest, ConsumeExceptionDrainsInFlightShardsBeforeRethrow) {
+  // A throwing consume aborts the run the same way: every shard still in
+  // flight finishes before the exception leaves run_ordered.
+  util::ThreadPool pool(4);
+  ShardedExecutor exec(&pool);
+  std::atomic<int> started{0};
+  std::atomic<int> finished{0};
+  EXPECT_THROW(
+      exec.run_ordered(
+          64, 1,
+          [&started, &finished](std::size_t, std::size_t) -> int {
+            started.fetch_add(1);
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+            finished.fetch_add(1);
+            return 0;
+          },
+          [](int) { throw std::runtime_error("consume failed"); }),
+      std::runtime_error);
+  EXPECT_EQ(started.load(), finished.load());
+  EXPECT_GE(started.load(), 1);
+}
+
+TEST(ShardedExecutorTest, InFlightResultsStayWithinTheWindow) {
+  // Producers far faster than the consume: finished results pile up ahead
+  // of the ordered merge, but never more than window() of them, the one
+  // being consumed included, and the consume order stays ascending.
+  util::ThreadPool pool(4);
+  ShardedExecutor exec(&pool);
+  ASSERT_EQ(exec.window(), 6u);
+  std::mutex mu;
+  std::size_t finished = 0;   // produce calls returned
+  std::size_t consumed = 0;   // consume calls returned
+  std::size_t most_held = 0;  // largest finished - consumed seen
+  std::vector<std::size_t> order;
+  exec.run_ordered(
+      48, 1,
+      [&mu, &finished, &consumed, &most_held](std::size_t b, std::size_t) {
+        const std::lock_guard lock(mu);
+        ++finished;
+        most_held = std::max(most_held, finished - consumed);
+        return b;
+      },
+      [&mu, &consumed, &order](std::size_t b) {
+        order.push_back(b);
+        std::this_thread::sleep_for(std::chrono::milliseconds(3));
+        const std::lock_guard lock(mu);
+        ++consumed;
+      });
+  EXPECT_LE(most_held, exec.window());
+  EXPECT_GE(most_held, 2u);  // the producers did run ahead
+  std::vector<std::size_t> ascending(48);
+  std::iota(ascending.begin(), ascending.end(), std::size_t{0});
+  EXPECT_EQ(order, ascending);
+}
+
 // --- Keyed apply lanes (contract rule 4). ---
 
 /// Waits up to five seconds for `flag`; false on timeout, so a broken
