@@ -32,9 +32,7 @@ struct Outcome {
 
 Outcome run_world(const bench::Options& opt, double remediation_speed,
                   std::uint32_t rate_limit_per_minute) {
-  sim::WorldConfig wcfg;
-  wcfg.scale = opt.scale;
-  wcfg.seed = opt.seed;
+  sim::WorldConfig wcfg = bench::world_config(opt);
   wcfg.remediation_speed = remediation_speed;
   sim::World world(wcfg);
 
@@ -51,13 +49,9 @@ Outcome run_world(const bench::Options& opt, double remediation_speed,
   study::AnalysisSink analyses;
   analyses.census = &census;
   analyses.victims = &victims;
-  sim::AttackEngineConfig acfg;
-  acfg.seed = opt.seed ^ 0xa77acdULL;
   study::EventBus no_sinks;
-  sim::AttackEngine attacks(world, acfg, no_sinks);
-  sim::ScanTrafficConfig scfg;
-  scfg.seed = opt.seed ^ 0x5ca7ULL;
-  sim::ScanTraffic scans(world, scfg);
+  sim::AttackEngine attacks(world, bench::attack_config(opt), no_sinks);
+  sim::ScanTraffic scans(world, bench::scan_config(opt));
   scan::Prober prober(world, net::Ipv4Address(198, 51, 100, 7));
 
   const int weeks = opt.quick ? 8 : 15;

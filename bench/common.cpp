@@ -200,6 +200,25 @@ Options live_only_options(int argc, char** argv,
   return opt;
 }
 
+sim::WorldConfig world_config(const Options& opt) {
+  sim::WorldConfig cfg;
+  cfg.scale = opt.scale;
+  cfg.seed = opt.seed;
+  return cfg;
+}
+
+sim::AttackEngineConfig attack_config(const Options& opt) {
+  sim::AttackEngineConfig cfg;
+  cfg.seed = opt.seed ^ 0xa77acdULL;
+  return cfg;
+}
+
+sim::ScanTrafficConfig scan_config(const Options& opt) {
+  sim::ScanTrafficConfig cfg;
+  cfg.seed = opt.seed ^ 0x5ca7ULL;
+  return cfg;
+}
+
 bool maybe_write_csv(const Options& opt, const std::string& name,
                      const util::CsvDocument& doc) {
   if (opt.csv_dir.empty()) return false;
@@ -260,10 +279,7 @@ StudyPipeline::StudyPipeline(const study::StudyHeader& shape,
                              const Options& opt)
     : shape_(shape), opt_(opt) {
   const auto t0 = EngineClock::now();
-  sim::WorldConfig world_config;
-  world_config.scale = opt.scale;
-  world_config.seed = opt.seed;
-  world = std::make_unique<sim::World>(world_config);
+  world = std::make_unique<sim::World>(world_config(opt));
   census = std::make_unique<core::AmplifierCensus>(world->registry(),
                                                    world->pbl());
   victims = std::make_unique<core::VictimAnalysis>(world->registry(),
@@ -354,12 +370,10 @@ void StudyPipeline::simulate(
   const bool recording = !opt_.record.empty();
   if (recording) bus.subscribe(&recorder);
 
-  sim::AttackEngineConfig attack_cfg;
-  attack_cfg.seed = opt_.seed ^ 0xa77acdULL;
+  sim::AttackEngineConfig attack_cfg = attack_config(opt_);
   attack_cfg.impairment = impairment;
   sim::AttackEngine attacks(*world, attack_cfg, bus);
-  sim::ScanTrafficConfig scan_cfg;
-  scan_cfg.seed = opt_.seed ^ 0x5ca7ULL;
+  sim::ScanTrafficConfig scan_cfg = scan_config(opt_);
   scan_cfg.impairment = impairment;
   sim::ScanTraffic scans(*world, scan_cfg);
   scan::Prober prober(*world, net::Ipv4Address(198, 51, 100, 7),

@@ -79,6 +79,13 @@ bool maybe_write_csv(const Options& opt, const std::string& name,
                                         std::uint32_t default_scale,
                                         bool refuse_record = false);
 
+/// The engine configs `opt` names: the world takes its scale and seed, and
+/// the attack and scan engines take the seed with a fixed salt each, so one
+/// (scale, seed) is one simulated study in every bench.
+[[nodiscard]] sim::WorldConfig world_config(const Options& opt);
+[[nodiscard]] sim::AttackEngineConfig attack_config(const Options& opt);
+[[nodiscard]] sim::ScanTrafficConfig scan_config(const Options& opt);
+
 /// Prints the standard provenance header every bench emits.
 void print_header(const std::string& figure, const Options& opt);
 

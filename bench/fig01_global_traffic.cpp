@@ -15,10 +15,7 @@ int run(const bench::Options& opt) {
   bench::print_header(
       "Figure 1: NTP and DNS fraction of global Internet traffic", opt);
 
-  sim::WorldConfig wcfg;
-  wcfg.scale = opt.scale;
-  wcfg.seed = opt.seed;
-  sim::World world(wcfg);
+  sim::World world(bench::world_config(opt));
 
   const int horizon = opt.quick ? 120 : 181;
   telemetry::GlobalTrafficCollector global(
@@ -27,9 +24,7 @@ int run(const bench::Options& opt) {
   study::CollectorSink sinks;
   sinks.global = &global;
   sinks.labels = &labels;
-  sim::AttackEngineConfig acfg;
-  acfg.seed = opt.seed ^ 0xa77acdULL;
-  sim::AttackEngine attacks(world, acfg, sinks);
+  sim::AttackEngine attacks(world, bench::attack_config(opt), sinks);
 
   // Benign baselines: NTP time-sync chatter is a sliver; DNS hovers near
   // 0.15% of traffic; both get a small deterministic weekly wobble.

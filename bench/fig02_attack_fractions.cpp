@@ -16,17 +16,12 @@ int run(const bench::Options& opt) {
   bench::print_header(
       "Figure 2: monthly fraction of DDoS attacks that are NTP-based", opt);
 
-  sim::WorldConfig wcfg;
-  wcfg.scale = opt.scale;
-  wcfg.seed = opt.seed;
-  sim::World world(wcfg);
+  sim::World world(bench::world_config(opt));
 
   telemetry::AttackLabelStore labels;
   study::CollectorSink sinks;
   sinks.labels = &labels;
-  sim::AttackEngineConfig acfg;
-  acfg.seed = opt.seed ^ 0xa77acdULL;
-  sim::AttackEngine attacks(world, acfg, sinks);
+  sim::AttackEngine attacks(world, bench::attack_config(opt), sinks);
   const int horizon = opt.quick ? 120 : 181;
   for (int day = 0; day < horizon; ++day) attacks.run_day(day);
 

@@ -17,21 +17,18 @@ namespace {
 int run(const bench::Options& opt) {
   bench::print_header("Figure 8: darknet NTP scanning volume", opt);
 
-  sim::WorldConfig wcfg;
-  wcfg.scale = opt.scale;
-  wcfg.seed = opt.seed;
-  sim::World world(wcfg);
+  sim::World world(bench::world_config(opt));
   telemetry::DarknetConfig dcfg;
   dcfg.telescope = world.registry().named().darknet;
   telemetry::DarknetTelescope darknet(dcfg);
-  sim::ScanTrafficConfig scfg;
-  scfg.seed = opt.seed ^ 0x5ca7ULL;
-  sim::ScanTraffic scans(world, scfg);
+  study::CollectorSink sinks;
+  sinks.darknet = &darknet;
+  sim::ScanTraffic scans(world, bench::scan_config(opt));
 
   // Eight months: 2013-09-01 .. 2014-04-30 (days -61 .. 180).
   const int from = opt.quick ? -30 : -61;
   for (int day = from; day <= 180; ++day) {
-    scans.run_day(day, &darknet, {});
+    scans.run_day(day, sinks, &darknet, {});
   }
 
   util::TextTable table({"month", "pkts per dark /24", "benign frac",

@@ -17,17 +17,12 @@ namespace {
 int run(const bench::Options& opt) {
   bench::print_header("§2.2: attack-labeler visibility bias", opt);
 
-  sim::WorldConfig wcfg;
-  wcfg.scale = opt.scale;
-  wcfg.seed = opt.seed;
-  sim::World world(wcfg);
+  sim::World world(bench::world_config(opt));
   const auto& named = world.registry().named();
   telemetry::FlowCollector merit("Merit", {named.merit_space});
   study::CollectorSink sinks;
   sinks.vantages = {&merit};
-  sim::AttackEngineConfig acfg;
-  acfg.seed = opt.seed ^ 0xa77acdULL;
-  sim::AttackEngine attacks(world, acfg, sinks);
+  sim::AttackEngine attacks(world, bench::attack_config(opt), sinks);
 
   // Ground truth: attacks that touched Merit (any amplifier or victim in
   // its space), by size class.

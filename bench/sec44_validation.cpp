@@ -20,22 +20,15 @@ int run(const bench::Options& opt) {
   bench::print_header("§4.4 validation: the disclosed OVH attack vs the "
                       "census", opt);
 
-  sim::WorldConfig wcfg;
-  wcfg.scale = opt.scale;
-  wcfg.seed = opt.seed;
-  sim::World world(wcfg);
+  sim::World world(bench::world_config(opt));
   core::AmplifierCensus census(world.registry(), world.pbl());
   core::VictimAnalysis victims(world.registry(), world.pbl());
   study::AnalysisSink analyses;
   analyses.census = &census;
   analyses.victims = &victims;
-  sim::AttackEngineConfig acfg;
-  acfg.seed = opt.seed ^ 0xa77acdULL;
   study::EventBus no_sinks;
-  sim::AttackEngine attacks(world, acfg, no_sinks);
-  sim::ScanTrafficConfig scfg;
-  scfg.seed = opt.seed ^ 0x5ca7ULL;
-  sim::ScanTraffic scans(world, scfg);
+  sim::AttackEngine attacks(world, bench::attack_config(opt), no_sinks);
+  sim::ScanTraffic scans(world, bench::scan_config(opt));
   scan::Prober prober(world, net::Ipv4Address(198, 51, 100, 7));
 
   const int weeks = opt.quick ? 8 : 15;

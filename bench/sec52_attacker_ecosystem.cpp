@@ -19,20 +19,13 @@ namespace {
 int run(const bench::Options& opt) {
   bench::print_header("§5.2: the attacker ecosystem", opt);
 
-  sim::WorldConfig wcfg;
-  wcfg.scale = opt.scale;
-  wcfg.seed = opt.seed;
-  sim::World world(wcfg);
+  sim::World world(bench::world_config(opt));
   const auto& named = world.registry().named();
   telemetry::FlowCollector merit("Merit", {named.merit_space});
   study::CollectorSink sinks;
   sinks.vantages = {&merit};
-  sim::AttackEngineConfig acfg;
-  acfg.seed = opt.seed ^ 0xa77acdULL;
-  sim::AttackEngine attacks(world, acfg, sinks);
-  sim::ScanTrafficConfig scfg;
-  scfg.seed = opt.seed ^ 0x5ca7ULL;
-  sim::ScanTraffic scans(world, scfg);
+  sim::AttackEngine attacks(world, bench::attack_config(opt), sinks);
+  sim::ScanTraffic scans(world, bench::scan_config(opt));
 
   std::uint64_t game_port_attacks = 0, end_host_victims = 0, total = 0;
   const int from = 70, to = opt.quick ? 95 : 110;
@@ -49,7 +42,7 @@ int run(const bench::Options& opt) {
           break;
       }
     }
-    scans.run_day(day, nullptr, {&merit});
+    scans.run_day(day, sinks, nullptr, sinks.vantages);
   }
 
   // Booter market concentration.

@@ -16,10 +16,7 @@ namespace {
 int run(const bench::Options& opt) {
   bench::print_header("Table 2: system strings by pool", opt);
 
-  sim::WorldConfig wcfg;
-  wcfg.scale = opt.scale;
-  wcfg.seed = opt.seed;
-  sim::World world(wcfg);
+  sim::World world(bench::world_config(opt));
   scan::Prober prober(world, net::Ipv4Address(198, 51, 100, 7));
 
   core::VersionCensus all, amplifiers, mega;

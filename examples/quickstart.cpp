@@ -1,4 +1,4 @@
-// Quickstart: the core loop of the library in ~80 lines.
+// Quickstart: the core loop of the library in about a hundred lines.
 //
 //   1. Stand up one simulated ntpd with an open monitor list.
 //   2. Let a few clients (and one spoofing attacker) talk to it.
@@ -7,10 +7,10 @@
 //   4. Classify every table entry with the paper's §4.2 filter and compute
 //      the amplifier's on-wire bandwidth amplification factor.
 //
-// Build & run:  ./build/examples/quickstart   (it takes no arguments)
+// Build & run:  ./build/examples/quickstart   (it takes no arguments; any
+// argument is refused with one stderr line and exit 2)
 #include <cstdio>
 
-#include "example_args.h"
 #include "core/amplifiers.h"
 #include "core/monlist_analysis.h"
 #include "ntp/server.h"
@@ -19,7 +19,10 @@
 using namespace gorilla;
 
 int main(int argc, char** argv) {
-  examples::read_example_args(argc, argv, {}, /*accepted=*/0);
+  if (argc > 1) {
+    std::fprintf(stderr, "quickstart: unknown argument '%s'\n", argv[1]);
+    return 2;
+  }
 
   // 1. One ntpd at 10.1.2.3 with monlist enabled (the vulnerable default
   //    of pre-4.2.7 ntpd).

@@ -3,8 +3,8 @@
 #
 #   1. Release build with -Werror -Wconversion -Wshadow (GORILLA_STRICT),
 #      full test suite.
-#   2. gorilla_lint over src/ plus its self-test fixtures (the lint.* ctest
-#      label, run from the release tree).
+#   2. gorilla_lint over src/, tools/ and examples/ plus its self-test
+#      fixtures (the lint.* ctest label, run from the release tree).
 #   3. ASan+UBSan build, full test suite again under instrumentation.
 #   4. Fault-injection suite (ctest label "fault") re-run under ASan+UBSan:
 #      the crash-safety paths — torn writes, CRC-failed and truncated loads
@@ -50,7 +50,7 @@ echo "== [2/6] gorilla_lint (tree + self-test) =="
 # Parallel analysis over the whole tree first — the summary line on stderr
 # reports wall time and the job count. Then the ctest battery (self-test
 # fixtures, layering mini-trees, CLI refusals) on top.
-./build/release/tools/gorilla_lint/gorilla_lint --jobs "$jobs" src tools
+./build/release/tools/gorilla_lint/gorilla_lint --jobs "$jobs" src tools examples
 ctest --test-dir build/release -L lint --output-on-failure
 
 # The memory gate runs in --fast mode too: RSS regressions are exactly the

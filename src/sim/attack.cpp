@@ -281,8 +281,7 @@ net::Ipv4Address AttackEngine::pick_victim(
   return victim;
 }
 
-std::uint16_t AttackEngine::pick_port(bool /*end_host*/,
-                                      util::Rng& rng) const {
+std::uint16_t AttackEngine::pick_port(util::Rng& rng) const {
   const std::uint16_t port = port_values_[port_sampler_.sample(rng)];
   if (port != 0) return port;
   return static_cast<std::uint16_t>(rng.uniform_int(1024, 65535));
@@ -681,7 +680,7 @@ AttackEngine::DayShardResult AttackEngine::simulate_day(
     rec.victim = pick_victim(day, rng, booter_targets[rec.booter_id],
                              end_host, common_pool);
     rec.victim_end_host = end_host;
-    rec.victim_port = pick_port(end_host, rng);
+    rec.victim_port = pick_port(rng);
     // Priming requires booter-grade tooling, which only spreads with the
     // mid-December attack-script releases; before that everything is
     // ad-hoc.

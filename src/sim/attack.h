@@ -274,7 +274,7 @@ class AttackEngine {
   net::Ipv4Address pick_victim(int day, util::Rng& rng,
                                std::vector<net::Ipv4Address>& booter_targets,
                                bool& end_host, bool& common_pool) const;
-  std::uint16_t pick_port(bool end_host, util::Rng& rng) const;
+  std::uint16_t pick_port(util::Rng& rng) const;
   void pick_amplifiers(int day, bool common_pool, bool primed,
                        const std::vector<std::uint32_t>& live_pool,
                        util::Rng& rng, std::vector<std::uint32_t>& out) const;
@@ -293,7 +293,6 @@ class AttackEngine {
   std::vector<std::uint64_t> attacks_per_booter_;
   std::vector<AttackRecord> scripted_events_;
   util::ZipfSampler booter_zipf_;
-  std::vector<net::Ipv4Address> hosting_victims_;  ///< per-hosting-AS picks
   std::vector<net::Ipv4Address> common_victims_;   ///< Merit+FRGP common pool
   util::ZipfSampler hosting_zipf_;
   std::vector<net::Asn> hosting_ases_;

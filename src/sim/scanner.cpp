@@ -11,10 +11,9 @@
 // event vocabulary and consults collector geometry; the types cross the
 // layer boundary by design, so the upward includes live here, waived, not
 // in scanner.h.
-#include "study/collector_sink.h"  // NOLINT(layer-break)
-#include "study/events.h"          // NOLINT(layer-break)
-#include "telemetry/darknet.h"     // NOLINT(layer-break)
-#include "telemetry/flow.h"        // NOLINT(layer-break)
+#include "study/events.h"       // NOLINT(layer-break)
+#include "telemetry/darknet.h"  // NOLINT(layer-break)
+#include "telemetry/flow.h"     // NOLINT(layer-break)
 
 namespace gorilla::sim {
 
@@ -73,15 +72,6 @@ std::uint64_t ScanTraffic::darknet_packets_per_pass(
   // A pass covering fraction c of IPv4 hits c * (dark /24s * 256) addresses.
   const double dark_addresses = t.effective_dark_slash24s() * 256.0;
   return static_cast<std::uint64_t>(dark_addresses * actor.ipv4_coverage);
-}
-
-void ScanTraffic::run_day(
-    int day, telemetry::DarknetTelescope* darknet,
-    const std::vector<telemetry::FlowCollector*>& vantages) const {
-  study::CollectorSink sink;
-  sink.darknet = darknet;
-  sink.vantages = vantages;
-  run_day(day, sink, darknet, vantages);
 }
 
 void ScanTraffic::run_day(

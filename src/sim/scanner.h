@@ -63,15 +63,12 @@ class ScanTraffic {
  public:
   ScanTraffic(World& world, const ScanTrafficConfig& config);
 
-  /// Runs one day of scanning. `darknet`, `vantages` may be empty/null.
-  void run_day(int day, telemetry::DarknetTelescope* darknet,
-               const std::vector<telemetry::FlowCollector*>& vantages) const;
-
-  /// Event-stream form: darknet packets become on_darknet_scan() events and
-  /// vantage flows become on_flow(flow, vantage_index) events. The darknet
-  /// and vantage collectors are consulted for *geometry only* (dark-space
-  /// size, local prefixes); all observations flow through `sink`. Draws the
-  /// exact RNG stream of the direct form above.
+  /// Runs one day of scanning: darknet packets become on_darknet_scan()
+  /// events and vantage flows become on_flow(flow, vantage_index) events.
+  /// The darknet and vantage collectors (either may be null/empty) are
+  /// consulted for *geometry only* (dark-space size, local prefixes); all
+  /// observations flow through `sink` — a study::CollectorSink over the
+  /// same collectors fills them directly.
   ///
   /// Each day draws from a pure (seed, day) substream, so a day is a pure
   /// function of the day index — AttackEngine::run_days() calls this from

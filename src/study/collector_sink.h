@@ -1,10 +1,11 @@
 // Routes bus events back into the telemetry collectors — the bridge that
 // makes the event-stream engine produce the exact collector state the
-// pre-bus engine produced by calling collectors directly.
+// pre-bus engine produced by calling collectors directly. StudyPipeline
+// subscribes one to its bus; the benches that drive their own world hand
+// one to sim::AttackEngine and to sim::ScanTraffic::run_day.
 //
-// Header-only on purpose: sim::ScanTraffic's collector-pointer run_day()
-// wraps its collectors in one, and sim cannot link the gorilla_study
-// library. Null members are simply skipped.
+// Header-only: every member is a one-line forward into a collector. Null
+// members are simply skipped.
 #pragma once
 
 #include <cstddef>

@@ -1,6 +1,5 @@
 #include "study/detector_sink.h"
 
-#include <algorithm>
 #include <cstdio>
 
 #include "net/packet.h"
@@ -41,29 +40,10 @@ void DetectorSink::on_flow(const telemetry::FlowRecord& f, int /*vantage*/) {
       (f.src_port != net::kNtpPort && f.dst_port != net::kNtpPort)) {
     return;
   }
-  // Identical arithmetic to FlowCollector::volume_series so a batch series
-  // built from the same flows, in the same order, sums to the same bits.
-  const util::SimTime start = config_.window_start;
-  const util::SimTime end = config_.window_end;
-  const util::SimTime bucket_seconds = config_.bucket_seconds;
-  const util::SimTime f_first = std::max(f.first, start);
-  const util::SimTime f_last = std::min(std::max(f.last, f.first), end - 1);
-  if (f_first > f_last) return;
-  const double span =
-      static_cast<double>(std::max<util::SimTime>(1, f.last - f.first + 1));
-  const double rate = static_cast<double>(f.bytes) / span;  // bytes/sec
-  std::size_t b = static_cast<std::size_t>((f_first - start) / bucket_seconds);
-  util::SimTime cursor = f_first;
-  const std::size_t n = buckets_.size();
-  while (cursor <= f_last && b < n) {
-    const util::SimTime bucket_end =
-        start + static_cast<util::SimTime>(b + 1) * bucket_seconds;
-    const util::SimTime seg_end = std::min<util::SimTime>(f_last + 1, bucket_end);
-    buckets_[b] += rate * static_cast<double>(seg_end - cursor);
-    cursor = seg_end;
-    ++b;
+  if (telemetry::spread_flow(f, config_.window_start, config_.window_end,
+                             config_.bucket_seconds, buckets_)) {
+    ++flows_binned_;
   }
-  ++flows_binned_;
 }
 
 void DetectorSink::on_attack_label(const telemetry::LabeledAttack& label) {

@@ -10,9 +10,8 @@
 // telemetry::StreamingDetector over the buckets and scores the episodes
 // against the recorded ground truth.
 //
-// Determinism contract: bucket accumulation uses exactly the spreading
-// arithmetic of FlowCollector::volume_series, applied in event-stream
-// order. Because the artifact preserves the total event order (see
+// Determinism contract: buckets fill through telemetry::spread_flow, the
+// routine FlowCollector::volume_series bins with, in event-stream order. Because the artifact preserves the total event order (see
 // recorder.h), a replayed stream drives the identical sequence of
 // floating-point additions as the live bus — render() output is
 // byte-identical between the two (tested).

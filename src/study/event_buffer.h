@@ -27,12 +27,6 @@ class EventBuffer final : public EventSink {
   EventBuffer(bool wants_flows, bool wants_labels)
       : wants_flows_(wants_flows), wants_labels_(wants_labels) {}
 
-  /// A buffer that advertises the capability bits of the sink it will
-  /// later be replayed into.
-  [[nodiscard]] static EventBuffer mirroring(const EventSink& downstream) {
-    return {downstream.wants_flows(), downstream.wants_labels()};
-  }
-
   [[nodiscard]] bool wants_flows() const override { return wants_flows_; }
   [[nodiscard]] bool wants_labels() const override { return wants_labels_; }
 

@@ -1,6 +1,6 @@
 #include "telemetry/flow.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "net/packet.h"
 
@@ -36,23 +36,7 @@ VolumeSeries FlowCollector::volume_series(
                                bucket_seconds);
   series.bytes.assign(n, 0.0);
   for (const auto& f : flows_) {
-    if (!filter(f)) continue;
-    const util::SimTime f_first = std::max(f.first, start);
-    const util::SimTime f_last = std::min(std::max(f.last, f.first), end - 1);
-    if (f_first > f_last) continue;
-    const double span =
-        static_cast<double>(std::max<util::SimTime>(1, f.last - f.first + 1));
-    const double rate = static_cast<double>(f.bytes) / span;  // bytes/sec
-    // Spread across buckets the [f_first, f_last] interval overlaps.
-    std::size_t b = static_cast<std::size_t>((f_first - start) / bucket_seconds);
-    util::SimTime cursor = f_first;
-    while (cursor <= f_last && b < n) {
-      const util::SimTime bucket_end = start + static_cast<util::SimTime>(b + 1) * bucket_seconds;
-      const util::SimTime seg_end = std::min<util::SimTime>(f_last + 1, bucket_end);
-      series.bytes[b] += rate * static_cast<double>(seg_end - cursor);
-      cursor = seg_end;
-      ++b;
-    }
+    if (filter(f)) spread_flow(f, start, end, bucket_seconds, series.bytes);
   }
   return series;
 }

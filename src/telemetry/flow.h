@@ -51,6 +51,37 @@ struct VolumeSeries {
   }
 };
 
+/// Adds `f`'s bytes to `buckets`, bucket b covering [start + b *
+/// bucket_seconds, start + (b + 1) * bucket_seconds): the bytes are spread
+/// at a flat rate over the flow's [first, last] span, clipped to [start,
+/// end); `bucket_seconds` must be positive. Returns false, adding nothing,
+/// when the flow misses the window.
+/// FlowCollector::volume_series and study::DetectorSink both bin with this,
+/// so a batch series and a streamed one over the same flows in the same
+/// order hold the same bits.
+inline bool spread_flow(const FlowRecord& f, util::SimTime start,
+                        util::SimTime end, util::SimTime bucket_seconds,
+                        std::vector<double>& buckets) {
+  const util::SimTime f_first = std::max(f.first, start);
+  const util::SimTime f_last = std::min(std::max(f.last, f.first), end - 1);
+  if (f_first > f_last) return false;
+  const double span =
+      static_cast<double>(std::max<util::SimTime>(1, f.last - f.first + 1));
+  const double rate = static_cast<double>(f.bytes) / span;  // bytes/sec
+  std::size_t b = static_cast<std::size_t>((f_first - start) / bucket_seconds);
+  util::SimTime cursor = f_first;
+  while (cursor <= f_last && b < buckets.size()) {
+    const util::SimTime bucket_end =
+        start + static_cast<util::SimTime>(b + 1) * bucket_seconds;
+    const util::SimTime seg_end =
+        std::min<util::SimTime>(f_last + 1, bucket_end);
+    buckets[b] += rate * static_cast<double>(seg_end - cursor);
+    cursor = seg_end;
+    ++b;
+  }
+  return true;
+}
+
 /// Flow collector at one vantage point (an ISP border).
 class FlowCollector {
  public:

@@ -18,7 +18,6 @@
 #include "ntp/mode6.h"
 #include "ntp/mode7.h"
 #include "ntp/ntp_packet.h"
-#include "ntp/ntpdc.h"
 #include "util/rng.h"
 
 namespace gorilla::ntp {
@@ -259,22 +258,6 @@ TEST(ParserFuzzTest, ReassembleClampsOversizeTables) {
   const auto table = reassemble_monlist(packets);
   ASSERT_TRUE(table);
   EXPECT_EQ(table->size(), kMonlistMaxEntries);
-}
-
-TEST(ParserFuzzTest, NtpdcTextSurvivesMutations) {
-  std::vector<MonitorEntry> entries(5);
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    entries[i].address = net::Ipv4Address{static_cast<std::uint32_t>(i + 1)};
-    entries[i].local_address = net::Ipv4Address(10, 0, 0, 1);
-  }
-  const auto text = render_monlist(entries);
-  util::Rng rng(0xf126);
-  for (int trial = 0; trial < 1000; ++trial) {
-    std::string mutated = text;
-    const auto pos = rng.uniform(mutated.size());
-    mutated[pos] = static_cast<char>(rng.uniform_int(32, 126));
-    (void)parse_monlist_text(mutated);  // must not crash or hang
-  }
 }
 
 // --- view parsers vs owning parsers ----------------------------------------

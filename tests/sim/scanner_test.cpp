@@ -6,6 +6,7 @@
 #include "sim/attack.h"
 #include "sim/sharded_executor.h"
 #include "study/bus.h"
+#include "study/collector_sink.h"
 #include "study/events.h"
 #include "telemetry/darknet.h"
 #include "telemetry/flow.h"
@@ -63,8 +64,10 @@ TEST_F(ScanTrafficTest, MaliciousOnsetMidDecember) {
 
 TEST_F(ScanTrafficTest, DarknetQuietBeforeOnsetBusyAfter) {
   auto telescope = make_telescope();
+  study::CollectorSink sink;
+  sink.darknet = &telescope;
   for (int day = 0; day < 140; ++day) {
-    scans_.run_day(day, &telescope, {});
+    scans_.run_day(day, sink, &telescope, {});
   }
   const auto per_day = telescope.unique_scanners_per_day();
   auto scanners_on = [&](int day) {
@@ -81,8 +84,10 @@ TEST_F(ScanTrafficTest, DarknetQuietBeforeOnsetBusyAfter) {
 TEST_F(ScanTrafficTest, ScanningContinuesThroughRemediation) {
   // §5.1: scanning stays high even as the vulnerable pool collapses.
   auto telescope = make_telescope();
+  study::CollectorSink sink;
+  sink.darknet = &telescope;
   for (int day = 0; day < 170; ++day) {
-    scans_.run_day(day, &telescope, {});
+    scans_.run_day(day, sink, &telescope, {});
   }
   const auto per_day = telescope.unique_scanners_per_day();
   double march = 0, april = 0;
@@ -99,8 +104,10 @@ TEST_F(ScanTrafficTest, ScanningContinuesThroughRemediation) {
 
 TEST_F(ScanTrafficTest, BenignFractionIdentifiable) {
   auto telescope = make_telescope();
+  study::CollectorSink sink;
+  sink.darknet = &telescope;
   for (int day = 0; day < 60; ++day) {
-    scans_.run_day(day, &telescope, {});
+    scans_.run_day(day, sink, &telescope, {});
   }
   const auto monthly = telescope.monthly_volumes();
   ASSERT_FALSE(monthly.empty());
@@ -111,8 +118,10 @@ TEST_F(ScanTrafficTest, BenignFractionIdentifiable) {
 TEST_F(ScanTrafficTest, VantageSeesScanFlowsWithLinuxTtl) {
   const auto& named = world_.registry().named();
   telemetry::FlowCollector merit("merit", {named.merit_space});
+  study::CollectorSink sink;
+  sink.vantages = {&merit};
   for (int day = 50; day < 80; ++day) {
-    scans_.run_day(day, nullptr, {&merit});
+    scans_.run_day(day, sink, nullptr, sink.vantages);
   }
   ASSERT_FALSE(merit.flows().empty());
   for (const auto& f : merit.flows()) {
